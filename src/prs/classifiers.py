@@ -1,15 +1,17 @@
 """Four binary classifiers, each trained from scratch on numpy only.
 
-LR        logistic regression, full-batch gradient descent with a
-          backtracking (Armijo) line search.
+LR        L2-penalised logistic regression (intercept unpenalised),
+          fitted by damped Newton steps (IRLS).
 LDA       Gaussian discriminant with a pooled covariance matrix.
 QDA       Gaussian discriminant with per-class covariance matrices.
 SVM_POLY  soft-margin SVM with a polynomial kernel, trained by pairwise
-          dual coordinate ascent (SMO) with deterministic pair choice.
+          dual coordinate ascent (SMO) with deterministic pair choice;
+          each partner search screens all candidates in one array pass.
 
 Labels are arbitrary strings; the two classes are ordered lexically and
 score ties resolve to the second class. Trained models report fit
-diagnostics (iterations, losses, dual objective, KKT residual).
+diagnostics (iterations and convergence, losses, dual objective, KKT
+residual).
 """
 
 from __future__ import annotations
@@ -29,15 +31,18 @@ _ALPHA_EPS = 1e-12  # below this a dual coefficient counts as zero
 class ClassifierSpec:
     """Which classifier to train, plus its hyperparameters.
 
-    learning_rate/max_iter/tol drive LR; ridge pads the (pooled or
+    LR minimises mean log-loss + l2/2 * |w|^2 over the weights w (the
+    intercept is not penalised), taking at most max_iter Newton steps
+    and stopping once the gradient norm is <= tol; l2 > 0 keeps the
+    minimum finite on separable folds. ridge pads the (pooled or
     per-class) covariance diagonal for LDA/QDA, with None meaning
     1e-6 * trace/n_features; degree/coef0/penalty shape the SVM kernel
     (x.z + coef0)^degree and its box constraint.
     """
 
     kind: str
-    learning_rate: float = 0.1
-    max_iter: int = 5000
+    l2: float = 1e-2
+    max_iter: int = 100
     tol: float = 1e-8
     ridge: float | None = None
     degree: int = 3
@@ -50,8 +55,8 @@ class ClassifierSpec:
             raise ValueError(
                 f"kind must be one of {CLASSIFIER_KINDS}, got {self.kind!r}"
             )
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not self.l2 > 0:
+            raise ValueError("l2 must be positive")
         if self.max_iter < 1 or self.max_sweeps < 1:
             raise ValueError("iteration limits must be >= 1")
         if self.ridge is not None and self.ridge < 0:
@@ -158,39 +163,54 @@ def train(spec: ClassifierSpec, X, y) -> TrainedModel:
 # -- logistic regression ----------------------------------------------------
 
 
-def _logistic_loss_grad(w, Xb, signed):
-    z = Xb @ w
-    margins = signed * z
-    loss = float(np.mean(np.logaddexp(0.0, -margins)))
-    # d/dz log(1+exp(-m)) = -sigmoid(-m) * y
-    sig = 0.5 * (1.0 + np.tanh(-0.5 * margins))  # sigmoid(-margins), stable
-    grad = -(Xb.T @ (signed * sig)) / len(signed)
-    return loss, grad
+def _logistic_objective(w, Xb, signed, penalty):
+    """Mean log-loss plus 0.5 * sum(penalty * w^2); penalty is l2 for
+    each weight and 0 for the intercept."""
+    margins = signed * (Xb @ w)
+    return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * w @ (penalty * w))
 
 
 def _train_logistic(spec, X, signed):
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    m = X.shape[0]
+    Xb = np.hstack([X, np.ones((m, 1))])
+    penalty = np.full(Xb.shape[1], spec.l2)
+    penalty[-1] = 0.0
     w = np.zeros(Xb.shape[1])
-    loss, grad = _logistic_loss_grad(w, Xb, signed)
+    loss = _logistic_objective(w, Xb, signed, penalty)
     n_iter = 0
-    for n_iter in range(1, spec.max_iter + 1):
-        gnorm2 = float(grad @ grad)
-        if np.sqrt(gnorm2) <= spec.tol:
-            n_iter -= 1
+    while True:
+        margins = signed * (Xb @ w)
+        sig = 0.5 * (1.0 + np.tanh(-0.5 * margins))  # sigmoid(-margins), stable
+        grad = -(Xb.T @ (signed * sig)) / m + penalty * w
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= spec.tol or n_iter == spec.max_iter:
             break
-        step = spec.learning_rate
-        for _ in range(60):
-            trial = w - step * grad
-            trial_loss, trial_grad = _logistic_loss_grad(trial, Xb, signed)
-            if trial_loss <= loss - 0.5 * step * gnorm2:
+        hess = (Xb.T * (sig * (1.0 - sig))) @ Xb / m + np.diag(penalty)
+        try:
+            direction = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            break  # curvature underflowed; keep the last iterate
+        # damping: halve the Newton step until the objective decreases enough
+        slope = float(grad @ direction)
+        step = 1.0
+        for _ in range(40):
+            trial = w + step * direction
+            trial_loss = _logistic_objective(trial, Xb, signed, penalty)
+            if trial_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
-        if trial_loss >= loss and np.sqrt(gnorm2) > spec.tol:
-            break  # line search stalled at float precision
-        w, loss, grad = trial, trial_loss, trial_grad
+        if not trial_loss < loss:
+            break  # no further decrease at float precision
+        w, loss = trial, trial_loss
+        n_iter += 1
     return (
         {"weights": w},
-        {"n_iter": n_iter, "final_loss": loss, "grad_norm": float(np.linalg.norm(grad))},
+        {
+            "n_iter": n_iter,
+            "final_loss": loss,  # the penalised objective
+            "grad_norm": grad_norm,
+            "converged": grad_norm <= spec.tol,
+        },
     )
 
 
@@ -268,13 +288,21 @@ def _train_svm(spec, X, signed):
     n_updates = 0
     sweeps = 0
 
+    # eta[i, j] = K[i, i] + K[j, j] - 2 K[i, j], the pair's curvature. A
+    # pair with eta <= 1e-15 is never updated; its eta becomes 1.0 so the
+    # partner screen never divides by zero.
+    diag_k = np.diag(K)
+    eta = diag_k[:, None] + diag_k[None, :] - 2.0 * K
+    curved = eta > 1e-15
+    eta = np.where(curved, eta, 1.0)
+
     def errors():
         return (alpha * signed) @ K + b - signed
 
+    E = errors()  # alpha and b move only on an accepted step
     for sweeps in range(1, spec.max_sweeps + 1):
         changed = False
         for i in range(m):
-            E = errors()
             margin = signed[i] * (E[i] + signed[i])
             violates = (
                 (alpha[i] < C - _ALPHA_EPS and margin < 1.0 - 1e-10)
@@ -284,17 +312,16 @@ def _train_svm(spec, X, signed):
                 continue
             # second choice: largest |E_i - E_j|, then every j in order
             order = np.argsort(-np.abs(E - E[i]), kind="stable")
-            for j in order:
-                if j == i:
-                    continue
-                step = _smo_step(i, int(j), alpha, signed, K, E, C)
-                if step is None:
-                    continue
-                alpha[i], alpha[int(j)] = step[0], step[1]
-                b += step[2]
-                changed = True
-                n_updates += 1
-                break
+            usable = _smo_partners(i, alpha, signed, eta[i], curved[i], E, C)[order]
+            first = int(usable.argmax())
+            if not usable[first]:
+                continue
+            j = int(order[first])
+            alpha[i], alpha[j], db = _smo_step(i, j, alpha, signed, K, E, C)
+            b += db
+            E = errors()
+            changed = True
+            n_updates += 1
         if not changed:
             break
 
@@ -318,6 +345,26 @@ def _train_svm(spec, X, signed):
         "n_updates": n_updates,
     }
     return params, diag
+
+
+def _smo_partners(i, alpha, signed, eta_i, curved_i, E, C):
+    """Mask of the j that _smo_step(i, j, ...) would not reject.
+
+    Repeats its three rejection tests (box width, eta, step size) over
+    every j at once, with the same float operations in the same order,
+    so the mask agrees with the scalar step exactly. eta_i is row i of
+    the pair curvatures, with 1.0 wherever curved_i (eta > 1e-15) fails.
+    """
+    a_i = alpha[i]
+    differ = signed != signed[i]
+    both = a_i + alpha
+    lo = np.maximum(0.0, np.where(differ, alpha - a_i, both - C))
+    hi = np.minimum(C, np.where(differ, C + alpha - a_i, both))
+    usable = (hi - lo >= _ALPHA_EPS) & curved_i
+    usable[i] = False
+    aj = np.minimum(np.maximum(alpha + signed * (E[i] - E) / eta_i, lo), hi)
+    usable &= np.abs(aj - alpha) >= 1e-12
+    return usable
 
 
 def _smo_step(i, j, alpha, signed, K, E, C):

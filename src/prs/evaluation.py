@@ -23,7 +23,8 @@ import numpy as np
 from .base_features import FEATURE_NAMES, ThresholdConfig
 from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, train
 from .dataset import LabeledDataset
-from .feature_prep import KMEANS_RESTARTS, apply_bounds, column_bounds
+from .errors import PrsError
+from .feature_prep import KMEANS_RESTARTS, MIN_SAMPLES, apply_bounds, column_bounds
 from .growth import GrowthConfig
 from .pipeline import (
     PRS_NAMES,
@@ -137,18 +138,24 @@ def anova_oneway(groups) -> AnovaResult:
     )
 
 
+def _n_train(n_class: int, rate: float) -> int:
+    """Training rows drawn from a class of n_class segments:
+    round(rate * n_class) clamped to [1, n_class - 1]."""
+    if not (0.0 < rate < 1.0):
+        raise ValueError(f"training rate must be in (0, 1), got {rate}")
+    return min(max(round(rate * n_class), 1), n_class - 1)
+
+
 def stratified_split(labels, class_names, rate: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Per-class split: n_train = round(rate * n_c) clamped to [1, n_c - 1].
     Returns ascending (train_idx, test_idx)."""
-    if not (0.0 < rate < 1.0):
-        raise ValueError(f"training rate must be in (0, 1), got {rate}")
     labels = [str(v) for v in labels]
     train, test = [], []
     for name in class_names:
         idx = np.array([i for i, v in enumerate(labels) if v == name])
         if idx.size < 2:
             raise ValueError(f"class {name!r} needs at least 2 segments to split")
-        n_train = min(max(round(rate * idx.size), 1), idx.size - 1)
+        n_train = _n_train(idx.size, rate)
         perm = rng.permutation(idx.size)
         train.extend(idx[perm[:n_train]].tolist())
         test.extend(idx[perm[n_train:]].tolist())
@@ -219,6 +226,8 @@ def run_experiment(
     rates = tuple(float(r) for r in rates)
     needs_prs = any(_needs(variants, n) for n in PRS_NAMES)
     needs_spectral = any(_needs(variants, n) for n in SPECTRAL_NAMES)
+    if needs_prs and not global_prep:
+        _check_prep_folds(dataset, rates)
 
     base = extract_base_matrix(dataset, thresholds)
     labels = np.array(base.labels)
@@ -365,6 +374,20 @@ def run_experiment(
         "anova": anova_rows,
         "pairwise_diffs": diff_rows,
     }
+
+
+def _check_prep_folds(dataset: LabeledDataset, rates) -> None:
+    """Fail before any work when a training fold is too small for
+    per-fold feature preparation."""
+    sizes = [dataset.labels.count(name) for name in dataset.class_names]
+    for rate in rates:
+        rows = sum(_n_train(n, rate) for n in sizes)
+        if rows < MIN_SAMPLES:
+            raise PrsError(
+                f"training folds at rate {rate} hold {rows} rows, but per-fold "
+                f"feature preparation needs at least {MIN_SAMPLES}; the smallest "
+                f"class has {min(sizes)} segments"
+            )
 
 
 def _needs(variants, column_name: str) -> bool:

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DegenerateDataError
 
 KMEANS_RESTARTS = 25
+MIN_SAMPLES = 4  # rows a FeatureMatrix (and so fit_prep) needs
 _MAX_LLOYD_ITER = 100
 
 
@@ -34,8 +35,8 @@ class FeatureMatrix:
         if values.ndim != 2:
             raise ValueError("feature matrix must be 2D")
         m, n = values.shape
-        if m < 4:
-            raise ValueError(f"need at least 4 samples, got {m}")
+        if m < MIN_SAMPLES:
+            raise ValueError(f"need at least {MIN_SAMPLES} samples, got {m}")
         if len(self.names) != n:
             raise ValueError(f"{n} columns but {len(self.names)} names")
         if len(self.labels) != m:

@@ -104,8 +104,8 @@ def test_score_tie_goes_to_second_class():
 def test_spec_validation():
     with pytest.raises(ValueError, match="kind"):
         ClassifierSpec(kind="TREE")
-    with pytest.raises(ValueError, match="learning_rate"):
-        ClassifierSpec(kind="LR", learning_rate=0.0)
+    with pytest.raises(ValueError, match="l2"):
+        ClassifierSpec(kind="LR", l2=0.0)
     with pytest.raises(ValueError, match="degree"):
         ClassifierSpec(kind="SVM_POLY", degree=0)
     with pytest.raises(ValueError, match="penalty"):
@@ -122,6 +122,24 @@ def test_lr_loss_never_exceeds_chance_loss():
     model = train(ClassifierSpec(kind="LR"), X, y)
     assert model.diagnostics["final_loss"] <= np.log(2.0) + 1e-12
     assert model.diagnostics["n_iter"] >= 1
+
+
+def test_lr_converges_on_separable_data():
+    # no maximum-likelihood fit exists here; the l2 penalty makes one
+    X, y = separated_gaussians(gap=6.0)
+    spec = ClassifierSpec(kind="LR")
+    model = train(spec, X, y)
+    assert model.diagnostics["converged"]
+    assert model.diagnostics["n_iter"] < spec.max_iter
+    assert accuracy(model, X, y) == 1.0
+    # gradient of mean log-loss + l2/2 |w|^2 (intercept free), computed
+    # here independently of the library's Newton loop
+    w, b = model.params["weights"][:-1], model.params["weights"][-1]
+    target = np.array([1.0 if label == "B" else 0.0 for label in y])
+    prob = 1.0 / (1.0 + np.exp(-(X @ w + b)))
+    residual = prob - target
+    grad = np.append(X.T @ residual / len(y) + spec.l2 * w, np.mean(residual))
+    assert np.linalg.norm(grad) <= spec.tol
 
 
 def test_lr_probability_one_half_boundary():

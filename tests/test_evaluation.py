@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prs.dataset import generate_synthetic
+from prs.errors import PrsError
 from prs.evaluation import (
     TABLE_NAMES,
     VARIANTS,
@@ -91,6 +92,18 @@ def test_split_rate_validation():
 def test_split_needs_two_per_class():
     with pytest.raises(ValueError, match="at least 2"):
         stratified_split(["A", "B", "B"], ("A", "B"), 0.5, np.random.default_rng(0))
+
+
+def test_run_experiment_rejects_too_small_folds_up_front(monkeypatch):
+    # 2 segments per class give 1 + 1 training rows, too few for fit_prep
+    dataset = generate_synthetic(2, 128, seed=0)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the fold-size check")
+
+    monkeypatch.setattr("prs.evaluation.extract_base_matrix", no_work)
+    with pytest.raises(PrsError, match="smallest class has 2 segments"):
+        run_experiment(dataset, variants=("BASE", "PRS"), reps=1)
 
 
 def test_split_deterministic_for_seeded_rng():

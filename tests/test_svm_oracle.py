@@ -1,0 +1,180 @@
+"""SVM_POLY training against a frozen scalar SMO reference.
+
+The reference below is the original per-candidate SMO loop: it
+recomputes the error vector before every i and tries partners j one
+at a time through the scalar pair update. The library screens partners
+in one array pass and caches the error vector between accepted steps;
+both must leave every fitted number bit-identical.
+"""
+
+import numpy as np
+import pytest
+
+from prs.classifiers import ClassifierSpec, _kkt_violation, _poly_kernel, train
+
+_ALPHA_EPS = 1e-12
+
+
+def reference_smo_step(i, j, alpha, signed, K, E, C):
+    if signed[i] != signed[j]:
+        lo = max(0.0, alpha[j] - alpha[i])
+        hi = min(C, C + alpha[j] - alpha[i])
+    else:
+        lo = max(0.0, alpha[i] + alpha[j] - C)
+        hi = min(C, alpha[i] + alpha[j])
+    if hi - lo < _ALPHA_EPS:
+        return None
+    eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+    if eta <= 1e-15:
+        return None
+    aj = alpha[j] + signed[j] * (E[i] - E[j]) / eta
+    aj = min(max(aj, lo), hi)
+    if abs(aj - alpha[j]) < 1e-12:
+        return None
+    ai = alpha[i] + signed[i] * signed[j] * (alpha[j] - aj)
+    bi = -(E[i] + signed[i] * (ai - alpha[i]) * K[i, i]
+           + signed[j] * (aj - alpha[j]) * K[i, j])
+    bj = -(E[j] + signed[i] * (ai - alpha[i]) * K[i, j]
+           + signed[j] * (aj - alpha[j]) * K[j, j])
+    if _ALPHA_EPS < ai < C - _ALPHA_EPS:
+        db = bi
+    elif _ALPHA_EPS < aj < C - _ALPHA_EPS:
+        db = bj
+    else:
+        db = 0.5 * (bi + bj)
+    return ai, aj, db
+
+
+def reference_train_svm(spec, X, signed):
+    m = X.shape[0]
+    K = _poly_kernel(X, X, spec.degree, spec.coef0)
+    alpha = np.zeros(m)
+    b = 0.0
+    C = spec.penalty
+    n_updates = 0
+    sweeps = 0
+
+    def errors():
+        return (alpha * signed) @ K + b - signed
+
+    for sweeps in range(1, spec.max_sweeps + 1):
+        changed = False
+        for i in range(m):
+            E = errors()
+            margin = signed[i] * (E[i] + signed[i])
+            violates = (
+                (alpha[i] < C - _ALPHA_EPS and margin < 1.0 - 1e-10)
+                or (alpha[i] > _ALPHA_EPS and margin > 1.0 + 1e-10)
+            )
+            if not violates:
+                continue
+            order = np.argsort(-np.abs(E - E[i]), kind="stable")
+            for j in order:
+                if j == i:
+                    continue
+                step = reference_smo_step(i, int(j), alpha, signed, K, E, C)
+                if step is None:
+                    continue
+                alpha[i], alpha[int(j)] = step[0], step[1]
+                b += step[2]
+                changed = True
+                n_updates += 1
+                break
+        if not changed:
+            break
+
+    margins = signed * ((alpha * signed) @ K + b)
+    violations = _kkt_violation(alpha, margins, C)
+    support = alpha > _ALPHA_EPS
+    if not np.any(support):
+        support = np.zeros(m, dtype=bool)
+        support[0] = True
+    params = {
+        "support_vectors": X[support],
+        "dual_coef": (alpha * signed)[support],
+        "bias": b,
+    }
+    dual = float(np.sum(alpha) - 0.5 * (alpha * signed) @ K @ (alpha * signed))
+    diag = {
+        "dual_objective": dual,
+        "kkt_residual": float(np.max(violations)),
+        "n_support": int(np.sum(support)),
+        "n_sweeps": sweeps,
+        "n_updates": n_updates,
+    }
+    return params, diag
+
+
+# -- problems -------------------------------------------------------------------
+
+
+def overlapping(m, f, gap, seed):
+    rng = np.random.default_rng(seed)
+    half = m // 2
+    X = np.vstack([rng.normal(size=(half, f)), rng.normal(size=(m - half, f)) + gap])
+    return X, ["A"] * half + ["B"] * (m - half)
+
+
+def xor(noise, seed):
+    rng = np.random.default_rng(seed)
+    corners = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    X = np.repeat(corners, 4, axis=0) + noise * rng.normal(size=(16, 2))
+    return X, ["P"] * 4 + ["N"] * 8 + ["P"] * 4
+
+
+def duplicated(seed, cross_class):
+    """Rows repeated within a class, and optionally across classes; each
+    repeated pair has eta = 0 and must be skipped as a partner."""
+    X, y = overlapping(16, 2, 1.0, seed)
+    X = np.vstack([X, X[:4], X[10:12]])
+    y = y + y[:4] + (["A", "A"] if cross_class else y[10:12])
+    return X, y
+
+
+PROBLEMS = {
+    "overlap-d3-C1": (overlapping(30, 2, 1.0, 0), dict(degree=3, penalty=1.0)),
+    "overlap-d3-C0.1": (overlapping(30, 2, 1.0, 1), dict(degree=3, penalty=0.1)),
+    "overlap-d3-C10": (overlapping(30, 2, 1.0, 2), dict(degree=3, penalty=10.0)),
+    "overlap-d1-C1": (overlapping(40, 3, 0.5, 3), dict(degree=1, penalty=1.0)),
+    "overlap-d2-C1": (overlapping(40, 3, 0.5, 4), dict(degree=2, penalty=1.0)),
+    "overlap-d2-C100": (overlapping(24, 2, 0.8, 5), dict(degree=2, penalty=100.0)),
+    "overlap-d4-C1": (overlapping(24, 4, 0.8, 6), dict(degree=4, penalty=1.0)),
+    "overlap-d3-coef0": (overlapping(30, 2, 1.0, 7), dict(degree=3, coef0=0.0)),
+    "overlap-wide": (overlapping(48, 14, 0.3, 8), dict(degree=3, penalty=1.0)),
+    "overlap-odd-m": (overlapping(17, 2, 1.5, 9), dict(degree=2, penalty=1.0)),
+    "separated": (overlapping(30, 2, 6.0, 10), dict(degree=3, penalty=1.0)),
+    "xor-corners-d2": ((np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
+                        ["P", "N", "N", "P"]), dict(degree=2, penalty=10.0)),
+    "xor-noisy-d2": (xor(0.3, 11), dict(degree=2, penalty=10.0)),
+    "xor-noisy-d3-C1": (xor(0.5, 12), dict(degree=3, penalty=1.0)),
+    "xor-noisy-d1": (xor(0.3, 13), dict(degree=1, penalty=1.0)),
+    "duplicates-within": (duplicated(14, cross_class=False), dict(degree=3, penalty=1.0)),
+    "duplicates-across": (duplicated(15, cross_class=True), dict(degree=3, penalty=1.0)),
+    "duplicates-across-d2-C10": (duplicated(16, cross_class=True), dict(degree=2, penalty=10.0)),
+    "all-rows-equal": ((np.ones((6, 2)), ["A", "B"] * 3), dict(degree=2, penalty=1.0)),
+    "sweep-cap": (overlapping(30, 2, 0.5, 17), dict(degree=3, penalty=10.0, max_sweeps=3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_svm_bit_identical_to_scalar_reference(name):
+    (X, y), options = PROBLEMS[name]
+    X = np.asarray(X, dtype=np.float64)
+    spec = ClassifierSpec(kind="SVM_POLY", **options)
+    model = train(spec, X, y)
+    signed = np.where(np.array(y) == model.classes[1], 1.0, -1.0)
+    params, diag = reference_train_svm(spec, X, signed)
+    assert model.diagnostics == diag
+    assert model.params.keys() == params.keys()
+    for key, want in params.items():
+        got, want = np.asarray(model.params[key]), np.asarray(want)
+        assert got.shape == want.shape and got.dtype == want.dtype, key
+        assert got.tobytes() == want.tobytes(), key
+
+
+def test_duplicate_rows_give_zero_eta():
+    (X, y), options = PROBLEMS["duplicates-across"]
+    K = _poly_kernel(X, X, options["degree"], 1.0)
+    eta = np.diag(K)[:, None] + np.diag(K)[None, :] - 2.0 * K
+    off_diagonal = ~np.eye(len(y), dtype=bool)
+    assert np.any((eta <= 1e-15) & off_diagonal)
