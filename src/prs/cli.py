@@ -30,6 +30,8 @@ from .dataset import generate_synthetic, load_dataset, write_dataset
 from .errors import PrsError
 from .evaluation import (
     VARIANTS,
+    _check_prep_folds,
+    _needs,
     assemble_variant,
     build_feature_table,
     confusion_counts,
@@ -40,6 +42,7 @@ from .evaluation import (
 from .feature_prep import KMEANS_RESTARTS, apply_bounds, column_bounds
 from .growth import DEFAULT_RADICLE, GrowthConfig, extract_prs, grow
 from .pipeline import (
+    PRS_NAMES,
     SPECTRAL_NAMES,
     extract_base_matrix,
     extract_spectral_matrix,
@@ -483,13 +486,20 @@ def _cmd_spectral(opts) -> int:
 
 def _cmd_classify(opts) -> int:
     dataset = load_dataset(opts["manifest"])
+    variant = (opts["variant"],)
+    needs_prs = any(_needs(variant, name) for name in PRS_NAMES)
+    if needs_prs and not opts["global_prep"]:
+        _check_prep_folds(dataset, (opts["rate"],))
     base = extract_base_matrix(dataset)
     labels = np.array(base.labels)
     rng = np.random.default_rng(opts["seed"])
     train_idx, test_idx = stratified_split(
         labels, dataset.class_names, opts["rate"], rng
     )
-    if opts["global_prep"]:
+    if not needs_prs:
+        prs_train = np.zeros((len(train_idx), 2))
+        prs_test = np.zeros((len(test_idx), 2))
+    elif opts["global_prep"]:
         artifacts = fit_prep(
             base.values, labels, seed=opts["seed"], restarts=opts["restarts"]
         )

@@ -10,6 +10,12 @@ polygon spanned by the occupied cell centers).
 
 Cell coordinates in configs and logs are 1-based (row, col) with row 1
 at the surface; the occupancy array uses normal 0-based indexing.
+
+``grow_batch`` and ``hull_areas`` are the production path: they grow a
+whole stack of grids at once, one vectorized step per day, and take RF
+from each grid row's extreme columns. ``grow`` with ``extract_prs`` is the
+per-row reference they are tested against bit for bit; it also keeps
+the day log that the CLI ``grow`` command prints.
 """
 
 from __future__ import annotations
@@ -129,6 +135,108 @@ def grow(nutrients: NutrientMatrix, config: GrowthConfig = GrowthConfig()) -> Ro
         day_log.append(new_cells)
 
     return RootState(occupancy=occupancy, absorbed=absorbed, day_log=day_log)
+
+
+def grow_batch(
+    grids, config: GrowthConfig = GrowthConfig()
+) -> tuple[np.ndarray, np.ndarray]:
+    """``grow`` over an (m, rows, cols) stack of nutrient grids.
+
+    Returns the absorption totals (m,) and the boolean occupancy
+    (m, rows, cols); both equal what ``grow`` gives for each grid. Each
+    day the candidates are the 4-neighbour dilation of the occupancy
+    minus the occupancy. Up to ``division_limit`` times, every grid with
+    a candidate left occupies the first maximum of the candidate values
+    over the row-major flat index, which is the (-value, row, col) order
+    of ``grow``, and adds its absorption, so the totals sum in the same
+    order as in ``grow``.
+    """
+    grids = np.asarray(grids, dtype=np.float64)
+    if grids.ndim != 3 or grids.shape[1:] != (config.rows, config.cols):
+        raise ValueError(
+            f"nutrient grids are {grids.shape}, config expects "
+            f"(m, {config.rows}, {config.cols})"
+        )
+    m = grids.shape[0]
+    occupied = np.zeros(grids.shape, dtype=bool)
+    for r, c in config.radicle:
+        occupied[:, r - 1, c - 1] = True
+    flat_occupied = occupied.reshape(m, -1)
+    flat_values = grids.reshape(m, -1)
+    samples = np.arange(m)
+    absorbed = np.zeros(m)
+    for _ in range(config.days):
+        frontier = np.zeros_like(occupied)
+        frontier[:, 1:] |= occupied[:, :-1]
+        frontier[:, :-1] |= occupied[:, 1:]
+        frontier[:, :, 1:] |= occupied[:, :, :-1]
+        frontier[:, :, :-1] |= occupied[:, :, 1:]
+        frontier &= ~occupied
+        if not config.occupy_zero:
+            frontier &= grids != 0.0
+        offers = np.where(frontier.reshape(m, -1), flat_values, -np.inf)
+        for _ in range(config.division_limit):
+            picks = offers.argmax(axis=1)
+            values = offers[samples, picks]
+            growing = values > -np.inf
+            if not growing.any():
+                break
+            grown, picks, values = samples[growing], picks[growing], values[growing]
+            flat_occupied[grown, picks] = True
+            offers[grown, picks] = -np.inf
+            absorbed[grown] += np.where(
+                values == 0.0, 0.0, values / (1.0 + np.abs(values)) + 0.49
+            )
+    return absorbed, occupied
+
+
+def _envelope_twice_integral(heights: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Twice the integral of the upper concave envelope of integer
+    heights over the present rows, per leading index; exact in integers.
+
+    Present row i is an envelope vertex when every chord from an earlier
+    present row rises to it more steeply than any chord leaves it for a
+    later one. The slopes are ratios of small integers, so comparing them
+    as floats is exact. The envelope is linear between vertices, so its
+    integral is the trapezoid sum over consecutive vertices.
+    """
+    n = heights.shape[1]
+    steps = np.arange(n)
+    gap = steps[None, :] - steps[:, None]  # gap[i, j] = j - i
+    pair = present[:, :, None] & present[:, None, :] & (gap > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (heights[:, None, :] - heights[:, :, None]) / gap
+    rise_in = np.where(pair, slope, np.inf).min(axis=1)  # over earlier rows
+    rise_out = np.where(pair, slope, -np.inf).max(axis=2)  # over later rows
+    vertex = present & (rise_in > rise_out)
+    marks = np.where(vertex, steps, n)
+    following = np.minimum.accumulate(marks[:, ::-1], axis=1)[:, ::-1]
+    after = np.concatenate([following[:, 1:], np.full((len(marks), 1), n)], axis=1)
+    closed = vertex & (after < n)
+    after = np.minimum(after, n - 1)
+    width = after - steps
+    total = width * (heights + np.take_along_axis(heights, after, axis=1))
+    return np.where(closed, total, 0).sum(axis=1)
+
+
+def hull_areas(occupancy) -> np.ndarray:
+    """RF for an (m, rows, cols) stack of occupancies, bit-equal to
+    ``polygon_area(convex_hull(...))`` of each grid's occupied cells.
+
+    Every cross-section of the hull at a row lies between the convex
+    envelope of the rows' leftmost occupied columns and the concave
+    envelope of their rightmost ones, so twice the area is an integer
+    trapezoid sum over the two chains.
+    """
+    occupancy = np.asarray(occupancy, dtype=bool)
+    cols = np.arange(occupancy.shape[2])
+    present = occupancy.any(axis=2)
+    left = np.where(occupancy, cols, occupancy.shape[2]).min(axis=2)
+    right = np.where(occupancy, cols, -1).max(axis=2)
+    twice = _envelope_twice_integral(right, present) + _envelope_twice_integral(
+        -left, present
+    )
+    return 0.5 * twice.astype(np.float64)
 
 
 def polygon_area(vertices) -> float:

@@ -6,6 +6,11 @@ nutrient density is highest in the shallow layers and non-increasing
 with depth. Two 3x3 kernel passes (zero padding 1, applied as
 correlation) then redistribute the nutrients horizontally: the first
 kernel pushes mass from the shallow side, the second from the deep side.
+
+``soil_grids`` bins a whole block of rows at once and ``correlate3``
+works on the last two axes, so one stencil serves both a single grid and
+an ``(m, depth, width)`` stack; ``build_discrete_soil`` with
+``bin_index`` is the per-row reference.
 """
 
 from __future__ import annotations
@@ -118,21 +123,60 @@ def build_discrete_soil(
     return DiscreteSoil(grid=grid)
 
 
+def bin_indices(values, bounds, k: int = SOIL_DEPTH) -> np.ndarray:
+    """``bin_index`` over an (m, n) block with per-column (n, 2) bounds.
+
+    Uses the same float operations as ``bin_index``, so the bins agree
+    element for element. Raises ValueError where a non-degenerate column
+    holds a value that has no finite bin (NaN, or an overflow to inf).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bounds = np.asarray(bounds, dtype=np.float64)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    spread = ~(hi <= lo)
+    delta = np.where(spread, (hi - lo) / k, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.floor((values - lo) / delta)
+    if not np.isfinite(scaled[:, spread]).all():
+        raise ValueError("soil binning got a value with no finite bin")
+    scaled[:, ~spread] = 0.0
+    return np.clip(scaled + 1.0, 1, k).astype(np.int64)
+
+
+def soil_grids(sorted_rows, bounds, config: SoilConfig = SoilConfig()) -> np.ndarray:
+    """Binary (m, depth, n) soil grids for an (m, n) block of sorted rows;
+    slice s equals ``build_discrete_soil(sorted_rows[s], bounds, config).grid``."""
+    rows = np.asarray(sorted_rows, dtype=np.float64)
+    bounds = np.asarray(bounds, dtype=np.float64)
+    if rows.ndim != 2 or bounds.shape != (rows.shape[1], 2):
+        raise ValueError(
+            f"expected (m, n) rows with (n, 2) bounds, "
+            f"got {rows.shape} and {bounds.shape}"
+        )
+    bins = bin_indices(rows, bounds, config.depth)[:, None, :]
+    depth = np.arange(config.depth)[:, None]
+    filled = depth < bins if config.fill_mode == "stacked" else depth == bins - 1
+    return filled.astype(np.float64)
+
+
 def correlate3(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """One 3x3 stencil pass: zero-pad by 1, correlate (no kernel flip)."""
+    """One 3x3 stencil pass over the last two axes: zero-pad by 1,
+    correlate (no kernel flip). Leading axes index independent grids."""
     grid = np.asarray(grid, dtype=np.float64)
-    padded = np.zeros((grid.shape[0] + 2, grid.shape[1] + 2))
-    padded[1:-1, 1:-1] = grid
+    h, w = grid.shape[-2:]
+    padded = np.zeros(grid.shape[:-2] + (h + 2, w + 2))
+    padded[..., 1:-1, 1:-1] = grid
     out = np.zeros_like(grid)
     for u in range(3):
         for v in range(3):
             if kernel[u, v] != 0.0:
-                out += kernel[u, v] * padded[u : u + grid.shape[0], v : v + grid.shape[1]]
+                out += kernel[u, v] * padded[..., u : u + h, v : v + w]
     return out
 
 
 def convolve_grid(grid: np.ndarray, kernels=(KERNEL_SHALLOW, KERNEL_DEEP)) -> np.ndarray:
-    """Sequential kernel passes over a real-valued grid."""
+    """Sequential kernel passes over a real-valued grid, or over a stack
+    of grids on the last two axes."""
     out = np.asarray(grid, dtype=np.float64)
     for kernel in kernels:
         out = correlate3(out, kernel)

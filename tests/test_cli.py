@@ -284,6 +284,54 @@ def test_classify_report(data_dir, capsys):
     assert report["config"]["global_prep"] is False
 
 
+@pytest.fixture(scope="module")
+def two_per_class_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-two-per-class")
+    return str(write_dataset(generate_synthetic(2, 64, seed=3), root))
+
+
+@pytest.mark.parametrize("variant", ["BASE", "COMPARISON"])
+def test_classify_without_prs_columns_skips_feature_prep(
+    two_per_class_dir, variant, capsys
+):
+    # 1 + 1 training rows are too few for fit_prep, which these variants skip
+    stdout = run_ok(
+        [
+            "classify",
+            "--manifest",
+            two_per_class_dir,
+            "--seed",
+            "1",
+            "--classifier",
+            "LDA",
+            "--variant",
+            variant,
+        ],
+        capsys,
+    )
+    report = json.loads(stdout)
+    assert report["variant"] == variant
+    assert report["n_train"] == 2
+
+
+def test_classify_rejects_too_small_folds_up_front(
+    two_per_class_dir, monkeypatch, capsys
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the fold-size check")
+
+    monkeypatch.setattr("prs.cli.extract_base_matrix", no_work)
+    argv = ["classify", "--manifest", two_per_class_dir, "--seed", "1"]
+    argv += ["--classifier", "LDA"]
+    rc = main(argv + ["--variant", "PRS"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "smallest class has 2 segments" in captured.err
+    monkeypatch.undo()
+    # fitting prep once on all four rows is allowed
+    run_ok(argv + ["--variant", "PRS", "--global-prep"], capsys)
+
+
 def test_classify_rejects_unknown_classifier(data_dir, capsys):
     rc = main(
         [

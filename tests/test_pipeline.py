@@ -1,5 +1,7 @@
 """Fitted prep artifacts and the base-row -> soil -> root feature chain."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,14 @@ def test_prs_features_shape_and_determinism(fitted):
     assert np.array_equal(a, b)
     assert np.all(a[:, 0] >= 0.0)  # NF accumulates non-negative terms
     assert np.all((a[:, 1] >= 0.0) & (a[:, 1] <= 154.0))
+
+
+def test_prs_features_rejects_bad_shapes_by_name(fitted):
+    matrix, artifacts = fitted
+    for bad in (matrix.values[0], matrix.values[:, :11], matrix.values[None]):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape}")):
+            prs_features(bad, artifacts)
+    assert prs_features(np.zeros((0, 12)), artifacts).shape == (0, 2)
 
 
 def test_prep_artifacts_validation():

@@ -1,0 +1,224 @@
+"""Batched NF/RF against the per-row reference chain, compared bit for bit.
+
+``prs_features`` bins, convolves, grows and takes hull areas over blocks
+of rows; ``prs_pair_for_row`` (build_discrete_soil -> convolve_soil ->
+grow -> extract_prs) does the same one row at a time. Every comparison
+here is exact (np.array_equal), never approximate.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from prs.dataset import generate_synthetic
+from prs.growth import (
+    GrowthConfig,
+    convex_hull,
+    extract_prs,
+    grow,
+    grow_batch,
+    hull_areas,
+    polygon_area,
+)
+from prs.pipeline import (
+    _PRS_BLOCK,
+    extract_base_matrix,
+    fit_prep,
+    prs_features,
+    prs_pair_for_row,
+)
+from prs.soil import SOIL_DEPTH, SOIL_WIDTH, NutrientMatrix, SoilConfig
+
+
+def per_row(
+    values, artifacts, soil_config=SoilConfig(), growth_config=GrowthConfig()
+):
+    out = np.empty((len(values), 2))
+    for idx, row in enumerate(values):
+        pair = prs_pair_for_row(row, artifacts, soil_config, growth_config)
+        out[idx] = (pair.nf, pair.rf)
+    return out
+
+
+def assert_batch_matches_rows(
+    values, artifacts, soil_config=SoilConfig(), growth_config=GrowthConfig()
+):
+    got = prs_features(values, artifacts, soil_config, growth_config)
+    want = per_row(values, artifacts, soil_config, growth_config)
+    assert got.shape == (len(values), 2)
+    assert np.array_equal(got, want)
+
+
+def assert_growth_matches(grids, config):
+    absorbed, occupancy = grow_batch(grids, config)
+    for s, grid in enumerate(grids):
+        state = grow(NutrientMatrix(grid=grid), config)
+        assert absorbed[s] == state.absorbed
+        assert np.array_equal(occupancy[s], state.occupancy == 1)
+        assert hull_areas(occupancy[s : s + 1])[0] == extract_prs(state).rf
+
+
+def hull_oracle(occupancy):
+    points = [(c + 1, r + 1) for r, c in np.argwhere(occupancy)]
+    return polygon_area(convex_hull(points))
+
+
+@pytest.fixture(scope="module")
+def reference():
+    matrix = extract_base_matrix(generate_synthetic(40, 2000, seed=1))
+    return matrix, fit_prep(matrix.values, matrix.labels, seed=0)
+
+
+def test_reference_set_matches_per_row(reference):
+    matrix, artifacts = reference
+    assert_batch_matches_rows(matrix.values, artifacts)
+
+
+def test_held_out_rows_outside_fitted_bounds(reference):
+    matrix, _ = reference
+    train = np.arange(0, len(matrix.values), 2)
+    artifacts = fit_prep(matrix.values[train], np.array(matrix.labels)[train], seed=3)
+    lo, hi = artifacts.feature_bounds[:, 0], artifacts.feature_bounds[:, 1]
+    rng = np.random.default_rng(7)
+    # two thirds of the draws fall outside the fitted bounds, so bins clamp
+    wide = lo + (hi - lo) * rng.uniform(-1.0, 2.0, size=(120, len(lo)))
+    assert ((wide < lo) | (wide > hi)).any(axis=1).all()
+    assert_batch_matches_rows(np.vstack([matrix.values, wide]), artifacts)
+
+
+@pytest.mark.parametrize("m", [1, _PRS_BLOCK - 1, _PRS_BLOCK, _PRS_BLOCK + 1])
+def test_block_boundary_sizes(reference, m):
+    matrix, artifacts = reference
+    rng = np.random.default_rng(m)
+    rows = matrix.values[rng.integers(0, len(matrix.values), size=m)]
+    rows = rows * rng.uniform(0.9, 1.1, size=rows.shape)
+    assert_batch_matches_rows(rows, artifacts)
+
+
+def test_constant_column_gives_degenerate_bounds(reference):
+    matrix, _ = reference
+    values = matrix.values.copy()
+    values[:, 4] = 2.5
+    artifacts = fit_prep(values, matrix.labels, seed=0)
+    assert (artifacts.soil_bounds[:, 0] == artifacts.soil_bounds[:, 1]).any()
+    held_out = values[:10].copy()
+    held_out[:, 4] = [-1.0, 0.0, 2.5, 9.0, 1e6, -1e6, 2.5, 3.0, 2.0, 2.5]
+    assert_batch_matches_rows(np.vstack([values, held_out]), artifacts)
+
+
+@pytest.mark.parametrize(
+    "depth, fill_mode",
+    [(SOIL_DEPTH, "onehot"), (9, "stacked"), (9, "onehot"), (22, "stacked")],
+)
+def test_fill_mode_and_depth(reference, depth, fill_mode):
+    matrix, artifacts = reference
+    radicle = ((1, 6), (depth, 1))
+    assert_batch_matches_rows(
+        matrix.values,
+        artifacts,
+        SoilConfig(depth=depth, fill_mode=fill_mode),
+        GrowthConfig(rows=depth, radicle=radicle, division_limit=3),
+    )
+
+
+def test_depth_mismatch_is_rejected(reference):
+    matrix, artifacts = reference
+    with pytest.raises(ValueError, match="config expects"):
+        prs_features(matrix.values, artifacts, SoilConfig(depth=9), GrowthConfig())
+
+
+def test_criterion_04_grids():
+    # the grids, zero mask and division limits of acceptance criterion 04
+    rng = np.random.default_rng(404)
+    grids, limits = [], []
+    for trial in range(100):
+        grid = rng.uniform(0.0, 4.0, size=(15, 12))
+        grid[rng.uniform(size=grid.shape) < 0.3] = 0.0
+        grids.append(grid)
+        limits.append(1 + trial % 3)
+    grids = np.array(grids)
+    limits = np.array(limits)
+    for limit in (1, 2, 3):
+        for days in (0, 4, 10):
+            for occupy_zero in (True, False):
+                config = GrowthConfig(
+                    days=days, division_limit=limit, occupy_zero=occupy_zero
+                )
+                assert_growth_matches(grids[limits == limit], config)
+
+
+cells = st.tuples(st.integers(1, SOIL_DEPTH), st.integers(1, SOIL_WIDTH))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    grids=arrays(
+        np.float64,
+        st.tuples(st.integers(1, 5), st.just(SOIL_DEPTH), st.just(SOIL_WIDTH)),
+        elements=st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0]),
+    ),
+    division_limit=st.integers(1, 4),
+    days=st.integers(0, 24),
+    occupy_zero=st.booleans(),
+    radicle=st.lists(cells, min_size=1, max_size=4),
+)
+def test_quantized_grids_match_per_row_growth(
+    grids, division_limit, days, occupy_zero, radicle
+):
+    config = GrowthConfig(
+        days=days,
+        division_limit=division_limit,
+        occupy_zero=occupy_zero,
+        radicle=tuple(radicle),
+    )
+    assert_growth_matches(grids, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    occupancy=arrays(
+        bool,
+        st.tuples(st.integers(1, 8), st.integers(1, SOIL_WIDTH)),
+        elements=st.booleans(),
+    ),
+)
+def test_hull_area_matches_polygon_oracle(occupancy):
+    assert hull_areas(occupancy[None])[0] == hull_oracle(occupancy)
+
+
+def test_hull_area_on_random_and_collinear_occupancies():
+    rng = np.random.default_rng(11)
+    stack = [
+        rng.uniform(size=(SOIL_DEPTH, SOIL_WIDTH)) < p
+        for p in (0.02, 0.05, 0.1, 0.3, 0.9)
+        for _ in range(40)
+    ]
+    lines = []
+    # (start row, start col, row step, col step) of each collinear set
+    steps = [
+        (0, 0, 1, 1),
+        (3, 2, 0, 1),
+        (0, 5, 1, 0),
+        (1, 1, 2, 1),
+        (14, 0, -1, 2),
+        (2, 10, 3, -2),
+    ]
+    for r0, c0, dr, dc in steps:
+        grid = np.zeros((SOIL_DEPTH, SOIL_WIDTH), dtype=bool)
+        r, c = r0, c0
+        while 0 <= r < SOIL_DEPTH and 0 <= c < SOIL_WIDTH:
+            grid[r, c] = True
+            r, c = r + dr, c + dc
+        lines.append(grid)
+    single = np.zeros((SOIL_DEPTH, SOIL_WIDTH), dtype=bool)
+    single[7, 3] = True
+    empty = np.zeros_like(single)
+    full = np.ones_like(single)
+    stack = np.array(stack + lines + [single, empty, full])
+    got = hull_areas(stack)
+    want = np.array([hull_oracle(grid) for grid in stack])
+    assert np.array_equal(got, want)
+    assert np.all(got[len(stack) - len(lines) - 3 : -1] == 0.0)
+    assert got[-1] == (SOIL_DEPTH - 1) * (SOIL_WIDTH - 1)
