@@ -1,9 +1,13 @@
-"""The 12 time-domain base features of one signal segment.
+"""The 12 time-domain base features of signal segments.
 
 Canonical feature order: STD, VAR, RMS, SKW, KURT, MAV, ZC, SSC, WAMP,
-SSI, NLE, WL. Each feature is exposed as a standalone array function so
-formulas can be tested in isolation; ``compute_base_features`` assembles
-the full vector for a validated segment.
+SSI, NLE, WL. ``base_feature_rows`` computes all 12 for a block of
+equal-length segments at once, one reduction along the sample axis per
+sum; it is the one production implementation, and
+``compute_base_features`` is that kernel applied to a single row. Each
+feature is also exposed as a standalone one-segment function so formulas
+can be tested in isolation; the kernel equals them bit for bit
+(``tests/test_features_batch_oracle.py``).
 
 Note on VAR: the variance here is the *uncentered* second moment with a
 1/(N-1) factor, sum(x^2)/(N-1). That is deliberate (it is what the
@@ -60,8 +64,13 @@ class ThresholdConfig:
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
 
-    def resolve(self, x: np.ndarray) -> tuple[float, float, float]:
-        default = RELATIVE_THRESHOLD * float(np.max(np.abs(x))) if x.size else 0.0
+    def resolve(self, samples: np.ndarray):
+        """(zc, ssc, wamp) thresholds for a (k, n) block of segments.
+
+        An explicit threshold is returned as given; a ``None`` entry
+        becomes a (k, 1) column of per-row relative defaults.
+        """
+        default = RELATIVE_THRESHOLD * np.max(np.abs(samples), axis=1, keepdims=True)
         return (
             default if self.zc_threshold is None else self.zc_threshold,
             default if self.ssc_threshold is None else self.ssc_threshold,
@@ -175,6 +184,56 @@ class FeatureVector:
         return {n: float(v) for n, v in zip(FEATURE_NAMES, self.values)}
 
 
+def base_feature_rows(
+    samples,
+    thresholds: ThresholdConfig = ThresholdConfig(),
+    centered_var: bool = False,
+) -> np.ndarray:
+    """(k, 12) features, in canonical order, of a (k, n) block of segments.
+
+    Every value equals, bit for bit, the standalone function of the same
+    feature applied to that row. A constant row (STD 0) has NaN SKW and
+    KURT; ``compute_base_features`` and ``extract_base_matrix`` reject it
+    by name.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] < 3:
+        raise ValueError(
+            f"expected a (k, n >= 3) block of samples, got shape {x.shape}"
+        )
+    n = x.shape[1]
+    zc_thr, ssc_thr, wamp_thr = thresholds.resolve(x)
+
+    dev = x - x.mean(axis=1, keepdims=True)
+    dev_sq_sum = np.sum(dev**2, axis=1)
+    m2 = dev_sq_sum / n
+    # m2**1.5 and m2**2 as scalar pow, like skewness/kurtosis: the array
+    # pow rounds some of them differently in the last bit.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skw = np.mean(dev**3, axis=1) / np.array([m**1.5 for m in m2])
+        kurt = np.mean(dev**4, axis=1) / np.array([m**2 for m in m2])
+    sq = x**2
+    sq_sum = np.sum(sq, axis=1)
+    a, b = x[:, :-1], x[:, 1:]
+    jump = np.abs(b - a)
+    mid = x[:, 1:-1]
+    columns = (
+        np.sqrt(m2),
+        (dev_sq_sum if centered_var else sq_sum) / (n - 1),
+        np.sqrt(sq_sum / n),
+        skw,
+        kurt,
+        np.mean(np.abs(x), axis=1),
+        np.sum((a * b < 0) & (jump >= zc_thr), axis=1),
+        np.sum((mid - x[:, :-2]) * (mid - x[:, 2:]) >= ssc_thr, axis=1),
+        np.sum(jump >= wamp_thr, axis=1),
+        sq_sum,
+        np.sum(sq[:, 1:-1] - x[:, :-2] * x[:, 2:], axis=1) / (n - 2),
+        np.sum(jump, axis=1),
+    )
+    return np.column_stack(columns)
+
+
 def compute_base_features(
     segment: SignalSegment,
     thresholds: ThresholdConfig = ThresholdConfig(),
@@ -184,28 +243,9 @@ def compute_base_features(
 
     Raises DegenerateDataError for a constant segment (SKW/KURT undefined).
     """
-    x = segment.samples
-    dev = x - x.mean()
-    if np.mean(dev**2) == 0.0:
+    values = base_feature_rows(segment.samples[None, :], thresholds, centered_var)[0]
+    if values[0] == 0.0:
         raise DegenerateDataError(
             f"segment {segment.id!r} is constant: SKW, KURT undefined"
         )
-    zc_thr, ssc_thr, wamp_thr = thresholds.resolve(x)
-    values = np.array(
-        [
-            signal_std(x),
-            signal_variance(x, centered=centered_var),
-            rms(x),
-            skewness(x),
-            kurtosis(x),
-            mav(x),
-            zero_crossings(x, zc_thr),
-            slope_sign_changes(x, ssc_thr),
-            willison_amplitude(x, wamp_thr),
-            simple_square_integral(x),
-            nonlinear_energy(x),
-            waveform_length(x),
-        ],
-        dtype=np.float64,
-    )
     return FeatureVector(values=values)

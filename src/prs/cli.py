@@ -514,7 +514,11 @@ def _cmd_classify(opts) -> int:
         )
         prs_train = prs_features(base.values[train_idx], artifacts)
         prs_test = prs_features(base.values[test_idx], artifacts)
-    spectral_rows = extract_spectral_matrix(dataset, opts["median_mode"])
+    spectral_rows = (
+        extract_spectral_matrix(dataset, opts["median_mode"])
+        if any(_needs(variant, name) for name in SPECTRAL_NAMES)
+        else np.zeros((len(dataset), 2))
+    )
     raw_train = assemble_variant(
         opts["variant"], base.values[train_idx], prs_train, spectral_rows[train_idx]
     )

@@ -11,6 +11,12 @@ segment (one amplitude per line, scientific notation accepted):
 Paths are resolved relative to the manifest's directory. Exactly two
 distinct labels must be present. Downstream code maps the two labels to
 (C1, C2) by lexicographic order, so ``class_names`` is always sorted.
+
+A signal file is read in one piece and all its lines are parsed in one
+pass. A file with a blank or unparsable line is read again by the
+line-by-line reader, which is the reference for what a file means and
+reports the first bad line by number. ``write_dataset`` writes each
+signal file with one call, every value as its shortest round-trip repr.
 """
 
 from __future__ import annotations
@@ -104,6 +110,19 @@ class LabeledDataset:
 def _read_signal_file(path: Path, segment_id: str) -> np.ndarray:
     if not path.exists():
         raise DatasetError(f"segment {segment_id!r}: missing file {path}")
+    with path.open("r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()  # after the final newline
+    try:
+        return np.fromiter(map(float, lines), dtype=np.float64, count=len(lines))
+    except ValueError:
+        return _read_signal_lines(path)
+
+
+def _read_signal_lines(path: Path) -> np.ndarray:
+    """One line at a time: blank lines are skipped, and the first line
+    that is not a number is reported by its line number."""
     values = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -202,8 +221,7 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
     for seg in dataset.segments:
         fname = f"{seg.id}.txt"
         with (out_dir / fname).open("w", encoding="utf-8") as fh:
-            for v in seg.samples:
-                fh.write(f"{float(v)!r}\n")
+            fh.write("".join(f"{v!r}\n" for v in seg.samples.tolist()))
         lines.append(f"{seg.id},{seg.label},{fname}")
 
     manifest = out_dir / "manifest.csv"

@@ -6,6 +6,12 @@ Feature extraction looks only at positive-frequency bins (DC excluded):
 MaxPSD is the largest density there, MedPSD the median density. An
 alternative median mode reports the frequency that splits the positive
 band's power in half instead of the median density.
+
+``spectral_rows`` computes both for a block of equal-length segments with
+one FFT along the sample axis; ``compute_spectral`` is that kernel on a
+single row. ``periodogram``, ``positive_band`` and ``median_frequency``
+stay as the one-segment reference the kernel is tested against, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -67,16 +73,47 @@ def median_frequency(samples, sampling_rate: float) -> float:
     return float(freqs[min(k, len(freqs) - 1)])
 
 
-def compute_spectral(segment: SignalSegment, median_mode: str = MEDIAN_PSD) -> SpectralPair:
-    """MaxPSD and MedPSD for one segment; all-zero input yields (0, 0)."""
+def spectral_rows(
+    samples, sampling_rate: float, median_mode: str = MEDIAN_PSD
+) -> np.ndarray:
+    """(k, 2) [MaxPSD, MedPSD] of a (k, n) block sampled at one rate.
+
+    Equal, bit for bit, to ``positive_band`` and ``median_frequency``
+    applied to each row; an all-zero row yields (0, 0).
+    """
     if median_mode not in MEDIAN_MODES:
         raise ValueError(
             f"median_mode must be one of {MEDIAN_MODES}, got {median_mode!r}"
         )
-    freqs, psd = positive_band(segment.samples, segment.sampling_rate)
-    max_psd = float(np.max(psd))
+    if sampling_rate <= 0:
+        raise ValueError(f"sampling_rate must be positive, got {sampling_rate}")
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError(
+            f"expected a (k, n >= 2) block of samples, got shape {x.shape}"
+        )
+    n = x.shape[1]
+    hi = n // 2
+    band = np.fft.fft(x, axis=1)[:, 1 : hi + 1]
+    psd = (band.real**2 + band.imag**2) / (n * sampling_rate)
+    out = np.empty((len(x), 2))
+    out[:, 0] = np.max(psd, axis=1)
     if median_mode == MEDIAN_PSD:
-        med = float(np.median(psd))
-    else:
-        med = median_frequency(segment.samples, segment.sampling_rate)
-    return SpectralPair(max_psd=max_psd, med_psd=med)
+        out[:, 1] = np.median(psd, axis=1)
+        return out
+    freqs = np.abs(np.fft.fftfreq(n, d=1.0 / sampling_rate)[1 : hi + 1])
+    total = np.sum(psd, axis=1)
+    # searchsorted(cumulative, half) on each row: cumulative never falls,
+    # so the insertion point is the count of entries below half
+    below = np.cumsum(psd, axis=1) < (0.5 * total)[:, None]
+    k = np.minimum(np.sum(below, axis=1), hi - 1)
+    out[:, 1] = np.where(total == 0.0, 0.0, freqs[k])
+    return out
+
+
+def compute_spectral(segment: SignalSegment, median_mode: str = MEDIAN_PSD) -> SpectralPair:
+    """MaxPSD and MedPSD for one segment; all-zero input yields (0, 0)."""
+    max_psd, med = spectral_rows(
+        segment.samples[None, :], segment.sampling_rate, median_mode
+    )[0]
+    return SpectralPair(max_psd=float(max_psd), med_psd=float(med))

@@ -332,6 +332,19 @@ def test_classify_rejects_too_small_folds_up_front(
     run_ok(argv + ["--variant", "PRS", "--global-prep"], capsys)
 
 
+@pytest.mark.parametrize("variant", ["BASE", "PRS"])
+def test_classify_without_spectral_columns_skips_spectral(
+    data_dir, variant, monkeypatch, capsys
+):
+    def no_spectral(*args, **kwargs):
+        raise AssertionError("computed MaxPSD/MedPSD for a variant without them")
+
+    monkeypatch.setattr("prs.cli.extract_spectral_matrix", no_spectral)
+    argv = ["classify", "--manifest", data_dir, "--seed", "1", "--classifier", "LDA"]
+    report = json.loads(run_ok(argv + ["--variant", variant], capsys))
+    assert report["variant"] == variant
+
+
 def test_classify_rejects_unknown_classifier(data_dir, capsys):
     rc = main(
         [

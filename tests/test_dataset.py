@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from prs import dataset as dataset_module
 from prs.dataset import (
     MIN_SEGMENT_LENGTH,
     LabeledDataset,
     SignalSegment,
+    _read_signal_file,
+    _read_signal_lines,
     generate_synthetic,
     load_dataset,
     write_dataset,
@@ -146,3 +151,88 @@ def test_write_then_load_round_trip(tmp_path, tiny_dataset):
         assert orig.label == back.label
         assert orig.sampling_rate == back.sampling_rate
         assert np.array_equal(orig.samples, back.samples)  # repr round-trip is exact
+
+
+def test_write_dataset_bytes_match_per_value_format(tmp_path):
+    values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 0.1, 1.0, 2.5]
+    values += [1e16, 123456789.0, 1 / 3, -7.0, 1e-5, 0.0, 3.141592653589793, 1e22]
+    seg = make_segment("v", "A", values)
+    others = [make_segment(i, lab, values) for i, lab in (("w", "A"), ("x", "B"), ("y", "B"))]
+    write_dataset(LabeledDataset(name="bytes", segments=(seg, *others)), tmp_path)
+    old_format = "".join(f"{float(v)!r}\n" for v in seg.samples)
+    assert (tmp_path / "v.txt").read_bytes() == old_format.encode("utf-8")
+    assert np.array_equal(_read_signal_file(tmp_path / "v.txt", "v"), seg.samples)
+
+
+# -- one-read loader against the line-by-line reader --------------------------
+
+def test_clean_file_is_parsed_without_the_line_reader(tmp_path, monkeypatch):
+    def line_reader(path):
+        raise AssertionError("fell back to the line-by-line reader")
+
+    monkeypatch.setattr(dataset_module, "_read_signal_lines", line_reader)
+    path = tmp_path / "s.txt"
+    for ending in (b"", b"\n", b"\r\n"):
+        path.write_bytes(b" 1.5\r\n-2e3\t\r\n1_0\rnan\n\x0c7" + ending)
+        got = _read_signal_file(path, "s")
+        assert np.array_equal(got, [1.5, -2000.0, 10.0, np.nan, 7.0], equal_nan=True)
+
+
+_TOKENS = [
+    "0.5", "-0.0", "1e300", "5e-324", "1_0", "nan", "-inf", "Infinity", "+.5",
+    "1 2", "1,5", "0x10", "abc", "1e", "--1", "\ufeff1", "\u0661",
+]
+_PADS = ["", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"]
+_NEWLINES = ["\n", "\n", "\r\n", "\r"]
+
+line_texts = st.one_of(
+    st.sampled_from(_TOKENS),
+    st.floats(allow_nan=False).map(repr),
+    st.just(""),
+)
+padded_lines = st.tuples(st.sampled_from(_PADS), line_texts, st.sampled_from(_PADS))
+
+
+@st.composite
+def file_texts(draw):
+    """Padded lines joined by mixed line endings, with or without a final one."""
+    lines = draw(st.lists(padded_lines.map("".join), max_size=8))
+    text = ""
+    for i, line in enumerate(lines):
+        text += line
+        if i < len(lines) - 1 or draw(st.booleans()):
+            text += draw(st.sampled_from(_NEWLINES))
+    return text
+
+
+def _outcome(read, path):
+    try:
+        return "array", read(path)
+    except DatasetError as err:
+        return "error", str(err)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(file_texts())
+def test_one_read_loader_matches_line_reader(tmp_path, text):
+    path = tmp_path / "s.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got_kind, got = _outcome(lambda p: _read_signal_file(p, "s"), path)
+    want_kind, want = _outcome(_read_signal_lines, path)
+    assert got_kind == want_kind
+    if got_kind == "error":
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_empty_file_reads_as_no_samples(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"")
+    assert _read_signal_file(path, "s").shape == (0,)
