@@ -21,7 +21,9 @@ def parse_args(argv=None):
     parser.add_argument("--n", type=int, default=40, help="segments per class")
     parser.add_argument("--len", type=int, default=2000, dest="length")
     parser.add_argument("--data-seed", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=1, help="prep seed")
+    parser.add_argument(
+        "--seed", type=int, default=1, help="unused: the feature ranking is exact"
+    )
     return parser.parse_args(argv)
 
 

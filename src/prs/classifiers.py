@@ -310,13 +310,12 @@ def _train_svm(spec, X, signed):
             )
             if not violates:
                 continue
-            # second choice: largest |E_i - E_j|, then every j in order
-            order = np.argsort(-np.abs(E - E[i]), kind="stable")
-            usable = _smo_partners(i, alpha, signed, eta[i], curved[i], E, C)[order]
-            first = int(usable.argmax())
-            if not usable[first]:
+            # second choice: the usable j with the largest |E_i - E_j|,
+            # ties to the lowest index (the first maximum)
+            usable = _smo_partners(i, alpha, signed, eta[i], curved[i], E, C)
+            j = int(np.argmax(np.where(usable, np.abs(E - E[i]), -1.0)))
+            if not usable[j]:
                 continue
-            j = int(order[first])
             alpha[i], alpha[j], db = _smo_step(i, j, alpha, signed, K, E, C)
             b += db
             E = errors()

@@ -39,7 +39,7 @@ from .evaluation import (
     run_experiment,
     stratified_split,
 )
-from .feature_prep import KMEANS_RESTARTS, apply_bounds, column_bounds
+from .feature_prep import apply_bounds, column_bounds
 from .growth import DEFAULT_RADICLE, GrowthConfig, extract_prs, grow
 from .pipeline import (
     PRS_NAMES,
@@ -84,13 +84,11 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
     "rank": {
         **_COMMON,
         "seed": ("int", None),
-        "restarts": ("int", KMEANS_RESTARTS),
     },
     "soil-dump": {
         **_COMMON,
         "sample": ("str", None),
         "seed": ("int", None),
-        "restarts": ("int", KMEANS_RESTARTS),
         "depth": ("int", SOIL_DEPTH),
         "fill_mode": ("str", "stacked"),
     },
@@ -98,7 +96,6 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         **_COMMON,
         "sample": ("str", None),
         "seed": ("int", None),
-        "restarts": ("int", KMEANS_RESTARTS),
         "depth": ("int", SOIL_DEPTH),
         "fill_mode": ("str", "stacked"),
         "days": ("int", 10),
@@ -118,7 +115,6 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "variant": ("str", "PRS"),
         "rate": ("float", 0.6),
         "global_prep": ("bool", False),
-        "restarts": ("int", KMEANS_RESTARTS),
         "median_mode": ("str", MEDIAN_PSD),
     },
     "evaluate": {
@@ -130,13 +126,11 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "reps": ("int", 100),
         "threads": ("int", 1),
         "global_prep": ("bool", False),
-        "restarts": ("int", KMEANS_RESTARTS),
         "median_mode": ("str", MEDIAN_PSD),
     },
     "correlate": {
         **_COMMON,
         "seed": ("int", None),
-        "restarts": ("int", KMEANS_RESTARTS),
         "median_mode": ("str", MEDIAN_PSD),
     },
 }
@@ -163,6 +157,17 @@ _ENUMS: dict[str, tuple[str, ...]] = {
 _LIST_ENUMS: dict[str, tuple[str, ...]] = {
     "classifiers": CLASSIFIER_KINDS,
     "variants": VARIANTS,
+}
+
+# --help of --seed per command; the feature ranking uses no seed
+_SEED_HELP = {
+    "synth": "dataset seed",
+    "rank": "required but unused: the feature ranking is exact",
+    "soil-dump": "required but unused: the feature ranking is exact",
+    "grow": "required but unused: the feature ranking is exact",
+    "classify": "seed of the stratified split (the ranking uses no seed)",
+    "evaluate": "rep r splits with seed XOR r (the ranking uses no seed)",
+    "correlate": "required but unused: the feature ranking is exact",
 }
 
 # output paths and scheduling knobs stay out of report config echoes
@@ -194,6 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                     action="store_const",
                     const=False,
                 )
+            elif opt == "seed":
+                p.add_argument(flag, dest=opt, type=int, help=_SEED_HELP[name])
             elif tag == "int":
                 p.add_argument(flag, dest=opt, type=int)
             elif tag == "float":
@@ -384,9 +391,7 @@ def _cmd_extract(opts) -> int:
 def _cmd_rank(opts) -> int:
     dataset = load_dataset(opts["manifest"])
     base = extract_base_matrix(dataset)
-    artifacts = fit_prep(
-        base.values, base.labels, seed=opts["seed"], restarts=opts["restarts"]
-    )
+    artifacts = fit_prep(base.values, base.labels, seed=opts["seed"])
     ranked = sorted(
         range(len(FEATURE_NAMES)), key=lambda i: (-artifacts.gains[i], i)
     )
@@ -406,9 +411,7 @@ def _fitted_row(opts):
     dataset = load_dataset(opts["manifest"])
     segment = dataset.segment_by_id(opts["sample"])
     base = extract_base_matrix(dataset)
-    artifacts = fit_prep(
-        base.values, base.labels, seed=opts["seed"], restarts=opts["restarts"]
-    )
+    artifacts = fit_prep(base.values, base.labels, seed=opts["seed"])
     row_index = [seg.id for seg in dataset.segments].index(segment.id)
     return dataset, segment, base.values[row_index], artifacts
 
@@ -500,9 +503,7 @@ def _cmd_classify(opts) -> int:
         prs_train = np.zeros((len(train_idx), 2))
         prs_test = np.zeros((len(test_idx), 2))
     elif opts["global_prep"]:
-        artifacts = fit_prep(
-            base.values, labels, seed=opts["seed"], restarts=opts["restarts"]
-        )
+        artifacts = fit_prep(base.values, labels, seed=opts["seed"])
         prs_all = prs_features(base.values, artifacts)
         prs_train, prs_test = prs_all[train_idx], prs_all[test_idx]
     else:
@@ -510,7 +511,6 @@ def _cmd_classify(opts) -> int:
             base.values[train_idx],
             labels[train_idx],
             seed=opts["seed"],
-            restarts=opts["restarts"],
         )
         prs_train = prs_features(base.values[train_idx], artifacts)
         prs_test = prs_features(base.values[test_idx], artifacts)
@@ -582,7 +582,6 @@ def _cmd_evaluate(opts) -> int:
         threads=opts["threads"],
         global_prep=opts["global_prep"],
         median_mode=opts["median_mode"],
-        restarts=opts["restarts"],
     )
     report["config"] = _echo_config(opts)
     if opts["out"] is None:
@@ -600,7 +599,6 @@ def _cmd_correlate(opts) -> int:
         dataset,
         seed=opts["seed"],
         median_mode=opts["median_mode"],
-        restarts=opts["restarts"],
     )
     corr, constant = correlation_matrix(table)
     n_base = len(FEATURE_NAMES)

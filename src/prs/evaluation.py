@@ -24,7 +24,7 @@ from .base_features import FEATURE_NAMES, ThresholdConfig
 from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, train
 from .dataset import LabeledDataset
 from .errors import PrsError
-from .feature_prep import KMEANS_RESTARTS, MIN_SAMPLES, apply_bounds, column_bounds
+from .feature_prep import MIN_SAMPLES, apply_bounds, column_bounds
 from .growth import GrowthConfig
 from .pipeline import (
     PRS_NAMES,
@@ -210,7 +210,6 @@ def run_experiment(
     soil_config: SoilConfig = SoilConfig(),
     growth_config: GrowthConfig = GrowthConfig(),
     median_mode: str = MEDIAN_PSD,
-    restarts: int = KMEANS_RESTARTS,
 ) -> dict:
     """Full accuracy grid; returns a JSON-ready report dict.
 
@@ -240,7 +239,7 @@ def run_experiment(
     global_artifacts = None
     global_prs = None
     if global_prep and needs_prs:
-        global_artifacts = fit_prep(base.values, labels, seed=seed, restarts=restarts)
+        global_artifacts = fit_prep(base.values, labels, seed=seed)
         global_prs = prs_features(base.values, global_artifacts, soil_config, growth_config)
 
     def run_rep(rep_index: int) -> dict:
@@ -258,7 +257,6 @@ def run_experiment(
                         base.values[train_idx],
                         labels[train_idx],
                         seed=rep_seed,
-                        restarts=restarts,
                     )
                     prs_train = prs_features(
                         base.values[train_idx], artifacts, soil_config, growth_config
@@ -361,7 +359,6 @@ def run_experiment(
         "baseline_variant": baseline,
         "global_prep": global_prep,
         "median_mode": median_mode,
-        "restarts": restarts,
         "thresholds": asdict(thresholds),
         "soil": asdict(soil_config),
         "growth": {
@@ -406,12 +403,15 @@ def build_feature_table(
     soil_config: SoilConfig = SoilConfig(),
     growth_config: GrowthConfig = GrowthConfig(),
     median_mode: str = MEDIAN_PSD,
-    restarts: int = KMEANS_RESTARTS,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """(m, 16) raw feature table over the whole dataset: the 12 base
-    columns, NF, RF, MaxPSD, MedPSD."""
+    columns, NF, RF, MaxPSD, MedPSD.
+
+    The feature ranking is exact and no longer uses ``seed``; the
+    keyword stays for existing callers.
+    """
     base = extract_base_matrix(dataset, thresholds)
-    artifacts = fit_prep(base.values, base.labels, seed=seed, restarts=restarts)
+    artifacts = fit_prep(base.values, base.labels, seed=seed)
     prs_rows = prs_features(base.values, artifacts, soil_config, growth_config)
     spectral_rows = extract_spectral_matrix(dataset, median_mode)
     table = np.column_stack([base.values, prs_rows, spectral_rows])

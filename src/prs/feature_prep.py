@@ -1,10 +1,11 @@
 """Feature matrix preparation: normalization, gain scoring, center-out sort.
 
 The importance score of a feature column is the information gain of the
-class labels given a two-set split of the column. The split comes from a
-seeded 1D 2-means (best of 25 restarts by within-cluster SSE). Columns
-are then permuted so the highest-gain feature sits at the center of the
-soil grid and importance decreases outward.
+class labels given a two-set split of the column. The split is the exact
+1D 2-means (the threshold with the least within-cluster SSE, found by one
+prefix-sum scan over the sorted column), so the ranking is deterministic
+and needs no seed. Columns are then permuted so the highest-gain feature
+sits at the center of the soil grid and importance decreases outward.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import numpy as np
 
 from .errors import DegenerateDataError
 
-KMEANS_RESTARTS = 25
 MIN_SAMPLES = 4  # rows a FeatureMatrix (and so fit_prep) needs
-_MAX_LLOYD_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -120,54 +119,41 @@ def minmax_normalize(matrix: FeatureMatrix) -> NormalizedFeatureMatrix:
     )
 
 
-def kmeans_binary_split(
-    values, restarts: int = KMEANS_RESTARTS, seed: int = 0
-) -> SplitResult:
-    """Best-of-restarts Lloyd 2-means on a 1D column.
+def kmeans_binary_split(values) -> SplitResult:
+    """Exact 1D 2-means: the threshold split with the least within-cluster SSE.
 
-    Each restart initializes the two centers by drawing uniformly without
-    replacement from the distinct data values. Assignment ties go to the
-    first center. Deterministic for a fixed seed.
+    The k = 2 case of Ckmeans.1d.dp (Wang & Song 2011, The R Journal 3(2)):
+    an optimal 1D 2-means partition is contiguous in sorted order, so every
+    cut between distinct sorted values is scored at once from prefix sums.
+    Minimizing the within-cluster SSE is maximizing the between-cluster sum
+    (m*L_k - k*T)^2 / (m*k*(m-k)) over the k smallest values with sum L_k
+    (T is the total), which avoids the cancellation of S2 - S1^2/k. Ties
+    go to the first (lowest) cut. Set 1 is v <= threshold.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
-    distinct = np.unique(v)
-    if distinct.size < 2:
+    if not np.isfinite(v).all():
+        raise ValueError("2-means needs finite values")
+    s = np.sort(v)
+    cuts = np.flatnonzero(s[1:] > s[:-1]) + 1  # size of set 1 at each cut
+    if cuts.size == 0:
         raise DegenerateDataError("all values identical: no valid binary split")
 
-    rng = np.random.default_rng(seed)
-    best_sse = math.inf
-    best_assign = None
-    best_centers = None
-    for _ in range(restarts):
-        centers = rng.choice(distinct, size=2, replace=False)
-        for _ in range(_MAX_LLOYD_ITER):
-            # tie (equidistant point) -> first center
-            assign = (np.abs(v - centers[1]) < np.abs(v - centers[0])).astype(np.int64)
-            new_centers = centers.copy()
-            for c in (0, 1):
-                members = v[assign == c]
-                if members.size:
-                    new_centers[c] = members.mean()
-            if np.array_equal(new_centers, centers):
-                break
-            centers = new_centers
-        assign = (np.abs(v - centers[1]) < np.abs(v - centers[0])).astype(np.int64)
-        if 0 < int(assign.sum()) < v.size:
-            sse = float(np.sum((v - centers[assign]) ** 2))
-            if sse < best_sse:
-                best_sse = sse
-                best_assign = assign
-                best_centers = centers
+    # Power-of-two scaling is exact and keeps the squares finite for any
+    # span; shifting by the minimum keeps a large offset out of the sums.
+    exponent = np.frexp(max(-s[0], s[-1]))[1]
+    x = np.ldexp(s, -exponent) - np.ldexp(s[0], -exponent)
+    prefix = np.cumsum(x)
+    m = float(v.size)
+    k = cuts.astype(np.float64)
+    between = (m * prefix[cuts - 1] - k * prefix[-1]) ** 2 / (m * k * (m - k))
+    threshold = s[cuts[int(np.argmax(between))] - 1]
 
-    if best_assign is None:
-        raise DegenerateDataError("2-means failed to produce two non-empty sets")
-
-    lo, hi = (0, 1) if best_centers[0] < best_centers[1] else (1, 0)
-    assignment = np.where(best_assign == lo, 1, 2)
+    assignment = np.where(v <= threshold, 1, 2)
+    centers = np.array([v[assignment == 1].mean(), v[assignment == 2].mean()])
     return SplitResult(
         assignment=assignment,
-        centers=(float(best_centers[lo]), float(best_centers[hi])),
-        sse=best_sse,
+        centers=(float(centers[0]), float(centers[1])),
+        sse=float(np.sum((v - centers[assignment - 1]) ** 2)),
     )
 
 
@@ -186,11 +172,7 @@ def entropy(labels: Sequence) -> float:
 
 
 def information_gain(
-    column,
-    labels: Sequence,
-    split: SplitResult | None = None,
-    restarts: int = KMEANS_RESTARTS,
-    seed: int = 0,
+    column, labels: Sequence, split: SplitResult | None = None
 ) -> float:
     """Entropy reduction of the labels given a binary split of the column.
 
@@ -198,7 +180,7 @@ def information_gain(
     """
     labels = list(labels)
     if split is None:
-        split = kmeans_binary_split(column, restarts=restarts, seed=seed)
+        split = kmeans_binary_split(column)
     if len(split.assignment) != len(labels):
         raise ValueError(
             f"split covers {len(split.assignment)} rows, have {len(labels)} labels"
@@ -212,24 +194,14 @@ def information_gain(
     return entropy(labels) - expected
 
 
-def column_seeds(seed: int, n_cols: int) -> np.ndarray:
-    """Stable per-column child seeds so parallel and serial runs agree."""
-    return np.random.SeedSequence(seed).generate_state(n_cols)
-
-
-def rank_features(
-    norm: NormalizedFeatureMatrix, seed: int, restarts: int = KMEANS_RESTARTS
-) -> np.ndarray:
+def rank_features(norm: NormalizedFeatureMatrix) -> np.ndarray:
     """Information gain per normalized column; degenerate columns score 0."""
-    m, n = norm.shape
-    seeds = column_seeds(seed, n)
+    n = norm.shape[1]
     gains = np.zeros(n, dtype=np.float64)
     for j in range(n):
         if norm.degenerate[j]:
             continue
-        gains[j] = information_gain(
-            norm.values[:, j], norm.labels, restarts=restarts, seed=int(seeds[j])
-        )
+        gains[j] = information_gain(norm.values[:, j], norm.labels)
     return gains
 
 

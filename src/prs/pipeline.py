@@ -33,7 +33,6 @@ from .base_features import (
 )
 from .dataset import LabeledDataset, SignalSegment
 from .feature_prep import (
-    KMEANS_RESTARTS,
     FeatureMatrix,
     apply_bounds,
     column_bounds,
@@ -101,20 +100,19 @@ class PrepArtifacts:
             raise ValueError("order must be a permutation of the columns")
 
 
-def fit_prep(
-    base_values: np.ndarray,
-    labels,
-    seed: int,
-    restarts: int = KMEANS_RESTARTS,
-) -> PrepArtifacts:
-    """Fit normalization, ranking, and ordering on training rows."""
+def fit_prep(base_values: np.ndarray, labels, seed: int) -> PrepArtifacts:
+    """Fit normalization, ranking, and ordering on training rows.
+
+    The ranking is exact and deterministic and no longer uses ``seed``;
+    the keyword stays for existing callers.
+    """
     matrix = FeatureMatrix(
         values=np.asarray(base_values, dtype=np.float64),
         names=tuple(FEATURE_NAMES),
         labels=tuple(str(v) for v in labels),
     )
     norm = minmax_normalize(matrix)
-    gains = rank_features(norm, seed=seed, restarts=restarts)
+    gains = rank_features(norm)
     sorted_matrix = sort_center_out(norm, gains)
     return PrepArtifacts(
         feature_names=tuple(FEATURE_NAMES),

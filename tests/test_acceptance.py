@@ -102,7 +102,7 @@ def test_criterion_02_information_gain_oracle():
         )
 
     column = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
-    split = kmeans_binary_split(column, seed=0)
+    split = kmeans_binary_split(column)
     assert split.assignment.tolist() == [1, 1, 1, 2, 2, 2]
 
     worst = 0.0

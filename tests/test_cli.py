@@ -402,6 +402,24 @@ def test_evaluate_out_directory(data_dir, tmp_path, capsys):
     assert csv_lines[1].startswith("LDA,BASE,")
 
 
+def test_evaluate_rejects_single_segment_class_before_feature_work(
+    tmp_path, capsys, monkeypatch
+):
+    manifest = write_dataset(generate_synthetic(3, 64, seed=3), tmp_path)
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(x for x in lines if not x.startswith(("N1,", "N2,"))))
+
+    def no_feature_work(*args, **kwargs):
+        raise AssertionError("feature extraction ran")
+
+    monkeypatch.setattr("prs.cli.extract_base_matrix", no_feature_work)
+    monkeypatch.setattr("prs.evaluation.extract_base_matrix", no_feature_work)
+    rc = main(["evaluate", "--manifest", str(manifest), "--seed", "0", "--reps", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "class 'N' has fewer than 2 segments" in captured.err
+
+
 def test_evaluate_rejects_unknown_variant(data_dir, capsys):
     rc = main(
         ["evaluate", "--manifest", data_dir, "--seed", "0", "--variants", "BASE,EXTRA"]
@@ -435,13 +453,16 @@ def test_correlate_out_directory(data_dir, tmp_path, capsys):
 
 
 def test_config_file_equivalent_to_flags(data_dir, tmp_path, capsys):
-    cfg = tmp_path / "rank.cfg"
-    cfg.write_text("# ranking defaults\nseed = 4\nrestarts = 5\n")
+    cfg = tmp_path / "grow.cfg"
+    cfg.write_text("# growth defaults\nseed = 4\ndays = 5\n")
     by_config = run_ok(
-        ["rank", "--manifest", data_dir, "--config", str(cfg)], capsys
+        ["grow", "--manifest", data_dir, "--sample", "P0", "--config", str(cfg)],
+        capsys,
     )
     by_flags = run_ok(
-        ["rank", "--manifest", data_dir, "--seed", "4", "--restarts", "5"], capsys
+        ["grow", "--manifest", data_dir, "--sample", "P0", "--seed", "4",
+         "--days", "5"],
+        capsys,
     )
     assert by_config == by_flags
 

@@ -108,14 +108,14 @@ def test_matrix_validation():
 
 
 def test_kmeans_clear_gap():
-    split = kmeans_binary_split([0.0, 0.1, 0.9, 1.0], seed=0)
+    split = kmeans_binary_split([0.0, 0.1, 0.9, 1.0])
     assert split.assignment.tolist() == [1, 1, 2, 2]
     assert split.centers == (0.05, 0.95)
     assert split.sse == pytest.approx(0.01, abs=1e-15)
 
 
 def test_kmeans_two_points_zero_sse():
-    split = kmeans_binary_split([0.0, 1.0], seed=3)
+    split = kmeans_binary_split([0.0, 1.0])
     assert split.sse == 0.0
     assert split.assignment.tolist() == [1, 2]
 
@@ -127,29 +127,29 @@ def test_kmeans_constant_column_rejected():
 
 def test_kmeans_finds_global_optimum_on_small_columns():
     rng = np.random.default_rng(17)
-    for trial in range(25):
+    for _ in range(25):
         v = np.round(rng.uniform(0, 1, size=rng.integers(4, 10)), 2)
         if np.unique(v).size < 2:
             continue
-        split = kmeans_binary_split(v, seed=trial)
+        split = kmeans_binary_split(v)
         assert split.sse == pytest.approx(
             oracle_best_threshold_sse(v.tolist()), abs=1e-12
         )
 
 
-def test_kmeans_deterministic_per_seed():
+def test_kmeans_deterministic():
     v = np.random.default_rng(2).normal(size=40)
-    a = kmeans_binary_split(v, seed=9)
-    b = kmeans_binary_split(v, seed=9)
+    a = kmeans_binary_split(v)
+    b = kmeans_binary_split(v)
     assert np.array_equal(a.assignment, b.assignment)
     assert a.centers == b.centers and a.sse == b.sse
 
 
 def test_kmeans_centers_ordered_and_sets_nonempty():
     rng = np.random.default_rng(8)
-    for trial in range(10):
+    for _ in range(10):
         v = rng.normal(size=30)
-        split = kmeans_binary_split(v, seed=trial)
+        split = kmeans_binary_split(v)
         assert split.centers[0] < split.centers[1]
         assert {1, 2} == set(np.unique(split.assignment))
         # set 1 belongs to the lower center
@@ -224,7 +224,7 @@ def test_rank_features_scores_degenerate_columns_zero():
         ]
     )
     fm = FeatureMatrix(values=values, names=("g", "c"), labels=("A", "A", "B", "B"))
-    gains = rank_features(minmax_normalize(fm), seed=0)
+    gains = rank_features(minmax_normalize(fm))
     assert gains[0] == pytest.approx(1.0)
     assert gains[1] == 0.0
 
