@@ -6,15 +6,12 @@ two smoothing kernel passes, then simulated root growth whose absorption
 total (NF) and hull area (RF) become two extra features. Spectral
 features, four binary classifiers, and a repeated-split evaluation
 harness round out the package.
+
+The top level exports the documented entry points; everything else is
+reached through its module (``prs.pipeline``, ``prs.evaluation``, ...).
 """
 
-from .base_features import (
-    FEATURE_NAMES,
-    FeatureVector,
-    ThresholdConfig,
-    compute_base_features,
-)
-from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, TrainedModel, accuracy, train
+from .classifiers import CLASSIFIER_KINDS
 from .dataset import (
     LabeledDataset,
     SignalSegment,
@@ -25,65 +22,15 @@ from .dataset import (
 from .errors import DatasetError, DegenerateDataError, PrsError
 from .evaluation import (
     VARIANTS,
-    AnovaResult,
-    ConfusionCounts,
-    anova_oneway,
     build_feature_table,
-    confusion_counts,
     correlation_matrix,
     run_experiment,
-    stratified_split,
 )
-from .feature_prep import (
-    FeatureMatrix,
-    NormalizedFeatureMatrix,
-    SortedFeatureMatrix,
-    information_gain,
-    kmeans_binary_split,
-    minmax_normalize,
-    rank_features,
-    sort_center_out,
-)
-from .growth import (
-    GrowthConfig,
-    PRSFeaturePair,
-    RootState,
-    convex_hull,
-    extract_prs,
-    grow,
-    polygon_area,
-)
-from .pipeline import (
-    PrepArtifacts,
-    extract_base_matrix,
-    extract_spectral_matrix,
-    fit_prep,
-    prs_features,
-    prs_pair_for_row,
-)
-from .soil import (
-    KERNEL_DEEP,
-    KERNEL_SHALLOW,
-    DiscreteSoil,
-    NutrientMatrix,
-    SoilConfig,
-    build_discrete_soil,
-    convolve_soil,
-)
-from .spectral import SpectralPair, compute_spectral, periodogram
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FEATURE_NAMES",
-    "FeatureVector",
-    "ThresholdConfig",
-    "compute_base_features",
     "CLASSIFIER_KINDS",
-    "ClassifierSpec",
-    "TrainedModel",
-    "accuracy",
-    "train",
     "LabeledDataset",
     "SignalSegment",
     "generate_synthetic",
@@ -93,44 +40,8 @@ __all__ = [
     "DegenerateDataError",
     "PrsError",
     "VARIANTS",
-    "AnovaResult",
-    "ConfusionCounts",
-    "anova_oneway",
     "build_feature_table",
-    "confusion_counts",
     "correlation_matrix",
     "run_experiment",
-    "stratified_split",
-    "FeatureMatrix",
-    "NormalizedFeatureMatrix",
-    "SortedFeatureMatrix",
-    "information_gain",
-    "kmeans_binary_split",
-    "minmax_normalize",
-    "rank_features",
-    "sort_center_out",
-    "GrowthConfig",
-    "PRSFeaturePair",
-    "RootState",
-    "convex_hull",
-    "extract_prs",
-    "grow",
-    "polygon_area",
-    "PrepArtifacts",
-    "extract_base_matrix",
-    "extract_spectral_matrix",
-    "fit_prep",
-    "prs_features",
-    "prs_pair_for_row",
-    "KERNEL_DEEP",
-    "KERNEL_SHALLOW",
-    "DiscreteSoil",
-    "NutrientMatrix",
-    "SoilConfig",
-    "build_discrete_soil",
-    "convolve_soil",
-    "SpectralPair",
-    "compute_spectral",
-    "periodogram",
     "__version__",
 ]

@@ -25,30 +25,26 @@ from pathlib import Path
 import numpy as np
 
 from .base_features import FEATURE_NAMES, ThresholdConfig
-from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, train
+from .classifiers import CLASSIFIER_KINDS, ClassifierSpec
 from .dataset import generate_synthetic, load_dataset, write_dataset
 from .errors import PrsError
 from .evaluation import (
     VARIANTS,
-    _check_prep_folds,
-    _needs,
-    assemble_variant,
     build_feature_table,
-    confusion_counts,
     correlation_matrix,
+    evaluate_split,
+    rep_rng,
     run_experiment,
+    split_inputs,
     stratified_split,
 )
-from .feature_prep import apply_bounds, column_bounds
 from .growth import DEFAULT_RADICLE, GrowthConfig, extract_prs, grow
 from .pipeline import (
-    PRS_NAMES,
     SPECTRAL_NAMES,
     extract_base_matrix,
     extract_spectral_matrix,
     fit_prep,
     nutrients_for_row,
-    prs_features,
     soil_for_row,
 )
 from .soil import FILL_MODES, SOIL_DEPTH, SoilConfig, convolve_soil
@@ -81,21 +77,16 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "ssc_threshold": ("float", None),
         "wamp_threshold": ("float", None),
     },
-    "rank": {
-        **_COMMON,
-        "seed": ("int", None),
-    },
+    "rank": _COMMON,
     "soil-dump": {
         **_COMMON,
         "sample": ("str", None),
-        "seed": ("int", None),
         "depth": ("int", SOIL_DEPTH),
         "fill_mode": ("str", "stacked"),
     },
     "grow": {
         **_COMMON,
         "sample": ("str", None),
-        "seed": ("int", None),
         "depth": ("int", SOIL_DEPTH),
         "fill_mode": ("str", "stacked"),
         "days": ("int", 10),
@@ -130,7 +121,6 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
     },
     "correlate": {
         **_COMMON,
-        "seed": ("int", None),
         "median_mode": ("str", MEDIAN_PSD),
     },
 }
@@ -138,13 +128,13 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "synth": ("out", "seed"),
     "extract": ("manifest",),
-    "rank": ("manifest", "seed"),
-    "soil-dump": ("manifest", "sample", "seed"),
-    "grow": ("manifest", "sample", "seed"),
+    "rank": ("manifest",),
+    "soil-dump": ("manifest", "sample"),
+    "grow": ("manifest", "sample"),
     "spectral": ("manifest",),
     "classify": ("manifest", "seed", "classifier"),
     "evaluate": ("manifest", "seed"),
-    "correlate": ("manifest", "seed"),
+    "correlate": ("manifest",),
 }
 
 _ENUMS: dict[str, tuple[str, ...]] = {
@@ -159,15 +149,11 @@ _LIST_ENUMS: dict[str, tuple[str, ...]] = {
     "variants": VARIANTS,
 }
 
-# --help of --seed per command; the feature ranking uses no seed
+# --help of --seed per command; nothing else in prs draws random numbers
 _SEED_HELP = {
     "synth": "dataset seed",
-    "rank": "required but unused: the feature ranking is exact",
-    "soil-dump": "required but unused: the feature ranking is exact",
-    "grow": "required but unused: the feature ranking is exact",
-    "classify": "seed of the stratified split (the ranking uses no seed)",
-    "evaluate": "rep r splits with seed XOR r (the ranking uses no seed)",
-    "correlate": "required but unused: the feature ranking is exact",
+    "classify": "split seed: the split of rep 0 of evaluate with this seed",
+    "evaluate": "rep r splits with seed XOR r",
 }
 
 # output paths and scheduling knobs stay out of report config echoes
@@ -391,7 +377,7 @@ def _cmd_extract(opts) -> int:
 def _cmd_rank(opts) -> int:
     dataset = load_dataset(opts["manifest"])
     base = extract_base_matrix(dataset)
-    artifacts = fit_prep(base.values, base.labels, seed=opts["seed"])
+    artifacts = fit_prep(base.values, base.labels)
     ranked = sorted(
         range(len(FEATURE_NAMES)), key=lambda i: (-artifacts.gains[i], i)
     )
@@ -411,7 +397,7 @@ def _fitted_row(opts):
     dataset = load_dataset(opts["manifest"])
     segment = dataset.segment_by_id(opts["sample"])
     base = extract_base_matrix(dataset)
-    artifacts = fit_prep(base.values, base.labels, seed=opts["seed"])
+    artifacts = fit_prep(base.values, base.labels)
     row_index = [seg.id for seg in dataset.segments].index(segment.id)
     return dataset, segment, base.values[row_index], artifacts
 
@@ -489,50 +475,20 @@ def _cmd_spectral(opts) -> int:
 
 def _cmd_classify(opts) -> int:
     dataset = load_dataset(opts["manifest"])
-    variant = (opts["variant"],)
-    needs_prs = any(_needs(variant, name) for name in PRS_NAMES)
-    if needs_prs and not opts["global_prep"]:
-        _check_prep_folds(dataset, (opts["rate"],))
-    base = extract_base_matrix(dataset)
-    labels = np.array(base.labels)
-    rng = np.random.default_rng(opts["seed"])
+    variants = (opts["variant"],)
+    inputs = split_inputs(
+        dataset,
+        variants,
+        (opts["rate"],),
+        opts["global_prep"],
+        median_mode=opts["median_mode"],
+    )
     train_idx, test_idx = stratified_split(
-        labels, dataset.class_names, opts["rate"], rng
+        inputs.labels, dataset.class_names, opts["rate"], rep_rng(opts["seed"], 0)
     )
-    if not needs_prs:
-        prs_train = np.zeros((len(train_idx), 2))
-        prs_test = np.zeros((len(test_idx), 2))
-    elif opts["global_prep"]:
-        artifacts = fit_prep(base.values, labels, seed=opts["seed"])
-        prs_all = prs_features(base.values, artifacts)
-        prs_train, prs_test = prs_all[train_idx], prs_all[test_idx]
-    else:
-        artifacts = fit_prep(
-            base.values[train_idx],
-            labels[train_idx],
-            seed=opts["seed"],
-        )
-        prs_train = prs_features(base.values[train_idx], artifacts)
-        prs_test = prs_features(base.values[test_idx], artifacts)
-    spectral_rows = (
-        extract_spectral_matrix(dataset, opts["median_mode"])
-        if any(_needs(variant, name) for name in SPECTRAL_NAMES)
-        else np.zeros((len(dataset), 2))
-    )
-    raw_train = assemble_variant(
-        opts["variant"], base.values[train_idx], prs_train, spectral_rows[train_idx]
-    )
-    raw_test = assemble_variant(
-        opts["variant"], base.values[test_idx], prs_test, spectral_rows[test_idx]
-    )
-    bounds = column_bounds(raw_train)
-    model = train(
-        ClassifierSpec(kind=opts["classifier"]),
-        apply_bounds(raw_train, bounds),
-        labels[train_idx],
-    )
-    predictions = model.predict(apply_bounds(raw_test, bounds))
-    counts = confusion_counts(labels[test_idx], predictions, model.classes)
+    spec = ClassifierSpec(kind=opts["classifier"])
+    results = evaluate_split(inputs, train_idx, test_idx, [spec], variants)
+    counts, diagnostics = results[(spec.kind, opts["variant"])]
     report = {
         "dataset": dataset.name,
         "classifier": opts["classifier"],
@@ -547,7 +503,7 @@ def _cmd_classify(opts) -> int:
             "fp": counts.fp,
             "fn": counts.fn,
         },
-        "diagnostics": model.diagnostics,
+        "diagnostics": diagnostics,
         "config": _echo_config(opts),
     }
     _emit(_json_text(report), opts["out"])
@@ -595,11 +551,7 @@ def _cmd_evaluate(opts) -> int:
 
 def _cmd_correlate(opts) -> int:
     dataset = load_dataset(opts["manifest"])
-    table, names = build_feature_table(
-        dataset,
-        seed=opts["seed"],
-        median_mode=opts["median_mode"],
-    )
+    table, names = build_feature_table(dataset, median_mode=opts["median_mode"])
     corr, constant = correlation_matrix(table)
     n_base = len(FEATURE_NAMES)
     base_block = [

@@ -1,12 +1,14 @@
 """Repeated-split accuracy experiments and feature correlation reports.
 
 A run crosses classifiers x feature variants x training rates over many
-repetitions. Every repetition draws one stratified split per rate (seeded
-as seed XOR rep_index) and reuses it across all variants and classifiers,
-so the comparison between variants is paired. Feature preparation
-(normalization bounds, gain ranking, soil bounds) is fitted on the
-training fold only unless global_prep is set, which fits it once on the
-whole dataset and is meant for protocol-replication runs.
+repetitions. Every repetition draws one stratified split per rate from
+``rep_rng(seed, rep)`` and reuses it across all variants and classifiers,
+so the comparison between variants is paired. ``evaluate_split`` is the
+one implementation of a split: feature preparation (normalization
+bounds, gain ranking, soil bounds) is fitted on the training fold only
+unless global_prep is set, which fits it once on the whole dataset and
+is meant for protocol-replication runs. ``prs classify`` is rep 0 of
+``run_experiment`` with one classifier, variant and rate.
 
 Reports are plain dicts ready for json.dump; an infinite ANOVA F value
 is serialized as the string "inf".
@@ -15,8 +17,8 @@ is serialized as the string "inf".
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,6 +199,126 @@ def _resolve_classifiers(classifiers) -> list[ClassifierSpec]:
     return specs
 
 
+def _needs(variants, column_names) -> bool:
+    return any(
+        name in _VARIANT_EXTRAS.get(v, ()) for v in variants for name in column_names
+    )
+
+
+def _check_prep_folds(dataset: LabeledDataset, rates) -> None:
+    """Fail before any work when a training fold is too small for
+    per-fold feature preparation."""
+    sizes = [dataset.labels.count(name) for name in dataset.class_names]
+    for rate in rates:
+        rows = sum(_n_train(n, rate) for n in sizes)
+        if rows < MIN_SAMPLES:
+            raise PrsError(
+                f"training folds at rate {rate} hold {rows} rows, but per-fold "
+                f"feature preparation needs at least {MIN_SAMPLES}; the smallest "
+                f"class has {min(sizes)} segments"
+            )
+
+
+def rep_rng(seed: int, rep: int) -> np.random.Generator:
+    """Generator that draws the splits of repetition ``rep``."""
+    return np.random.default_rng(seed ^ rep)
+
+
+@dataclass(frozen=True)
+class SplitInputs:
+    """Per-segment rows that every split of one dataset draws from.
+
+    spectral is all zeros when no variant has MaxPSD/MedPSD; global_prs
+    holds NF/RF fitted on the whole dataset under global prep, else None
+    and NF/RF are fitted per training fold with the two configs.
+    """
+
+    base: np.ndarray
+    labels: np.ndarray
+    spectral: np.ndarray
+    global_prs: np.ndarray | None
+    soil_config: SoilConfig
+    growth_config: GrowthConfig
+
+
+def split_inputs(
+    dataset: LabeledDataset,
+    variants,
+    rates,
+    global_prep: bool = False,
+    thresholds: ThresholdConfig = ThresholdConfig(),
+    soil_config: SoilConfig = SoilConfig(),
+    growth_config: GrowthConfig = GrowthConfig(),
+    median_mode: str = MEDIAN_PSD,
+) -> SplitInputs:
+    """Rows for ``evaluate_split`` over ``variants``; computes only the
+    columns those variants use. Raises ``PrsError`` before any feature
+    work when per-fold prep would get too few rows at one of ``rates``."""
+    needs_prs = _needs(variants, PRS_NAMES)
+    if needs_prs and not global_prep:
+        _check_prep_folds(dataset, rates)
+    base = extract_base_matrix(dataset, thresholds)
+    labels = np.array(base.labels)
+    spectral = (
+        extract_spectral_matrix(dataset, median_mode)
+        if _needs(variants, SPECTRAL_NAMES)
+        else np.zeros((len(labels), 2))
+    )
+    global_prs = None
+    if global_prep and needs_prs:
+        artifacts = fit_prep(base.values, labels)
+        global_prs = prs_features(base.values, artifacts, soil_config, growth_config)
+    return SplitInputs(
+        base.values, labels, spectral, global_prs, soil_config, growth_config
+    )
+
+
+class SplitResult(NamedTuple):
+    counts: ConfusionCounts
+    diagnostics: dict
+
+
+def evaluate_split(
+    inputs: SplitInputs, train_idx, test_idx, specs, variants
+) -> dict[tuple[str, str], SplitResult]:
+    """Train and score every classifier on every variant of one split.
+
+    ``inputs`` comes from ``split_inputs`` for the same variants. NF/RF
+    are the global-prep rows when ``inputs`` has them, else fitted on the
+    training fold; each variant is scaled by its training columns'
+    bounds. Keyed by (classifier kind, variant).
+    """
+    base, labels, spectral = inputs.base, inputs.labels, inputs.spectral
+    y_train, y_test = labels[train_idx], labels[test_idx]
+    if not _needs(variants, PRS_NAMES):
+        prs_train = np.zeros((len(train_idx), 2))
+        prs_test = np.zeros((len(test_idx), 2))
+    elif inputs.global_prs is not None:
+        prs_train = inputs.global_prs[train_idx]
+        prs_test = inputs.global_prs[test_idx]
+    else:
+        configs = (inputs.soil_config, inputs.growth_config)
+        artifacts = fit_prep(base[train_idx], y_train)
+        prs_train = prs_features(base[train_idx], artifacts, *configs)
+        prs_test = prs_features(base[test_idx], artifacts, *configs)
+    results = {}
+    for variant in variants:
+        raw_train = assemble_variant(
+            variant, base[train_idx], prs_train, spectral[train_idx]
+        )
+        raw_test = assemble_variant(
+            variant, base[test_idx], prs_test, spectral[test_idx]
+        )
+        bounds = column_bounds(raw_train)
+        x_train = apply_bounds(raw_train, bounds)
+        x_test = apply_bounds(raw_test, bounds)
+        for spec in specs:
+            model = train(spec, x_train, y_train)
+            counts = confusion_counts(y_test, model.predict(x_test), model.classes)
+            results[(spec.kind, variant)] = SplitResult(counts, model.diagnostics)
+    return results
+
+
 def run_experiment(
     dataset: LabeledDataset,
     classifiers=DEFAULT_CLASSIFIERS,
@@ -213,8 +335,9 @@ def run_experiment(
 ) -> dict:
     """Full accuracy grid; returns a JSON-ready report dict.
 
-    The report is a pure function of the run configuration: thread count
-    changes scheduling only, never results.
+    The report is a pure function of the run configuration. Reps run
+    serially: ``threads`` must be >= 1 and is kept as the worker count
+    of a later process-sharded run, but changes nothing today.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -223,73 +346,29 @@ def run_experiment(
     specs = _resolve_classifiers(classifiers)
     variants = tuple(variants)
     rates = tuple(float(r) for r in rates)
-    needs_prs = any(_needs(variants, n) for n in PRS_NAMES)
-    needs_spectral = any(_needs(variants, n) for n in SPECTRAL_NAMES)
-    if needs_prs and not global_prep:
-        _check_prep_folds(dataset, rates)
-
-    base = extract_base_matrix(dataset, thresholds)
-    labels = np.array(base.labels)
     class_names = dataset.class_names
-    spectral_rows = (
-        extract_spectral_matrix(dataset, median_mode)
-        if needs_spectral
-        else np.zeros((len(labels), 2))
+    inputs = split_inputs(
+        dataset,
+        variants,
+        rates,
+        global_prep,
+        thresholds,
+        soil_config,
+        growth_config,
+        median_mode,
     )
-    global_artifacts = None
-    global_prs = None
-    if global_prep and needs_prs:
-        global_artifacts = fit_prep(base.values, labels, seed=seed)
-        global_prs = prs_features(base.values, global_artifacts, soil_config, growth_config)
 
-    def run_rep(rep_index: int) -> dict:
-        rep_seed = seed ^ rep_index
-        rng = np.random.default_rng(rep_seed)
+    def run_rep(rep: int) -> dict:
+        rng = rep_rng(seed, rep)
         out = {}
         for rate in rates:
-            train_idx, test_idx = stratified_split(labels, class_names, rate, rng)
-            if needs_prs:
-                if global_prep:
-                    prs_train = global_prs[train_idx]
-                    prs_test = global_prs[test_idx]
-                else:
-                    artifacts = fit_prep(
-                        base.values[train_idx],
-                        labels[train_idx],
-                        seed=rep_seed,
-                    )
-                    prs_train = prs_features(
-                        base.values[train_idx], artifacts, soil_config, growth_config
-                    )
-                    prs_test = prs_features(
-                        base.values[test_idx], artifacts, soil_config, growth_config
-                    )
-            else:
-                prs_train = np.zeros((len(train_idx), 2))
-                prs_test = np.zeros((len(test_idx), 2))
-            for variant in variants:
-                raw_train = assemble_variant(
-                    variant, base.values[train_idx], prs_train, spectral_rows[train_idx]
-                )
-                raw_test = assemble_variant(
-                    variant, base.values[test_idx], prs_test, spectral_rows[test_idx]
-                )
-                bounds = column_bounds(raw_train)
-                x_train = apply_bounds(raw_train, bounds)
-                x_test = apply_bounds(raw_test, bounds)
-                for spec in specs:
-                    model = train(spec, x_train, labels[train_idx])
-                    counts = confusion_counts(
-                        labels[test_idx], model.predict(x_test), model.classes
-                    )
-                    out[(spec.kind, variant, rate)] = counts.accuracy
+            split = stratified_split(inputs.labels, class_names, rate, rng)
+            results = evaluate_split(inputs, *split, specs, variants)
+            for (kind, variant), result in results.items():
+                out[(kind, variant, rate)] = result.counts.accuracy
         return out
 
-    if threads == 1:
-        rep_results = [run_rep(r) for r in range(reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rep_results = list(pool.map(run_rep, range(reps)))
+    rep_results = [run_rep(r) for r in range(reps)]
 
     cells = []
     acc_lists: dict[tuple[str, str, float], list[float]] = {}
@@ -373,24 +452,6 @@ def run_experiment(
     }
 
 
-def _check_prep_folds(dataset: LabeledDataset, rates) -> None:
-    """Fail before any work when a training fold is too small for
-    per-fold feature preparation."""
-    sizes = [dataset.labels.count(name) for name in dataset.class_names]
-    for rate in rates:
-        rows = sum(_n_train(n, rate) for n in sizes)
-        if rows < MIN_SAMPLES:
-            raise PrsError(
-                f"training folds at rate {rate} hold {rows} rows, but per-fold "
-                f"feature preparation needs at least {MIN_SAMPLES}; the smallest "
-                f"class has {min(sizes)} segments"
-            )
-
-
-def _needs(variants, column_name: str) -> bool:
-    return any(column_name in _VARIANT_EXTRAS.get(v, ()) for v in variants)
-
-
 # -- correlation report -----------------------------------------------------
 
 TABLE_NAMES = tuple(FEATURE_NAMES) + PRS_NAMES + SPECTRAL_NAMES
@@ -398,7 +459,7 @@ TABLE_NAMES = tuple(FEATURE_NAMES) + PRS_NAMES + SPECTRAL_NAMES
 
 def build_feature_table(
     dataset: LabeledDataset,
-    seed: int,
+    seed: int | None = None,
     thresholds: ThresholdConfig = ThresholdConfig(),
     soil_config: SoilConfig = SoilConfig(),
     growth_config: GrowthConfig = GrowthConfig(),
@@ -407,11 +468,11 @@ def build_feature_table(
     """(m, 16) raw feature table over the whole dataset: the 12 base
     columns, NF, RF, MaxPSD, MedPSD.
 
-    The feature ranking is exact and no longer uses ``seed``; the
-    keyword stays for existing callers.
+    ``seed`` is accepted for existing callers and ignored: the table is
+    a deterministic function of the dataset and the configs.
     """
     base = extract_base_matrix(dataset, thresholds)
-    artifacts = fit_prep(base.values, base.labels, seed=seed)
+    artifacts = fit_prep(base.values, base.labels)
     prs_rows = prs_features(base.values, artifacts, soil_config, growth_config)
     spectral_rows = extract_spectral_matrix(dataset, median_mode)
     table = np.column_stack([base.values, prs_rows, spectral_rows])

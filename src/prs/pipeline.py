@@ -100,11 +100,10 @@ class PrepArtifacts:
             raise ValueError("order must be a permutation of the columns")
 
 
-def fit_prep(base_values: np.ndarray, labels, seed: int) -> PrepArtifacts:
+def fit_prep(base_values: np.ndarray, labels) -> PrepArtifacts:
     """Fit normalization, ranking, and ordering on training rows.
 
-    The ranking is exact and deterministic and no longer uses ``seed``;
-    the keyword stays for existing callers.
+    Deterministic: the ranking split is exact, so no seed is involved.
     """
     matrix = FeatureMatrix(
         values=np.asarray(base_values, dtype=np.float64),

@@ -7,7 +7,7 @@ import pytest
 
 from prs.base_features import FEATURE_NAMES
 from prs.cli import main
-from prs.dataset import generate_synthetic, write_dataset
+from prs.dataset import LabeledDataset, SignalSegment, generate_synthetic, write_dataset
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def test_missing_manifest_is_runtime_error(capsys):
 
 
 def test_rank_report_shape_and_determinism(data_dir, capsys):
-    argv = ["rank", "--manifest", data_dir, "--seed", "4"]
+    argv = ["rank", "--manifest", data_dir]
     first = run_ok(argv, capsys)
     second = run_ok(argv, capsys)
     assert first == second
@@ -103,7 +103,7 @@ def test_rank_report_shape_and_determinism(data_dir, capsys):
     assert set(report["gains"]) == set(FEATURE_NAMES)
     assert sorted(report["ranked"]) == sorted(FEATURE_NAMES)
     assert sorted(report["soil_column_order"]) == sorted(FEATURE_NAMES)
-    assert report["config"]["seed"] == 4
+    assert "seed" not in report["config"]
     assert "out" not in report["config"]
     assert "config" not in report["config"]
 
@@ -113,7 +113,7 @@ def test_rank_report_shape_and_determinism(data_dir, capsys):
 
 def test_soil_dump_prints_both_grids(data_dir, capsys):
     stdout = run_ok(
-        ["soil-dump", "--manifest", data_dir, "--sample", "P0", "--seed", "0"],
+        ["soil-dump", "--manifest", data_dir, "--sample", "P0"],
         capsys,
     )
     discrete_text, nutrient_text = stdout.split("\n\n")
@@ -134,8 +134,6 @@ def test_soil_dump_out_directory(data_dir, tmp_path, capsys):
             data_dir,
             "--sample",
             "N1",
-            "--seed",
-            "0",
             "--out",
             str(out),
         ],
@@ -156,8 +154,6 @@ def test_grow_report(data_dir, capsys):
             data_dir,
             "--sample",
             "P0",
-            "--seed",
-            "0",
             "--days",
             "5",
             "--division-limit",
@@ -176,14 +172,14 @@ def test_grow_report(data_dir, capsys):
 
 
 def test_grow_without_sample_is_usage_error(data_dir, capsys):
-    rc = main(["grow", "--manifest", data_dir, "--seed", "0"])
+    rc = main(["grow", "--manifest", data_dir])
     captured = capsys.readouterr()
     assert rc == 2
     assert "--sample" in captured.err
 
 
 def test_grow_unknown_sample_is_runtime_error(data_dir, capsys):
-    rc = main(["grow", "--manifest", data_dir, "--sample", "Q9", "--seed", "0"])
+    rc = main(["grow", "--manifest", data_dir, "--sample", "Q9"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:")
@@ -198,8 +194,6 @@ def test_grow_dump_frames(data_dir, tmp_path, capsys):
             data_dir,
             "--sample",
             "P1",
-            "--seed",
-            "0",
             "--days",
             "3",
             "--dump-frames",
@@ -226,8 +220,6 @@ def test_grow_custom_radicle_and_flags(data_dir, capsys):
             data_dir,
             "--sample",
             "P0",
-            "--seed",
-            "0",
             "--radicle",
             "2,3;4,5",
             "--no-occupy-zero",
@@ -248,8 +240,6 @@ def test_grow_bad_radicle_is_usage_error(data_dir, capsys):
             data_dir,
             "--sample",
             "P0",
-            "--seed",
-            "0",
             "--radicle",
             "nonsense",
         ]
@@ -345,6 +335,62 @@ def test_classify_without_spectral_columns_skips_spectral(
     assert report["variant"] == variant
 
 
+def test_classify_builds_rows_like_evaluate(
+    data_dir, two_per_class_dir, monkeypatch, capsys
+):
+    # classify gets its rows from evaluation.split_inputs, as evaluate does
+    def no_work(*args, **kwargs):
+        raise AssertionError("feature work the variant does not need")
+
+    monkeypatch.setattr("prs.evaluation.extract_spectral_matrix", no_work)
+    argv = ["classify", "--seed", "1", "--classifier", "LDA"]
+    for variant in ("BASE", "PRS"):
+        run_ok(argv + ["--manifest", data_dir, "--variant", variant], capsys)
+    monkeypatch.setattr("prs.evaluation.extract_base_matrix", no_work)
+    rc = main(argv + ["--manifest", two_per_class_dir, "--variant", "PRS"])
+    assert rc == 1
+    assert "smallest class has 2 segments" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def overlap_dir(tmp_path_factory):
+    # overlapping classes, so that the accuracy depends on the split
+    rng = np.random.default_rng(1)
+    tone = 0.3 * np.sin(2.0 * np.pi * 10.0 * np.arange(64) / 1000.0)
+    segments = [
+        SignalSegment(f"P{i}", "P", 1000.0, rng.standard_normal(64) + tone)
+        for i in range(8)
+    ] + [
+        SignalSegment(f"N{i}", "N", 1000.0, 1.15 * rng.standard_normal(64))
+        for i in range(8)
+    ]
+    root = tmp_path_factory.mktemp("cli-overlap")
+    dataset = LabeledDataset(name="overlap", segments=tuple(segments))
+    return str(write_dataset(dataset, root))
+
+
+@pytest.mark.parametrize("prep", ["per-fold", "global"])
+@pytest.mark.parametrize("variant", ["BASE", "BASE_NF", "BASE_RF", "PRS", "COMPARISON"])
+@pytest.mark.parametrize("kind", ["LR", "LDA", "QDA", "SVM_POLY"])
+def test_classify_equals_rep0_of_evaluate(overlap_dir, kind, variant, prep, capsys):
+    common = ["--manifest", overlap_dir, "--seed", "5"]
+    common += ["--global-prep"] if prep == "global" else []
+    single = json.loads(
+        run_ok(
+            ["classify", *common, "--classifier", kind, "--variant", variant],
+            capsys,
+        )
+    )
+    grid = json.loads(
+        run_ok(
+            ["evaluate", *common, "--classifiers", kind, "--variants", variant,
+             "--reps", "1"],
+            capsys,
+        )
+    )
+    assert single["accuracy"] == grid["cells"][0]["accuracies"][0]
+
+
 def test_classify_rejects_unknown_classifier(data_dir, capsys):
     rc = main(
         [
@@ -435,7 +481,7 @@ def test_evaluate_rejects_unknown_variant(data_dir, capsys):
 def test_correlate_out_directory(data_dir, tmp_path, capsys):
     out = tmp_path / "corr"
     run_ok(
-        ["correlate", "--manifest", data_dir, "--seed", "0", "--out", str(out)],
+        ["correlate", "--manifest", data_dir, "--out", str(out)],
         capsys,
     )
     report = json.loads((out / "correlation_report.json").read_text())
@@ -449,19 +495,29 @@ def test_correlate_out_directory(data_dir, tmp_path, capsys):
     assert csv_lines[1].startswith("STD,1.0,")
 
 
+@pytest.mark.parametrize("command", ["rank", "soil-dump", "grow", "correlate"])
+def test_commands_without_randomness_reject_seed(data_dir, command, capsys):
+    argv = [command, "--manifest", data_dir]
+    if command in ("soil-dump", "grow"):
+        argv += ["--sample", "P0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 # -- config files --------------------------------------------------------------------
 
 
 def test_config_file_equivalent_to_flags(data_dir, tmp_path, capsys):
     cfg = tmp_path / "grow.cfg"
-    cfg.write_text("# growth defaults\nseed = 4\ndays = 5\n")
+    cfg.write_text("# growth defaults\ndays = 5\n")
     by_config = run_ok(
         ["grow", "--manifest", data_dir, "--sample", "P0", "--config", str(cfg)],
         capsys,
     )
     by_flags = run_ok(
-        ["grow", "--manifest", data_dir, "--sample", "P0", "--seed", "4",
-         "--days", "5"],
+        ["grow", "--manifest", data_dir, "--sample", "P0", "--days", "5"],
         capsys,
     )
     assert by_config == by_flags
@@ -469,19 +525,19 @@ def test_config_file_equivalent_to_flags(data_dir, tmp_path, capsys):
 
 def test_flag_overrides_config(data_dir, tmp_path, capsys):
     cfg = tmp_path / "rank.cfg"
-    cfg.write_text("seed = 4\n")
+    cfg.write_text("manifest = /nonexistent/manifest.csv\n")
     override = run_ok(
-        ["rank", "--manifest", data_dir, "--config", str(cfg), "--seed", "9"],
+        ["rank", "--config", str(cfg), "--manifest", data_dir],
         capsys,
     )
-    plain = run_ok(["rank", "--manifest", data_dir, "--seed", "9"], capsys)
+    plain = run_ok(["rank", "--manifest", data_dir], capsys)
     assert override == plain
 
 
 def test_unknown_config_key(data_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
-    rc = main(["rank", "--manifest", data_dir, "--seed", "0", "--config", str(cfg)])
+    rc = main(["rank", "--manifest", data_dir, "--config", str(cfg)])
     captured = capsys.readouterr()
     assert rc == 2
     assert "bogus" in captured.err
@@ -490,16 +546,17 @@ def test_unknown_config_key(data_dir, tmp_path, capsys):
 def test_malformed_config_line(data_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed 4\n")
-    rc = main(["rank", "--manifest", data_dir, "--seed", "0", "--config", str(cfg)])
+    rc = main(["rank", "--manifest", data_dir, "--config", str(cfg)])
     captured = capsys.readouterr()
     assert rc == 2
     assert "key = value" in captured.err
 
 
 def test_config_can_supply_required_option(data_dir, tmp_path, capsys):
-    cfg = tmp_path / "rank.cfg"
+    cfg = tmp_path / "classify.cfg"
     cfg.write_text("seed = 11\n")
     stdout = run_ok(
-        ["rank", "--manifest", data_dir, "--config", str(cfg)], capsys
+        ["classify", "--manifest", data_dir, "--classifier", "LDA",
+         "--config", str(cfg)], capsys
     )
     assert json.loads(stdout)["config"]["seed"] == 11

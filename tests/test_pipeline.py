@@ -22,7 +22,7 @@ from prs.soil import SOIL_DEPTH, SOIL_WIDTH
 @pytest.fixture(scope="module")
 def fitted(small_synth):
     matrix = extract_base_matrix(small_synth)
-    artifacts = fit_prep(matrix.values, matrix.labels, seed=0)
+    artifacts = fit_prep(matrix.values, matrix.labels)
     return matrix, artifacts
 
 

@@ -68,7 +68,7 @@ def hull_oracle(occupancy):
 @pytest.fixture(scope="module")
 def reference():
     matrix = extract_base_matrix(generate_synthetic(40, 2000, seed=1))
-    return matrix, fit_prep(matrix.values, matrix.labels, seed=0)
+    return matrix, fit_prep(matrix.values, matrix.labels)
 
 
 def test_reference_set_matches_per_row(reference):
@@ -79,7 +79,7 @@ def test_reference_set_matches_per_row(reference):
 def test_held_out_rows_outside_fitted_bounds(reference):
     matrix, _ = reference
     train = np.arange(0, len(matrix.values), 2)
-    artifacts = fit_prep(matrix.values[train], np.array(matrix.labels)[train], seed=3)
+    artifacts = fit_prep(matrix.values[train], np.array(matrix.labels)[train])
     lo, hi = artifacts.feature_bounds[:, 0], artifacts.feature_bounds[:, 1]
     rng = np.random.default_rng(7)
     # two thirds of the draws fall outside the fitted bounds, so bins clamp
@@ -101,7 +101,7 @@ def test_constant_column_gives_degenerate_bounds(reference):
     matrix, _ = reference
     values = matrix.values.copy()
     values[:, 4] = 2.5
-    artifacts = fit_prep(values, matrix.labels, seed=0)
+    artifacts = fit_prep(values, matrix.labels)
     assert (artifacts.soil_bounds[:, 0] == artifacts.soil_bounds[:, 1]).any()
     held_out = values[:10].copy()
     held_out[:, 4] = [-1.0, 0.0, 2.5, 9.0, 1e6, -1e6, 2.5, 3.0, 2.0, 2.5]
