@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +42,15 @@ from .evaluation import (
 from .growth import DEFAULT_RADICLE, GrowthConfig, extract_prs, grow
 from .pipeline import (
     SPECTRAL_NAMES,
+    PipelineConfig,
     extract_base_matrix,
     extract_spectral_matrix,
     fit_prep,
     nutrients_for_row,
     soil_for_row,
 )
-from .soil import FILL_MODES, SOIL_DEPTH, SoilConfig, convolve_soil
-from .spectral import MEDIAN_MODES, MEDIAN_PSD
+from .soil import SOIL_DEPTH, SoilConfig, convolve_soil
+from .spectral import MEDIAN_PSD
 
 
 class _UsageError(Exception):
@@ -137,9 +139,8 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
     "correlate": ("manifest",),
 }
 
+# fill_mode and median_mode are checked by _pipeline_config
 _ENUMS: dict[str, tuple[str, ...]] = {
-    "fill_mode": FILL_MODES,
-    "median_mode": MEDIAN_MODES,
     "classifier": CLASSIFIER_KINDS,
     "variant": VARIANTS,
 }
@@ -323,14 +324,6 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _thresholds(opts) -> ThresholdConfig:
-    return ThresholdConfig(
-        zc_threshold=opts.get("zc_threshold"),
-        ssc_threshold=opts.get("ssc_threshold"),
-        wamp_threshold=opts.get("wamp_threshold"),
-    )
-
-
 def _parse_radicle(text: str | None) -> tuple[tuple[int, int], ...]:
     """Radicle cells as 'row,col' pairs separated by ';', 1-based."""
     if text is None:
@@ -352,6 +345,25 @@ def _parse_radicle(text: str | None) -> tuple[tuple[int, int], ...]:
     return tuple(cells)
 
 
+def _pipeline_config(opts) -> PipelineConfig:
+    """PipelineConfig from the command's options: an option named like a
+    field of ThresholdConfig, SoilConfig or GrowthConfig sets that field,
+    the rest keep their defaults. A bad value is a usage error; handlers
+    call this before reading any data."""
+    opts = {**opts, "radicle": _parse_radicle(opts.get("radicle"))}
+
+    def part(cls):
+        return cls(**{f.name: opts[f.name] for f in fields(cls) if f.name in opts})
+
+    try:
+        return PipelineConfig(
+            *(part(cls) for cls in (ThresholdConfig, SoilConfig, GrowthConfig)),
+            opts.get("median_mode", MEDIAN_PSD),
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 # -- handlers ---------------------------------------------------------------
 
 
@@ -365,8 +377,9 @@ def _cmd_synth(opts) -> int:
 
 
 def _cmd_extract(opts) -> int:
+    config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
-    matrix = extract_base_matrix(dataset, _thresholds(opts), opts["centered_var"])
+    matrix = extract_base_matrix(dataset, config.thresholds, opts["centered_var"])
     rows = [["id", "label", *FEATURE_NAMES]]
     for seg, values in zip(dataset.segments, matrix.values):
         rows.append([seg.id, seg.label, *[repr(float(v)) for v in values]])
@@ -403,9 +416,9 @@ def _fitted_row(opts):
 
 
 def _cmd_soil_dump(opts) -> int:
+    config = _pipeline_config(opts)
     _, _, row, artifacts = _fitted_row(opts)
-    config = SoilConfig(depth=opts["depth"], fill_mode=opts["fill_mode"])
-    soil = soil_for_row(row, artifacts, config)
+    soil = soil_for_row(row, artifacts, config.soil)
     nutrients = convolve_soil(soil)
     discrete_text = _csv_text([[str(int(v)) for v in line] for line in soil.grid])
     nutrient_text = _csv_text(
@@ -421,17 +434,10 @@ def _cmd_soil_dump(opts) -> int:
 
 
 def _cmd_grow(opts) -> int:
+    config = _pipeline_config(opts)
     _, segment, row, artifacts = _fitted_row(opts)
-    soil_config = SoilConfig(depth=opts["depth"], fill_mode=opts["fill_mode"])
-    growth_config = GrowthConfig(
-        days=opts["days"],
-        division_limit=opts["division_limit"],
-        radicle=_parse_radicle(opts["radicle"]),
-        occupy_zero=opts["occupy_zero"],
-        rows=opts["depth"],
-    )
-    nutrients = nutrients_for_row(row, artifacts, soil_config)
-    state = grow(nutrients, growth_config)
+    nutrients = nutrients_for_row(row, artifacts, config.soil)
+    state = grow(nutrients, config.growth)
     pair = extract_prs(state)
     report = {
         "id": segment.id,
@@ -445,7 +451,7 @@ def _cmd_grow(opts) -> int:
     if opts["dump_frames"]:
         frame_dir = Path(opts["dump_frames"])
         occupancy = np.zeros_like(state.occupancy)
-        for r, c in growth_config.radicle:
+        for r, c in config.growth.radicle:
             occupancy[r - 1, c - 1] = 1
         _atomic_write(
             frame_dir / "day00.csv",
@@ -464,8 +470,9 @@ def _cmd_grow(opts) -> int:
 
 
 def _cmd_spectral(opts) -> int:
+    config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
-    table = extract_spectral_matrix(dataset, opts["median_mode"])
+    table = extract_spectral_matrix(dataset, config.median_mode)
     rows = [["id", "label", *SPECTRAL_NAMES]]
     for seg, values in zip(dataset.segments, table):
         rows.append([seg.id, seg.label, repr(float(values[0])), repr(float(values[1]))])
@@ -474,14 +481,11 @@ def _cmd_spectral(opts) -> int:
 
 
 def _cmd_classify(opts) -> int:
+    config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
     variants = (opts["variant"],)
     inputs = split_inputs(
-        dataset,
-        variants,
-        (opts["rate"],),
-        opts["global_prep"],
-        median_mode=opts["median_mode"],
+        dataset, variants, (opts["rate"],), opts["global_prep"], config
     )
     train_idx, test_idx = stratified_split(
         inputs.labels, dataset.class_names, opts["rate"], rep_rng(opts["seed"], 0)
@@ -527,6 +531,7 @@ def _eval_csv_rows(report: dict) -> list[list[str]]:
 
 
 def _cmd_evaluate(opts) -> int:
+    config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
     report = run_experiment(
         dataset,
@@ -537,7 +542,7 @@ def _cmd_evaluate(opts) -> int:
         seed=opts["seed"],
         threads=opts["threads"],
         global_prep=opts["global_prep"],
-        median_mode=opts["median_mode"],
+        config=config,
     )
     report["config"] = _echo_config(opts)
     if opts["out"] is None:
@@ -550,8 +555,9 @@ def _cmd_evaluate(opts) -> int:
 
 
 def _cmd_correlate(opts) -> int:
+    config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
-    table, names = build_feature_table(dataset, median_mode=opts["median_mode"])
+    table, names = build_feature_table(dataset, config=config)
     corr, constant = correlation_matrix(table)
     n_base = len(FEATURE_NAMES)
     base_block = [

@@ -8,7 +8,9 @@ one implementation of a split: feature preparation (normalization
 bounds, gain ranking, soil bounds) is fitted on the training fold only
 unless global_prep is set, which fits it once on the whole dataset and
 is meant for protocol-replication runs. ``prs classify`` is rep 0 of
-``run_experiment`` with one classifier, variant and rate.
+``run_experiment`` with one classifier, variant and rate. One
+``pipeline.PipelineConfig`` carries the feature settings (thresholds,
+soil, growth, median mode) of a run, so a PRS ablation is a config.
 
 Reports are plain dicts ready for json.dump; an infinite ANOVA F value
 is serialized as the string "inf".
@@ -22,22 +24,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base_features import FEATURE_NAMES, ThresholdConfig
+from .base_features import FEATURE_NAMES
 from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, train
 from .dataset import LabeledDataset
 from .errors import PrsError
 from .feature_prep import MIN_SAMPLES, apply_bounds, column_bounds
-from .growth import GrowthConfig
 from .pipeline import (
     PRS_NAMES,
     SPECTRAL_NAMES,
+    PipelineConfig,
     extract_base_matrix,
     extract_spectral_matrix,
     fit_prep,
     prs_features,
 )
-from .soil import SoilConfig
-from .spectral import MEDIAN_PSD
 
 VARIANTS = ("BASE", "BASE_NF", "BASE_RF", "PRS", "COMPARISON")
 
@@ -186,19 +186,6 @@ def assemble_variant(
     return np.column_stack([base_rows] + extras)
 
 
-def _resolve_classifiers(classifiers) -> list[ClassifierSpec]:
-    specs = []
-    for entry in classifiers:
-        if isinstance(entry, ClassifierSpec):
-            specs.append(entry)
-        else:
-            specs.append(ClassifierSpec(kind=str(entry)))
-    kinds = [s.kind for s in specs]
-    if len(set(kinds)) != len(kinds):
-        raise ValueError("classifier kinds must be unique within one run")
-    return specs
-
-
 def _needs(variants, column_names) -> bool:
     return any(
         name in _VARIANT_EXTRAS.get(v, ()) for v in variants for name in column_names
@@ -230,15 +217,14 @@ class SplitInputs:
 
     spectral is all zeros when no variant has MaxPSD/MedPSD; global_prs
     holds NF/RF fitted on the whole dataset under global prep, else None
-    and NF/RF are fitted per training fold with the two configs.
+    and NF/RF are fitted per training fold with ``config``.
     """
 
     base: np.ndarray
     labels: np.ndarray
     spectral: np.ndarray
     global_prs: np.ndarray | None
-    soil_config: SoilConfig
-    growth_config: GrowthConfig
+    config: PipelineConfig
 
 
 def split_inputs(
@@ -246,10 +232,7 @@ def split_inputs(
     variants,
     rates,
     global_prep: bool = False,
-    thresholds: ThresholdConfig = ThresholdConfig(),
-    soil_config: SoilConfig = SoilConfig(),
-    growth_config: GrowthConfig = GrowthConfig(),
-    median_mode: str = MEDIAN_PSD,
+    config: PipelineConfig = PipelineConfig(),
 ) -> SplitInputs:
     """Rows for ``evaluate_split`` over ``variants``; computes only the
     columns those variants use. Raises ``PrsError`` before any feature
@@ -257,20 +240,18 @@ def split_inputs(
     needs_prs = _needs(variants, PRS_NAMES)
     if needs_prs and not global_prep:
         _check_prep_folds(dataset, rates)
-    base = extract_base_matrix(dataset, thresholds)
+    base = extract_base_matrix(dataset, config.thresholds)
     labels = np.array(base.labels)
     spectral = (
-        extract_spectral_matrix(dataset, median_mode)
+        extract_spectral_matrix(dataset, config.median_mode)
         if _needs(variants, SPECTRAL_NAMES)
         else np.zeros((len(labels), 2))
     )
     global_prs = None
     if global_prep and needs_prs:
         artifacts = fit_prep(base.values, labels)
-        global_prs = prs_features(base.values, artifacts, soil_config, growth_config)
-    return SplitInputs(
-        base.values, labels, spectral, global_prs, soil_config, growth_config
-    )
+        global_prs = prs_features(base.values, artifacts, config)
+    return SplitInputs(base.values, labels, spectral, global_prs, config)
 
 
 class SplitResult(NamedTuple):
@@ -297,10 +278,9 @@ def evaluate_split(
         prs_train = inputs.global_prs[train_idx]
         prs_test = inputs.global_prs[test_idx]
     else:
-        configs = (inputs.soil_config, inputs.growth_config)
         artifacts = fit_prep(base[train_idx], y_train)
-        prs_train = prs_features(base[train_idx], artifacts, *configs)
-        prs_test = prs_features(base[test_idx], artifacts, *configs)
+        prs_train = prs_features(base[train_idx], artifacts, inputs.config)
+        prs_test = prs_features(base[test_idx], artifacts, inputs.config)
     results = {}
     for variant in variants:
         raw_train = assemble_variant(
@@ -328,35 +308,34 @@ def run_experiment(
     seed: int = 0,
     threads: int = 1,
     global_prep: bool = False,
-    thresholds: ThresholdConfig = ThresholdConfig(),
-    soil_config: SoilConfig = SoilConfig(),
-    growth_config: GrowthConfig = GrowthConfig(),
-    median_mode: str = MEDIAN_PSD,
+    config: PipelineConfig = PipelineConfig(),
 ) -> dict:
     """Full accuracy grid; returns a JSON-ready report dict.
 
-    The report is a pure function of the run configuration. Reps run
-    serially: ``threads`` must be >= 1 and is kept as the worker count
-    of a later process-sharded run, but changes nothing today.
+    The report is a pure function of the run configuration. Classifier
+    kinds, variants and rates must each be unique. Reps run serially:
+    ``threads`` must be >= 1 and is kept as the worker count of a later
+    process-sharded run, but changes nothing today.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    specs = _resolve_classifiers(classifiers)
+    specs = [
+        c if isinstance(c, ClassifierSpec) else ClassifierSpec(kind=str(c))
+        for c in classifiers
+    ]
     variants = tuple(variants)
     rates = tuple(float(r) for r in rates)
+    for name, values in (
+        ("classifier kinds", [s.kind for s in specs]),
+        ("variants", variants),
+        ("rates", rates),
+    ):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must be unique within one run")
     class_names = dataset.class_names
-    inputs = split_inputs(
-        dataset,
-        variants,
-        rates,
-        global_prep,
-        thresholds,
-        soil_config,
-        growth_config,
-        median_mode,
-    )
+    inputs = split_inputs(dataset, variants, rates, global_prep, config)
 
     def run_rep(rep: int) -> dict:
         rng = rep_rng(seed, rep)
@@ -437,15 +416,10 @@ def run_experiment(
         "variants": list(variants),
         "baseline_variant": baseline,
         "global_prep": global_prep,
-        "median_mode": median_mode,
-        "thresholds": asdict(thresholds),
-        "soil": asdict(soil_config),
-        "growth": {
-            "days": growth_config.days,
-            "division_limit": growth_config.division_limit,
-            "radicle": [list(cell) for cell in growth_config.radicle],
-            "occupy_zero": growth_config.occupy_zero,
-        },
+        "median_mode": config.median_mode,
+        "thresholds": asdict(config.thresholds),
+        "soil": asdict(config.soil),
+        "growth": asdict(config.growth),
         "cells": cells,
         "anova": anova_rows,
         "pairwise_diffs": diff_rows,
@@ -460,21 +434,18 @@ TABLE_NAMES = tuple(FEATURE_NAMES) + PRS_NAMES + SPECTRAL_NAMES
 def build_feature_table(
     dataset: LabeledDataset,
     seed: int | None = None,
-    thresholds: ThresholdConfig = ThresholdConfig(),
-    soil_config: SoilConfig = SoilConfig(),
-    growth_config: GrowthConfig = GrowthConfig(),
-    median_mode: str = MEDIAN_PSD,
+    config: PipelineConfig = PipelineConfig(),
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """(m, 16) raw feature table over the whole dataset: the 12 base
     columns, NF, RF, MaxPSD, MedPSD.
 
     ``seed`` is accepted for existing callers and ignored: the table is
-    a deterministic function of the dataset and the configs.
+    a deterministic function of the dataset and the config.
     """
-    base = extract_base_matrix(dataset, thresholds)
+    base = extract_base_matrix(dataset, config.thresholds)
     artifacts = fit_prep(base.values, base.labels)
-    prs_rows = prs_features(base.values, artifacts, soil_config, growth_config)
-    spectral_rows = extract_spectral_matrix(dataset, median_mode)
+    prs_rows = prs_features(base.values, artifacts, config)
+    spectral_rows = extract_spectral_matrix(dataset, config.median_mode)
     table = np.column_stack([base.values, prs_rows, spectral_rows])
     return table, TABLE_NAMES
 

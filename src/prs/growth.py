@@ -9,7 +9,10 @@ v = 0). The run yields NF (total absorption) and RF (area of the convex
 polygon spanned by the occupied cell centers).
 
 Cell coordinates in configs and logs are 1-based (row, col) with row 1
-at the surface; the occupancy array uses normal 0-based indexing.
+at the surface; the occupancy array uses normal 0-based indexing. The
+grid shape comes from the nutrient grids, not from ``GrowthConfig``:
+``grow`` and ``grow_batch`` reject a radicle cell outside the grids they
+are given, and ``pipeline.PipelineConfig`` checks it against the soil.
 
 ``grow_batch`` and ``hull_areas`` are the production path: they grow a
 whole stack of grids at once, one vectorized step per day, and take RF
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .soil import SOIL_DEPTH, SOIL_WIDTH, NutrientMatrix
+from .soil import NutrientMatrix
 
 # Upper-center seed cell: surface row, center column of a 12-wide grid.
 DEFAULT_RADICLE = ((1, 6),)
@@ -35,14 +38,12 @@ _NEIGHBOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 @dataclass(frozen=True)
 class GrowthConfig:
     """Growth parameters: days until the first leaf, daily division limit,
-    and the radicle seed cells (1-based)."""
+    and the radicle seed cells (1-based). The grid shape is not set here."""
 
     days: int = 10
     division_limit: int = 2
     radicle: tuple[tuple[int, int], ...] = DEFAULT_RADICLE
     occupy_zero: bool = True  # zero-nutrient cells may still be occupied
-    rows: int = SOIL_DEPTH
-    cols: int = SOIL_WIDTH
 
     def __post_init__(self):
         if self.days < 0:
@@ -52,13 +53,16 @@ class GrowthConfig:
         radicle = tuple((int(r), int(c)) for r, c in self.radicle)
         if not radicle:
             raise ValueError("radicle must contain at least one cell")
-        for r, c in radicle:
-            if not (1 <= r <= self.rows and 1 <= c <= self.cols):
-                raise ValueError(
-                    f"radicle cell ({r}, {c}) outside the "
-                    f"{self.rows}x{self.cols} grid"
-                )
         object.__setattr__(self, "radicle", radicle)
+
+
+def check_radicle(radicle, shape) -> None:
+    """Raise ValueError unless every 1-based radicle cell lies inside a
+    grid of ``shape`` (rows, cols); a cell at row 0 would wrap to -1."""
+    rows, cols = shape
+    for r, c in radicle:
+        if not (1 <= r <= rows and 1 <= c <= cols):
+            raise ValueError(f"radicle cell ({r}, {c}) outside the {rows}x{cols} grid")
 
 
 @dataclass
@@ -96,12 +100,9 @@ def grow(nutrients: NutrientMatrix, config: GrowthConfig = GrowthConfig()) -> Ro
     Stops early when no division candidates remain.
     """
     grid = nutrients.grid
-    if grid.shape != (config.rows, config.cols):
-        raise ValueError(
-            f"nutrient grid is {grid.shape}, config expects "
-            f"{(config.rows, config.cols)}"
-        )
-    occupancy = np.zeros((config.rows, config.cols), dtype=np.int64)
+    rows, cols = grid.shape
+    check_radicle(config.radicle, grid.shape)
+    occupancy = np.zeros(grid.shape, dtype=np.int64)
     occupied = []
     for r, c in config.radicle:
         if not occupancy[r - 1, c - 1]:
@@ -115,7 +116,7 @@ def grow(nutrients: NutrientMatrix, config: GrowthConfig = GrowthConfig()) -> Ro
         for i, j in occupied:
             for di, dj in _NEIGHBOR_STEPS:
                 ni, nj = i + di, j + dj
-                if not (0 <= ni < config.rows and 0 <= nj < config.cols):
+                if not (0 <= ni < rows and 0 <= nj < cols):
                     continue
                 if occupancy[ni, nj] or (ni, nj) in candidates:
                     continue
@@ -152,11 +153,9 @@ def grow_batch(
     order as in ``grow``.
     """
     grids = np.asarray(grids, dtype=np.float64)
-    if grids.ndim != 3 or grids.shape[1:] != (config.rows, config.cols):
-        raise ValueError(
-            f"nutrient grids are {grids.shape}, config expects "
-            f"(m, {config.rows}, {config.cols})"
-        )
+    if grids.ndim != 3:
+        raise ValueError(f"nutrient grids are {grids.shape}, expected (m, rows, cols)")
+    check_radicle(config.radicle, grids.shape[1:])
     m = grids.shape[0]
     occupied = np.zeros(grids.shape, dtype=bool)
     for r, c in config.radicle:

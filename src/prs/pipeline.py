@@ -11,6 +11,11 @@ rows and captured in PrepArtifacts; any row, training or held-out, can
 then be pushed through the same frozen transform. Held-out rows may
 land outside the fitted bounds, which the soil binning clamps.
 
+``PipelineConfig`` holds the settings of the feature pipeline: the
+base-feature thresholds, soil depth and fill, growth, and the MedPSD
+mode. The growth grid is the soil grid (``soil.depth`` rows by one
+column per base feature), so the config rejects a radicle outside it.
+
 ``prs_features`` is the production path: it bins, convolves, grows and
 takes hull areas array-at-a-time over blocks of rows. The per-row chain
 (``soil_for_row`` -> ``nutrients_for_row`` -> ``prs_pair_for_row``) is
@@ -43,6 +48,7 @@ from .feature_prep import (
 from .growth import (
     GrowthConfig,
     PRSFeaturePair,
+    check_radicle,
     extract_prs,
     grow,
     grow_batch,
@@ -57,9 +63,10 @@ from .soil import (
     convolve_soil,
     soil_grids,
 )
+from .spectral import MEDIAN_MODES, MEDIAN_PSD, spectral_rows
 # compute_spectral is not called here; it stays a module attribute because
 # perfbench/tracer.py wraps prs.pipeline.compute_spectral by name.
-from .spectral import MEDIAN_PSD, compute_spectral, spectral_rows  # noqa: F401
+from .spectral import compute_spectral  # noqa: F401
 
 PRS_NAMES = ("NF", "RF")
 SPECTRAL_NAMES = ("MaxPSD", "MedPSD")
@@ -73,6 +80,23 @@ _PRS_BLOCK = 64
 # (16 rows of 512). Blocks four times larger ran no faster per row and
 # raised the peak resident memory of a 2000 x 512 table by ~5%.
 _SEGMENT_BLOCK_SAMPLES = 8192
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """The settings of the feature pipeline, one frozen value per run."""
+
+    thresholds: ThresholdConfig = ThresholdConfig()
+    soil: SoilConfig = SoilConfig()
+    growth: GrowthConfig = GrowthConfig()
+    median_mode: str = MEDIAN_PSD
+
+    def __post_init__(self):
+        if self.median_mode not in MEDIAN_MODES:
+            raise ValueError(
+                f"median_mode must be one of {MEDIAN_MODES}, got {self.median_mode!r}"
+            )
+        check_radicle(self.growth.radicle, (self.soil.depth, N_BASE_FEATURES))
 
 
 @dataclass(frozen=True)
@@ -151,19 +175,17 @@ def nutrients_for_row(
 def prs_pair_for_row(
     base_row: np.ndarray,
     artifacts: PrepArtifacts,
-    soil_config: SoilConfig = SoilConfig(),
-    growth_config: GrowthConfig = GrowthConfig(),
+    config: PipelineConfig = PipelineConfig(),
 ) -> PRSFeaturePair:
     """NF and RF for one raw base-feature row."""
-    nutrients = nutrients_for_row(base_row, artifacts, soil_config)
-    return extract_prs(grow(nutrients, growth_config))
+    nutrients = nutrients_for_row(base_row, artifacts, config.soil)
+    return extract_prs(grow(nutrients, config.growth))
 
 
 def prs_features(
     base_values: np.ndarray,
     artifacts: PrepArtifacts,
-    soil_config: SoilConfig = SoilConfig(),
-    growth_config: GrowthConfig = GrowthConfig(),
+    config: PipelineConfig = PipelineConfig(),
 ) -> np.ndarray:
     """(m, 2) array of [NF, RF] rows for a raw (m, n_features) base matrix.
 
@@ -178,8 +200,8 @@ def prs_features(
     out = np.empty((values.shape[0], 2))
     for start in range(0, values.shape[0], _PRS_BLOCK):
         block = transform_rows(values[start : start + _PRS_BLOCK], artifacts)
-        soil = soil_grids(block, artifacts.soil_bounds, soil_config)
-        absorbed, occupancy = grow_batch(convolve_grid(soil), growth_config)
+        soil = soil_grids(block, artifacts.soil_bounds, config.soil)
+        absorbed, occupancy = grow_batch(convolve_grid(soil), config.growth)
         out[start : start + len(block), 0] = absorbed
         out[start : start + len(block), 1] = hull_areas(occupancy)
     return out

@@ -249,6 +249,32 @@ def test_grow_bad_radicle_is_usage_error(data_dir, capsys):
     assert "radicle" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("grow", "--days", "-1"),
+        ("grow", "--depth", "0"),
+        ("grow", "--radicle", "20,1"),
+        ("grow", "--fill-mode", "bogus"),
+        ("extract", "--zc-threshold", "-1"),
+        ("evaluate", "--median-mode", "bogus"),
+    ],
+)
+def test_bad_pipeline_option_is_usage_error_before_loading(
+    data_dir, command, option, value, monkeypatch, capsys
+):
+    def no_load(*args, **kwargs):
+        raise AssertionError("read the data before checking the options")
+
+    monkeypatch.setattr("prs.cli.load_dataset", no_load)
+    argv = [command, "--manifest", data_dir, option, value]
+    argv += {"grow": ["--sample", "P0"], "evaluate": ["--seed", "0"]}.get(command, [])
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert option[2:].replace("-", "_") in captured.err
+
+
 # -- classify -----------------------------------------------------------------------
 
 
@@ -310,7 +336,7 @@ def test_classify_rejects_too_small_folds_up_front(
     def no_work(*args, **kwargs):
         raise AssertionError("ran before the fold-size check")
 
-    monkeypatch.setattr("prs.cli.extract_base_matrix", no_work)
+    monkeypatch.setattr("prs.evaluation.extract_base_matrix", no_work)
     argv = ["classify", "--manifest", two_per_class_dir, "--seed", "1"]
     argv += ["--classifier", "LDA"]
     rc = main(argv + ["--variant", "PRS"])
@@ -329,7 +355,7 @@ def test_classify_without_spectral_columns_skips_spectral(
     def no_spectral(*args, **kwargs):
         raise AssertionError("computed MaxPSD/MedPSD for a variant without them")
 
-    monkeypatch.setattr("prs.cli.extract_spectral_matrix", no_spectral)
+    monkeypatch.setattr("prs.evaluation.extract_spectral_matrix", no_spectral)
     argv = ["classify", "--manifest", data_dir, "--seed", "1", "--classifier", "LDA"]
     report = json.loads(run_ok(argv + ["--variant", variant], capsys))
     assert report["variant"] == variant
@@ -458,7 +484,6 @@ def test_evaluate_rejects_single_segment_class_before_feature_work(
     def no_feature_work(*args, **kwargs):
         raise AssertionError("feature extraction ran")
 
-    monkeypatch.setattr("prs.cli.extract_base_matrix", no_feature_work)
     monkeypatch.setattr("prs.evaluation.extract_base_matrix", no_feature_work)
     rc = main(["evaluate", "--manifest", str(manifest), "--seed", "0", "--reps", "2"])
     captured = capsys.readouterr()

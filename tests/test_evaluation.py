@@ -308,6 +308,10 @@ def test_run_experiment_validation(small_synth):
         run_experiment(small_synth, reps=1, threads=0)
     with pytest.raises(ValueError, match="unique"):
         run_experiment(small_synth, classifiers=("LR", "LR"), reps=1)
+    with pytest.raises(ValueError, match="variants must be unique"):
+        run_experiment(small_synth, variants=("BASE", "BASE"), reps=1)
+    with pytest.raises(ValueError, match="rates must be unique"):
+        run_experiment(small_synth, rates=(0.6, 0.5, 0.6), reps=1)
 
 
 def test_lda_base_accuracy_on_separable_synthetic():

@@ -13,6 +13,7 @@ from prs.growth import (
     convex_hull,
     extract_prs,
     grow,
+    grow_batch,
     polygon_area,
 )
 from prs.soil import SOIL_DEPTH, SOIL_WIDTH, NutrientMatrix
@@ -130,7 +131,7 @@ def test_daily_limit_and_duplicate_candidates():
 
 def test_growth_stops_when_grid_is_full():
     grid = np.ones((2, 2))
-    config = GrowthConfig(days=50, division_limit=4, rows=2, cols=2, radicle=((1, 1),))
+    config = GrowthConfig(days=50, division_limit=4, radicle=((1, 1),))
     state = grow(nutrients_from(grid), config)
     assert int(state.occupancy.sum()) == 4
     assert len(state.day_log) < 50
@@ -173,10 +174,13 @@ def test_config_validation():
         GrowthConfig(division_limit=0)
     with pytest.raises(ValueError, match="radicle"):
         GrowthConfig(radicle=())
-    with pytest.raises(ValueError, match="outside"):
-        GrowthConfig(radicle=((0, 6),))
-    with pytest.raises(ValueError, match="outside"):
-        GrowthConfig(radicle=((1, 13),))
+    # the grid shape comes from the grids, so grow checks the radicle
+    for cell in ((0, 6), (1, 13)):
+        config = GrowthConfig(radicle=(cell,))
+        with pytest.raises(ValueError, match="outside"):
+            grow(zero_nutrients(), config)
+        with pytest.raises(ValueError, match="outside"):
+            grow_batch(np.zeros((1, SOIL_DEPTH, SOIL_WIDTH)), config)
 
 
 def test_grid_shape_mismatch():

@@ -24,6 +24,7 @@ from prs.growth import (
 )
 from prs.pipeline import (
     _PRS_BLOCK,
+    PipelineConfig,
     extract_base_matrix,
     fit_prep,
     prs_features,
@@ -32,21 +33,17 @@ from prs.pipeline import (
 from prs.soil import SOIL_DEPTH, SOIL_WIDTH, NutrientMatrix, SoilConfig
 
 
-def per_row(
-    values, artifacts, soil_config=SoilConfig(), growth_config=GrowthConfig()
-):
+def per_row(values, artifacts, config=PipelineConfig()):
     out = np.empty((len(values), 2))
     for idx, row in enumerate(values):
-        pair = prs_pair_for_row(row, artifacts, soil_config, growth_config)
+        pair = prs_pair_for_row(row, artifacts, config)
         out[idx] = (pair.nf, pair.rf)
     return out
 
 
-def assert_batch_matches_rows(
-    values, artifacts, soil_config=SoilConfig(), growth_config=GrowthConfig()
-):
-    got = prs_features(values, artifacts, soil_config, growth_config)
-    want = per_row(values, artifacts, soil_config, growth_config)
+def assert_batch_matches_rows(values, artifacts, config=PipelineConfig()):
+    got = prs_features(values, artifacts, config)
+    want = per_row(values, artifacts, config)
     assert got.shape == (len(values), 2)
     assert np.array_equal(got, want)
 
@@ -118,15 +115,25 @@ def test_fill_mode_and_depth(reference, depth, fill_mode):
     assert_batch_matches_rows(
         matrix.values,
         artifacts,
-        SoilConfig(depth=depth, fill_mode=fill_mode),
-        GrowthConfig(rows=depth, radicle=radicle, division_limit=3),
+        PipelineConfig(
+            soil=SoilConfig(depth=depth, fill_mode=fill_mode),
+            growth=GrowthConfig(radicle=radicle, division_limit=3),
+        ),
     )
 
 
-def test_depth_mismatch_is_rejected(reference):
+def test_shallow_soil_with_default_growth(reference):
+    # the growth grid takes its depth from the soil, so no growth setting
+    # has to repeat it
     matrix, artifacts = reference
-    with pytest.raises(ValueError, match="config expects"):
-        prs_features(matrix.values, artifacts, SoilConfig(depth=9), GrowthConfig())
+    config = PipelineConfig(soil=SoilConfig(depth=9))
+    assert_batch_matches_rows(matrix.values, artifacts, config)
+
+
+@pytest.mark.parametrize("cell", [(10, 1), (1, 13)])
+def test_config_rejects_radicle_outside_the_soil(cell):
+    with pytest.raises(ValueError, match="outside"):
+        PipelineConfig(soil=SoilConfig(depth=9), growth=GrowthConfig(radicle=(cell,)))
 
 
 def test_criterion_04_grids():
