@@ -4,9 +4,12 @@ LR        L2-penalised logistic regression (intercept unpenalised),
           fitted by damped Newton steps (IRLS).
 LDA       Gaussian discriminant with a pooled covariance matrix.
 QDA       Gaussian discriminant with per-class covariance matrices.
-SVM_POLY  soft-margin SVM with a polynomial kernel, trained by pairwise
-          dual coordinate ascent (SMO) with deterministic pair choice;
-          each partner search screens all candidates in one array pass.
+SVM_POLY  soft-margin SVM with a polynomial kernel, trained by SMO with
+          second-order working-set selection (WSS2, Fan, Chen & Lin
+          2005, as in LIBSVM): each step updates the maximal violator i
+          and the partner j that most decreases the dual's quadratic
+          model, and the fit stops once the maximal violating pair is
+          closer than _SVM_STOP = 1e-9.
 
 Labels are arbitrary strings; the two classes are ordered lexically and
 score ties resolve to the second class. Trained models report fit
@@ -16,7 +19,9 @@ residual).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -25,6 +30,8 @@ from .errors import DegenerateDataError
 CLASSIFIER_KINDS = ("LR", "LDA", "QDA", "SVM_POLY")
 
 _ALPHA_EPS = 1e-12  # below this a dual coefficient counts as zero
+_SVM_STOP = 1e-9  # SVM stops once the maximal violating pair is this close
+_SVM_TAU = 1e-12  # floor on a pair's curvature (zero for equal kernel rows)
 
 
 @dataclass(frozen=True)
@@ -37,7 +44,9 @@ class ClassifierSpec:
     minimum finite on separable folds. ridge pads the (pooled or
     per-class) covariance diagonal for LDA/QDA, with None meaning
     1e-6 * trace/n_features; degree/coef0/penalty shape the SVM kernel
-    (x.z + coef0)^degree and its box constraint.
+    (x.z + coef0)^degree and its box constraint. The SVM takes at most
+    max_sweeps * m pair updates on m training rows and reports
+    n_sweeps = ceil(n_updates / m).
     """
 
     kind: str
@@ -59,12 +68,16 @@ class ClassifierSpec:
             raise ValueError("l2 must be positive")
         if self.max_iter < 1 or self.max_sweeps < 1:
             raise ValueError("iteration limits must be >= 1")
-        if self.ridge is not None and self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if self.ridge is not None and not 0 <= self.ridge < math.inf:
+            raise ValueError("ridge must be None or finite and >= 0")
+        if isinstance(self.degree, bool) or not isinstance(self.degree, Integral):
+            raise ValueError("degree must be an integer")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if self.penalty <= 0:
-            raise ValueError("penalty must be positive")
+        if not 0 < self.penalty < math.inf:
+            raise ValueError("penalty must be finite and positive")
+        if not (math.isfinite(self.coef0) and math.isfinite(self.tol)):
+            raise ValueError("coef0 and tol must be finite")
 
 
 @dataclass
@@ -280,50 +293,50 @@ def _kkt_violation(alpha, margins, penalty):
 
 
 def _train_svm(spec, X, signed):
+    """Solve the dual by SMO with second-order working-set selection
+    (WSS2 of Fan, Chen & Lin 2005, as in LIBSVM).
+
+    yg = y * G is the dual gradient G = Q alpha - 1 times the labels,
+    i.e. the bias-free errors K (alpha * y) - y; each pair update moves
+    it by two kernel rows. The fit stops once the maximal violating pair
+    is closer than _SVM_STOP, or after max_sweeps * m pair updates.
+    """
     m = X.shape[0]
     K = _poly_kernel(X, X, spec.degree, spec.coef0)
-    alpha = np.zeros(m)
-    b = 0.0
-    C = spec.penalty
-    n_updates = 0
-    sweeps = 0
-
-    # eta[i, j] = K[i, i] + K[j, j] - 2 K[i, j], the pair's curvature. A
-    # pair with eta <= 1e-15 is never updated; its eta becomes 1.0 so the
-    # partner screen never divides by zero.
     diag_k = np.diag(K)
-    eta = diag_k[:, None] + diag_k[None, :] - 2.0 * K
-    curved = eta > 1e-15
-    eta = np.where(curved, eta, 1.0)
-
-    def errors():
-        return (alpha * signed) @ K + b - signed
-
-    E = errors()  # alpha and b move only on an accepted step
-    for sweeps in range(1, spec.max_sweeps + 1):
-        changed = False
-        for i in range(m):
-            margin = signed[i] * (E[i] + signed[i])
-            violates = (
-                (alpha[i] < C - _ALPHA_EPS and margin < 1.0 - 1e-10)
-                or (alpha[i] > _ALPHA_EPS and margin > 1.0 + 1e-10)
-            )
-            if not violates:
-                continue
-            # second choice: the usable j with the largest |E_i - E_j|,
-            # ties to the lowest index (the first maximum)
-            usable = _smo_partners(i, alpha, signed, eta[i], curved[i], E, C)
-            j = int(np.argmax(np.where(usable, np.abs(E - E[i]), -1.0)))
-            if not usable[j]:
-                continue
-            alpha[i], alpha[j], db = _smo_step(i, j, alpha, signed, K, E, C)
-            b += db
-            E = errors()
-            changed = True
-            n_updates += 1
-        if not changed:
+    C = spec.penalty
+    alpha = np.zeros(m)
+    yg = -signed
+    # I_up: alpha may move along +y; I_low: alpha may move along -y
+    up = signed > 0
+    low = ~up
+    n_updates = 0
+    while True:
+        # i maximises -y G over I_up; the gap closes against min over I_low
+        score = -yg
+        up_score = np.where(up, score, -np.inf)
+        i = int(np.argmax(up_score))
+        g_max = float(up_score[i])
+        g_min = float(np.min(np.where(low, score, np.inf)))
+        if g_max - g_min < _SVM_STOP or n_updates == spec.max_sweeps * m:
             break
+        # j maximises b^2 / a over the I_low points that violate with i
+        b = g_max - score
+        a = np.maximum(diag_k[i] + diag_k - 2.0 * K[i], _SVM_TAU)
+        j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -1.0)))
+        old_i, old_j = float(alpha[i]), float(alpha[j])
+        alpha[i], alpha[j] = _pair_update(
+            old_i, old_j, float(signed[i] * yg[i]), float(signed[j] * yg[j]),
+            signed[i] != signed[j], float(a[j]), C,
+        )
+        yg += (signed[i] * (alpha[i] - old_i)) * K[i]
+        yg += (signed[j] * (alpha[j] - old_j)) * K[j]
+        for t in (i, j):
+            up[t] = alpha[t] < C if signed[t] > 0 else alpha[t] > 0.0
+            low[t] = alpha[t] > 0.0 if signed[t] > 0 else alpha[t] < C
+        n_updates += 1
 
+    b = 0.5 * (g_max + g_min)
     margins = signed * ((alpha * signed) @ K + b)
     violations = _kkt_violation(alpha, margins, C)
     support = alpha > _ALPHA_EPS
@@ -340,62 +353,46 @@ def _train_svm(spec, X, signed):
         "dual_objective": dual,
         "kkt_residual": float(np.max(violations)),
         "n_support": int(np.sum(support)),
-        "n_sweeps": sweeps,
+        "n_sweeps": -(-n_updates // m),
         "n_updates": n_updates,
     }
     return params, diag
 
 
-def _smo_partners(i, alpha, signed, eta_i, curved_i, E, C):
-    """Mask of the j that _smo_step(i, j, ...) would not reject.
-
-    Repeats its three rejection tests (box width, eta, step size) over
-    every j at once, with the same float operations in the same order,
-    so the mask agrees with the scalar step exactly. eta_i is row i of
-    the pair curvatures, with 1.0 wherever curved_i (eta > 1e-15) fails.
-    """
-    a_i = alpha[i]
-    differ = signed != signed[i]
-    both = a_i + alpha
-    lo = np.maximum(0.0, np.where(differ, alpha - a_i, both - C))
-    hi = np.minimum(C, np.where(differ, C + alpha - a_i, both))
-    usable = (hi - lo >= _ALPHA_EPS) & curved_i
-    usable[i] = False
-    aj = np.minimum(np.maximum(alpha + signed * (E[i] - E) / eta_i, lo), hi)
-    usable &= np.abs(aj - alpha) >= 1e-12
-    return usable
-
-
-def _smo_step(i, j, alpha, signed, K, E, C):
-    """One analytic pair update; returns (a_i, a_j, delta_b) or None."""
-    if signed[i] != signed[j]:
-        lo = max(0.0, alpha[j] - alpha[i])
-        hi = min(C, C + alpha[j] - alpha[i])
+def _pair_update(ai, aj, gi, gj, differ, a, C):
+    """LIBSVM's analytic update of (alpha_i, alpha_j) along the equality
+    constraint, given their gradients gi, gj and curvature a. A variable
+    pushed out of [0, C] is set to that bound exactly, and its partner
+    takes the rest of the conserved sum or difference."""
+    if differ:
+        delta = (-gi - gj) / a
+        diff = ai - aj
+        ai, aj = ai + delta, aj + delta
+        if diff > 0.0:
+            if aj < 0.0:
+                ai, aj = diff, 0.0
+            if ai > C:
+                ai, aj = C, C - diff
+        else:
+            if ai < 0.0:
+                ai, aj = 0.0, -diff
+            if aj > C:
+                ai, aj = C + diff, C
     else:
-        lo = max(0.0, alpha[i] + alpha[j] - C)
-        hi = min(C, alpha[i] + alpha[j])
-    if hi - lo < _ALPHA_EPS:
-        return None
-    eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-    if eta <= 1e-15:
-        return None
-    aj = alpha[j] + signed[j] * (E[i] - E[j]) / eta
-    aj = min(max(aj, lo), hi)
-    if abs(aj - alpha[j]) < 1e-12:
-        return None
-    ai = alpha[i] + signed[i] * signed[j] * (alpha[j] - aj)
-    # bias shift chosen so a box-interior point lands exactly on its margin
-    bi = -(E[i] + signed[i] * (ai - alpha[i]) * K[i, i]
-           + signed[j] * (aj - alpha[j]) * K[i, j])
-    bj = -(E[j] + signed[i] * (ai - alpha[i]) * K[i, j]
-           + signed[j] * (aj - alpha[j]) * K[j, j])
-    if _ALPHA_EPS < ai < C - _ALPHA_EPS:
-        db = bi
-    elif _ALPHA_EPS < aj < C - _ALPHA_EPS:
-        db = bj
-    else:
-        db = 0.5 * (bi + bj)
-    return ai, aj, db
+        delta = (gi - gj) / a
+        total = ai + aj
+        ai, aj = ai - delta, aj + delta
+        if total > C:
+            if ai > C:
+                ai, aj = C, total - C
+            if aj > C:
+                ai, aj = total - C, C
+        else:
+            if aj < 0.0:
+                ai, aj = total, 0.0
+            if ai < 0.0:
+                ai, aj = 0.0, total
+    return ai, aj
 
 
 def accuracy(model: TrainedModel, X, y) -> float:

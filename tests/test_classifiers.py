@@ -1,6 +1,7 @@
 """The four classifiers: exact small cases, invariances, diagnostics."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,26 @@ def test_spec_validation():
         ClassifierSpec(kind="LDA", ridge=-1.0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("penalty", float("nan")),
+        ("penalty", float("inf")),
+        ("ridge", float("nan")),
+        ("ridge", float("inf")),
+        ("coef0", float("nan")),
+        ("coef0", float("-inf")),
+        ("tol", float("nan")),
+        ("degree", 2.5),
+        ("degree", 2.0),
+        ("degree", True),
+    ],
+)
+def test_spec_rejects_nonfinite_and_non_integer_hyperparameters(name, value):
+    with pytest.raises(ValueError, match=name):
+        ClassifierSpec(kind="SVM_POLY", **{name: value})
+
+
 # -- logistic regression ------------------------------------------------------
 
 
@@ -224,13 +245,21 @@ def svm_dual_from_params(model):
 
 def test_svm_diagnostics_consistent_with_stored_model():
     X, y = separated_gaussians(m=40, gap=4.0, seed=11)
-    model = train(ClassifierSpec(kind="SVM_POLY", degree=2), X, y)
+    spec = ClassifierSpec(kind="SVM_POLY", degree=2)
+    model = train(spec, X, y)
     diag = model.diagnostics
     assert diag["kkt_residual"] <= 1e-6
     assert 1 <= diag["n_support"] <= len(y)
     assert diag["dual_objective"] == pytest.approx(
         svm_dual_from_params(model), abs=1e-9
     )
+    # the keys and sweep count the benchmark tracer reads
+    assert set(diag) == {
+        "dual_objective", "kkt_residual", "n_support", "n_sweeps", "n_updates"
+    }
+    assert diag["n_updates"] >= 1
+    assert diag["n_sweeps"] == math.ceil(diag["n_updates"] / len(y))
+    assert diag["n_sweeps"] <= spec.max_sweeps
 
 
 def test_svm_xor_support_geometry():
@@ -251,3 +280,13 @@ def test_svm_alpha_stays_in_box():
     spec = ClassifierSpec(kind="SVM_POLY", degree=3, penalty=1.0)
     model = train(spec, X, y)
     assert np.all(np.abs(model.params["dual_coef"]) <= spec.penalty + 1e-12)
+
+
+def test_svm_rows_equal_across_classes_reach_the_box_corner():
+    # every pair has zero curvature; the optimum puts all alpha at C
+    X = np.ones((6, 2))
+    model = train(
+        ClassifierSpec(kind="SVM_POLY", degree=2, penalty=1.0), X, ["A", "B"] * 3
+    )
+    assert model.diagnostics["dual_objective"] == 6.0
+    assert model.diagnostics["kkt_residual"] <= 1e-8

@@ -1,10 +1,11 @@
 """SVM_POLY training against a frozen scalar SMO reference.
 
-The reference below is the original per-candidate SMO loop: it
-recomputes the error vector before every i and tries partners j one
-at a time through the scalar pair update. The library screens partners
-in one array pass and caches the error vector between accepted steps;
-both must leave every fitted number bit-identical.
+The reference below is the original per-candidate SMO loop (Platt's
+first-choice heuristic): it recomputes the error vector before every i
+and tries partners j one at a time through the scalar pair update. The
+library solves the same dual by second-order working-set selection, so
+its floats differ; it must reach the reference's dual objective (to
+1e-10 relative) with a KKT residual of at most 1e-8.
 """
 
 import numpy as np
@@ -124,7 +125,7 @@ def xor(noise, seed):
 
 def duplicated(seed, cross_class):
     """Rows repeated within a class, and optionally across classes; each
-    repeated pair has eta = 0 and must be skipped as a partner."""
+    repeated pair has zero curvature eta = K_ii + K_jj - 2 K_ij."""
     X, y = overlapping(16, 2, 1.0, seed)
     X = np.vstack([X, X[:4], X[10:12]])
     y = y + y[:4] + (["A", "A"] if cross_class else y[10:12])
@@ -156,20 +157,27 @@ PROBLEMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_svm_bit_identical_to_scalar_reference(name):
+@pytest.mark.parametrize("name", sorted(set(PROBLEMS) - {"sweep-cap"}))
+def test_svm_reaches_reference_optimum(name):
     (X, y), options = PROBLEMS[name]
     X = np.asarray(X, dtype=np.float64)
     spec = ClassifierSpec(kind="SVM_POLY", **options)
     model = train(spec, X, y)
     signed = np.where(np.array(y) == model.classes[1], 1.0, -1.0)
-    params, diag = reference_train_svm(spec, X, signed)
-    assert model.diagnostics == diag
-    assert model.params.keys() == params.keys()
-    for key, want in params.items():
-        got, want = np.asarray(model.params[key]), np.asarray(want)
-        assert got.shape == want.shape and got.dtype == want.dtype, key
-        assert got.tobytes() == want.tobytes(), key
+    _, diag = reference_train_svm(spec, X, signed)
+    ref = diag["dual_objective"]
+    got = model.diagnostics
+    assert got["dual_objective"] >= ref - 1e-10 * max(1.0, abs(ref))
+    assert got["kkt_residual"] <= 1e-8
+
+
+def test_svm_sweep_cap_bounds_updates():
+    (X, y), options = PROBLEMS["sweep-cap"]
+    assert options["max_sweeps"] == 3
+    model = train(ClassifierSpec(kind="SVM_POLY", **options), X, y)
+    diag = model.diagnostics
+    assert diag["n_updates"] <= 3 * len(y)
+    assert diag["n_sweeps"] == 3
 
 
 def test_duplicate_rows_give_zero_eta():
