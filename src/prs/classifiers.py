@@ -9,7 +9,11 @@ SVM_POLY  soft-margin SVM with a polynomial kernel, trained by SMO with
           2005, as in LIBSVM): each step updates the maximal violator i
           and the partner j that most decreases the dual's quadratic
           model, and the fit stops once the maximal violating pair is
-          closer than _SVM_STOP = 1e-9.
+          closer than _SVM_STOP = 1e-9. The loop keeps the index sets
+          I_up/I_low as additive offsets (0 or an infinity) on the signed
+          gradient, so i, j and the gap come from argmin/argmax over
+          whole arrays, and scores every partner in one in-place pass;
+          alpha stays a Python list until the fit ends.
 
 Labels are arbitrary strings; the two classes are ordered lexically and
 score ties resolve to the second class. Trained models report fit
@@ -66,14 +70,14 @@ class ClassifierSpec:
             )
         if not self.l2 > 0:
             raise ValueError("l2 must be positive")
-        if self.max_iter < 1 or self.max_sweeps < 1:
-            raise ValueError("iteration limits must be >= 1")
+        for name in ("max_iter", "degree", "max_sweeps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.ridge is not None and not 0 <= self.ridge < math.inf:
             raise ValueError("ridge must be None or finite and >= 0")
-        if isinstance(self.degree, bool) or not isinstance(self.degree, Integral):
-            raise ValueError("degree must be an integer")
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
         if not 0 < self.penalty < math.inf:
             raise ValueError("penalty must be finite and positive")
         if not (math.isfinite(self.coef0) and math.isfinite(self.tol)):
@@ -196,7 +200,7 @@ def _train_logistic(spec, X, signed):
         sig = 0.5 * (1.0 + np.tanh(-0.5 * margins))  # sigmoid(-margins), stable
         grad = -(Xb.T @ (signed * sig)) / m + penalty * w
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= spec.tol or n_iter == spec.max_iter:
+        if grad_norm <= spec.tol or n_iter >= spec.max_iter:
             break
         hess = (Xb.T * (sig * (1.0 - sig))) @ Xb / m + np.diag(penalty)
         try:
@@ -305,37 +309,55 @@ def _train_svm(spec, X, signed):
     K = _poly_kernel(X, X, spec.degree, spec.coef0)
     diag_k = np.diag(K)
     C = spec.penalty
-    alpha = np.zeros(m)
+    ys = signed.tolist()
+    alpha = [0.0] * m
     yg = -signed
-    # I_up: alpha may move along +y; I_low: alpha may move along -y
-    up = signed > 0
-    low = ~up
+    # I_up (alpha may move along +y) and I_low (along -y) as offsets that
+    # yg - offset sends to +inf outside I_up and to -inf outside I_low;
+    # subtracting 0.0 keeps the sign of a zero, so yg[i] passes unchanged
+    up_off = np.where(signed > 0, 0.0, -np.inf)
+    low_off = np.where(signed > 0, np.inf, 0.0)
+    cap = spec.max_sweeps * m
     n_updates = 0
     while True:
         # i maximises -y G over I_up; the gap closes against min over I_low
-        score = -yg
-        up_score = np.where(up, score, -np.inf)
-        i = int(np.argmax(up_score))
-        g_max = float(up_score[i])
-        g_min = float(np.min(np.where(low, score, np.inf)))
-        if g_max - g_min < _SVM_STOP or n_updates == spec.max_sweeps * m:
+        up_yg = yg - up_off
+        i = int(up_yg.argmin())
+        g_max = -float(up_yg[i])
+        low_yg = yg - low_off
+        g_min = -float(low_yg[low_yg.argmax()])
+        if g_max - g_min < _SVM_STOP or n_updates >= cap:
             break
         # j maximises b^2 / a over the I_low points that violate with i
-        b = g_max - score
-        a = np.maximum(diag_k[i] + diag_k - 2.0 * K[i], _SVM_TAU)
-        j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -1.0)))
-        old_i, old_j = float(alpha[i]), float(alpha[j])
-        alpha[i], alpha[j] = _pair_update(
-            old_i, old_j, float(signed[i] * yg[i]), float(signed[j] * yg[j]),
-            signed[i] != signed[j], float(a[j]), C,
+        # (b > 0); the gap >= _SVM_STOP guarantees one exists, so zeroing
+        # b <= 0 instead of excluding it selects the same j
+        k_i = K[i]
+        a = diag_k[i] + diag_k - 2.0 * k_i
+        np.maximum(a, _SVM_TAU, out=a)
+        b = g_max + yg
+        np.maximum(b, 0.0, out=b)
+        b *= b
+        b /= a
+        b -= low_off
+        j = int(b.argmax())
+        old_i, old_j = alpha[i], alpha[j]
+        new_i, new_j = _pair_update(
+            old_i, old_j, ys[i] * float(yg[i]), ys[j] * float(yg[j]),
+            ys[i] != ys[j], float(a[j]), C,
         )
-        yg += (signed[i] * (alpha[i] - old_i)) * K[i]
-        yg += (signed[j] * (alpha[j] - old_j)) * K[j]
+        alpha[i], alpha[j] = new_i, new_j
+        yg += (ys[i] * (new_i - old_i)) * k_i
+        yg += (ys[j] * (new_j - old_j)) * K[j]
         for t in (i, j):
-            up[t] = alpha[t] < C if signed[t] > 0 else alpha[t] > 0.0
-            low[t] = alpha[t] > 0.0 if signed[t] > 0 else alpha[t] < C
+            if ys[t] > 0:
+                up, low = alpha[t] < C, alpha[t] > 0.0
+            else:
+                up, low = alpha[t] > 0.0, alpha[t] < C
+            up_off[t] = 0.0 if up else -np.inf
+            low_off[t] = 0.0 if low else np.inf
         n_updates += 1
 
+    alpha = np.array(alpha)
     b = 0.5 * (g_max + g_min)
     margins = signed * ((alpha * signed) @ K + b)
     violations = _kkt_violation(alpha, margins, C)

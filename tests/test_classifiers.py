@@ -128,6 +128,12 @@ def test_spec_validation():
         ("degree", 2.5),
         ("degree", 2.0),
         ("degree", True),
+        ("max_iter", 2.5),
+        ("max_iter", 2.0),
+        ("max_iter", True),
+        ("max_sweeps", 2.5),
+        ("max_sweeps", 2.0),
+        ("max_sweeps", True),
     ],
 )
 def test_spec_rejects_nonfinite_and_non_integer_hyperparameters(name, value):
@@ -143,6 +149,13 @@ def test_lr_loss_never_exceeds_chance_loss():
     model = train(ClassifierSpec(kind="LR"), X, y)
     assert model.diagnostics["final_loss"] <= np.log(2.0) + 1e-12
     assert model.diagnostics["n_iter"] >= 1
+
+
+def test_lr_stops_at_max_iter():
+    X, y = separated_gaussians(m=60, gap=3.0, seed=1)
+    model = train(ClassifierSpec(kind="LR", max_iter=1), X, y)
+    assert model.diagnostics["n_iter"] == 1
+    assert not model.diagnostics["converged"]
 
 
 def test_lr_converges_on_separable_data():

@@ -1,17 +1,30 @@
-"""SVM_POLY training against a frozen scalar SMO reference.
+"""SVM_POLY training against two frozen references.
 
-The reference below is the original per-candidate SMO loop (Platt's
-first-choice heuristic): it recomputes the error vector before every i
-and tries partners j one at a time through the scalar pair update. The
-library solves the same dual by second-order working-set selection, so
-its floats differ; it must reach the reference's dual objective (to
-1e-10 relative) with a KKT residual of at most 1e-8.
+The first is the original per-candidate SMO loop (Platt's first-choice
+heuristic): it recomputes the error vector before every i and tries
+partners j one at a time through the scalar pair update. The library
+solves the same dual by second-order working-set selection, so its
+floats differ; it must reach the reference's dual objective (to 1e-10
+relative) with a KKT residual of at most 1e-8.
+
+The second is the library's own WSS2 loop as it was first written, with
+boolean masks and np.where in each update. The library's loop does the
+same float operations with fewer numpy calls, so every fit must match it
+bit for bit: parameters and diagnostics alike.
 """
 
 import numpy as np
 import pytest
 
-from prs.classifiers import ClassifierSpec, _kkt_violation, _poly_kernel, train
+from prs.classifiers import (
+    _SVM_STOP,
+    _SVM_TAU,
+    ClassifierSpec,
+    _kkt_violation,
+    _pair_update,
+    _poly_kernel,
+    train,
+)
 
 _ALPHA_EPS = 1e-12
 
@@ -106,6 +119,73 @@ def reference_train_svm(spec, X, signed):
     return params, diag
 
 
+def wss2_reference_train_svm(spec, X, signed):
+    """Solve the dual by SMO with second-order working-set selection
+    (WSS2 of Fan, Chen & Lin 2005, as in LIBSVM).
+
+    yg = y * G is the dual gradient G = Q alpha - 1 times the labels,
+    i.e. the bias-free errors K (alpha * y) - y; each pair update moves
+    it by two kernel rows. The fit stops once the maximal violating pair
+    is closer than _SVM_STOP, or after max_sweeps * m pair updates.
+    """
+    m = X.shape[0]
+    K = _poly_kernel(X, X, spec.degree, spec.coef0)
+    diag_k = np.diag(K)
+    C = spec.penalty
+    alpha = np.zeros(m)
+    yg = -signed
+    # I_up: alpha may move along +y; I_low: alpha may move along -y
+    up = signed > 0
+    low = ~up
+    n_updates = 0
+    while True:
+        # i maximises -y G over I_up; the gap closes against min over I_low
+        score = -yg
+        up_score = np.where(up, score, -np.inf)
+        i = int(np.argmax(up_score))
+        g_max = float(up_score[i])
+        g_min = float(np.min(np.where(low, score, np.inf)))
+        if g_max - g_min < _SVM_STOP or n_updates == spec.max_sweeps * m:
+            break
+        # j maximises b^2 / a over the I_low points that violate with i
+        b = g_max - score
+        a = np.maximum(diag_k[i] + diag_k - 2.0 * K[i], _SVM_TAU)
+        j = int(np.argmax(np.where(low & (b > 0.0), b * b / a, -1.0)))
+        old_i, old_j = float(alpha[i]), float(alpha[j])
+        alpha[i], alpha[j] = _pair_update(
+            old_i, old_j, float(signed[i] * yg[i]), float(signed[j] * yg[j]),
+            signed[i] != signed[j], float(a[j]), C,
+        )
+        yg += (signed[i] * (alpha[i] - old_i)) * K[i]
+        yg += (signed[j] * (alpha[j] - old_j)) * K[j]
+        for t in (i, j):
+            up[t] = alpha[t] < C if signed[t] > 0 else alpha[t] > 0.0
+            low[t] = alpha[t] > 0.0 if signed[t] > 0 else alpha[t] < C
+        n_updates += 1
+
+    b = 0.5 * (g_max + g_min)
+    margins = signed * ((alpha * signed) @ K + b)
+    violations = _kkt_violation(alpha, margins, C)
+    support = alpha > _ALPHA_EPS
+    if not np.any(support):
+        support = np.zeros(m, dtype=bool)
+        support[0] = True  # degenerate fit; keep predict() well-defined
+    params = {
+        "support_vectors": X[support],
+        "dual_coef": (alpha * signed)[support],
+        "bias": b,
+    }
+    dual = float(np.sum(alpha) - 0.5 * (alpha * signed) @ K @ (alpha * signed))
+    diag = {
+        "dual_objective": dual,
+        "kkt_residual": float(np.max(violations)),
+        "n_support": int(np.sum(support)),
+        "n_sweeps": -(-n_updates // m),
+        "n_updates": n_updates,
+    }
+    return params, diag
+
+
 # -- problems -------------------------------------------------------------------
 
 
@@ -176,7 +256,7 @@ def test_svm_sweep_cap_bounds_updates():
     assert options["max_sweeps"] == 3
     model = train(ClassifierSpec(kind="SVM_POLY", **options), X, y)
     diag = model.diagnostics
-    assert diag["n_updates"] <= 3 * len(y)
+    assert diag["n_updates"] == 3 * len(y)
     assert diag["n_sweeps"] == 3
 
 
@@ -186,3 +266,54 @@ def test_duplicate_rows_give_zero_eta():
     eta = np.diag(K)[:, None] + np.diag(K)[None, :] - 2.0 * K
     off_diagonal = ~np.eye(len(y), dtype=bool)
     assert np.any((eta <= 1e-15) & off_diagonal)
+
+
+def random_problem(seed):
+    """A seeded problem from the family m 6-70, 1-14 features, class gap
+    0-1, degree 1-4, C 0.01-30 (log-uniform), capped at 200 sweeps so
+    that some fits stop there."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(6, 71))
+    f = int(rng.integers(1, 15))
+    X, y = overlapping(m, f, float(rng.uniform(0.0, 1.0)), seed)
+    options = dict(
+        degree=int(rng.integers(1, 5)),
+        penalty=float(10.0 ** rng.uniform(-2.0, np.log10(30.0))),
+        max_sweeps=200,
+    )
+    return (X, y), options
+
+
+def _bits(value):
+    array = np.asarray(value)
+    return type(value), array.dtype, array.shape, array.tobytes()
+
+
+def assert_matches_wss2_reference(X, y, options):
+    X = np.asarray(X, dtype=np.float64)
+    spec = ClassifierSpec(kind="SVM_POLY", **options)
+    model = train(spec, X, y)
+    signed = np.where(np.array(y) == model.classes[1], 1.0, -1.0)
+    params, diag = wss2_reference_train_svm(spec, X, signed)
+    assert model.params.keys() == params.keys()
+    for key, value in params.items():
+        assert _bits(model.params[key]) == _bits(value), key
+    assert model.diagnostics.keys() == diag.keys()
+    for key, value in diag.items():
+        assert _bits(model.diagnostics[key]) == _bits(value), key
+    return diag
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_svm_bit_identical_to_wss2_reference(name):
+    (X, y), options = PROBLEMS[name]
+    assert_matches_wss2_reference(X, y, options)
+
+
+def test_svm_bit_identical_to_wss2_reference_on_random_family():
+    capped = 0
+    for seed in range(100):
+        (X, y), options = random_problem(seed)
+        diag = assert_matches_wss2_reference(X, y, options)
+        capped += diag["n_updates"] == options["max_sweeps"] * len(y)
+    assert capped > 0  # the family reaches the update cap
