@@ -10,7 +10,7 @@ SVM_POLY  soft-margin SVM with a polynomial kernel, trained by SMO with
           and the partner j that most decreases the dual's quadratic
           model, and the fit stops once the maximal violating pair is
           closer than _SVM_STOP = 1e-9. The loop keeps the index sets
-          I_up/I_low as additive offsets (0 or an infinity) on the signed
+          I_up/I_low as offsets (0 or an infinity) on the signed
           gradient, so i, j and the gap come from argmin/argmax over
           whole arrays, and scores every partner in one in-place pass;
           alpha stays a Python list until the fit ends.
@@ -341,18 +341,15 @@ def _train_svm(spec, X, signed):
         b -= low_off
         j = int(b.argmax())
         old_i, old_j = alpha[i], alpha[j]
-        new_i, new_j = _pair_update(
+        alpha[i], alpha[j] = _pair_update(
             old_i, old_j, ys[i] * float(yg[i]), ys[j] * float(yg[j]),
             ys[i] != ys[j], float(a[j]), C,
         )
-        alpha[i], alpha[j] = new_i, new_j
-        yg += (ys[i] * (new_i - old_i)) * k_i
-        yg += (ys[j] * (new_j - old_j)) * K[j]
+        yg += (ys[i] * (alpha[i] - old_i)) * k_i
+        yg += (ys[j] * (alpha[j] - old_j)) * K[j]
         for t in (i, j):
-            if ys[t] > 0:
-                up, low = alpha[t] < C, alpha[t] > 0.0
-            else:
-                up, low = alpha[t] > 0.0, alpha[t] < C
+            up = alpha[t] < C if ys[t] > 0 else alpha[t] > 0.0
+            low = alpha[t] > 0.0 if ys[t] > 0 else alpha[t] < C
             up_off[t] = 0.0 if up else -np.inf
             low_off[t] = 0.0 if low else np.inf
         n_updates += 1
