@@ -4,7 +4,8 @@ Canonical feature order: STD, VAR, RMS, SKW, KURT, MAV, ZC, SSC, WAMP,
 SSI, NLE, WL. ``base_feature_rows`` computes all 12 for a block of
 equal-length segments at once, one reduction along the sample axis per
 sum; it is the one production implementation, and
-``compute_base_features`` is that kernel applied to a single row. Each
+``compute_base_features`` is that kernel applied to one segment, whose
+name it gives in the error for a constant or overflowing segment. Each
 feature is also exposed as a standalone one-segment function so formulas
 can be tested in isolation; the kernel equals them bit for bit
 (``tests/test_features_batch_oracle.py``).
@@ -161,29 +162,6 @@ def waveform_length(x) -> float:
     return float(np.sum(np.abs(np.diff(x))))
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """The 12 base features of one segment, in canonical order."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (N_BASE_FEATURES,):
-            raise ValueError(f"expected {N_BASE_FEATURES} features, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("feature vector contains non-finite values")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return FEATURE_NAMES
-
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(FEATURE_NAMES, self.values)}
-
-
 def base_feature_rows(
     samples,
     thresholds: ThresholdConfig = ThresholdConfig(),
@@ -238,14 +216,20 @@ def compute_base_features(
     segment: SignalSegment,
     thresholds: ThresholdConfig = ThresholdConfig(),
     centered_var: bool = False,
-) -> FeatureVector:
-    """All 12 time-domain features of one segment, in canonical order.
+) -> np.ndarray:
+    """The (12,) time-domain features of one segment, in canonical order.
 
-    Raises DegenerateDataError for a constant segment (SKW/KURT undefined).
+    Raises DegenerateDataError naming the segment when it is constant
+    (SKW/KURT undefined) or when a feature overflows float64.
     """
     values = base_feature_rows(segment.samples[None, :], thresholds, centered_var)[0]
     if values[0] == 0.0:
         raise DegenerateDataError(
             f"segment {segment.id!r} is constant: SKW, KURT undefined"
         )
-    return FeatureVector(values=values)
+    overflowed = [FEATURE_NAMES[j] for j in np.flatnonzero(~np.isfinite(values))]
+    if overflowed:
+        raise DegenerateDataError(
+            f"segment {segment.id!r} overflows float64 in {', '.join(overflowed)}"
+        )
+    return values

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, check_integer
 
 CLASSIFIER_KINDS = ("LR", "LDA", "QDA", "SVM_POLY")
 
@@ -71,10 +70,8 @@ class ClassifierSpec:
         if not self.l2 > 0:
             raise ValueError("l2 must be positive")
         for name in ("max_iter", "degree", "max_sweeps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer")
-            if value < 1:
+            check_integer(name, getattr(self, name))
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.ridge is not None and not 0 <= self.ridge < math.inf:
             raise ValueError("ridge must be None or finite and >= 0")
@@ -303,10 +300,13 @@ def _train_svm(spec, X, signed):
     yg = y * G is the dual gradient G = Q alpha - 1 times the labels,
     i.e. the bias-free errors K (alpha * y) - y; each pair update moves
     it by two kernel rows. The fit stops once the maximal violating pair
-    is closer than _SVM_STOP, or after max_sweeps * m pair updates.
+    is closer than _SVM_STOP, or after max_sweeps * m pair updates. A
+    kernel that overflows raises DegenerateDataError before the loop.
     """
     m = X.shape[0]
     K = _poly_kernel(X, X, spec.degree, spec.coef0)
+    if not np.isfinite(K).all():
+        raise DegenerateDataError("the polynomial kernel overflows float64")
     diag_k = np.diag(K)
     C = spec.penalty
     ys = signed.tolist()

@@ -379,9 +379,9 @@ def _cmd_synth(opts) -> int:
 def _cmd_extract(opts) -> int:
     config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
-    matrix = extract_base_matrix(dataset, config.thresholds, opts["centered_var"])
+    base = extract_base_matrix(dataset, config.thresholds, opts["centered_var"])
     rows = [["id", "label", *FEATURE_NAMES]]
-    for seg, values in zip(dataset.segments, matrix.values):
+    for seg, values in zip(dataset.segments, base):
         rows.append([seg.id, seg.label, *[repr(float(v)) for v in values]])
     _emit(_csv_text(rows), opts["out"])
     return 0
@@ -389,11 +389,8 @@ def _cmd_extract(opts) -> int:
 
 def _cmd_rank(opts) -> int:
     dataset = load_dataset(opts["manifest"])
-    base = extract_base_matrix(dataset)
-    artifacts = fit_prep(base.values, base.labels)
-    ranked = sorted(
-        range(len(FEATURE_NAMES)), key=lambda i: (-artifacts.gains[i], i)
-    )
+    artifacts = fit_prep(extract_base_matrix(dataset), dataset.labels)
+    ranked = np.argsort(-artifacts.gains, kind="stable")  # ties: lower index first
     report = {
         "dataset": dataset.name,
         "gains": {name: float(g) for name, g in zip(FEATURE_NAMES, artifacts.gains)},
@@ -406,18 +403,18 @@ def _cmd_rank(opts) -> int:
 
 
 def _fitted_row(opts):
-    """Shared lookup for the single-sample commands: artifacts + raw row."""
+    """Shared lookup for the single-sample commands: the segment, its raw
+    base row and the artifacts fitted on the whole dataset."""
     dataset = load_dataset(opts["manifest"])
     segment = dataset.segment_by_id(opts["sample"])
     base = extract_base_matrix(dataset)
-    artifacts = fit_prep(base.values, base.labels)
-    row_index = [seg.id for seg in dataset.segments].index(segment.id)
-    return dataset, segment, base.values[row_index], artifacts
+    row = base[[seg.id for seg in dataset.segments].index(segment.id)]
+    return segment, row, fit_prep(base, dataset.labels)
 
 
 def _cmd_soil_dump(opts) -> int:
     config = _pipeline_config(opts)
-    _, _, row, artifacts = _fitted_row(opts)
+    _, row, artifacts = _fitted_row(opts)
     soil = soil_for_row(row, artifacts, config.soil)
     nutrients = convolve_soil(soil)
     discrete_text = _csv_text([[str(int(v)) for v in line] for line in soil.grid])
@@ -435,7 +432,7 @@ def _cmd_soil_dump(opts) -> int:
 
 def _cmd_grow(opts) -> int:
     config = _pipeline_config(opts)
-    _, segment, row, artifacts = _fitted_row(opts)
+    segment, row, artifacts = _fitted_row(opts)
     nutrients = nutrients_for_row(row, artifacts, config.soil)
     state = grow(nutrients, config.growth)
     pair = extract_prs(state)
@@ -451,13 +448,8 @@ def _cmd_grow(opts) -> int:
     if opts["dump_frames"]:
         frame_dir = Path(opts["dump_frames"])
         occupancy = np.zeros_like(state.occupancy)
-        for r, c in config.growth.radicle:
-            occupancy[r - 1, c - 1] = 1
-        _atomic_write(
-            frame_dir / "day00.csv",
-            _csv_text([[str(int(v)) for v in line] for line in occupancy]),
-        )
-        for day, cells in enumerate(state.day_log, 1):
+        # day 0 is the radicle alone
+        for day, cells in enumerate([config.growth.radicle, *state.day_log]):
             for r, c in cells:
                 occupancy[r - 1, c - 1] = 1
             _atomic_write(

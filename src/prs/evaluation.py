@@ -241,7 +241,7 @@ def split_inputs(
     if needs_prs and not global_prep:
         _check_prep_folds(dataset, rates)
     base = extract_base_matrix(dataset, config.thresholds)
-    labels = np.array(base.labels)
+    labels = np.array(dataset.labels)
     spectral = (
         extract_spectral_matrix(dataset, config.median_mode)
         if _needs(variants, SPECTRAL_NAMES)
@@ -249,9 +249,9 @@ def split_inputs(
     )
     global_prs = None
     if global_prep and needs_prs:
-        artifacts = fit_prep(base.values, labels)
-        global_prs = prs_features(base.values, artifacts, config)
-    return SplitInputs(base.values, labels, spectral, global_prs, config)
+        artifacts = fit_prep(base, labels)
+        global_prs = prs_features(base, artifacts, config)
+    return SplitInputs(base, labels, spectral, global_prs, config)
 
 
 class SplitResult(NamedTuple):
@@ -443,10 +443,10 @@ def build_feature_table(
     a deterministic function of the dataset and the config.
     """
     base = extract_base_matrix(dataset, config.thresholds)
-    artifacts = fit_prep(base.values, base.labels)
-    prs_rows = prs_features(base.values, artifacts, config)
+    artifacts = fit_prep(base, dataset.labels)
+    prs_rows = prs_features(base, artifacts, config)
     spectral_rows = extract_spectral_matrix(dataset, config.median_mode)
-    table = np.column_stack([base.values, prs_rows, spectral_rows])
+    table = np.column_stack([base, prs_rows, spectral_rows])
     return table, TABLE_NAMES
 
 

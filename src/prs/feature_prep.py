@@ -1,4 +1,5 @@
-"""Feature matrix preparation: normalization, gain scoring, center-out sort.
+"""Feature preparation on plain (m, n) arrays: min-max scaling, gain
+scoring, center-out ordering; ``pipeline.fit_prep`` chains them.
 
 The importance score of a feature column is the information gain of the
 class labels given a two-set split of the column. The split is the exact
@@ -18,52 +19,7 @@ import numpy as np
 
 from .errors import DegenerateDataError
 
-MIN_SAMPLES = 4  # rows a FeatureMatrix (and so fit_prep) needs
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """m samples x n named feature columns with per-row binary labels."""
-
-    values: np.ndarray
-    names: tuple[str, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("feature matrix must be 2D")
-        m, n = values.shape
-        if m < MIN_SAMPLES:
-            raise ValueError(f"need at least {MIN_SAMPLES} samples, got {m}")
-        if len(self.names) != n:
-            raise ValueError(f"{n} columns but {len(self.names)} names")
-        if len(self.labels) != m:
-            raise ValueError(f"{m} rows but {len(self.labels)} labels")
-        if np.isnan(values).any():
-            raise ValueError("feature matrix contains NaN")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
-@dataclass(frozen=True)
-class NormalizedFeatureMatrix:
-    """Min-max normalized matrix plus the original per-column (min, max)."""
-
-    values: np.ndarray
-    names: tuple[str, ...]
-    labels: tuple[str, ...]
-    bounds: np.ndarray  # (n, 2) original column (min, max)
-    degenerate: tuple[bool, ...]  # columns with max == min, forced to 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
+MIN_SAMPLES = 4  # training rows fit_prep needs
 
 
 @dataclass(frozen=True)
@@ -73,18 +29,6 @@ class SplitResult:
     assignment: np.ndarray  # int, values 1 or 2
     centers: tuple[float, float]  # centers[0] < centers[1]
     sse: float
-
-
-@dataclass(frozen=True)
-class SortedFeatureMatrix:
-    """Normalized matrix with columns permuted center-out by gain."""
-
-    values: np.ndarray  # columns already permuted
-    names: tuple[str, ...]  # permuted names
-    labels: tuple[str, ...]
-    bounds: np.ndarray  # (n, 2) bounds of the *permuted* columns
-    order: tuple[int, ...]  # order[pos] = original column index
-    gains: np.ndarray  # gains of the *original* columns
 
 
 def column_bounds(values: np.ndarray) -> np.ndarray:
@@ -104,19 +48,6 @@ def apply_bounds(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     ok = span > 0
     out[:, ok] = (values[:, ok] - lo[ok]) / span[ok]
     return out
-
-
-def minmax_normalize(matrix: FeatureMatrix) -> NormalizedFeatureMatrix:
-    """Scale each column to [0, 1]; constant columns become all-zero."""
-    bounds = column_bounds(matrix.values)
-    degenerate = tuple(bool(b[1] == b[0]) for b in bounds)
-    return NormalizedFeatureMatrix(
-        values=apply_bounds(matrix.values, bounds),
-        names=matrix.names,
-        labels=matrix.labels,
-        bounds=bounds,
-        degenerate=degenerate,
-    )
 
 
 def kmeans_binary_split(values) -> SplitResult:
@@ -194,14 +125,13 @@ def information_gain(
     return entropy(labels) - expected
 
 
-def rank_features(norm: NormalizedFeatureMatrix) -> np.ndarray:
-    """Information gain per normalized column; degenerate columns score 0."""
-    n = norm.shape[1]
-    gains = np.zeros(n, dtype=np.float64)
-    for j in range(n):
-        if norm.degenerate[j]:
-            continue
-        gains[j] = information_gain(norm.values[:, j], norm.labels)
+def rank_features(norm: np.ndarray, labels: Sequence) -> np.ndarray:
+    """Information gain per min-max normalized column. A column that is
+    constant (so was constant before scaling) scores 0."""
+    bounds = column_bounds(norm)
+    gains = np.zeros(norm.shape[1])
+    for j in np.flatnonzero(bounds[:, 0] != bounds[:, 1]):
+        gains[j] = information_gain(norm[:, j], labels)
     return gains
 
 
@@ -215,30 +145,3 @@ def center_out_positions(n: int) -> tuple[int, ...]:
         offset = (r + 1) // 2
         positions.append(center + offset if r % 2 == 1 else center - offset)
     return tuple(positions)
-
-
-def sort_center_out(
-    norm: NormalizedFeatureMatrix, gains: np.ndarray
-) -> SortedFeatureMatrix:
-    """Permute columns so gain decreases from the center outward.
-
-    Gain ties break toward the lower original column index.
-    """
-    gains = np.asarray(gains, dtype=np.float64)
-    n = norm.shape[1]
-    if gains.shape != (n,):
-        raise ValueError(f"expected {n} gains, got {gains.shape}")
-    ranked = sorted(range(n), key=lambda j: (-gains[j], j))
-    positions = center_out_positions(n)
-    order = [0] * n
-    for rank, col in enumerate(ranked):
-        order[positions[rank]] = col
-    order = tuple(order)
-    return SortedFeatureMatrix(
-        values=norm.values[:, order],
-        names=tuple(norm.names[j] for j in order),
-        labels=norm.labels,
-        bounds=norm.bounds[list(order)],
-        order=order,
-        gains=gains,
-    )

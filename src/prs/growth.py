@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_integer
 from .soil import NutrientMatrix
 
 # Upper-center seed cell: surface row, center column of a 12-wide grid.
@@ -46,10 +47,15 @@ class GrowthConfig:
     occupy_zero: bool = True  # zero-nutrient cells may still be occupied
 
     def __post_init__(self):
+        check_integer("days", self.days)
         if self.days < 0:
             raise ValueError(f"days must be >= 0, got {self.days}")
+        check_integer("division_limit", self.division_limit)
         if self.division_limit < 1:
             raise ValueError(f"division_limit must be >= 1, got {self.division_limit}")
+        for r, c in self.radicle:
+            check_integer("radicle row", r)
+            check_integer("radicle column", c)
         radicle = tuple((int(r), int(c)) for r, c in self.radicle)
         if not radicle:
             raise ValueError("radicle must contain at least one cell")

@@ -3,13 +3,14 @@
 ``extract_base_matrix`` and ``extract_spectral_matrix`` group segments by
 length (and sampling rate) and run the array-at-a-time kernels of
 ``base_features`` and ``spectral`` on row blocks, scattering the rows back
-in dataset order.
+in dataset order, as plain arrays.
 
 The stateful part of the chain (normalization bounds, information-gain
 ranking, column order, soil binning bounds) is fitted once on training
-rows and captured in PrepArtifacts; any row, training or held-out, can
-then be pushed through the same frozen transform. Held-out rows may
-land outside the fitted bounds, which the soil binning clamps.
+rows and labels by ``fit_prep`` and captured in PrepArtifacts; any row,
+training or held-out, can then be pushed through the same frozen
+transform. Held-out rows may land outside the fitted bounds, which the
+soil binning clamps.
 
 ``PipelineConfig`` holds the settings of the feature pipeline: the
 base-feature thresholds, soil depth and fill, growth, and the MedPSD
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_features import (
-    FEATURE_NAMES,
     N_BASE_FEATURES,
     ThresholdConfig,
     base_feature_rows,
@@ -38,12 +38,11 @@ from .base_features import (
 )
 from .dataset import LabeledDataset, SignalSegment
 from .feature_prep import (
-    FeatureMatrix,
+    MIN_SAMPLES,
     apply_bounds,
+    center_out_positions,
     column_bounds,
-    minmax_normalize,
     rank_features,
-    sort_center_out,
 )
 from .growth import (
     GrowthConfig,
@@ -104,20 +103,19 @@ class PrepArtifacts:
     """Frozen train-fold state for the feature transform.
 
     feature_bounds  per-column (min, max) of the raw base features
-    gains           information gain per raw column, same order as names
+    gains           information gain per raw column, in base-feature order
     order           column permutation applied after normalization
     soil_bounds     per-column (min, max) of the sorted normalized
                     training matrix, used for soil binning
     """
 
-    feature_names: tuple[str, ...]
     feature_bounds: np.ndarray
     gains: np.ndarray
     order: np.ndarray
     soil_bounds: np.ndarray
 
     def __post_init__(self):
-        n = len(self.feature_names)
+        n = len(self.gains)
         if self.feature_bounds.shape != (n, 2) or self.soil_bounds.shape != (n, 2):
             raise ValueError("bounds arrays must be shaped (n_features, 2)")
         if sorted(self.order.tolist()) != list(range(n)):
@@ -129,20 +127,28 @@ def fit_prep(base_values: np.ndarray, labels) -> PrepArtifacts:
 
     Deterministic: the ranking split is exact, so no seed is involved.
     """
-    matrix = FeatureMatrix(
-        values=np.asarray(base_values, dtype=np.float64),
-        names=tuple(FEATURE_NAMES),
-        labels=tuple(str(v) for v in labels),
-    )
-    norm = minmax_normalize(matrix)
-    gains = rank_features(norm)
-    sorted_matrix = sort_center_out(norm, gains)
+    values = np.asarray(base_values, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError("feature matrix must be 2D")
+    m, n = values.shape
+    if m < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {m}")
+    labels = [str(v) for v in labels]  # plain str: np.str_ counts 2x slower
+    if len(labels) != m:
+        raise ValueError(f"{m} rows but {len(labels)} labels")
+    if np.isnan(values).any():
+        raise ValueError("feature matrix contains NaN")
+    bounds = column_bounds(values)
+    norm = apply_bounds(values, bounds)
+    gains = rank_features(norm, labels)
+    # the gain ranks go center-out; ties break toward the lower column
+    order = np.empty(n, dtype=np.int64)
+    order[list(center_out_positions(n))] = np.argsort(-gains, kind="stable")
     return PrepArtifacts(
-        feature_names=tuple(FEATURE_NAMES),
-        feature_bounds=norm.bounds,
+        feature_bounds=bounds,
         gains=gains,
-        order=np.asarray(sorted_matrix.order, dtype=np.int64),
-        soil_bounds=column_bounds(sorted_matrix.values),
+        order=order,
+        soil_bounds=column_bounds(norm[:, order]),
     )
 
 
@@ -192,9 +198,9 @@ def prs_features(
     Equal, bit for bit, to ``prs_pair_for_row`` applied to each row.
     """
     values = np.asarray(base_values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != len(artifacts.feature_names):
+    if values.ndim != 2 or values.shape[1] != len(artifacts.order):
         raise ValueError(
-            f"expected an (m, {len(artifacts.feature_names)}) base-feature "
+            f"expected an (m, {len(artifacts.order)}) base-feature "
             f"matrix, got shape {values.shape}"
         )
     out = np.empty((values.shape[0], 2))
@@ -225,11 +231,11 @@ def extract_base_matrix(
     dataset: LabeledDataset,
     thresholds: ThresholdConfig = ThresholdConfig(),
     centered_var: bool = False,
-) -> FeatureMatrix:
-    """Raw 12-column base-feature matrix, one row per segment.
+) -> np.ndarray:
+    """Raw (m, 12) base-feature matrix, one row per segment.
 
     Raises the error ``compute_base_features`` raises for the first
-    constant or non-finite segment in dataset order.
+    constant or overflowing segment in dataset order.
     """
     values = np.empty((len(dataset.segments), N_BASE_FEATURES))
     for rows, samples, _ in _segment_blocks(dataset.segments):
@@ -238,11 +244,7 @@ def extract_base_matrix(
     if bad.size:
         # the one-row path raises the error that names the segment
         compute_base_features(dataset.segments[bad[0]], thresholds, centered_var)
-    return FeatureMatrix(
-        values=values,
-        names=tuple(FEATURE_NAMES),
-        labels=dataset.labels,
-    )
+    return values
 
 
 def extract_spectral_matrix(

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_integer
+
 SOIL_DEPTH = 15  # k: number of bins = number of soil rows
 SOIL_WIDTH = 12  # number of sorted feature columns
 
@@ -47,6 +49,7 @@ class SoilConfig:
     fill_mode: str = "stacked"
 
     def __post_init__(self):
+        check_integer("depth", self.depth)
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         if self.fill_mode not in FILL_MODES:

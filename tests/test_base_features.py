@@ -173,9 +173,9 @@ def test_compute_base_features_names_constant_feature_in_error():
 
 def test_feature_vector_matches_standalone_functions(tiny_dataset):
     seg = tiny_dataset.segments[0]
-    fv = compute_base_features(seg)
-    assert fv.values.shape == (12,)
-    assert fv.names == FEATURE_NAMES
+    row = compute_base_features(seg)
+    assert isinstance(row, np.ndarray)
+    assert row.shape == (len(FEATURE_NAMES),) == (12,)
     x = seg.samples
     thr = RELATIVE_THRESHOLD * float(np.max(np.abs(x)))
     expected = [
@@ -192,8 +192,8 @@ def test_feature_vector_matches_standalone_functions(tiny_dataset):
         nonlinear_energy(x),
         waveform_length(x),
     ]
-    assert np.allclose(fv.values, expected, rtol=0, atol=0)
-    assert fv.as_dict()["RMS"] == fv.values[2]
+    assert np.allclose(row, expected, rtol=0, atol=0)
+    assert row[FEATURE_NAMES.index("RMS")] == rms(x)
 
 
 def test_threshold_overrides_apply(tiny_dataset):
@@ -202,8 +202,8 @@ def test_threshold_overrides_apply(tiny_dataset):
     tight = compute_base_features(seg, ThresholdConfig(1e9, 1e9, 1e9))
     zc_i = FEATURE_NAMES.index("ZC")
     wamp_i = FEATURE_NAMES.index("WAMP")
-    assert loose.values[zc_i] >= tight.values[zc_i]
-    assert tight.values[wamp_i] == 0.0
+    assert loose[zc_i] >= tight[zc_i]
+    assert tight[wamp_i] == 0.0
 
 
 def test_threshold_config_rejects_negative():

@@ -13,6 +13,7 @@ from prs.classifiers import (
     accuracy,
     train,
 )
+from prs.errors import DegenerateDataError
 
 XOR_X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 XOR_Y = ["P", "N", "N", "P"]
@@ -303,3 +304,14 @@ def test_svm_rows_equal_across_classes_reach_the_box_corner():
     )
     assert model.diagnostics["dual_objective"] == 6.0
     assert model.diagnostics["kkt_residual"] <= 1e-8
+
+
+def test_svm_rejects_a_kernel_that_overflows():
+    # (x.z + 1)^3 of features near 1e120 exceeds float64: the fit used to
+    # run to the update cap and return a NaN bias and dual objective
+    X, y = separated_gaussians(m=20, f=3, seed=2)
+    spec = ClassifierSpec(kind="SVM_POLY", degree=3)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DegenerateDataError, match="kernel overflows float64"):
+            train(spec, X * 1e120, y)
+    assert np.isfinite(train(spec, X * 1e30, y).params["bias"])

@@ -1,4 +1,9 @@
-"""Normalization, 2-means splitting, information gain, center-out sort."""
+"""Normalization, 2-means splitting, information gain, center-out sort.
+
+The normalization and the sort are checked through ``fit_prep``, which
+chains them on plain arrays; the sort tests fix the gains by replacing
+``prs.pipeline.rank_features``, the name ``fit_prep`` calls.
+"""
 
 import math
 from collections import Counter
@@ -11,7 +16,6 @@ from hypothesis import strategies as st
 
 from prs.errors import DegenerateDataError
 from prs.feature_prep import (
-    FeatureMatrix,
     SplitResult,
     apply_bounds,
     center_out_positions,
@@ -19,10 +23,9 @@ from prs.feature_prep import (
     entropy,
     information_gain,
     kmeans_binary_split,
-    minmax_normalize,
     rank_features,
-    sort_center_out,
 )
+from prs.pipeline import fit_prep, transform_rows
 
 # -- oracles -----------------------------------------------------------------
 
@@ -59,21 +62,25 @@ def oracle_best_threshold_sse(values):
 # -- min-max normalization ---------------------------------------------------
 
 
-def make_matrix(values, labels=None):
-    values = np.asarray(values, dtype=np.float64)
-    if labels is None:
-        labels = tuple("A" if i % 2 == 0 else "B" for i in range(values.shape[0]))
-    names = tuple(f"f{j}" for j in range(values.shape[1]))
-    return FeatureMatrix(values=values, names=names, labels=tuple(labels))
+def alternating_labels(m):
+    return tuple("A" if i % 2 == 0 else "B" for i in range(m))
+
+
+def minmax(values):
+    return apply_bounds(values, column_bounds(values))
 
 
 def test_minmax_examples():
-    fm = make_matrix([[0.0, 7.0], [5.0, 7.0], [10.0, 7.0], [2.5, 7.0]])
-    norm = minmax_normalize(fm)
-    assert norm.values[:, 0].tolist() == [0.0, 0.5, 1.0, 0.25]
-    assert norm.values[:, 1].tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert norm.degenerate == (False, True)
-    assert norm.bounds.tolist() == [[0.0, 10.0], [7.0, 7.0]]
+    values = np.array([[0.0, 7.0], [5.0, 7.0], [10.0, 7.0], [2.5, 7.0]])
+    norm = minmax(values)
+    assert norm[:, 0].tolist() == [0.0, 0.5, 1.0, 0.25]
+    assert norm[:, 1].tolist() == [0.0, 0.0, 0.0, 0.0]
+    artifacts = fit_prep(values, alternating_labels(4))
+    assert artifacts.feature_bounds.tolist() == [[0.0, 10.0], [7.0, 7.0]]
+    # the constant column is degenerate: gain 0, soil bounds (0, 0)
+    assert artifacts.gains[1] == 0.0
+    pos = artifacts.order.tolist().index(1)
+    assert artifacts.soil_bounds[pos].tolist() == [0.0, 0.0]
 
 
 def test_apply_bounds_maps_outside_unit_interval_for_new_data():
@@ -85,23 +92,26 @@ def test_apply_bounds_maps_outside_unit_interval_for_new_data():
 
 def test_minmax_idempotent():
     rng = np.random.default_rng(5)
-    fm = make_matrix(rng.normal(size=(8, 3)))
-    once = minmax_normalize(fm)
-    twice = minmax_normalize(
-        FeatureMatrix(values=once.values, names=fm.names, labels=fm.labels)
+    once = minmax(rng.normal(size=(8, 3)))
+    twice = minmax(once)
+    assert np.allclose(once, twice, atol=1e-15)
+    # fitted on normalized rows, the transform changes nothing
+    artifacts = fit_prep(once, alternating_labels(8))
+    assert np.allclose(
+        transform_rows(once, artifacts), once[:, artifacts.order], atol=1e-15
     )
-    assert np.allclose(once.values, twice.values, atol=1e-15)
 
 
 def test_matrix_validation():
+    labels = alternating_labels(4)
     with pytest.raises(ValueError, match="at least 4"):
-        make_matrix([[1.0], [2.0]])
+        fit_prep([[1.0], [2.0]], labels[:2])
     with pytest.raises(ValueError, match="NaN"):
-        make_matrix([[1.0], [2.0], [math.nan], [4.0]])
-    with pytest.raises(ValueError, match="names"):
-        FeatureMatrix(
-            values=np.zeros((4, 2)), names=("a",), labels=("A", "B", "A", "B")
-        )
+        fit_prep([[1.0], [2.0], [math.nan], [4.0]], labels)
+    with pytest.raises(ValueError, match="4 rows but 3 labels"):
+        fit_prep(np.zeros((4, 2)), labels[:3])
+    with pytest.raises(ValueError, match="2D"):
+        fit_prep(np.zeros(4), labels)
 
 
 # -- 2-means split -----------------------------------------------------------
@@ -223,8 +233,7 @@ def test_rank_features_scores_degenerate_columns_zero():
             [1.0, 7.0],
         ]
     )
-    fm = FeatureMatrix(values=values, names=("g", "c"), labels=("A", "A", "B", "B"))
-    gains = rank_features(minmax_normalize(fm))
+    gains = rank_features(minmax(values), ("A", "A", "B", "B"))
     assert gains[0] == pytest.approx(1.0)
     assert gains[1] == 0.0
 
@@ -233,47 +242,45 @@ def test_center_out_positions_n12():
     assert center_out_positions(12) == (5, 6, 4, 7, 3, 8, 2, 9, 1, 10, 0, 11)
 
 
-def test_sort_places_top_three_columns():
+def fit_with_gains(monkeypatch, values, gains):
+    """fit_prep with the ranking replaced by fixed gains."""
+    monkeypatch.setattr("prs.pipeline.rank_features", lambda norm, labels: gains)
+    return fit_prep(values, alternating_labels(len(values)))
+
+
+def test_sort_places_top_three_columns(monkeypatch):
     # strictly decreasing gains: original col j has rank j
-    rng = np.random.default_rng(0)
-    fm = make_matrix(rng.uniform(size=(6, 12)))
-    norm = minmax_normalize(fm)
-    gains = np.linspace(1.0, 0.1, 12)
-    sorted_fm = sort_center_out(norm, gains)
+    values = np.random.default_rng(0).uniform(size=(6, 12))
+    artifacts = fit_with_gains(monkeypatch, values, np.linspace(1.0, 0.1, 12))
     # highest gain at 1-based position 6, next at 7, third at 5
-    assert sorted_fm.order[5] == 0
-    assert sorted_fm.order[6] == 1
-    assert sorted_fm.order[4] == 2
-    assert sorted_fm.names[5] == "f0"
+    assert artifacts.order[5] == 0
+    assert artifacts.order[6] == 1
+    assert artifacts.order[4] == 2
+    assert np.array_equal(transform_rows(values, artifacts)[:, 5], minmax(values)[:, 0])
 
 
 def test_sort_tie_breaks_toward_lower_index():
-    rng = np.random.default_rng(1)
-    fm = make_matrix(rng.uniform(size=(4, 12)))
-    norm = minmax_normalize(fm)
-    sorted_fm = sort_center_out(norm, np.zeros(12))
-    positions = center_out_positions(12)
-    for rank, pos in enumerate(positions):
-        assert sorted_fm.order[pos] == rank
+    # twelve rescaled copies of one column: every gain is the same
+    column = np.array([0.0, 0.2, 0.9, 1.0])
+    values = np.outer(column, np.arange(1.0, 13.0)) + np.arange(12.0)
+    artifacts = fit_prep(values, ("A", "A", "B", "B"))
+    assert len(set(artifacts.gains.tolist())) == 1
+    for rank, pos in enumerate(center_out_positions(12)):
+        assert artifacts.order[pos] == rank
 
 
-def test_sort_permutes_values_names_and_bounds_consistently():
+def test_sort_permutes_values_and_bounds_consistently(monkeypatch):
     rng = np.random.default_rng(4)
-    fm = make_matrix(rng.uniform(1, 3, size=(5, 7)))
-    norm = minmax_normalize(fm)
-    gains = rng.uniform(size=7)
-    sorted_fm = sort_center_out(norm, gains)
-    assert sorted(sorted_fm.order) == list(range(7))
-    for pos, col in enumerate(sorted_fm.order):
-        assert sorted_fm.names[pos] == norm.names[col]
-        assert np.array_equal(sorted_fm.values[:, pos], norm.values[:, col])
-        assert np.array_equal(sorted_fm.bounds[pos], norm.bounds[col])
-
-
-def test_sort_rejects_wrong_gain_count():
-    fm = make_matrix(np.random.default_rng(0).uniform(size=(4, 3)))
-    with pytest.raises(ValueError):
-        sort_center_out(minmax_normalize(fm), np.zeros(5))
+    values = rng.uniform(1, 3, size=(5, 7))
+    values[:, 2] = 2.0  # a degenerate column, so the bounds differ
+    artifacts = fit_with_gains(monkeypatch, values, rng.uniform(size=7))
+    norm = minmax(values)
+    norm_bounds = column_bounds(norm)
+    sorted_values = transform_rows(values, artifacts)
+    assert sorted(artifacts.order.tolist()) == list(range(7))
+    for pos, col in enumerate(artifacts.order):
+        assert np.array_equal(sorted_values[:, pos], norm[:, col])
+        assert np.array_equal(artifacts.soil_bounds[pos], norm_bounds[col])
 
 
 def test_column_bounds_shape():

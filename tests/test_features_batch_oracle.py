@@ -17,6 +17,7 @@ from prs.base_features import (
     RELATIVE_THRESHOLD,
     ThresholdConfig,
     base_feature_rows,
+    compute_base_features,
     kurtosis,
     mav,
     nonlinear_energy,
@@ -79,7 +80,7 @@ def standalone_spectral(x, fs, median_mode):
 
 
 def assert_dataset_matches(dataset, thresholds=ThresholdConfig(), centered_var=False):
-    got = extract_base_matrix(dataset, thresholds, centered_var).values
+    got = extract_base_matrix(dataset, thresholds, centered_var)
     want = [standalone_base(s.samples, thresholds, centered_var) for s in dataset.segments]
     assert np.array_equal(got, np.array(want, dtype=np.float64))
     for mode in MEDIAN_MODES:
@@ -177,6 +178,20 @@ def test_constant_segment_error_names_first_in_dataset_order():
     data[4] = np.full(64, -1.0)
     with pytest.raises(DegenerateDataError, match="'s001' is constant: SKW, KURT"):
         extract_base_matrix(dataset_of(data))
+
+
+def test_overflowing_segment_error_names_first_in_dataset_order():
+    rng = np.random.default_rng(4)
+    data = [rng.normal(size=n) for n in [64, 128, 64, 128]]
+    # s001 (length 128) overflows in every squared sum; s002 (length 64)
+    # sits in the group that is blocked first
+    data[1] = 1e160 * data[1]
+    data[2] = 1e160 * data[2]
+    with np.errstate(all="ignore"):
+        with pytest.raises(DegenerateDataError, match="'s001' overflows float64 in STD"):
+            extract_base_matrix(dataset_of(data))
+        with pytest.raises(DegenerateDataError, match="'s002' overflows"):
+            compute_base_features(dataset_of(data).segments[2])
 
 
 def test_constant_row_is_marked_by_zero_std():

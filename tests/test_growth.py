@@ -174,6 +174,21 @@ def test_config_validation():
         GrowthConfig(division_limit=0)
     with pytest.raises(ValueError, match="radicle"):
         GrowthConfig(radicle=())
+    # counts must be integers: a bool or a float is not silently truncated
+    for kwargs in (
+        {"days": 2.5},
+        {"days": True},
+        {"division_limit": 1.5},
+        {"division_limit": True},
+    ):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GrowthConfig(**kwargs)
+    for cell in ((1.7, 6.2), (True, 6), (1, 6.0)):
+        with pytest.raises(ValueError, match="radicle (row|column) must be an integer"):
+            GrowthConfig(radicle=(cell,))
+    config = GrowthConfig(days=np.int64(3), radicle=((np.int64(2), 5),))
+    assert config.radicle == ((2, 5),) and type(config.radicle[0][0]) is int
     # the grid shape comes from the grids, so grow checks the radicle
     for cell in ((0, 6), (1, 13)):
         config = GrowthConfig(radicle=(cell,))

@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 
-from prs.base_features import FEATURE_NAMES
 from prs.pipeline import (
     PrepArtifacts,
     extract_base_matrix,
@@ -21,14 +20,15 @@ from prs.soil import SOIL_DEPTH, SOIL_WIDTH
 
 @pytest.fixture(scope="module")
 def fitted(small_synth):
-    matrix = extract_base_matrix(small_synth)
-    artifacts = fit_prep(matrix.values, matrix.labels)
-    return matrix, artifacts
+    base = extract_base_matrix(small_synth)
+    return base, fit_prep(base, small_synth.labels)
 
 
 def test_fit_prep_shapes_and_permutation(fitted):
-    matrix, artifacts = fitted
-    assert artifacts.feature_names == FEATURE_NAMES
+    base, artifacts = fitted
+    assert artifacts.feature_bounds.tolist() == [
+        [lo, hi] for lo, hi in zip(base.min(axis=0), base.max(axis=0))
+    ]
     assert artifacts.feature_bounds.shape == (12, 2)
     assert artifacts.soil_bounds.shape == (12, 2)
     assert sorted(artifacts.order.tolist()) == list(range(12))
@@ -44,43 +44,43 @@ def test_best_column_lands_at_grid_center(fitted):
 
 
 def test_transform_keeps_training_rows_in_unit_box(fitted):
-    matrix, artifacts = fitted
-    transformed = transform_rows(matrix.values, artifacts)
-    assert transformed.shape == matrix.values.shape
+    base, artifacts = fitted
+    transformed = transform_rows(base, artifacts)
+    assert transformed.shape == base.shape
     assert transformed.min() >= 0.0
     assert transformed.max() <= 1.0
 
 
 def test_transform_accepts_single_row(fitted):
-    matrix, artifacts = fitted
-    one = transform_rows(matrix.values[3], artifacts)
+    base, artifacts = fitted
+    one = transform_rows(base[3], artifacts)
     assert one.shape == (1, 12)
-    assert np.array_equal(one[0], transform_rows(matrix.values, artifacts)[3])
+    assert np.array_equal(one[0], transform_rows(base, artifacts)[3])
 
 
 def test_soil_and_nutrients_for_row(fitted):
-    matrix, artifacts = fitted
-    soil = soil_for_row(matrix.values[0], artifacts)
+    base, artifacts = fitted
+    soil = soil_for_row(base[0], artifacts)
     assert soil.grid.shape == (SOIL_DEPTH, SOIL_WIDTH)
     assert set(np.unique(soil.grid)) <= {0.0, 1.0}
-    nutrients = nutrients_for_row(matrix.values[0], artifacts)
+    nutrients = nutrients_for_row(base[0], artifacts)
     assert nutrients.grid.shape == soil.grid.shape
     assert np.all(nutrients.grid >= 0.0)
 
 
 def test_prs_features_shape_and_determinism(fitted):
-    matrix, artifacts = fitted
-    a = prs_features(matrix.values, artifacts)
-    b = prs_features(matrix.values, artifacts)
-    assert a.shape == (len(matrix.labels), 2)
+    base, artifacts = fitted
+    a = prs_features(base, artifacts)
+    b = prs_features(base, artifacts)
+    assert a.shape == (len(base), 2)
     assert np.array_equal(a, b)
     assert np.all(a[:, 0] >= 0.0)  # NF accumulates non-negative terms
     assert np.all((a[:, 1] >= 0.0) & (a[:, 1] <= 154.0))
 
 
 def test_prs_features_rejects_bad_shapes_by_name(fitted):
-    matrix, artifacts = fitted
-    for bad in (matrix.values[0], matrix.values[:, :11], matrix.values[None]):
+    base, artifacts = fitted
+    for bad in (base[0], base[:, :11], base[None]):
         with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape}")):
             prs_features(bad, artifacts)
     assert prs_features(np.zeros((0, 12)), artifacts).shape == (0, 2)
@@ -89,7 +89,6 @@ def test_prs_features_rejects_bad_shapes_by_name(fitted):
 def test_prep_artifacts_validation():
     with pytest.raises(ValueError, match="permutation"):
         PrepArtifacts(
-            feature_names=("a", "b"),
             feature_bounds=np.zeros((2, 2)),
             gains=np.zeros(2),
             order=np.array([0, 0]),
@@ -97,7 +96,6 @@ def test_prep_artifacts_validation():
         )
     with pytest.raises(ValueError, match="bounds"):
         PrepArtifacts(
-            feature_names=("a", "b"),
             feature_bounds=np.zeros((3, 2)),
             gains=np.zeros(2),
             order=np.array([0, 1]),
@@ -106,9 +104,10 @@ def test_prep_artifacts_validation():
 
 
 def test_extract_base_matrix_row_per_segment(small_synth):
-    matrix = extract_base_matrix(small_synth)
-    assert matrix.shape == (len(small_synth.segments), 12)
-    assert matrix.labels == small_synth.labels
+    base = extract_base_matrix(small_synth)
+    assert isinstance(base, np.ndarray)
+    assert base.shape == (len(small_synth.segments), 12)
+    assert base.dtype == np.float64
 
 
 def test_extract_spectral_matrix_row_per_segment(small_synth):

@@ -64,41 +64,43 @@ def hull_oracle(occupancy):
 
 @pytest.fixture(scope="module")
 def reference():
-    matrix = extract_base_matrix(generate_synthetic(40, 2000, seed=1))
-    return matrix, fit_prep(matrix.values, matrix.labels)
+    dataset = generate_synthetic(40, 2000, seed=1)
+    base = extract_base_matrix(dataset)
+    labels = np.array(dataset.labels)
+    return base, labels, fit_prep(base, labels)
 
 
 def test_reference_set_matches_per_row(reference):
-    matrix, artifacts = reference
-    assert_batch_matches_rows(matrix.values, artifacts)
+    base, _, artifacts = reference
+    assert_batch_matches_rows(base, artifacts)
 
 
 def test_held_out_rows_outside_fitted_bounds(reference):
-    matrix, _ = reference
-    train = np.arange(0, len(matrix.values), 2)
-    artifacts = fit_prep(matrix.values[train], np.array(matrix.labels)[train])
+    base, labels, _ = reference
+    train = np.arange(0, len(base), 2)
+    artifacts = fit_prep(base[train], labels[train])
     lo, hi = artifacts.feature_bounds[:, 0], artifacts.feature_bounds[:, 1]
     rng = np.random.default_rng(7)
     # two thirds of the draws fall outside the fitted bounds, so bins clamp
     wide = lo + (hi - lo) * rng.uniform(-1.0, 2.0, size=(120, len(lo)))
     assert ((wide < lo) | (wide > hi)).any(axis=1).all()
-    assert_batch_matches_rows(np.vstack([matrix.values, wide]), artifacts)
+    assert_batch_matches_rows(np.vstack([base, wide]), artifacts)
 
 
 @pytest.mark.parametrize("m", [1, _PRS_BLOCK - 1, _PRS_BLOCK, _PRS_BLOCK + 1])
 def test_block_boundary_sizes(reference, m):
-    matrix, artifacts = reference
+    base, _, artifacts = reference
     rng = np.random.default_rng(m)
-    rows = matrix.values[rng.integers(0, len(matrix.values), size=m)]
+    rows = base[rng.integers(0, len(base), size=m)]
     rows = rows * rng.uniform(0.9, 1.1, size=rows.shape)
     assert_batch_matches_rows(rows, artifacts)
 
 
 def test_constant_column_gives_degenerate_bounds(reference):
-    matrix, _ = reference
-    values = matrix.values.copy()
+    base, labels, _ = reference
+    values = base.copy()
     values[:, 4] = 2.5
-    artifacts = fit_prep(values, matrix.labels)
+    artifacts = fit_prep(values, labels)
     assert (artifacts.soil_bounds[:, 0] == artifacts.soil_bounds[:, 1]).any()
     held_out = values[:10].copy()
     held_out[:, 4] = [-1.0, 0.0, 2.5, 9.0, 1e6, -1e6, 2.5, 3.0, 2.0, 2.5]
@@ -110,10 +112,10 @@ def test_constant_column_gives_degenerate_bounds(reference):
     [(SOIL_DEPTH, "onehot"), (9, "stacked"), (9, "onehot"), (22, "stacked")],
 )
 def test_fill_mode_and_depth(reference, depth, fill_mode):
-    matrix, artifacts = reference
+    base, _, artifacts = reference
     radicle = ((1, 6), (depth, 1))
     assert_batch_matches_rows(
-        matrix.values,
+        base,
         artifacts,
         PipelineConfig(
             soil=SoilConfig(depth=depth, fill_mode=fill_mode),
@@ -125,9 +127,9 @@ def test_fill_mode_and_depth(reference, depth, fill_mode):
 def test_shallow_soil_with_default_growth(reference):
     # the growth grid takes its depth from the soil, so no growth setting
     # has to repeat it
-    matrix, artifacts = reference
+    base, _, artifacts = reference
     config = PipelineConfig(soil=SoilConfig(depth=9))
-    assert_batch_matches_rows(matrix.values, artifacts, config)
+    assert_batch_matches_rows(base, artifacts, config)
 
 
 @pytest.mark.parametrize("cell", [(10, 1), (1, 13)])

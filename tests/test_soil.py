@@ -114,6 +114,10 @@ def test_soil_config_validation():
         SoilConfig(fill_mode="diagonal")
     with pytest.raises(ValueError, match="depth"):
         SoilConfig(depth=0)
+    for depth in (9.5, True, "9"):
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            SoilConfig(depth=depth)
+    assert SoilConfig(depth=np.int64(9)).depth == 9
 
 
 def test_bounds_shape_mismatch_rejected():

@@ -23,10 +23,10 @@ from prs.dataset import generate_synthetic
 from prs.errors import DegenerateDataError
 from prs.evaluation import stratified_split
 from prs.feature_prep import (
-    FeatureMatrix,
+    apply_bounds,
+    column_bounds,
     information_gain,
     kmeans_binary_split,
-    minmax_normalize,
     rank_features,
 )
 from prs.pipeline import extract_base_matrix
@@ -114,31 +114,29 @@ def check_split_shape(values, split):
 
 @pytest.fixture(scope="module")
 def reference_folds():
-    """Normalized training folds of the reference dataset; reps 10 and 11
-    are two of the folds where the restarts missed the optimum."""
+    """Normalized training folds of the reference dataset with their
+    labels; reps 10 and 11 are two of the folds where the restarts missed
+    the optimum."""
     dataset = generate_synthetic(40, 2000, seed=1)
     base = extract_base_matrix(dataset)
-    labels = np.array(base.labels)
+    labels = np.array(dataset.labels)
     folds = []
     for rep in range(12):
         train_idx, _ = stratified_split(
             labels, dataset.class_names, 0.6, np.random.default_rng(rep)
         )
-        matrix = FeatureMatrix(
-            values=base.values[train_idx],
-            names=base.names,
-            labels=tuple(labels[train_idx]),
-        )
-        folds.append((rep, minmax_normalize(matrix)))
+        train = base[train_idx]
+        norm = apply_bounds(train, column_bounds(train))
+        folds.append((rep, norm, tuple(labels[train_idx])))
     return folds
 
 
 def test_exact_split_never_worse_than_restarts_on_reference_folds(reference_folds):
     n_columns = n_better = 0
-    for rep, norm in reference_folds:
+    for rep, norm, _ in reference_folds:
         seeds = reference_column_seeds(rep, norm.shape[1])
         for j in range(norm.shape[1]):
-            column = norm.values[:, j]
+            column = norm[:, j]
             exact = kmeans_binary_split(column)
             lloyd_assignment, lloyd_sse = reference_lloyd_split(column, int(seeds[j]))
             assert exact.sse <= lloyd_sse + 1e-12, (rep, j)
@@ -152,11 +150,11 @@ def test_exact_split_never_worse_than_restarts_on_reference_folds(reference_fold
 
 
 def test_rank_features_is_the_gain_of_the_exact_split(reference_folds):
-    for _, norm in reference_folds[:3]:
-        gains = rank_features(norm)
+    for _, norm, labels in reference_folds[:3]:
+        gains = rank_features(norm, labels)
         for j in range(norm.shape[1]):
-            split = kmeans_binary_split(norm.values[:, j])
-            assert gains[j] == information_gain(norm.values[:, j], norm.labels, split)
+            split = kmeans_binary_split(norm[:, j])
+            assert gains[j] == information_gain(norm[:, j], labels, split)
 
 
 # -- brute force over awkward columns ---------------------------------------
