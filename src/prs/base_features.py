@@ -10,6 +10,14 @@ feature is also exposed as a standalone one-segment function so formulas
 can be tested in isolation; the kernel equals them bit for bit
 (``tests/test_features_batch_oracle.py``).
 
+SKW and KURT share ``dev2 = dev * dev`` of the centered samples: the
+third and fourth central moments are the means of ``dev2 * dev`` and
+``dev2 * dev2``, over ``m2 * sqrt(m2)`` and ``m2 * m2``. Multiply and
+sqrt are correctly rounded IEEE 754 operations, so the block kernel and
+``skewness``/``kurtosis`` agree by construction on any numpy, where an
+array ``pow`` need not round like a scalar one; a multiply also costs a
+small fraction of a ``pow``.
+
 Note on VAR: the variance here is the *uncentered* second moment with a
 1/(N-1) factor, sum(x^2)/(N-1). That is deliberate (it is what the
 definition this package implements prescribes); pass ``centered=True``
@@ -102,20 +110,22 @@ def skewness(x) -> float:
     """Population skewness m3 / m2^(3/2); undefined for a constant signal."""
     x = np.asarray(x, dtype=np.float64)
     dev = x - x.mean()
-    m2 = np.mean(dev**2)
+    dev2 = dev * dev
+    m2 = np.mean(dev2)
     if m2 == 0.0:
         raise DegenerateDataError("SKW undefined for a constant segment")
-    return float(np.mean(dev**3) / m2**1.5)
+    return float(np.mean(dev2 * dev) / (m2 * np.sqrt(m2)))
 
 
 def kurtosis(x) -> float:
     """Population kurtosis m4 / m2^2 (not excess); >= 1 for any signal."""
     x = np.asarray(x, dtype=np.float64)
     dev = x - x.mean()
-    m2 = np.mean(dev**2)
+    dev2 = dev * dev
+    m2 = np.mean(dev2)
     if m2 == 0.0:
         raise DegenerateDataError("KURT undefined for a constant segment")
-    return float(np.mean(dev**4) / m2**2)
+    return float(np.mean(dev2 * dev2) / (m2 * m2))
 
 
 def mav(x) -> float:
@@ -182,33 +192,35 @@ def base_feature_rows(
     n = x.shape[1]
     zc_thr, ssc_thr, wamp_thr = thresholds.resolve(x)
 
-    dev = x - x.mean(axis=1, keepdims=True)
-    dev_sq_sum = np.sum(dev**2, axis=1)
-    m2 = dev_sq_sum / n
-    # m2**1.5 and m2**2 as scalar pow, like skewness/kurtosis: the array
-    # pow rounds some of them differently in the last bit.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        skw = np.mean(dev**3, axis=1) / np.array([m**1.5 for m in m2])
-        kurt = np.mean(dev**4, axis=1) / np.array([m**2 for m in m2])
-    sq = x**2
-    sq_sum = np.sum(sq, axis=1)
-    a, b = x[:, :-1], x[:, 1:]
-    jump = np.abs(b - a)
-    mid = x[:, 1:-1]
-    columns = (
-        np.sqrt(m2),
-        (dev_sq_sum if centered_var else sq_sum) / (n - 1),
-        np.sqrt(sq_sum / n),
-        skw,
-        kurt,
-        np.mean(np.abs(x), axis=1),
-        np.sum((a * b < 0) & (jump >= zc_thr), axis=1),
-        np.sum((mid - x[:, :-2]) * (mid - x[:, 2:]) >= ssc_thr, axis=1),
-        np.sum(jump >= wamp_thr, axis=1),
-        sq_sum,
-        np.sum(sq[:, 1:-1] - x[:, :-2] * x[:, 2:], axis=1) / (n - 2),
-        np.sum(jump, axis=1),
-    )
+    # A constant row divides 0 by 0 and a huge one overflows; the callers
+    # name such a segment, so numpy need not warn first.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dev = x - x.mean(axis=1, keepdims=True)
+        dev2 = dev * dev
+        dev_sq_sum = np.sum(dev2, axis=1)
+        m2 = dev_sq_sum / n
+        # products and sqrt only, as in skewness/kurtosis (module docstring)
+        skw = np.mean(dev2 * dev, axis=1) / (m2 * np.sqrt(m2))
+        kurt = np.mean(dev2 * dev2, axis=1) / (m2 * m2)
+        sq = x**2
+        sq_sum = np.sum(sq, axis=1)
+        a, b = x[:, :-1], x[:, 1:]
+        jump = np.abs(b - a)
+        mid = x[:, 1:-1]
+        columns = (
+            np.sqrt(m2),
+            (dev_sq_sum if centered_var else sq_sum) / (n - 1),
+            np.sqrt(sq_sum / n),
+            skw,
+            kurt,
+            np.mean(np.abs(x), axis=1),
+            np.sum((a * b < 0) & (jump >= zc_thr), axis=1),
+            np.sum((mid - x[:, :-2]) * (mid - x[:, 2:]) >= ssc_thr, axis=1),
+            np.sum(jump >= wamp_thr, axis=1),
+            sq_sum,
+            np.sum(sq[:, 1:-1] - x[:, :-2] * x[:, 2:], axis=1) / (n - 2),
+            np.sum(jump, axis=1),
+        )
     return np.column_stack(columns)
 
 

@@ -304,7 +304,8 @@ def _train_svm(spec, X, signed):
     kernel that overflows raises DegenerateDataError before the loop.
     """
     m = X.shape[0]
-    K = _poly_kernel(X, X, spec.degree, spec.coef0)
+    with np.errstate(over="ignore"):  # raised below, without a warning first
+        K = _poly_kernel(X, X, spec.degree, spec.coef0)
     if not np.isfinite(K).all():
         raise DegenerateDataError("the polynomial kernel overflows float64")
     diag_k = np.diag(K)

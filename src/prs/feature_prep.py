@@ -88,18 +88,47 @@ def kmeans_binary_split(values) -> SplitResult:
     )
 
 
-def entropy(labels: Sequence) -> float:
-    """Shannon entropy of a label multiset in bits, with 0*log0 := 0."""
-    labels = list(labels)
-    if not labels:
+def _label_codes(labels: Sequence) -> np.ndarray:
+    """Each label's class index, classes numbered by first appearance."""
+    index: dict = {}
+    codes = np.array(
+        [index.setdefault(lab, len(index)) for lab in labels], dtype=np.intp
+    )
+    if not codes.size:
         raise ValueError("entropy of an empty label set is undefined")
-    total = len(labels)
+    return codes
+
+
+def _entropy_of_counts(counts, total: int) -> float:
+    """Entropy in bits of class counts summing to total, terms in class order."""
     h = 0.0
-    for lab in set(labels):
-        p = labels.count(lab) / total
-        if p > 0.0:
+    for c in counts:
+        if c:
+            p = c / total
             h -= p * math.log2(p)
     return h
+
+
+def _split_gain(codes: np.ndarray, assignment: np.ndarray) -> float:
+    """Information gain of integer-coded labels given split sets 1 and 2."""
+    total = codes.size
+    n_classes = int(codes.max()) + 1
+    # row s - 1 of per_set holds the class counts of set s
+    per_set = np.bincount(
+        codes + n_classes * (assignment - 1), minlength=2 * n_classes
+    ).reshape(2, n_classes)
+    expected = 0.0
+    for counts in per_set.tolist():
+        size = sum(counts)
+        if size:
+            expected += size / total * _entropy_of_counts(counts, size)
+    return _entropy_of_counts(per_set.sum(axis=0).tolist(), total) - expected
+
+
+def entropy(labels: Sequence) -> float:
+    """Shannon entropy of a label multiset in bits, with 0*log0 := 0."""
+    codes = _label_codes(labels)
+    return _entropy_of_counts(np.bincount(codes).tolist(), codes.size)
 
 
 def information_gain(
@@ -109,29 +138,24 @@ def information_gain(
 
     When ``split`` is omitted it is computed by ``kmeans_binary_split``.
     """
-    labels = list(labels)
+    codes = _label_codes(labels)
     if split is None:
         split = kmeans_binary_split(column)
-    if len(split.assignment) != len(labels):
+    if len(split.assignment) != codes.size:
         raise ValueError(
-            f"split covers {len(split.assignment)} rows, have {len(labels)} labels"
+            f"split covers {len(split.assignment)} rows, have {codes.size} labels"
         )
-    total = len(labels)
-    expected = 0.0
-    for s in (1, 2):
-        subset = [lab for lab, a in zip(labels, split.assignment) if a == s]
-        if subset:
-            expected += len(subset) / total * entropy(subset)
-    return entropy(labels) - expected
+    return _split_gain(codes, np.asarray(split.assignment))
 
 
 def rank_features(norm: np.ndarray, labels: Sequence) -> np.ndarray:
     """Information gain per min-max normalized column. A column that is
     constant (so was constant before scaling) scores 0."""
+    codes = _label_codes(labels)
     bounds = column_bounds(norm)
     gains = np.zeros(norm.shape[1])
     for j in np.flatnonzero(bounds[:, 0] != bounds[:, 1]):
-        gains[j] = information_gain(norm[:, j], labels)
+        gains[j] = _split_gain(codes, kmeans_binary_split(norm[:, j]).assignment)
     return gains
 
 

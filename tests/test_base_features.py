@@ -5,6 +5,7 @@ written independently of the vectorized implementations.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from prs.base_features import (
     FEATURE_NAMES,
     RELATIVE_THRESHOLD,
     ThresholdConfig,
+    base_feature_rows,
     compute_base_features,
     kurtosis,
     mav,
@@ -122,6 +124,37 @@ def test_all_features_match_loop_oracles():
         ]
         for got, want in pairs:
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def exact_skw_kurt(x):
+    """SKW and KURT of the float samples in exact rational arithmetic:
+    only the final square root and the conversions to float round."""
+    xs = [Fraction(v) for v in x]
+    n = len(xs)
+    mean = sum(xs) / n
+    dev2 = [(v - mean) ** 2 for v in xs]
+    m2 = sum(dev2) / n
+    m3 = sum(d2 * (v - mean) for d2, v in zip(dev2, xs)) / n
+    m4 = sum(d2 * d2 for d2 in dev2) / n
+    skw = math.copysign(math.sqrt(m3 * m3 / (m2 * m2 * m2)), m3)
+    return skw, float(m4 / (m2 * m2))
+
+
+def test_kernel_skw_kurt_match_exact_rational_moments():
+    # skewed rows (|SKW| well above 0, so rel is meaningful) over six
+    # decades of amplitude, with offsets of up to 100 amplitudes: moments
+    # taken from uncentered sums lose more than 1e-12 to cancellation here
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n = int(rng.integers(16, 2001))
+        amplitude = 10.0 ** rng.uniform(-3, 3)
+        sign = rng.choice([-1.0, 1.0])
+        offset = rng.uniform(-100, 100)
+        x = amplitude * (sign * rng.standard_exponential(n) + offset)
+        skw, kurt = exact_skw_kurt(x.tolist())
+        got = base_feature_rows(x[None, :])[0]
+        assert got[3] == pytest.approx(skw, rel=1e-12, abs=0)
+        assert got[4] == pytest.approx(kurt, rel=1e-12, abs=0)
 
 
 # -- stated example values ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,10 +309,13 @@ def test_svm_rows_equal_across_classes_reach_the_box_corner():
 
 def test_svm_rejects_a_kernel_that_overflows():
     # (x.z + 1)^3 of features near 1e120 exceeds float64: the fit used to
-    # run to the update cap and return a NaN bias and dual objective
+    # run to the update cap and return a NaN bias and dual objective; the
+    # error is the only report, with no numpy warning before it
     X, y = separated_gaussians(m=20, f=3, seed=2)
     spec = ClassifierSpec(kind="SVM_POLY", degree=3)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(DegenerateDataError, match="kernel overflows float64"):
             train(spec, X * 1e120, y)
+    assert caught == []
     assert np.isfinite(train(spec, X * 1e30, y).params["bias"])

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior, exit codes, and output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prs
 from prs.base_features import FEATURE_NAMES
 from prs.cli import main
 from prs.dataset import LabeledDataset, SignalSegment, generate_synthetic, write_dataset
@@ -82,6 +87,28 @@ def test_spectral_csv_header(data_dir, capsys):
     lines = stdout.strip().split("\n")
     assert lines[0] == "id,label,MaxPSD,MedPSD"
     assert len(lines) == 9
+
+
+def test_extract_overflowing_segment_prints_only_the_error_line(tmp_path, capfd):
+    # a child process, so stderr holds whatever numpy would print
+    data = generate_synthetic(2, 64, seed=3)
+    huge = data.segments[1]
+    segments = list(data.segments)
+    segments[1] = SignalSegment(
+        huge.id, huge.label, huge.sampling_rate, 1e160 * huge.samples
+    )
+    manifest = write_dataset(LabeledDataset(data.name, tuple(segments)), tmp_path)
+    src = str(Path(prs.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-m", "prs.cli", "extract", "--manifest", str(manifest)]
+    rc = subprocess.run(argv, env=env).returncode
+    err = capfd.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [
+        f"error: segment {huge.id!r} overflows float64 in "
+        "STD, VAR, RMS, SKW, KURT, SSI, NLE"
+    ]
 
 
 def test_missing_manifest_is_runtime_error(capsys):

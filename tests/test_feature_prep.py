@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from prs.errors import DegenerateDataError
 from prs.feature_prep import (
+    MIN_SAMPLES,
     SplitResult,
     apply_bounds,
     center_out_positions,
@@ -219,6 +220,37 @@ def test_gain_bounds_property(labels, pattern):
     split = SplitResult(assignment=assignment, centers=(0.0, 1.0), sse=0.0)
     gain = information_gain([0.0] * n, labels, split=split)
     assert -1e-12 <= gain <= entropy(labels) + 1e-12
+
+
+def list_scan_gain(labels, assignment):
+    """The gain in the float order of the list-scan implementation: the
+    weighted set entropies are summed, then taken from the total entropy."""
+    total = len(labels)
+    expected = 0.0
+    for s in (1, 2):
+        subset = [lab for lab, a in zip(labels, assignment) if a == s]
+        if subset:
+            expected += len(subset) / total * oracle_entropy(subset)
+    return oracle_entropy(labels) - expected
+
+
+def test_gains_equal_list_scan_oracle_on_random_folds():
+    # bit for bit, so counting by class codes moves no report; few distinct
+    # values give tied rows, and some folds have single-class sets
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        m = int(rng.integers(MIN_SAMPLES, 121))
+        values = rng.integers(0, int(rng.integers(2, 6)), size=(m, 12)).astype(float)
+        labels = ["P" if u else "N" for u in rng.random(m) < rng.uniform(0.1, 0.9)]
+        norm = minmax(values)
+        gains = rank_features(norm, labels)
+        for j in range(12):
+            if norm[:, j].min() == norm[:, j].max():
+                assert gains[j] == 0.0
+                continue
+            want = list_scan_gain(labels, kmeans_binary_split(norm[:, j]).assignment)
+            assert gains[j] == want
+            assert information_gain(norm[:, j], labels) == want
 
 
 # -- ranking and center-out sort ---------------------------------------------
