@@ -10,15 +10,21 @@ SVM_POLY  soft-margin SVM with a polynomial kernel, trained by SMO with
           and the partner j that most decreases the dual's quadratic
           model, and the fit stops once the maximal violating pair is
           closer than _SVM_STOP = 1e-9. One loop solves, in lockstep,
-          the duals of several feature matrices with the same rows and
-          labels (``train_group``; ``train`` is a group of one): each
-          step picks i, j and the gap of every unfinished problem by
-          argmin/argmax over a (problems, m) block, with the index sets
-          I_up/I_low kept as offsets (0 or an infinity) on the signed
-          gradient, then makes each problem's scalar pair update. The
-          block's numpy calls are shared, so p problems cost little
-          more per step than one; each problem's floats are those of a
-          fit on its own, and a problem leaves the block when it stops.
+          the duals of every problem of a ``train_group`` call with the
+          same row count (``train`` is a group of one): a run passes the
+          variants of all its reps' splits, each with its own labels.
+          Each step picks i, j and the gap of every unfinished problem
+          by argmin/argmax over a (problems, m) block, with the index
+          sets I_up/I_low kept as offsets (0 or an infinity) on the
+          signed gradient, then makes each problem's scalar pair update.
+          The block's numpy calls are shared, so p problems cost little
+          more per step than one, and the loop takes as many steps as
+          its slowest problem; each problem's floats are those of a fit
+          on its own, and a problem leaves the block when it stops. A
+          block holds the (m, m) kernel and curvature of each of its
+          problems, so it takes at most _SVM_BLOCK_BYTES of them and
+          the problems beyond start another block (at 1200 rows one
+          problem needs 23 MB).
 
 Labels are arbitrary strings; the two classes are ordered lexically and
 score ties resolve to the second class. Trained models report fit
@@ -41,6 +47,7 @@ CLASSIFIER_KINDS = ("LR", "LDA", "QDA", "SVM_POLY")
 _ALPHA_EPS = 1e-12  # below this a dual coefficient counts as zero
 _SVM_STOP = 1e-9  # SVM stops once the maximal violating pair is this close
 _SVM_TAU = 1e-12  # floor on a pair's curvature (zero for equal kernel rows)
+_SVM_BLOCK_BYTES = 1 << 25  # kernel + curvature of one lockstep block (32 MiB)
 
 
 @dataclass(frozen=True)
@@ -159,27 +166,36 @@ def _check_matrix(X) -> np.ndarray:
 
 def train(spec: ClassifierSpec, X, y) -> TrainedModel:
     """Fit the classifier named by spec on (X, y)."""
-    return train_group(spec, [X], y)[0]
+    return train_group(spec, [X], [y])[0]
 
 
-def train_group(spec: ClassifierSpec, matrices, y) -> list[TrainedModel]:
-    """Fit spec on each feature matrix against the same labels y.
+def train_group(spec: ClassifierSpec, matrices, labels) -> list[TrainedModel]:
+    """Fit spec on each feature matrix against its own label vector.
 
-    The matrices share their rows (one per label) and may differ in
-    columns. SVM_POLY solves their duals in one lockstep loop; the other
-    kinds fit one matrix at a time. Model k equals
-    ``train(spec, matrices[k], y)`` bit for bit.
+    ``labels[k]`` holds one label per row of ``matrices[k]``; the
+    problems may differ in rows, labels and columns, e.g. the variants
+    of every rep's split at several rates. SVM_POLY solves the duals of
+    the problems with equal row counts in one lockstep loop, in blocks
+    of at most _SVM_BLOCK_BYTES of kernel and curvature; the other kinds
+    fit one matrix at a time. Model k equals
+    ``train(spec, matrices[k], labels[k])`` bit for bit.
     """
     matrices = [_check_matrix(X) for X in matrices]
-    classes, signed = _encode_labels(y)
-    for X in matrices:
+    labels = list(labels)
+    if len(labels) != len(matrices):
+        raise ValueError(
+            f"{len(matrices)} feature matrices but {len(labels)} label vectors"
+        )
+    encoded = [_encode_labels(y) for y in labels]
+    for X, (_, signed) in zip(matrices, encoded):
         if X.shape[0] != len(signed):
             raise ValueError(f"{X.shape[0]} rows but {len(signed)} labels")
+    signs = [signed for _, signed in encoded]
     if spec.kind == "SVM_POLY":
-        fits = _train_svm(spec, matrices, signed)
+        fits = _train_svm(spec, matrices, signs)
     else:
         fit = _train_logistic if spec.kind == "LR" else _train_gaussian
-        fits = [fit(spec, X, signed) for X in matrices]
+        fits = [fit(spec, X, signed) for X, signed in zip(matrices, signs)]
     return [
         TrainedModel(
             spec=spec,
@@ -188,7 +204,7 @@ def train_group(spec: ClassifierSpec, matrices, y) -> list[TrainedModel]:
             params=params,
             diagnostics=diag,
         )
-        for X, (params, diag) in zip(matrices, fits)
+        for X, (classes, _), (params, diag) in zip(matrices, encoded, fits)
     ]
 
 
@@ -316,49 +332,78 @@ def _kkt_violation(alpha, margins, penalty):
     return v
 
 
-def _train_svm(spec, matrices, signed):
-    """Solve the dual of each feature matrix by SMO with second-order
-    working-set selection (WSS2 of Fan, Chen & Lin 2005, as in LIBSVM).
+def _train_svm(spec, matrices, signs):
+    """Solve the dual of each (matrix, signed labels) problem by SMO.
 
-    The p problems share rows and labels and run in lockstep: each step
-    makes one pair update in every problem still in the block, and a
-    problem leaves the block once its maximal violating pair is closer
-    than _SVM_STOP, or after max_sweeps * m pair updates. Block row k
-    holds yg = y * G of problem block[k], the dual gradient
-    G = Q alpha - 1 times the labels, i.e. the bias-free errors
-    K (alpha * y) - y; each pair update moves it by two kernel rows.
-    Each problem does the float operations of a fit on its own. A kernel
-    that overflows raises DegenerateDataError before the loop.
+    Problems with equal row counts m share lockstep blocks, in input
+    order; each block holds at most _SVM_BLOCK_BYTES of kernel and
+    curvature (16 m^2 bytes per problem, and at least one problem).
     """
-    p, m = len(matrices), len(signed)
-    K = np.empty((p, m, m))
+    by_rows: dict[int, list[int]] = {}
+    for k, signed in enumerate(signs):
+        by_rows.setdefault(len(signed), []).append(k)
+    fits = [None] * len(matrices)
+    for m, problems in by_rows.items():
+        size = max(1, _SVM_BLOCK_BYTES // (16 * m * m))
+        for at in range(0, len(problems), size):
+            block = problems[at : at + size]
+            solved = _solve_svm_block(
+                spec, [matrices[k] for k in block], [signs[k] for k in block]
+            )
+            for k, fit in zip(block, solved):
+                fits[k] = fit
+    return fits
+
+
+def _solve_svm_block(spec, matrices, signs):
+    """Solve the duals of p problems with m rows each by SMO with
+    second-order working-set selection (WSS2 of Fan, Chen & Lin 2005,
+    as in LIBSVM).
+
+    The problems run in lockstep: each step makes one pair update in
+    every problem still in the block, and a problem leaves the block
+    once its maximal violating pair is closer than _SVM_STOP, or after
+    max_sweeps * m pair updates. Block row k holds yg = y * G of problem
+    block[k], the dual gradient G = Q alpha - 1 times the labels, i.e.
+    the bias-free errors K (alpha * y) - y; each pair update moves it by
+    two kernel rows. The kernel and curvature stacks stay in place, so
+    the block's memory is theirs plus O(p m). Each problem does the
+    float operations of a fit on its own. A kernel that overflows raises
+    DegenerateDataError before the loop.
+    """
+    p, m = len(matrices), len(signs[0])
+    K, curv = np.empty((p, m, m)), np.empty((p, m, m))
     for k, X in enumerate(matrices):
         K[k] = _poly_kernel(X, X, spec.degree, spec.coef0)
-    # curvature K_ii + K_tt - 2 K_it of every pair, floored at _SVM_TAU
-    diag_k = K.diagonal(axis1=1, axis2=2)
-    curv = diag_k[:, :, None] + diag_k[:, None, :]
-    curv -= 2.0 * K
+        # curvature K_ii + K_tt - 2 K_it of every pair, floored below
+        diag = K[k].diagonal()
+        np.add(diag[:, None], diag, out=curv[k])
+        curv[k] -= 2.0 * K[k]
     np.maximum(curv, _SVM_TAU, out=curv)
+    k_rows, curv_rows = K.reshape(p * m, m), curv.reshape(p * m, m)
     C = spec.penalty
-    ys = signed.tolist()
+    ys = [signed.tolist() for signed in signs]
     alphas = [[0.0] * m for _ in range(p)]
-    yg = np.tile(-signed, (p, 1))
+    signed_rows = np.stack(signs)
+    yg = -signed_rows
     # I_up (alpha may move along +y) and I_low (along -y) as offsets that
     # yg - offset sends to +inf outside I_up and to -inf outside I_low;
     # subtracting 0.0 keeps the sign of a zero, so yg[i] passes unchanged
-    up_off = np.tile(np.where(signed > 0, 0.0, -np.inf), (p, 1))
-    low_off = np.tile(np.where(signed > 0, np.inf, 0.0), (p, 1))
-    block, k_block, curv_block = list(range(p)), K, curv
+    up_off = np.where(signed_rows > 0, 0.0, -np.inf)
+    low_off = np.where(signed_rows > 0, np.inf, 0.0)
+    block = list(range(p))
     ends = [None] * p  # (g_max, g_min, n_updates) where each problem stopped
     cap = spec.max_sweeps * m
     n_updates = 0
     while block:
-        # row t of block problem k is element or row k * m + t of the flat
-        # yg, offsets, kernel rows and curvature rows
+        # row t of block problem k is element k * m + t of the flat yg and
+        # offsets, and that plus shift[k] is its row in k_rows and curv_rows
         q = len(block)
-        k_rows, curv_rows = k_block.reshape(q * m, m), curv_block.reshape(q * m, m)
         starts = np.arange(0, q * m, m)
+        shift = np.array(block) * m - starts
+        pair_shift = np.concatenate((shift, shift))
         block_alphas = [alphas[k] for k in block]
+        block_ys = [ys[k] for k in block]
         up_flat, low_flat = up_off.reshape(-1), low_off.reshape(-1)
         while True:
             # i maximises -y G over I_up, at g_max = -up_i; the gap closes
@@ -376,7 +421,7 @@ def _train_svm(spec, matrices, signed):
             # j maximises b^2 / a over the I_low points that violate with i
             # (b > 0); the gap >= _SVM_STOP guarantees one exists, so zeroing
             # b <= 0 instead of excluding it selects the same j
-            a = curv_rows.take(i, axis=0)
+            a = curv_rows.take(i + shift, axis=0)
             b = yg - up_i[:, None]
             np.maximum(b, 0.0, out=b)
             b *= b
@@ -387,10 +432,13 @@ def _train_svm(spec, matrices, signed):
             pair = np.concatenate((i, j))
             yg_pair = yg.take(pair).tolist()
             steps, ups, lows = [0.0] * (2 * q), [0.0] * (2 * q), [0.0] * (2 * q)
-            for k, (alpha, ti, tj, a_ij) in enumerate(
-                zip(block_alphas, t_i.tolist(), t_j.tolist(), a.take(j).tolist())
+            for k, (alpha, y, ti, tj, a_ij) in enumerate(
+                zip(
+                    block_alphas, block_ys, t_i.tolist(), t_j.tolist(),
+                    a.take(j).tolist(),
+                )
             ):
-                y_i, y_j = ys[ti], ys[tj]
+                y_i, y_j = y[ti], y[tj]
                 old_i, old_j = alpha[ti], alpha[tj]
                 new_i, new_j = alpha[ti], alpha[tj] = _pair_update(
                     old_i, old_j, y_i * yg_pair[k], y_j * yg_pair[q + k],
@@ -399,7 +447,7 @@ def _train_svm(spec, matrices, signed):
                 steps[k], steps[q + k] = y_i * (new_i - old_i), y_j * (new_j - old_j)
                 ups[k], lows[k] = _offsets(new_i, y_i, C)
                 ups[q + k], lows[q + k] = _offsets(new_j, y_j, C)
-            moves = np.array(steps)[:, None] * k_rows.take(pair, axis=0)
+            moves = np.array(steps)[:, None] * k_rows.take(pair + pair_shift, axis=0)
             yg += moves[:q]
             yg += moves[q:]
             up_flat[pair] = ups
@@ -412,9 +460,8 @@ def _train_svm(spec, matrices, signed):
         block = [k for k, stop in zip(block, stopped) if not stop]
         keep = np.logical_not(stopped)
         yg, up_off, low_off = yg[keep], up_off[keep], low_off[keep]
-        k_block, curv_block = k_block[keep], curv_block[keep]
     return [
-        _svm_fit(X, K[k], signed, np.array(alphas[k]), *ends[k], C)
+        _svm_fit(X, K[k], signs[k], np.array(alphas[k]), *ends[k], C)
         for k, X in enumerate(matrices)
     ]
 

@@ -33,7 +33,7 @@ from .evaluation import (
     VARIANTS,
     build_feature_table,
     correlation_matrix,
-    evaluate_split,
+    evaluate_splits,
     rep_rng,
     run_experiment,
     split_inputs,
@@ -483,7 +483,7 @@ def _cmd_classify(opts) -> int:
         inputs.labels, dataset.class_names, opts["rate"], rep_rng(opts["seed"], 0)
     )
     spec = ClassifierSpec(kind=opts["classifier"])
-    results = evaluate_split(inputs, train_idx, test_idx, [spec], variants)
+    [results] = evaluate_splits(inputs, [(train_idx, test_idx)], [spec], variants)
     counts, diagnostics = results[(spec.kind, opts["variant"])]
     report = {
         "dataset": dataset.name,

@@ -3,14 +3,19 @@
 A run crosses classifiers x feature variants x training rates over many
 repetitions. Every repetition draws one stratified split per rate from
 ``rep_rng(seed, rep)`` and reuses it across all variants and classifiers,
-so the comparison between variants is paired. ``evaluate_split`` is the
-one implementation of a split: feature preparation (normalization
-bounds, gain ranking, soil bounds) is fitted on the training fold only
-unless global_prep is set, which fits it once on the whole dataset and
-is meant for protocol-replication runs. ``prs classify`` is rep 0 of
-``run_experiment`` with one classifier, variant and rate. One
-``pipeline.PipelineConfig`` carries the feature settings (thresholds,
-soil, growth, median mode) of a run, so a PRS ablation is a config.
+so the comparison between variants is paired. ``evaluate_splits`` is the
+one split evaluator: feature preparation (normalization bounds, gain
+ranking, soil bounds) is fitted on each training fold only unless
+global_prep is set, which fits it once on the whole dataset and is
+meant for protocol-replication runs. ``run_experiment`` draws and
+prepares every rep's splits first and then fits each classifier once
+over all of them, so that SVM_POLY steps the duals of every rep, rate
+and variant in shared lockstep loops (the classifiers module bounds the
+kernel memory of one loop by a byte budget, as the duals of a run grow
+with reps). ``prs classify`` is rep 0 of ``run_experiment`` with one
+classifier, variant and rate. One ``pipeline.PipelineConfig`` carries
+the feature settings (thresholds, soil, growth, median mode) of a run,
+so a PRS ablation is a config.
 
 Reports are plain dicts ready for json.dump; an infinite ANOVA F value
 is serialized as the string "inf".
@@ -29,7 +34,7 @@ from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, train_group
 # not called here: the benchmark tracer (perfbench/tracer.py) wraps evaluation.train
 from .classifiers import train  # noqa: F401
 from .dataset import LabeledDataset
-from .errors import PrsError
+from .errors import PrsError, check_integer
 from .feature_prep import MIN_SAMPLES, apply_bounds, column_bounds
 from .pipeline import (
     PRS_NAMES,
@@ -226,7 +231,7 @@ def split_inputs(
     global_prep: bool = False,
     config: PipelineConfig = PipelineConfig(),
 ) -> SplitInputs:
-    """Rows for ``evaluate_split`` over ``variants``; computes only the
+    """Rows for ``evaluate_splits`` over ``variants``; computes only the
     columns those variants use. Raises ``PrsError`` before any feature
     work when per-fold prep would get too few rows at one of ``rates``."""
     needs_prs = _needs(variants, PRS_NAMES)
@@ -251,48 +256,54 @@ class SplitResult(NamedTuple):
     diagnostics: dict
 
 
-def evaluate_split(
-    inputs: SplitInputs, train_idx, test_idx, specs, variants
-) -> dict[tuple[str, str], SplitResult]:
-    """Train and score every classifier on every variant of one split.
+def evaluate_splits(
+    inputs: SplitInputs, splits, specs, variants
+) -> list[dict[tuple[str, str], SplitResult]]:
+    """Train and score every classifier on every variant of each split.
 
+    ``splits`` is a sequence of (train_idx, test_idx) pairs and
     ``inputs`` comes from ``split_inputs`` for the same variants. NF/RF
-    are the global-prep rows when ``inputs`` has them, else fitted on the
-    training fold; each variant is scaled by its training columns'
-    bounds. All variants are assembled and scaled first; then each
-    classifier makes one ``train_group`` fit over them, which for
-    SVM_POLY solves the variants' duals in one lockstep loop. Keyed by
-    (classifier kind, variant).
+    are the global-prep rows when ``inputs`` has them, else fitted on
+    each training fold; each variant is scaled by its training columns'
+    bounds. Every split's variants are assembled and scaled first; then
+    each classifier makes one ``train_group`` fit over all of them,
+    which for SVM_POLY solves the duals of every split and variant in
+    lockstep loops. One dict per split, keyed by (classifier kind,
+    variant).
     """
     base, labels, spectral = inputs.base, inputs.labels, inputs.spectral
-    y_train, y_test = labels[train_idx], labels[test_idx]
-    if not _needs(variants, PRS_NAMES):
-        prs_train = np.zeros((len(train_idx), 2))
-        prs_test = np.zeros((len(test_idx), 2))
-    elif inputs.global_prs is not None:
-        prs_train = inputs.global_prs[train_idx]
-        prs_test = inputs.global_prs[test_idx]
-    else:
-        artifacts = fit_prep(base[train_idx], y_train)
-        prs_train = prs_features(base[train_idx], artifacts, inputs.config)
-        prs_test = prs_features(base[test_idx], artifacts, inputs.config)
-    x_train, x_test = [], []
-    for variant in variants:
-        raw_train = assemble_variant(
-            variant, base[train_idx], prs_train, spectral[train_idx]
-        )
-        raw_test = assemble_variant(
-            variant, base[test_idx], prs_test, spectral[test_idx]
-        )
-        bounds = column_bounds(raw_train)
-        x_train.append(apply_bounds(raw_train, bounds))
-        x_test.append(apply_bounds(raw_test, bounds))
-    results = {}
+    x_train, y_train, tests = [], [], []
+    for train_idx, test_idx in splits:
+        y_fold, y_test = labels[train_idx], labels[test_idx]
+        if not _needs(variants, PRS_NAMES):
+            prs_train = np.zeros((len(train_idx), 2))
+            prs_test = np.zeros((len(test_idx), 2))
+        elif inputs.global_prs is not None:
+            prs_train = inputs.global_prs[train_idx]
+            prs_test = inputs.global_prs[test_idx]
+        else:
+            artifacts = fit_prep(base[train_idx], y_fold)
+            prs_train = prs_features(base[train_idx], artifacts, inputs.config)
+            prs_test = prs_features(base[test_idx], artifacts, inputs.config)
+        for variant in variants:
+            raw_train = assemble_variant(
+                variant, base[train_idx], prs_train, spectral[train_idx]
+            )
+            raw_test = assemble_variant(
+                variant, base[test_idx], prs_test, spectral[test_idx]
+            )
+            bounds = column_bounds(raw_train)
+            x_train.append(apply_bounds(raw_train, bounds))
+            y_train.append(y_fold)
+            tests.append((variant, apply_bounds(raw_test, bounds), y_test))
+    results = [{} for _ in splits]
     for spec in specs:
         models = train_group(spec, x_train, y_train)
-        for variant, model, x in zip(variants, models, x_test):
+        for n, (model, (variant, x, y_test)) in enumerate(zip(models, tests)):
             counts = confusion_counts(y_test, model.predict(x), model.classes)
-            results[(spec.kind, variant)] = SplitResult(counts, model.diagnostics)
+            results[n // len(variants)][(spec.kind, variant)] = SplitResult(
+                counts, model.diagnostics
+            )
     return results
 
 
@@ -310,14 +321,17 @@ def run_experiment(
     """Full accuracy grid; returns a JSON-ready report dict.
 
     The report is a pure function of the run configuration. Classifier
-    kinds, variants and rates must each be unique. Reps run serially:
-    ``threads`` must be >= 1 and is kept as the worker count of a later
-    process-sharded run, but changes nothing today.
+    kinds, variants and rates must each be unique, and ``reps`` and
+    ``threads`` integers >= 1. Every rep's splits are drawn and their
+    features prepared first; then each classifier is fitted once over
+    all of them, so SVM_POLY takes as many lockstep steps as its slowest
+    dual needs, not that many per rep. ``threads`` is kept as the worker
+    count of a later process-sharded run, but changes nothing today.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    for name, value in (("reps", reps), ("threads", threads)):
+        check_integer(name, value)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     specs = [
         c if isinstance(c, ClassifierSpec) else ClassifierSpec(kind=str(c))
         for c in classifiers
@@ -334,17 +348,19 @@ def run_experiment(
     class_names = dataset.class_names
     inputs = split_inputs(dataset, variants, rates, global_prep, config)
 
-    def run_rep(rep: int) -> dict:
+    splits = []
+    for rep in range(reps):
         rng = rep_rng(seed, rep)
-        out = {}
-        for rate in rates:
-            split = stratified_split(inputs.labels, class_names, rate, rng)
-            results = evaluate_split(inputs, *split, specs, variants)
-            for (kind, variant), result in results.items():
-                out[(kind, variant, rate)] = result.counts.accuracy
-        return out
-
-    rep_results = [run_rep(r) for r in range(reps)]
+        splits += [
+            stratified_split(inputs.labels, class_names, rate, rng) for rate in rates
+        ]
+    results = evaluate_splits(inputs, splits, specs, variants)
+    # results[rep * len(rates) + r] is the split of rep at rates[r]
+    rep_results = [{} for _ in range(reps)]
+    for n, split_results in enumerate(results):
+        rep, r = divmod(n, len(rates))
+        for (kind, variant), result in split_results.items():
+            rep_results[rep][(kind, variant, rates[r])] = result.counts.accuracy
 
     cells = []
     acc_lists: dict[tuple[str, str, float], list[float]] = {}

@@ -4,8 +4,8 @@ scoring, center-out ordering; ``pipeline.fit_prep`` chains them.
 The importance score of a feature column is the information gain of the
 class labels given a two-set split of the column. The split is the exact
 1D 2-means (the threshold with the least within-cluster SSE, found by one
-prefix-sum scan over the sorted column), so the ranking is deterministic
-and needs no seed. Columns are then permuted so the highest-gain feature
+prefix-sum scan over the sorted columns, all columns at once), so the
+ranking is deterministic and needs no seed. Columns are then permuted so the highest-gain feature
 sits at the center of the soil grid and importance decreases outward.
 """
 
@@ -50,34 +50,53 @@ def apply_bounds(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
+def _two_means_thresholds(block: np.ndarray) -> np.ndarray:
+    """Threshold of the exact 1D 2-means split of each column of an
+    (m, k) block whose columns each hold at least two distinct values.
+
+    An optimal 1D 2-means partition is contiguous in sorted order, so
+    every cut between distinct sorted values is scored at once from
+    prefix sums, all columns in one pass. Minimizing the within-cluster
+    SSE is maximizing the between-cluster sum (m*L_c - c*T)^2 /
+    (m*c*(m-c)) over the c smallest values with sum L_c (T is the
+    total), which avoids the cancellation of S2 - S1^2/c. Ties go to the
+    first (lowest) cut; the threshold is the largest value of set 1.
+    """
+    if not np.isfinite(block).all():
+        raise ValueError("2-means needs finite values")
+    s = np.sort(block, axis=0)
+    # Power-of-two scaling is exact and keeps the squares finite for any
+    # span; shifting by the minimum keeps a large offset out of the sums.
+    exponent = np.frexp(np.maximum(-s[0], s[-1]))[1]
+    prefix = np.ldexp(s, -exponent)
+    prefix -= np.ldexp(s[0], -exponent)
+    np.cumsum(prefix, axis=0, out=prefix)
+    m = float(s.shape[0])
+    c = np.arange(1.0, m)[:, None]  # size of set 1 at the cut after row c - 1
+    # (m * L_c - c * T)^2 / (m * c * (m - c)), in place over the prefix
+    # sums but the last (T): a temporary per operation would be most of
+    # rank_features' memory on a large table
+    between = prefix[:-1]
+    between *= m
+    between -= c * prefix[-1]
+    between *= between
+    between /= m * c * (m - c)
+    between[s[1:] <= s[:-1]] = -np.inf  # no cut between equal values
+    return s[between.argmax(axis=0), np.arange(s.shape[1])]
+
+
 def kmeans_binary_split(values) -> SplitResult:
     """Exact 1D 2-means: the threshold split with the least within-cluster SSE.
 
-    The k = 2 case of Ckmeans.1d.dp (Wang & Song 2011, The R Journal 3(2)):
-    an optimal 1D 2-means partition is contiguous in sorted order, so every
-    cut between distinct sorted values is scored at once from prefix sums.
-    Minimizing the within-cluster SSE is maximizing the between-cluster sum
-    (m*L_k - k*T)^2 / (m*k*(m-k)) over the k smallest values with sum L_k
-    (T is the total), which avoids the cancellation of S2 - S1^2/k. Ties
-    go to the first (lowest) cut. Set 1 is v <= threshold.
+    The k = 2 case of Ckmeans.1d.dp (Wang & Song 2011, The R Journal 3(2)),
+    scored as in ``_two_means_thresholds``. Set 1 is v <= threshold.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if not np.isfinite(v).all():
         raise ValueError("2-means needs finite values")
-    s = np.sort(v)
-    cuts = np.flatnonzero(s[1:] > s[:-1]) + 1  # size of set 1 at each cut
-    if cuts.size == 0:
+    if v.size < 2 or v.min() == v.max():
         raise DegenerateDataError("all values identical: no valid binary split")
-
-    # Power-of-two scaling is exact and keeps the squares finite for any
-    # span; shifting by the minimum keeps a large offset out of the sums.
-    exponent = np.frexp(max(-s[0], s[-1]))[1]
-    x = np.ldexp(s, -exponent) - np.ldexp(s[0], -exponent)
-    prefix = np.cumsum(x)
-    m = float(v.size)
-    k = cuts.astype(np.float64)
-    between = (m * prefix[cuts - 1] - k * prefix[-1]) ** 2 / (m * k * (m - k))
-    threshold = s[cuts[int(np.argmax(between))] - 1]
+    threshold = _two_means_thresholds(v[:, None])[0]
 
     assignment = np.where(v <= threshold, 1, 2)
     centers = np.array([v[assignment == 1].mean(), v[assignment == 2].mean()])
@@ -111,18 +130,23 @@ def _entropy_of_counts(counts, total: int) -> float:
 
 def _split_gain(codes: np.ndarray, assignment: np.ndarray) -> float:
     """Information gain of integer-coded labels given split sets 1 and 2."""
-    total = codes.size
     n_classes = int(codes.max()) + 1
     # row s - 1 of per_set holds the class counts of set s
     per_set = np.bincount(
         codes + n_classes * (assignment - 1), minlength=2 * n_classes
     ).reshape(2, n_classes)
+    return _gain_of_counts(per_set.tolist(), codes.size)
+
+
+def _gain_of_counts(per_set, total: int) -> float:
+    """Information gain of the labels from the class counts of each set."""
     expected = 0.0
-    for counts in per_set.tolist():
+    for counts in per_set:
         size = sum(counts)
         if size:
             expected += size / total * _entropy_of_counts(counts, size)
-    return _entropy_of_counts(per_set.sum(axis=0).tolist(), total) - expected
+    class_counts = [a + b for a, b in zip(*per_set)]
+    return _entropy_of_counts(class_counts, total) - expected
 
 
 def entropy(labels: Sequence) -> float:
@@ -153,9 +177,22 @@ def rank_features(norm: np.ndarray, labels: Sequence) -> np.ndarray:
     constant (so was constant before scaling) scores 0."""
     codes = _label_codes(labels)
     bounds = column_bounds(norm)
+    live = np.flatnonzero(bounds[:, 0] != bounds[:, 1])
     gains = np.zeros(norm.shape[1])
-    for j in np.flatnonzero(bounds[:, 0] != bounds[:, 1]):
-        gains[j] = _split_gain(codes, kmeans_binary_split(norm[:, j]).assignment)
+    if not live.size:
+        return gains
+    block = norm[:, live]
+    n_classes = int(codes.max()) + 1
+    # counts[c, s, l]: rows of class l in set s + 1 of live column c
+    cells = (block > _two_means_thresholds(block)).astype(np.intp)
+    cells += np.arange(0, 2 * live.size, 2)
+    cells *= n_classes
+    cells += codes[:, None]
+    counts = np.bincount(
+        cells.ravel(), minlength=live.size * 2 * n_classes
+    ).reshape(live.size, 2, n_classes)
+    for j, per_set in zip(live, counts.tolist()):
+        gains[j] = _gain_of_counts(per_set, codes.size)
     return gains
 
 

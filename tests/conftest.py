@@ -41,24 +41,22 @@ def small_synth():
 
 
 @pytest.fixture(scope="session")
-def overlap_split():
-    """Rep 0 of a seed-1 run at rate 0.6 on two overlapping classes
-    (40 segments each, 64 samples at 1 kHz: unit noise plus a 10 Hz tone
-    of amplitude 0.3 against unit noise scaled by 1.15), with the scaled
-    train/test matrices of all five variants built as evaluate_split
-    builds them."""
+def overlap_dataset():
+    """Two overlapping classes, 40 segments each of 64 samples at 1 kHz:
+    unit noise plus a 10 Hz tone of amplitude 0.3 against unit noise
+    scaled by 1.15."""
     rng = np.random.default_rng(1)
     tone = 0.3 * np.sin(2.0 * np.pi * 10.0 * np.arange(64) / 1000.0)
     segs = [make_segment(f"P{i}", "P", rng.standard_normal(64) + tone) for i in range(40)]
     segs += [make_segment(f"N{i}", "N", 1.15 * rng.standard_normal(64)) for i in range(40)]
-    dataset = LabeledDataset(name="overlap", segments=tuple(segs))
-    inputs = split_inputs(dataset, VARIANTS, (0.6,))
-    train_idx, test_idx = stratified_split(
-        inputs.labels, dataset.class_names, 0.6, rep_rng(1, 0)
-    )
+    return LabeledDataset(name="overlap", segments=tuple(segs))
+
+
+def scaled_variants(inputs, train_idx, test_idx):
+    """Scaled train/test matrices of all five variants of one split,
+    built from the public functions as evaluate_splits builds them."""
     base, spectral = inputs.base, inputs.spectral
-    y_train = inputs.labels[train_idx]
-    artifacts = fit_prep(base[train_idx], y_train)
+    artifacts = fit_prep(base[train_idx], inputs.labels[train_idx])
     prs_train = prs_features(base[train_idx], artifacts, inputs.config)
     prs_test = prs_features(base[test_idx], artifacts, inputs.config)
     x_train, x_test = [], []
@@ -68,14 +66,51 @@ def overlap_split():
         bounds = column_bounds(raw_train)
         x_train.append(apply_bounds(raw_train, bounds))
         x_test.append(apply_bounds(raw_test, bounds))
+    return x_train, x_test
+
+
+@pytest.fixture(scope="session")
+def overlap_split(overlap_dataset):
+    """Rep 0 of a seed-1 run at rate 0.6 on the overlap dataset, with
+    the scaled train/test matrices of all five variants."""
+    inputs = split_inputs(overlap_dataset, VARIANTS, (0.6,))
+    train_idx, test_idx = stratified_split(
+        inputs.labels, overlap_dataset.class_names, 0.6, rep_rng(1, 0)
+    )
+    x_train, x_test = scaled_variants(inputs, train_idx, test_idx)
     return SimpleNamespace(
         inputs=inputs,
         train_idx=train_idx,
         test_idx=test_idx,
         x_train=x_train,
         x_test=x_test,
-        y_train=y_train,
+        y_train=inputs.labels[train_idx],
         y_test=inputs.labels[test_idx],
+    )
+
+
+@pytest.fixture(scope="session")
+def overlap_reps(overlap_dataset):
+    """Reps 0-2 of a seed-1 run at rates 0.5 and 0.7 on the overlap
+    dataset: the splits in run order (rep-major) and, for every split
+    and variant in that order, the scaled training matrix and labels."""
+    rates = (0.5, 0.7)
+    inputs = split_inputs(overlap_dataset, VARIANTS, rates)
+    splits, x_train, y_train = [], [], []
+    for rep in range(3):
+        rng = rep_rng(1, rep)
+        for rate in rates:
+            split = stratified_split(inputs.labels, overlap_dataset.class_names, rate, rng)
+            splits.append(split)
+            x_train += scaled_variants(inputs, *split)[0]
+            y_train += [inputs.labels[split[0]]] * len(VARIANTS)
+    return SimpleNamespace(
+        dataset=overlap_dataset,
+        inputs=inputs,
+        rates=rates,
+        splits=splits,
+        x_train=x_train,
+        y_train=y_train,
     )
 
 

@@ -346,25 +346,29 @@ def _bits(value):
     return type(value), array.dtype, array.shape, array.tobytes()
 
 
-def assert_group_equals_train(spec, matrices, y):
-    models = train_group(spec, matrices, y)
+def assert_same_model(got, want):
+    assert (got.classes, got.n_features) == (want.classes, want.n_features)
+    assert got.params.keys() == want.params.keys()
+    for key, value in want.params.items():
+        assert _bits(got.params[key]) == _bits(value), key
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for key, value in want.diagnostics.items():
+        assert _bits(got.diagnostics[key]) == _bits(value), key
+
+
+def assert_group_equals_train(spec, matrices, labels):
+    models = train_group(spec, matrices, labels)
     assert len(models) == len(matrices)
-    for X, got in zip(matrices, models):
-        want = train(spec, X, y)
-        assert (got.classes, got.n_features) == (want.classes, want.n_features)
-        assert got.params.keys() == want.params.keys()
-        for key, value in want.params.items():
-            assert _bits(got.params[key]) == _bits(value), key
-        assert got.diagnostics.keys() == want.diagnostics.keys()
-        for key, value in want.diagnostics.items():
-            assert _bits(got.diagnostics[key]) == _bits(value), key
+    for X, y, got in zip(matrices, labels, models):
+        assert_same_model(got, train(spec, X, y))
     return models
 
 
 @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
 def test_group_fit_equals_train_on_the_variants_of_an_overlap_split(kind, overlap_split):
+    x_train = overlap_split.x_train
     models = assert_group_equals_train(
-        ClassifierSpec(kind=kind), overlap_split.x_train, overlap_split.y_train
+        ClassifierSpec(kind=kind), x_train, [overlap_split.y_train] * len(x_train)
     )
     if kind == "SVM_POLY":
         # every problem leaves the lockstep block at its own step
@@ -381,15 +385,70 @@ def test_group_fit_when_one_problem_hits_the_update_cap():
     overlapping = rng.normal(size=(2 * half, 2)) + 0.5 * shift
     wide = np.hstack([separated, rng.normal(size=(2 * half, 3))])
     spec = ClassifierSpec(kind="SVM_POLY", degree=3, penalty=10.0, max_sweeps=3)
-    models = assert_group_equals_train(spec, [separated, overlapping, wide], y)
+    models = assert_group_equals_train(spec, [separated, overlapping, wide], [y] * 3)
     updates = [model.diagnostics["n_updates"] for model in models]
     cap = spec.max_sweeps * len(y)
     assert updates[1] == cap
     assert updates[0] < cap and updates[2] < cap
 
 
-def test_group_fit_rejects_matrices_with_different_row_counts(overlap_split):
-    X = overlap_split.x_train[0]
+def test_group_fit_rejects_a_matrix_whose_rows_do_not_match_its_labels(overlap_split):
+    X, y = overlap_split.x_train[0], overlap_split.y_train
     for kind in CLASSIFIER_KINDS:
+        spec = ClassifierSpec(kind=kind)
         with pytest.raises(ValueError, match="rows but"):
-            train_group(ClassifierSpec(kind=kind), [X, X[:-1]], overlap_split.y_train)
+            train_group(spec, [X, X[:-1]], [y, y])
+        with pytest.raises(ValueError, match="2 feature matrices but 1 label"):
+            train_group(spec, [X, X], [y])
+
+
+def shuffled_run_problems(overlap_reps):
+    """The 30 training problems of three reps at two rates, in run
+    order, each with its rows in its own order, so that no two problems
+    of one row count share their label vector."""
+    rng = np.random.default_rng(5)
+    matrices, labels = [], []
+    for X, y in zip(overlap_reps.x_train, overlap_reps.y_train):
+        order = rng.permutation(len(y))
+        matrices.append(X[order])
+        labels.append(y[order])
+    return matrices, labels
+
+
+@pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+def test_group_fit_equals_train_across_the_reps_and_rates_of_a_run(kind, overlap_reps):
+    matrices, labels = shuffled_run_problems(overlap_reps)
+    # two row counts, interleaved: one rate's five variants, then the other's
+    assert [len(y) for y in labels[:10]] == [40] * 5 + [56] * 5
+    assert len({tuple(y) for y in labels}) == len(labels)
+    assert_group_equals_train(ClassifierSpec(kind=kind), matrices, labels)
+
+
+@pytest.mark.parametrize("problems_per_block", [1, 2])
+def test_svm_group_fit_does_not_depend_on_the_block_budget(
+    problems_per_block, overlap_reps, monkeypatch
+):
+    import prs.classifiers as classifiers
+
+    spec = ClassifierSpec(kind="SVM_POLY")
+    matrices, labels = shuffled_run_problems(overlap_reps)
+    # equal to train on each problem, as the test above checks
+    whole = train_group(spec, matrices, labels)
+    blocks = []
+    solve = classifiers._solve_svm_block
+
+    def recording_solve(spec, block_matrices, block_signs):
+        blocks.append([len(s) for s in block_signs])
+        return solve(spec, block_matrices, block_signs)
+
+    # the kernel and curvature of one or two 40-row problems (and one 56-row)
+    budget = problems_per_block * 16 * 40 * 40
+    monkeypatch.setattr(classifiers, "_SVM_BLOCK_BYTES", budget)
+    monkeypatch.setattr(classifiers, "_solve_svm_block", recording_solve)
+    for got, want in zip(train_group(spec, matrices, labels), whole, strict=True):
+        assert_same_model(got, want)
+    assert sorted(map(tuple, blocks)) == sorted(
+        [(40,) * problems_per_block] * (15 // problems_per_block)
+        + [(40,)] * (15 % problems_per_block)
+        + [(56,)] * 15
+    )

@@ -19,7 +19,7 @@ from prs.evaluation import (
     build_feature_table,
     confusion_counts,
     correlation_matrix,
-    evaluate_split,
+    evaluate_splits,
     run_experiment,
     stratified_split,
 )
@@ -318,6 +318,22 @@ def test_run_experiment_global_prep_flag_recorded(small_synth):
     assert report["baseline_variant"] == "PRS"
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [{"reps": True}, {"reps": 2.5}, {"reps": "2"}, {"threads": 1.5}, {"threads": True}],
+)
+def test_run_experiment_rejects_non_integer_counts_before_feature_work(
+    counts, small_synth, monkeypatch
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("feature work before the counts were checked")
+
+    monkeypatch.setattr("prs.evaluation.extract_base_matrix", no_work)
+    [(name, value)] = counts.items()
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        run_experiment(small_synth, **{"reps": 1, **counts})
+
+
 def test_run_experiment_validation(small_synth):
     with pytest.raises(ValueError, match="reps"):
         run_experiment(small_synth, reps=0)
@@ -358,10 +374,29 @@ def test_build_feature_table_shape(small_synth):
 def test_evaluate_split_pairs_each_key_with_its_own_model(overlap_split):
     s = overlap_split
     specs = [ClassifierSpec(kind=kind) for kind in CLASSIFIER_KINDS]
-    results = evaluate_split(s.inputs, s.train_idx, s.test_idx, specs, VARIANTS)
+    [results] = evaluate_splits(s.inputs, [(s.train_idx, s.test_idx)], specs, VARIANTS)
     assert set(results) == {(k, v) for k in CLASSIFIER_KINDS for v in VARIANTS}
     for spec in specs:
         for variant, x_train, x_test in zip(VARIANTS, s.x_train, s.x_test):
             model = train(spec, x_train, s.y_train)
             counts = confusion_counts(s.y_test, model.predict(x_test), model.classes)
             assert results[(spec.kind, variant)] == (counts, model.diagnostics)
+
+
+def test_run_experiment_equals_one_split_at_a_time(overlap_reps):
+    # one fit per classifier over every rep and rate equals fitting each
+    # split on its own, in every count and diagnostic
+    s = overlap_reps
+    specs = [ClassifierSpec(kind=kind) for kind in CLASSIFIER_KINDS]
+    together = evaluate_splits(s.inputs, s.splits, specs, VARIANTS)
+    report = run_experiment(s.dataset, rates=s.rates, reps=3, seed=1)
+    accuracies = {
+        (c["classifier"], c["variant"], c["rate"]): c["accuracies"] for c in report["cells"]
+    }
+    assert len(together) == len(s.splits) == 6
+    for n, (split, results) in enumerate(zip(s.splits, together)):
+        [alone] = evaluate_splits(s.inputs, [split], specs, VARIANTS)
+        assert results == alone
+        rep, r = divmod(n, len(s.rates))
+        for (kind, variant), result in alone.items():
+            assert accuracies[(kind, variant, s.rates[r])][rep] == result.counts.accuracy
