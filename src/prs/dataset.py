@@ -108,9 +108,11 @@ class LabeledDataset:
 
 
 def _read_signal_file(path: Path, segment_id: str) -> np.ndarray:
-    if not path.exists():
-        raise DatasetError(f"segment {segment_id!r}: missing file {path}")
-    with path.open("r", encoding="utf-8") as fh:
+    try:
+        fh = path.open("r", encoding="utf-8")
+    except FileNotFoundError:
+        raise DatasetError(f"segment {segment_id!r}: missing file {path}") from None
+    with fh:
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()  # after the final newline

@@ -264,12 +264,13 @@ def evaluate_splits(
     ``splits`` is a sequence of (train_idx, test_idx) pairs and
     ``inputs`` comes from ``split_inputs`` for the same variants. NF/RF
     are the global-prep rows when ``inputs`` has them, else fitted on
-    each training fold; each variant is scaled by its training columns'
-    bounds. Every split's variants are assembled and scaled first; then
-    each classifier makes one ``train_group`` fit over all of them,
-    which for SVM_POLY solves the duals of every split and variant in
-    lockstep loops. One dict per split, keyed by (classifier kind,
-    variant).
+    each training fold and computed by one ``prs_features`` call over the
+    split's training and test rows; each variant is scaled by its
+    training columns' bounds. Every split's variants are assembled and
+    scaled first; then each classifier makes one ``train_group`` fit
+    over all of them, which for SVM_POLY solves the duals of every split
+    and variant in lockstep loops. One dict per split, keyed by
+    (classifier kind, variant).
     """
     base, labels, spectral = inputs.base, inputs.labels, inputs.spectral
     x_train, y_train, tests = [], [], []
@@ -282,9 +283,11 @@ def evaluate_splits(
             prs_train = inputs.global_prs[train_idx]
             prs_test = inputs.global_prs[test_idx]
         else:
+            # one call for both parts: they share the artifacts
             artifacts = fit_prep(base[train_idx], y_fold)
-            prs_train = prs_features(base[train_idx], artifacts, inputs.config)
-            prs_test = prs_features(base[test_idx], artifacts, inputs.config)
+            rows = np.concatenate([train_idx, test_idx])
+            prs_rows = prs_features(base[rows], artifacts, inputs.config)
+            prs_train, prs_test = np.split(prs_rows, [len(train_idx)])
         for variant in variants:
             raw_train = assemble_variant(
                 variant, base[train_idx], prs_train, spectral[train_idx]

@@ -50,21 +50,21 @@ def apply_bounds(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_means_thresholds(block: np.ndarray) -> np.ndarray:
+def _two_means_thresholds(s: np.ndarray) -> np.ndarray:
     """Threshold of the exact 1D 2-means split of each column of an
-    (m, k) block whose columns each hold at least two distinct values.
+    (m, k) block, sorted along axis 0, whose columns each hold at least
+    two distinct values.
 
     An optimal 1D 2-means partition is contiguous in sorted order, so
-    every cut between distinct sorted values is scored at once from
-    prefix sums, all columns in one pass. Minimizing the within-cluster
+    every cut between distinct sorted values is scored from prefix sums,
+    taken for all columns in one pass. Minimizing the within-cluster
     SSE is maximizing the between-cluster sum (m*L_c - c*T)^2 /
     (m*c*(m-c)) over the c smallest values with sum L_c (T is the
     total), which avoids the cancellation of S2 - S1^2/c. Ties go to the
     first (lowest) cut; the threshold is the largest value of set 1.
     """
-    if not np.isfinite(block).all():
+    if not np.isfinite(s).all():
         raise ValueError("2-means needs finite values")
-    s = np.sort(block, axis=0)
     # Power-of-two scaling is exact and keeps the squares finite for any
     # span; shifting by the minimum keeps a large offset out of the sums.
     exponent = np.frexp(np.maximum(-s[0], s[-1]))[1]
@@ -72,17 +72,20 @@ def _two_means_thresholds(block: np.ndarray) -> np.ndarray:
     prefix -= np.ldexp(s[0], -exponent)
     np.cumsum(prefix, axis=0, out=prefix)
     m = float(s.shape[0])
-    c = np.arange(1.0, m)[:, None]  # size of set 1 at the cut after row c - 1
+    c = np.arange(1.0, m)  # size of set 1 at the cut after row c - 1
     # (m * L_c - c * T)^2 / (m * c * (m - c)), in place over the prefix
-    # sums but the last (T): a temporary per operation would be most of
+    # sums but the last (T), one column at a time: a block-sized
+    # temporary (argmax along axis 0 makes one too) would be most of
     # rank_features' memory on a large table
-    between = prefix[:-1]
-    between *= m
-    between -= c * prefix[-1]
-    between *= between
-    between /= m * c * (m - c)
-    between[s[1:] <= s[:-1]] = -np.inf  # no cut between equal values
-    return s[between.argmax(axis=0), np.arange(s.shape[1])]
+    cuts = np.empty(s.shape[1], dtype=np.intp)
+    for j, (between, total) in enumerate(zip(prefix[:-1].T, prefix[-1])):
+        between *= m
+        between -= c * total
+        between *= between
+        between /= m * c * (m - c)
+        between[s[1:, j] <= s[:-1, j]] = -np.inf  # no cut between equal values
+        cuts[j] = between.argmax()
+    return s[cuts, np.arange(s.shape[1])]
 
 
 def kmeans_binary_split(values) -> SplitResult:
@@ -96,7 +99,7 @@ def kmeans_binary_split(values) -> SplitResult:
         raise ValueError("2-means needs finite values")
     if v.size < 2 or v.min() == v.max():
         raise DegenerateDataError("all values identical: no valid binary split")
-    threshold = _two_means_thresholds(v[:, None])[0]
+    threshold = _two_means_thresholds(np.sort(v)[:, None])[0]
 
     assignment = np.where(v <= threshold, 1, 2)
     centers = np.array([v[assignment == 1].mean(), v[assignment == 2].mean()])
@@ -182,14 +185,17 @@ def rank_features(norm: np.ndarray, labels: Sequence) -> np.ndarray:
     if not live.size:
         return gains
     block = norm[:, live]
+    block.sort(axis=0)  # the copy, in place
+    thresholds = _two_means_thresholds(block)
+    del block
     n_classes = int(codes.max()) + 1
     # counts[c, s, l]: rows of class l in set s + 1 of live column c
-    cells = (block > _two_means_thresholds(block)).astype(np.intp)
+    cells = (norm[:, live] > thresholds).astype(np.intp)
     cells += np.arange(0, 2 * live.size, 2)
     cells *= n_classes
     cells += codes[:, None]
     counts = np.bincount(
-        cells.ravel(), minlength=live.size * 2 * n_classes
+        cells.ravel("K"), minlength=live.size * 2 * n_classes
     ).reshape(live.size, 2, n_classes)
     for j, per_set in zip(live, counts.tolist()):
         gains[j] = _gain_of_counts(per_set, codes.size)

@@ -15,10 +15,11 @@ grid shape comes from the nutrient grids, not from ``GrowthConfig``:
 are given, and ``pipeline.PipelineConfig`` checks it against the soil.
 
 ``grow_batch`` and ``hull_areas`` are the production path: they grow a
-whole stack of grids at once, one vectorized step per day, and take RF
-from each grid row's extreme columns. ``grow`` with ``extract_prs`` is the
-per-row reference they are tested against bit for bit; it also keeps
-the day log that the CLI ``grow`` command prints.
+whole stack of grids at once, keeping each grid's candidates as offers
+across days and recording every day's picks, and take RF from each grid
+row's extreme columns. ``grow`` with ``extract_prs`` is the per-row
+reference they are tested against bit for bit; it also keeps the day
+log that the CLI ``grow`` command prints.
 """
 
 from __future__ import annotations
@@ -150,49 +151,57 @@ def grow_batch(
     """``grow`` over an (m, rows, cols) stack of nutrient grids.
 
     Returns the absorption totals (m,) and the boolean occupancy
-    (m, rows, cols); both equal what ``grow`` gives for each grid. Each
-    day the candidates are the 4-neighbour dilation of the occupancy
-    minus the occupancy. Up to ``division_limit`` times, every grid with
-    a candidate left occupies the first maximum of the candidate values
-    over the row-major flat index, which is the (-value, row, col) order
-    of ``grow``, and adds its absorption, so the totals sum in the same
-    order as in ``grow``.
+    (m, rows, cols); both equal what ``grow`` gives for each grid. The
+    offers of each grid (cell values, -inf where not offered) are kept
+    across days after a -inf sentinel at flat index 0, and each day adds
+    only the neighbours of the previous day's picks; an occupied cell,
+    or a barren one when ``occupy_zero`` is off, is offered at -inf. Up
+    to ``division_limit`` times a day every grid picks the first maximum
+    of its offers, the (-value, row, col) order of ``grow``, or the
+    sentinel when no candidate is left. The picked values are recorded
+    and their absorptions added in pick order, as in ``grow``.
     """
     grids = np.asarray(grids, dtype=np.float64)
     if grids.ndim != 3:
         raise ValueError(f"nutrient grids are {grids.shape}, expected (m, rows, cols)")
     check_radicle(config.radicle, grids.shape[1:])
-    m = grids.shape[0]
-    occupied = np.zeros(grids.shape, dtype=bool)
-    for r, c in config.radicle:
-        occupied[:, r - 1, c - 1] = True
-    flat_occupied = occupied.reshape(m, -1)
-    flat_values = grids.reshape(m, -1)
+    m, rows, cols = grids.shape
+    # flat indices of each cell's 4-neighbours; 0 stands for outside
+    index = np.pad(np.arange(1, 1 + rows * cols).reshape(rows, cols), 1)
+    neighbours = np.zeros((1 + rows * cols, 4), dtype=np.intp)
+    for k, (di, dj) in enumerate(_NEIGHBOR_STEPS):
+        neighbours[1:, k] = index[1 + di : 1 + di + rows, 1 + dj : 1 + dj + cols].ravel()
+    cells = np.pad(grids.reshape(m, rows * cols), ((0, 0), (1, 0)), constant_values=-np.inf)
+    if not config.occupy_zero:
+        cells[cells == 0.0] = -np.inf
+    seeds = sorted({(r - 1) * cols + c for r, c in config.radicle})
+    cells[:, seeds] = -np.inf
+    offers = np.full_like(cells, -np.inf)
+    # a grid occupies a cell on each day it grows, so after rows * cols
+    # days none can
+    days = min(config.days, rows * cols)
+    picks = np.zeros((m, days, config.division_limit), dtype=np.intp)
+    picked = np.full(picks.shape, -np.inf)
     samples = np.arange(m)
+    new = np.broadcast_to(seeds, (m, len(seeds)))
+    for day in range(days):
+        near = neighbours[new].reshape(m, 4 * new.shape[1])
+        offers[samples[:, None], near] = cells[samples[:, None], near]
+        for k in range(config.division_limit):
+            pick = picks[:, day, k] = offers.argmax(axis=1)
+            picked[:, day, k] = offers[samples, pick]
+            offers[samples, pick] = cells[samples, pick] = -np.inf
+        new = picks[:, day]
+    occupied = np.zeros((m, 1 + rows * cols), dtype=bool)
+    occupied[:, seeds] = True
+    steps = days * config.division_limit
+    occupied[samples[:, None], picks.reshape(m, steps)] = True
+    values = np.where(picked == -np.inf, 0.0, picked).reshape(m, steps)
+    rates = np.where(values == 0.0, 0.0, values / (1.0 + np.abs(values)) + 0.49)
     absorbed = np.zeros(m)
-    for _ in range(config.days):
-        frontier = np.zeros_like(occupied)
-        frontier[:, 1:] |= occupied[:, :-1]
-        frontier[:, :-1] |= occupied[:, 1:]
-        frontier[:, :, 1:] |= occupied[:, :, :-1]
-        frontier[:, :, :-1] |= occupied[:, :, 1:]
-        frontier &= ~occupied
-        if not config.occupy_zero:
-            frontier &= grids != 0.0
-        offers = np.where(frontier.reshape(m, -1), flat_values, -np.inf)
-        for _ in range(config.division_limit):
-            picks = offers.argmax(axis=1)
-            values = offers[samples, picks]
-            growing = values > -np.inf
-            if not growing.any():
-                break
-            grown, picks, values = samples[growing], picks[growing], values[growing]
-            flat_occupied[grown, picks] = True
-            offers[grown, picks] = -np.inf
-            absorbed[grown] += np.where(
-                values == 0.0, 0.0, values / (1.0 + np.abs(values)) + 0.49
-            )
-    return absorbed, occupied
+    for rate in rates.T:
+        absorbed += rate
+    return absorbed, occupied[:, 1:].reshape(grids.shape)
 
 
 def _envelope_twice_integral(heights: np.ndarray, present: np.ndarray) -> np.ndarray:
@@ -234,8 +243,14 @@ def hull_areas(occupancy) -> np.ndarray:
     trapezoid sum over the two chains.
     """
     occupancy = np.asarray(occupancy, dtype=bool)
-    cols = np.arange(occupancy.shape[2])
+    # only the rows some grid occupies: shifting the rows leaves the
+    # integer trapezoid sums unchanged
+    span = np.flatnonzero(occupancy.any(axis=(0, 2)))
+    if not span.size:
+        return np.zeros(len(occupancy))
+    occupancy = occupancy[:, span[0] : span[-1] + 1]
     present = occupancy.any(axis=2)
+    cols = np.arange(occupancy.shape[2])
     left = np.where(occupancy, cols, occupancy.shape[2]).min(axis=2)
     right = np.where(occupancy, cols, -1).max(axis=2)
     twice = _envelope_twice_integral(right, present) + _envelope_twice_integral(

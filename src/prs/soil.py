@@ -7,15 +7,19 @@ with depth. Two 3x3 kernel passes (zero padding 1, applied as
 correlation) then redistribute the nutrients horizontally: the first
 kernel pushes mass from the shallow side, the second from the deep side.
 
-``soil_grids`` bins a whole block of rows at once and ``correlate3``
-works on the last two axes, so one stencil serves both a single grid and
-an ``(m, depth, width)`` stack; ``build_discrete_soil`` with
-``bin_index`` is the per-row reference.
+``build_discrete_soil`` and ``convolve_soil`` are the per-row reference.
+The block path, ``nutrient_grids``, builds no soil: both kernel passes
+are linear, so a nutrient grid is the sum of the responses of its
+one-column soils, which ``column_responses`` tables once per (depth,
+fill mode, width). Soil values are 0 or 1 and kernel weights multiples
+of 1/4, so every response is a whole number of sixteenths, and a grid
+sums them exactly in small integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,22 +150,6 @@ def bin_indices(values, bounds, k: int = SOIL_DEPTH) -> np.ndarray:
     return np.clip(scaled + 1.0, 1, k).astype(np.int64)
 
 
-def soil_grids(sorted_rows, bounds, config: SoilConfig = SoilConfig()) -> np.ndarray:
-    """Binary (m, depth, n) soil grids for an (m, n) block of sorted rows;
-    slice s equals ``build_discrete_soil(sorted_rows[s], bounds, config).grid``."""
-    rows = np.asarray(sorted_rows, dtype=np.float64)
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if rows.ndim != 2 or bounds.shape != (rows.shape[1], 2):
-        raise ValueError(
-            f"expected (m, n) rows with (n, 2) bounds, "
-            f"got {rows.shape} and {bounds.shape}"
-        )
-    bins = bin_indices(rows, bounds, config.depth)[:, None, :]
-    depth = np.arange(config.depth)[:, None]
-    filled = depth < bins if config.fill_mode == "stacked" else depth == bins - 1
-    return filled.astype(np.float64)
-
-
 def correlate3(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """One 3x3 stencil pass over the last two axes: zero-pad by 1,
     correlate (no kernel flip). Leading axes index independent grids."""
@@ -189,3 +177,42 @@ def convolve_grid(grid: np.ndarray, kernels=(KERNEL_SHALLOW, KERNEL_DEEP)) -> np
 def convolve_soil(soil: DiscreteSoil) -> NutrientMatrix:
     """Reconstitute nutrients: shallow-side pass then deep-side pass."""
     return NutrientMatrix(grid=convolve_grid(soil.grid))
+
+
+@lru_cache(maxsize=None)
+def column_responses(depth: int, fill_mode: str, width: int) -> np.ndarray:
+    """Read-only (width, depth, depth, width) uint8 table: entry [j, b - 1]
+    is 16 times ``convolve_grid`` of the soil whose only filled column is
+    j, at bin b. Raises ValueError unless every entry is a whole number
+    and one bin per column sums to at most 255 in every cell, so that
+    ``nutrient_grids`` adds them without rounding or overflow."""
+    fill = np.arange(depth)[None, :] <= np.arange(depth)[:, None]  # [b - 1, row]
+    if fill_mode == "onehot":
+        fill = np.eye(depth, dtype=bool)
+    table = np.empty((width, depth, depth, width), dtype=np.uint8)
+    worst = np.zeros((depth, width))  # largest sum one bin per column reaches
+    for start in range(0, width, 4):  # stacks of 4 columns stay in cache
+        cols = np.arange(start, min(start + 4, width))
+        soils = np.zeros((len(cols), depth, depth, width))
+        soils[np.arange(len(cols)), :, :, cols] = fill
+        sixteenths = 16.0 * convolve_grid(soils, (KERNEL_SHALLOW, KERNEL_DEEP))
+        if (sixteenths != np.round(sixteenths)).any() or sixteenths.min() < 0.0:
+            raise ValueError("a column response is not a whole number of sixteenths")
+        worst += sixteenths.max(axis=1).sum(axis=0)
+        table[cols] = sixteenths
+    if worst.max() > 255.0:
+        raise ValueError("column responses can sum past 255 sixteenths")
+    table.flags.writeable = False
+    return table
+
+
+def nutrient_grids(bins, config: SoilConfig = SoilConfig()) -> np.ndarray:
+    """(m, depth, n) nutrient grids for an (m, n) block of 1-based bins;
+    slice s equals ``convolve_soil(build_discrete_soil(...)).grid`` of the
+    row whose bins are ``bins[s]``. The columns' responses are added one
+    column at a time, in whole sixteenths."""
+    m, n = np.shape(bins)
+    sums = np.zeros((m, config.depth, n), dtype=np.uint8)
+    for j, responses in enumerate(column_responses(config.depth, config.fill_mode, n)):
+        sums += responses[bins[:, j] - 1]
+    return np.multiply(sums, 1.0 / 16.0, dtype=np.float64)

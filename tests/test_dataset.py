@@ -88,6 +88,20 @@ def test_non_numeric_sample_reports_location(tmp_path):
         load_dataset(manifest)
 
 
+def test_missing_signal_file_reports_row_and_path(tmp_path):
+    for name in ("x", "z", "w"):
+        write_signal(tmp_path / f"{name}.txt", range(20))
+    manifest = write_manifest(
+        tmp_path,
+        [("x", "A", "x.txt"), ("y", "A", "gone.txt"), ("z", "B", "z.txt"), ("w", "B", "w.txt")],
+    )
+    with pytest.raises(DatasetError) as err:
+        load_dataset(manifest)
+    message = str(err.value)
+    assert message.startswith(f"{manifest}: row 2: segment 'y': missing file ")
+    assert message.endswith(str(tmp_path / "gone.txt"))
+
+
 def test_missing_rate_comment_rejected(tmp_path):
     write_signal(tmp_path / "x.txt", range(20))
     manifest = tmp_path / "manifest.csv"

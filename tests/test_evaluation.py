@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from prs import evaluation
 from prs.classifiers import CLASSIFIER_KINDS, ClassifierSpec, train
 from prs.dataset import generate_synthetic
 from prs.errors import PrsError
@@ -381,6 +382,24 @@ def test_evaluate_split_pairs_each_key_with_its_own_model(overlap_split):
             model = train(spec, x_train, s.y_train)
             counts = confusion_counts(s.y_test, model.predict(x_test), model.classes)
             assert results[(spec.kind, variant)] == (counts, model.diagnostics)
+
+
+def test_evaluate_splits_makes_one_prs_call_per_split(overlap_reps, monkeypatch):
+    # NF/RF of a split's training and test rows come from one call, made
+    # through the module attribute so that a wrapper sees every row
+    s = overlap_reps
+    calls = []
+    original = evaluation.prs_features
+
+    def recording(base_rows, artifacts, config):
+        calls.append(base_rows)
+        return original(base_rows, artifacts, config)
+
+    monkeypatch.setattr(evaluation, "prs_features", recording)
+    evaluate_splits(s.inputs, s.splits, [ClassifierSpec(kind="LDA")], VARIANTS)
+    assert len(calls) == len(s.splits)
+    for rows, (train_idx, test_idx) in zip(calls, s.splits):
+        assert np.array_equal(rows, s.inputs.base[np.concatenate([train_idx, test_idx])])
 
 
 def test_run_experiment_equals_one_split_at_a_time(overlap_reps):
