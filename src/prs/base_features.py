@@ -3,18 +3,17 @@
 Canonical feature order: STD, VAR, RMS, SKW, KURT, MAV, ZC, SSC, WAMP,
 SSI, NLE, WL. ``base_feature_rows`` computes all 12 for a block of
 equal-length segments at once, one reduction along the sample axis per
-sum; it is the one production implementation, and
-``compute_base_features`` is that kernel applied to one segment, whose
-name it gives in the error for a constant or overflowing segment. Each
-feature is also exposed as a standalone one-segment function so formulas
-can be tested in isolation; the kernel equals them bit for bit
+sum; it is the one implementation, and ``compute_base_features`` is that
+kernel on a one-row block, whose error names a constant or overflowing
+segment. The standalone one-segment function of each feature lives in
+``tests/reference.py``; the kernel equals them bit for bit
 (``tests/test_features_batch_oracle.py``).
 
 SKW and KURT share ``dev2 = dev * dev`` of the centered samples: the
 third and fourth central moments are the means of ``dev2 * dev`` and
 ``dev2 * dev2``, over ``m2 * sqrt(m2)`` and ``m2 * m2``. Multiply and
 sqrt are correctly rounded IEEE 754 operations, so the block kernel and
-``skewness``/``kurtosis`` agree by construction on any numpy, where an
+the one-segment references agree by construction on any numpy, where an
 array ``pow`` need not round like a scalar one; a multiply also costs a
 small fraction of a ``pow``.
 
@@ -87,91 +86,6 @@ class ThresholdConfig:
         )
 
 
-def signal_std(x) -> float:
-    """Population standard deviation (centered, 1/N)."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sqrt(np.mean((x - x.mean()) ** 2)))
-
-
-def signal_variance(x, centered: bool = False) -> float:
-    """Uncentered second moment sum(x^2)/(N-1); centered form on request."""
-    x = np.asarray(x, dtype=np.float64)
-    if centered:
-        return float(np.sum((x - x.mean()) ** 2) / (x.size - 1))
-    return float(np.sum(x**2) / (x.size - 1))
-
-
-def rms(x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sqrt(np.mean(x**2)))
-
-
-def skewness(x) -> float:
-    """Population skewness m3 / m2^(3/2); undefined for a constant signal."""
-    x = np.asarray(x, dtype=np.float64)
-    dev = x - x.mean()
-    dev2 = dev * dev
-    m2 = np.mean(dev2)
-    if m2 == 0.0:
-        raise DegenerateDataError("SKW undefined for a constant segment")
-    return float(np.mean(dev2 * dev) / (m2 * np.sqrt(m2)))
-
-
-def kurtosis(x) -> float:
-    """Population kurtosis m4 / m2^2 (not excess); >= 1 for any signal."""
-    x = np.asarray(x, dtype=np.float64)
-    dev = x - x.mean()
-    dev2 = dev * dev
-    m2 = np.mean(dev2)
-    if m2 == 0.0:
-        raise DegenerateDataError("KURT undefined for a constant segment")
-    return float(np.mean(dev2 * dev2) / (m2 * m2))
-
-
-def mav(x) -> float:
-    """Mean absolute value."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.mean(np.abs(x)))
-
-
-def zero_crossings(x, threshold: float) -> int:
-    """Count sign changes between adjacent samples with |step| >= threshold."""
-    x = np.asarray(x, dtype=np.float64)
-    a, b = x[:-1], x[1:]
-    return int(np.sum((a * b < 0) & (np.abs(a - b) >= threshold)))
-
-
-def slope_sign_changes(x, threshold: float) -> int:
-    """Count interior samples whose two slopes turn: product >= threshold."""
-    x = np.asarray(x, dtype=np.float64)
-    mid = x[1:-1]
-    return int(np.sum((mid - x[:-2]) * (mid - x[2:]) >= threshold))
-
-
-def willison_amplitude(x, threshold: float) -> int:
-    """Count adjacent-sample amplitude jumps of at least the threshold."""
-    x = np.asarray(x, dtype=np.float64)
-    return int(np.sum(np.abs(x[:-1] - x[1:]) >= threshold))
-
-
-def simple_square_integral(x) -> float:
-    """Total energy sum(|x|^2)."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(np.abs(x) ** 2))
-
-
-def nonlinear_energy(x) -> float:
-    """Mean Teager-style energy (x_i^2 - x_{i-1} x_{i+1}) over interior samples."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(x[1:-1] ** 2 - x[:-2] * x[2:]) / (x.size - 2))
-
-
-def waveform_length(x) -> float:
-    """Cumulative absolute first difference."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(np.abs(np.diff(x))))
-
-
 def base_feature_rows(
     samples,
     thresholds: ThresholdConfig = ThresholdConfig(),
@@ -179,8 +93,8 @@ def base_feature_rows(
 ) -> np.ndarray:
     """(k, 12) features, in canonical order, of a (k, n) block of segments.
 
-    Every value equals, bit for bit, the standalone function of the same
-    feature applied to that row. A constant row (STD 0) has NaN SKW and
+    Every value equals, bit for bit, the one-segment reference of the
+    same feature applied to that row. A constant row (STD 0) has NaN SKW and
     KURT; ``compute_base_features`` and ``extract_base_matrix`` reject it
     by name.
     """
@@ -199,7 +113,7 @@ def base_feature_rows(
         dev2 = dev * dev
         dev_sq_sum = np.sum(dev2, axis=1)
         m2 = dev_sq_sum / n
-        # products and sqrt only, as in skewness/kurtosis (module docstring)
+        # products and sqrt only (module docstring)
         skw = np.mean(dev2 * dev, axis=1) / (m2 * np.sqrt(m2))
         kurt = np.mean(dev2 * dev2, axis=1) / (m2 * m2)
         sq = x**2

@@ -535,11 +535,3 @@ def _pair_update(ai, aj, gi, gj, differ, a, C):
                 ai, aj = 0.0, total
     return ai, aj
 
-
-def accuracy(model: TrainedModel, X, y) -> float:
-    """Fraction of rows whose predicted label matches y."""
-    predictions = model.predict(X)
-    truth = np.array([str(v) for v in np.asarray(y).ravel()])
-    if len(truth) != len(predictions):
-        raise ValueError("label count does not match row count")
-    return float(np.mean(predictions == truth))

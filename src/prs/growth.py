@@ -14,12 +14,14 @@ grid shape comes from the nutrient grids, not from ``GrowthConfig``:
 ``grow`` and ``grow_batch`` reject a radicle cell outside the grids they
 are given, and ``pipeline.PipelineConfig`` checks it against the soil.
 
-``grow_batch`` and ``hull_areas`` are the production path: they grow a
-whole stack of grids at once, keeping each grid's candidates as offers
+``grow_batch`` and ``hull_areas`` are the one implementation: they grow
+a whole stack of grids at once, keeping each grid's candidates as offers
 across days and recording every day's picks, and take RF from each grid
-row's extreme columns. ``grow`` with ``extract_prs`` is the per-row
-reference they are tested against bit for bit; it also keeps the day
-log that the CLI ``grow`` command prints.
+row's extreme columns. ``grow`` and ``extract_prs`` are those kernels on
+a one-grid block; ``grow`` reads the day log that the CLI ``grow``
+command prints from the recorded picks. The per-row loop, monotone-chain
+hull and shoelace area they are tested against bit for bit live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -80,10 +82,6 @@ class RootState:
     absorbed: float
     day_log: list[list[tuple[int, int]]] = field(default_factory=list)
 
-    def occupied_cells(self) -> list[tuple[int, int]]:
-        """Occupied (row, col) cells, 1-based, in row-major order."""
-        return [(int(r) + 1, int(c) + 1) for r, c in np.argwhere(self.occupancy == 1)]
-
 
 @dataclass(frozen=True)
 class PRSFeaturePair:
@@ -93,73 +91,49 @@ class PRSFeaturePair:
     rf: float
 
 
-def absorption_rate(value: float) -> float:
-    """Per-cell absorption: 0 for barren cells, else v/(1+|v|) + 0.49."""
-    if value == 0.0:
-        return 0.0
-    return value / (1.0 + abs(value)) + 0.49
-
-
 def grow(nutrients: NutrientMatrix, config: GrowthConfig = GrowthConfig()) -> RootState:
-    """Run the daily division loop; deterministic for identical inputs.
+    """``grow_batch`` on one grid, with the day log read from its picks.
 
-    Candidate ties (equal nutrient value) break by (row, col) ascending.
-    Stops early when no division candidates remain.
+    Each day lists the cells picked that day in pick order; the log stops
+    at the first day with no candidate left, so it may be shorter than
+    ``config.days``.
     """
-    grid = nutrients.grid
-    rows, cols = grid.shape
-    check_radicle(config.radicle, grid.shape)
-    occupancy = np.zeros(grid.shape, dtype=np.int64)
-    occupied = []
-    for r, c in config.radicle:
-        if not occupancy[r - 1, c - 1]:
-            occupancy[r - 1, c - 1] = 1
-            occupied.append((r - 1, c - 1))
-
-    absorbed = 0.0
+    cols = nutrients.grid.shape[1]
+    absorbed, occupancy, picks = grow_batch(nutrients.grid[None], config)
     day_log: list[list[tuple[int, int]]] = []
-    for _ in range(config.days):
-        candidates: dict[tuple[int, int], float] = {}
-        for i, j in occupied:
-            for di, dj in _NEIGHBOR_STEPS:
-                ni, nj = i + di, j + dj
-                if not (0 <= ni < rows and 0 <= nj < cols):
-                    continue
-                if occupancy[ni, nj] or (ni, nj) in candidates:
-                    continue
-                value = float(grid[ni, nj])
-                if value == 0.0 and not config.occupy_zero:
-                    continue
-                candidates[(ni, nj)] = value
-        if not candidates:
+    for day in picks[0].tolist():
+        # flat pick p > 0 is the 1-based cell (row, col) with
+        # (row - 1) * cols + col == p; the sentinel 0 is no cell
+        cells = [((p - 1) // cols + 1, (p - 1) % cols + 1) for p in day if p]
+        if not cells:
             break
-        ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-        new_cells = []
-        for (ni, nj), value in ranked[: config.division_limit]:
-            occupancy[ni, nj] = 1
-            occupied.append((ni, nj))
-            absorbed += absorption_rate(value)
-            new_cells.append((ni + 1, nj + 1))
-        day_log.append(new_cells)
-
-    return RootState(occupancy=occupancy, absorbed=absorbed, day_log=day_log)
+        day_log.append(cells)
+    return RootState(
+        occupancy=occupancy[0].astype(np.int64),
+        absorbed=float(absorbed[0]),
+        day_log=day_log,
+    )
 
 
 def grow_batch(
     grids, config: GrowthConfig = GrowthConfig()
-) -> tuple[np.ndarray, np.ndarray]:
-    """``grow`` over an (m, rows, cols) stack of nutrient grids.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grow the root in each grid of an (m, rows, cols) stack.
 
-    Returns the absorption totals (m,) and the boolean occupancy
-    (m, rows, cols); both equal what ``grow`` gives for each grid. The
-    offers of each grid (cell values, -inf where not offered) are kept
+    Returns the absorption totals (m,), the boolean occupancy
+    (m, rows, cols) and the picks (m, days, division_limit): the flat
+    index ``(row - 1) * cols + col`` of each cell occupied at each step of
+    each day, in pick order, or the sentinel 0 where the grid had no
+    candidate left. ``days`` is ``config.days`` capped at ``rows * cols``.
+
+    The offers of each grid (cell values, -inf where not offered) are kept
     across days after a -inf sentinel at flat index 0, and each day adds
     only the neighbours of the previous day's picks; an occupied cell,
     or a barren one when ``occupy_zero`` is off, is offered at -inf. Up
     to ``division_limit`` times a day every grid picks the first maximum
-    of its offers, the (-value, row, col) order of ``grow``, or the
+    of its offers, so candidates rank by (-value, row, col), or the
     sentinel when no candidate is left. The picked values are recorded
-    and their absorptions added in pick order, as in ``grow``.
+    and their absorptions added in pick order.
     """
     grids = np.asarray(grids, dtype=np.float64)
     if grids.ndim != 3:
@@ -201,7 +175,7 @@ def grow_batch(
     absorbed = np.zeros(m)
     for rate in rates.T:
         absorbed += rate
-    return absorbed, occupied[:, 1:].reshape(grids.shape)
+    return absorbed, occupied[:, 1:].reshape(grids.shape), picks
 
 
 def _envelope_twice_integral(heights: np.ndarray, present: np.ndarray) -> np.ndarray:
@@ -234,8 +208,8 @@ def _envelope_twice_integral(heights: np.ndarray, present: np.ndarray) -> np.nda
 
 
 def hull_areas(occupancy) -> np.ndarray:
-    """RF for an (m, rows, cols) stack of occupancies, bit-equal to
-    ``polygon_area(convex_hull(...))`` of each grid's occupied cells.
+    """RF for an (m, rows, cols) stack of occupancies: the area of the
+    convex hull of each grid's occupied cell centers.
 
     Every cross-section of the hull at a row lies between the convex
     envelope of the rows' leftmost occupied columns and the concave
@@ -259,49 +233,11 @@ def hull_areas(occupancy) -> np.ndarray:
     return 0.5 * twice.astype(np.float64)
 
 
-def polygon_area(vertices) -> float:
-    """Shoelace area of a closed polygon given its vertices in traversal
-    order; orientation does not matter. Fewer than 3 vertices -> 0."""
-    pts = np.asarray(vertices, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 3:
-        return 0.0
-    p = pts[:, 0]
-    q = pts[:, 1]
-    return 0.5 * abs(float(np.sum(p * np.roll(q, -1) - np.roll(p, -1) * q)))
-
-
-def convex_hull(points) -> list[tuple[float, float]]:
-    """Andrew's monotone chain; returns hull vertices in CCW order.
-
-    Collinear boundary points are dropped, so a fully collinear input
-    yields just its two extreme points.
-    """
-    pts = sorted({(float(x), float(y)) for x, y in points})
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
 def extract_prs(state: RootState) -> PRSFeaturePair:
-    """NF = accumulated absorption; RF = convex-hull area of the root.
-
-    Cell (row, col) maps to the plane point (col, row); the hull of fewer
-    than 3 non-collinear cells has area 0.
+    """NF = accumulated absorption; RF = convex-hull area of the root,
+    from ``hull_areas`` on a one-grid block. The hull of fewer than 3
+    non-collinear cells has area 0.
     """
-    points = [(c, r) for r, c in state.occupied_cells()]
-    hull = convex_hull(points)
-    return PRSFeaturePair(nf=state.absorbed, rf=polygon_area(hull))
+    return PRSFeaturePair(
+        nf=state.absorbed, rf=float(hull_areas(state.occupancy[None])[0])
+    )

@@ -17,13 +17,14 @@ base-feature thresholds, soil depth and fill, growth, and the MedPSD
 mode. The growth grid is the soil grid (``soil.depth`` rows by one
 column per base feature), so the config rejects a radicle outside it.
 
-``prs_features`` is the production path: it bins, grows and takes hull
-areas array-at-a-time over blocks of rows, with each nutrient grid summed
-exactly from cached column responses (``soil.nutrient_grids``) instead
-of convolved. The per-row chain
-(``soil_for_row`` -> ``nutrients_for_row`` -> ``prs_pair_for_row``) is
-its bit-for-bit reference and backs the CLI ``soil-dump`` and ``grow``
-commands, including the growth day log.
+``prs_features`` bins, grows and takes hull areas array-at-a-time over
+blocks of rows, with each nutrient grid summed exactly from cached column
+responses (``soil.nutrient_grids``) instead of convolved. The one-row
+chain of the CLI ``soil-dump`` and ``grow`` commands (``soil_for_row``
+-> ``nutrients_for_row`` -> ``growth.grow`` -> ``growth.extract_prs``)
+runs the same binning, growth and hull kernels on a one-row block. The
+per-row loops both are tested against, bit for bit, live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -46,15 +47,7 @@ from .feature_prep import (
     column_bounds,
     rank_features,
 )
-from .growth import (
-    GrowthConfig,
-    PRSFeaturePair,
-    check_radicle,
-    extract_prs,
-    grow,
-    grow_batch,
-    hull_areas,
-)
+from .growth import GrowthConfig, check_radicle, grow_batch, hull_areas
 from .soil import (
     DiscreteSoil,
     NutrientMatrix,
@@ -65,8 +58,10 @@ from .soil import (
     nutrient_grids,
 )
 from .spectral import MEDIAN_MODES, MEDIAN_PSD, spectral_rows
-# compute_spectral is not called here; it stays a module attribute because
-# perfbench/tracer.py wraps prs.pipeline.compute_spectral by name.
+# grow, extract_prs and compute_spectral are not called here; they stay
+# module attributes because perfbench/tracer.py wraps them on
+# prs.pipeline by name.
+from .growth import extract_prs, grow  # noqa: F401
 from .spectral import compute_spectral  # noqa: F401
 
 PRS_NAMES = ("NF", "RF")
@@ -180,16 +175,6 @@ def nutrients_for_row(
     return convolve_soil(soil_for_row(base_row, artifacts, config))
 
 
-def prs_pair_for_row(
-    base_row: np.ndarray,
-    artifacts: PrepArtifacts,
-    config: PipelineConfig = PipelineConfig(),
-) -> PRSFeaturePair:
-    """NF and RF for one raw base-feature row."""
-    nutrients = nutrients_for_row(base_row, artifacts, config.soil)
-    return extract_prs(grow(nutrients, config.growth))
-
-
 def prs_features(
     base_values: np.ndarray,
     artifacts: PrepArtifacts,
@@ -197,7 +182,8 @@ def prs_features(
 ) -> np.ndarray:
     """(m, 2) array of [NF, RF] rows for a raw (m, n_features) base matrix.
 
-    Equal, bit for bit, to ``prs_pair_for_row`` applied to each row.
+    Row s equals, bit for bit, ``extract_prs(grow(nutrients_for_row(...)))``
+    of row s alone.
     """
     values = np.asarray(base_values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != len(artifacts.order):
@@ -209,7 +195,9 @@ def prs_features(
     for start in range(0, values.shape[0], _PRS_BLOCK):
         block = transform_rows(values[start : start + _PRS_BLOCK], artifacts)
         bins = bin_indices(block, artifacts.soil_bounds, config.soil.depth)
-        absorbed, occupancy = grow_batch(nutrient_grids(bins, config.soil), config.growth)
+        absorbed, occupancy, _ = grow_batch(
+            nutrient_grids(bins, config.soil), config.growth
+        )
         out[start : start + len(block), 0] = absorbed
         out[start : start + len(block), 1] = hull_areas(occupancy)
     return out

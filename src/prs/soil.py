@@ -7,13 +7,17 @@ with depth. Two 3x3 kernel passes (zero padding 1, applied as
 correlation) then redistribute the nutrients horizontally: the first
 kernel pushes mass from the shallow side, the second from the deep side.
 
-``build_discrete_soil`` and ``convolve_soil`` are the per-row reference.
-The block path, ``nutrient_grids``, builds no soil: both kernel passes
-are linear, so a nutrient grid is the sum of the responses of its
-one-column soils, which ``column_responses`` tables once per (depth,
-fill mode, width). Soil values are 0 or 1 and kernel weights multiples
-of 1/4, so every response is a whole number of sixteenths, and a grid
-sums them exactly in small integers.
+``bin_indices`` is the one binning implementation; ``build_discrete_soil``
+fills one row's soil from its bins on a one-row block, and
+``convolve_soil`` runs the two passes on that soil for the CLI
+``soil-dump`` and ``grow`` commands. The block path, ``nutrient_grids``,
+builds no soil: both kernel passes are linear, so a nutrient grid is the
+sum of the responses of its one-column soils, which ``column_responses``
+tables once per (depth, fill mode, width). Soil values are 0 or 1 and
+kernel weights multiples of 1/4, so every response is a whole number of
+sixteenths, and a grid sums them exactly in small integers. The scalar
+binning and per-column soil fill they are tested against live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -94,20 +98,6 @@ class NutrientMatrix:
         object.__setattr__(self, "grid", grid)
 
 
-def bin_index(value: float, col_min: float, col_max: float, k: int = SOIL_DEPTH) -> int:
-    """Equal-width bin of ``value`` in [col_min, col_max], clamped to [1, k].
-
-    Degenerate bounds (col_max == col_min) give bin 1. Values outside the
-    bounds (test samples scaled with train-fold bounds) clamp to the
-    nearest end bin.
-    """
-    if col_max <= col_min:
-        return 1
-    delta = (col_max - col_min) / k
-    b = int(np.floor((value - col_min) / delta)) + 1
-    return min(max(b, 1), k)
-
-
 def build_discrete_soil(
     sorted_row, bounds, config: SoilConfig = SoilConfig()
 ) -> DiscreteSoil:
@@ -120,22 +110,22 @@ def build_discrete_soil(
     bounds = np.asarray(bounds, dtype=np.float64)
     if bounds.shape != (row.size, 2):
         raise ValueError(f"expected bounds shape {(row.size, 2)}, got {bounds.shape}")
-    grid = np.zeros((config.depth, row.size))
-    for j, value in enumerate(row):
-        b = bin_index(value, bounds[j, 0], bounds[j, 1], k=config.depth)
-        if config.fill_mode == "stacked":
-            grid[:b, j] = 1.0
-        else:
-            grid[b - 1, j] = 1.0
-    return DiscreteSoil(grid=grid)
+    bins = bin_indices(row[None, :], bounds, config.depth)[0]
+    depths = np.arange(1, config.depth + 1)[:, None]
+    # stacked fills rows 1..b of each column, onehot row b only
+    filled = depths <= bins if config.fill_mode == "stacked" else depths == bins
+    return DiscreteSoil(grid=filled)
 
 
 def bin_indices(values, bounds, k: int = SOIL_DEPTH) -> np.ndarray:
-    """``bin_index`` over an (m, n) block with per-column (n, 2) bounds.
+    """Equal-width bins of an (m, n) block in per-column (n, 2) bounds,
+    clamped to [1, k].
 
-    Uses the same float operations as ``bin_index``, so the bins agree
-    element for element. Raises ValueError where a non-degenerate column
-    holds a value that has no finite bin (NaN, or an overflow to inf).
+    A column with degenerate bounds (max <= min) gives bin 1. Values
+    outside the bounds (held-out rows scaled with train-fold bounds) clamp
+    to the nearest end bin. Raises ValueError where a non-degenerate
+    column holds a value that has no finite bin (NaN, or an overflow to
+    inf).
     """
     values = np.asarray(values, dtype=np.float64)
     bounds = np.asarray(bounds, dtype=np.float64)

@@ -1,6 +1,6 @@
 """Frequency-domain features: peak and median of the power spectrum.
 
-The periodogram is the two-sided estimate PSD[k] = |X[k]|^2 / (N * fs),
+The power spectral density is the two-sided estimate PSD[k] = |X[k]|^2 / (N * fs),
 whose sum times the bin width fs/N equals the mean signal power exactly.
 Feature extraction looks only at positive-frequency bins (DC excluded):
 MaxPSD is the largest density there, MedPSD the median density. An
@@ -9,9 +9,9 @@ band's power in half instead of the median density.
 
 ``spectral_rows`` computes both for a block of equal-length segments with
 one FFT along the sample axis; ``compute_spectral`` is that kernel on a
-single row. ``periodogram``, ``positive_band`` and ``median_frequency``
-stay as the one-segment reference the kernel is tested against, bit for
-bit.
+one-row block. The one-segment spectrum, positive band and median
+frequency the kernel is tested against, bit for bit, live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -35,51 +35,15 @@ class SpectralPair:
     med_psd: float
 
 
-def periodogram(samples, sampling_rate: float):
-    """Two-sided periodogram: (freqs, psd), both length N, fftfreq order."""
-    x = np.asarray(samples, dtype=np.float64)
-    n = x.size
-    if n == 0:
-        raise ValueError("empty signal")
-    if sampling_rate <= 0:
-        raise ValueError(f"sampling_rate must be positive, got {sampling_rate}")
-    spectrum = np.fft.fft(x)
-    psd = (spectrum.real**2 + spectrum.imag**2) / (n * sampling_rate)
-    freqs = np.fft.fftfreq(n, d=1.0 / sampling_rate)
-    return freqs, psd
-
-
-def positive_band(samples, sampling_rate: float):
-    """Positive-frequency bins 1..N//2 of the periodogram (DC dropped,
-    Nyquist kept for even N)."""
-    freqs, psd = periodogram(samples, sampling_rate)
-    n = len(psd)
-    hi = n // 2
-    if hi < 1:
-        raise ValueError("signal too short for a positive-frequency band")
-    idx = np.arange(1, hi + 1)
-    return np.abs(freqs[idx]), psd[idx]
-
-
-def median_frequency(samples, sampling_rate: float) -> float:
-    """Lowest positive frequency at which cumulative power reaches half
-    of the positive band's total. 0 for an all-zero signal."""
-    freqs, psd = positive_band(samples, sampling_rate)
-    total = float(np.sum(psd))
-    if total == 0.0:
-        return 0.0
-    cumulative = np.cumsum(psd)
-    k = int(np.searchsorted(cumulative, 0.5 * total))
-    return float(freqs[min(k, len(freqs) - 1)])
-
-
 def spectral_rows(
     samples, sampling_rate: float, median_mode: str = MEDIAN_PSD
 ) -> np.ndarray:
     """(k, 2) [MaxPSD, MedPSD] of a (k, n) block sampled at one rate.
 
-    Equal, bit for bit, to ``positive_band`` and ``median_frequency``
-    applied to each row; an all-zero row yields (0, 0).
+    MaxPSD is the largest density of the positive band (bins 1..n//2);
+    MedPSD is its median density, or in the ``frequency`` mode the lowest
+    frequency at which the band's cumulative power reaches half its
+    total. An all-zero row yields (0, 0).
     """
     if median_mode not in MEDIAN_MODES:
         raise ValueError(

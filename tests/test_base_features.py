@@ -1,7 +1,10 @@
 """Oracle checks for the 12 time-domain features.
 
 The oracles are deliberately plain Python loops over the defining sums,
-written independently of the vectorized implementations.
+written independently of the vectorized implementations. The features
+under test come from ``base_feature_rows`` on a one-row block; one test
+also pins ``compute_base_features`` to the standalone one-segment
+references of ``reference``.
 """
 
 import math
@@ -18,22 +21,18 @@ from prs.base_features import (
     ThresholdConfig,
     base_feature_rows,
     compute_base_features,
-    kurtosis,
-    mav,
-    nonlinear_energy,
-    rms,
-    signal_std,
-    signal_variance,
-    simple_square_integral,
-    skewness,
-    slope_sign_changes,
-    waveform_length,
-    willison_amplitude,
-    zero_crossings,
 )
 from prs.errors import DegenerateDataError
 
+import reference
 from conftest import make_segment
+
+
+def feature(name, x, thresholds=ThresholdConfig(), centered_var=False):
+    """One feature of one segment: ``base_feature_rows`` on a one-row block."""
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    return base_feature_rows(x, thresholds, centered_var)[0, FEATURE_NAMES.index(name)]
+
 
 # -- loop oracles ------------------------------------------------------------
 
@@ -108,21 +107,23 @@ def test_all_features_match_loop_oracles():
         x = rng.normal(scale=rng.uniform(0.1, 10), size=rng.integers(16, 200))
         lst = x.tolist()
         thr = RELATIVE_THRESHOLD * max(abs(v) for v in lst)
-        pairs = [
-            (signal_std(x), oracle_std(lst)),
-            (signal_variance(x), oracle_var_uncentered(lst)),
-            (rms(x), oracle_rms(lst)),
-            (skewness(x), oracle_skw(lst)),
-            (kurtosis(x), oracle_kurt(lst)),
-            (mav(x), oracle_mav(lst)),
-            (zero_crossings(x, thr), oracle_zc(lst, thr)),
-            (slope_sign_changes(x, thr), oracle_ssc(lst, thr)),
-            (willison_amplitude(x, thr), oracle_wamp(lst, thr)),
-            (simple_square_integral(x), oracle_ssi(lst)),
-            (nonlinear_energy(x), oracle_nle(lst)),
-            (waveform_length(x), oracle_wl(lst)),
+        # the default thresholds are the relative ones
+        row = base_feature_rows(x[None, :])[0]
+        oracles = [
+            oracle_std(lst),
+            oracle_var_uncentered(lst),
+            oracle_rms(lst),
+            oracle_skw(lst),
+            oracle_kurt(lst),
+            oracle_mav(lst),
+            oracle_zc(lst, thr),
+            oracle_ssc(lst, thr),
+            oracle_wamp(lst, thr),
+            oracle_ssi(lst),
+            oracle_nle(lst),
+            oracle_wl(lst),
         ]
-        for got, want in pairs:
+        for got, want in zip(row, oracles):
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
@@ -162,37 +163,40 @@ def test_kernel_skw_kurt_match_exact_rational_moments():
 
 def test_constant_segment_identities():
     x = np.full(16, 5.0)
-    assert signal_std(x) == 0.0
-    assert mav(x) == 5.0
-    assert waveform_length(x) == 0.0
+    assert feature("STD", x) == 0.0
+    assert feature("MAV", x) == 5.0
+    assert feature("WL", x) == 0.0
 
 
 def test_rms_of_3_4():
-    assert rms([3.0, 4.0]) == pytest.approx(math.sqrt(12.5), abs=1e-12)
+    # the kernel needs 3 samples; 3, 4, 3, 4 has the mean square of 3, 4
+    assert feature("RMS", [3.0, 4.0, 3.0, 4.0]) == pytest.approx(
+        math.sqrt(12.5), abs=1e-12
+    )
 
 
 def test_alternating_signal_zc_and_wl():
     x = np.array([1.0, -1.0] * 8)
-    assert zero_crossings(x, 0.5) == 15
-    assert waveform_length(x) == pytest.approx(30.0)
+    assert feature("ZC", x, ThresholdConfig(zc_threshold=0.5)) == 15
+    assert feature("WL", x) == pytest.approx(30.0)
 
 
 def test_wamp_small_example():
-    assert willison_amplitude([0.0, 1.0, 0.0, 1.0], 0.5) == 3
+    x = [0.0, 1.0, 0.0, 1.0]
+    assert feature("WAMP", x, ThresholdConfig(wamp_threshold=0.5)) == 3
 
 
 def test_variance_is_uncentered_by_default():
     x = np.ones(4)
-    assert signal_variance(x) == pytest.approx(4.0 / 3.0)
-    assert signal_variance(x, centered=True) == 0.0
+    assert feature("VAR", x) == pytest.approx(4.0 / 3.0)
+    assert feature("VAR", x, centered_var=True) == 0.0
 
 
 def test_skew_kurt_undefined_on_constant():
     x = np.zeros(16)
-    with pytest.raises(DegenerateDataError):
-        skewness(x)
-    with pytest.raises(DegenerateDataError):
-        kurtosis(x)
+    assert np.isnan(feature("SKW", x)) and np.isnan(feature("KURT", x))
+    with pytest.raises(DegenerateDataError, match="SKW, KURT undefined"):
+        compute_base_features(make_segment("z", "A", x))
 
 
 def test_compute_base_features_names_constant_feature_in_error():
@@ -212,21 +216,21 @@ def test_feature_vector_matches_standalone_functions(tiny_dataset):
     x = seg.samples
     thr = RELATIVE_THRESHOLD * float(np.max(np.abs(x)))
     expected = [
-        signal_std(x),
-        signal_variance(x),
-        rms(x),
-        skewness(x),
-        kurtosis(x),
-        mav(x),
-        float(zero_crossings(x, thr)),
-        float(slope_sign_changes(x, thr)),
-        float(willison_amplitude(x, thr)),
-        simple_square_integral(x),
-        nonlinear_energy(x),
-        waveform_length(x),
+        reference.signal_std(x),
+        reference.signal_variance(x),
+        reference.rms(x),
+        reference.skewness(x),
+        reference.kurtosis(x),
+        reference.mav(x),
+        float(reference.zero_crossings(x, thr)),
+        float(reference.slope_sign_changes(x, thr)),
+        float(reference.willison_amplitude(x, thr)),
+        reference.simple_square_integral(x),
+        reference.nonlinear_energy(x),
+        reference.waveform_length(x),
     ]
     assert np.allclose(row, expected, rtol=0, atol=0)
-    assert row[FEATURE_NAMES.index("RMS")] == rms(x)
+    assert row[FEATURE_NAMES.index("RMS")] == reference.rms(x)
 
 
 def test_threshold_overrides_apply(tiny_dataset):
@@ -257,11 +261,13 @@ finite_signals = st.lists(
 @given(finite_signals, st.floats(min_value=0.1, max_value=100.0))
 def test_scale_properties(xs, c):
     x = np.array(xs)
-    assert mav(c * x) == pytest.approx(c * mav(x), rel=1e-9, abs=1e-12)
-    assert signal_std(c * x) == pytest.approx(c * signal_std(x), rel=1e-9, abs=1e-9)
-    assert waveform_length(c * x) == pytest.approx(
-        c * waveform_length(x), rel=1e-9, abs=1e-9
+    assert feature("MAV", c * x) == pytest.approx(
+        c * feature("MAV", x), rel=1e-9, abs=1e-12
     )
+    assert feature("STD", c * x) == pytest.approx(
+        c * feature("STD", x), rel=1e-9, abs=1e-9
+    )
+    assert feature("WL", c * x) == pytest.approx(c * feature("WL", x), rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
@@ -273,17 +279,19 @@ def test_counting_features_invariant_under_relative_threshold_scaling(xs):
     x = np.array(xs)
     c = 4.0
     thr = RELATIVE_THRESHOLD * float(np.max(np.abs(x)))
-    assert zero_crossings(c * x, c * thr) == zero_crossings(x, thr)
-    assert willison_amplitude(c * x, c * thr) == willison_amplitude(x, thr)
+    for name in ("ZC", "WAMP"):
+        at = ThresholdConfig(thr, thr, thr)
+        scaled = ThresholdConfig(c * thr, c * thr, c * thr)
+        assert feature(name, c * x, scaled) == feature(name, x, at)
 
 
 @settings(max_examples=50, deadline=None)
 @given(finite_signals)
 def test_kurtosis_at_least_one(xs):
-    assert kurtosis(np.array(xs)) >= 1.0 - 1e-12
+    assert feature("KURT", xs) >= 1.0 - 1e-12
 
 
 def test_nle_positive_on_noise():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        assert nonlinear_energy(rng.normal(size=128)) > 0.0
+        assert feature("NLE", rng.normal(size=128)) > 0.0

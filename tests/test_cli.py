@@ -12,7 +12,18 @@ import pytest
 import prs
 from prs.base_features import FEATURE_NAMES
 from prs.cli import main
-from prs.dataset import LabeledDataset, SignalSegment, generate_synthetic, write_dataset
+from prs.dataset import (
+    LabeledDataset,
+    SignalSegment,
+    generate_synthetic,
+    load_dataset,
+    write_dataset,
+)
+from prs.growth import GrowthConfig
+from prs.pipeline import PipelineConfig, extract_base_matrix, fit_prep
+from prs.soil import SoilConfig, convolve_soil
+
+import reference
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +268,105 @@ def test_grow_custom_radicle_and_flags(data_dir, capsys):
     assert report["config"]["radicle"] == "2,3;4,5"
     assert report["config"]["occupy_zero"] is False
     assert report["n_occupied"] >= 2
+
+
+# -- soil-dump and grow against the per-row reference chain ---------------------
+
+# the grow options of each case and the settings they stand for
+IDENTITY_CASES = {
+    "defaults": ([], PipelineConfig()),
+    "full-grid": (
+        ["--depth", "3", "--days", "40", "--division-limit", "3"],
+        PipelineConfig(
+            soil=SoilConfig(depth=3), growth=GrowthConfig(days=40, division_limit=3)
+        ),
+    ),
+    "no-occupy-zero": (
+        ["--no-occupy-zero"],
+        PipelineConfig(growth=GrowthConfig(occupy_zero=False)),
+    ),
+    "onehot": (
+        ["--fill-mode", "onehot"],
+        PipelineConfig(soil=SoilConfig(fill_mode="onehot")),
+    ),
+    "radicle": (
+        ["--radicle", "1,6;1,6;9,1", "--depth", "9"],
+        PipelineConfig(
+            soil=SoilConfig(depth=9),
+            growth=GrowthConfig(radicle=((1, 6), (1, 6), (9, 1))),
+        ),
+    ),
+}
+
+
+def grid_csv(grid, cell):
+    return "".join(",".join(cell(v) for v in line) + "\n" for line in grid)
+
+
+@pytest.fixture(scope="module")
+def reference_rows(data_dir):
+    """Raw base row of each sample and the artifacts fitted on all rows,
+    as the single-sample commands fit them."""
+    dataset = load_dataset(data_dir)
+    base = extract_base_matrix(dataset)
+    rows = {seg.id: row for seg, row in zip(dataset.segments, base)}
+    return rows, fit_prep(base, dataset.labels)
+
+
+@pytest.mark.parametrize("sample", ["P0", "N1"])
+@pytest.mark.parametrize("case", list(IDENTITY_CASES))
+def test_soil_dump_and_grow_equal_the_reference_chain(
+    data_dir, reference_rows, tmp_path, case, sample, capsys
+):
+    args, config = IDENTITY_CASES[case]
+    rows, artifacts = reference_rows
+    soil = reference.soil_for_row(rows[sample], artifacts, config.soil)
+    nutrients = convolve_soil(soil)
+    state = reference.grow(nutrients, config.growth)
+    pair = reference.extract_prs(state)
+
+    soil_args = ["--depth", str(config.soil.depth), "--fill-mode", config.soil.fill_mode]
+    out = tmp_path / "soil"
+    run_ok(
+        ["soil-dump", "--manifest", data_dir, "--sample", sample, "--out", str(out)]
+        + soil_args,
+        capsys,
+    )
+    assert (out / "discrete_soil.csv").read_text() == grid_csv(
+        soil.grid, lambda v: str(int(v))
+    )
+    assert (out / "nutrient_matrix.csv").read_text() == grid_csv(
+        nutrients.grid, lambda v: repr(float(v))
+    )
+
+    frames = tmp_path / "frames"
+    stdout = run_ok(
+        ["grow", "--manifest", data_dir, "--sample", sample, "--dump-frames", str(frames)]
+        + args,
+        capsys,
+    )
+    want = {
+        "id": sample,
+        "nf": pair.nf,
+        "rf": pair.rf,
+        "days_run": len(state.day_log),
+        "n_occupied": int(state.occupancy.sum()),
+        "day_log": [[list(cell) for cell in day] for day in state.day_log],
+        "config": json.loads(stdout)["config"],
+    }
+    assert stdout == json.dumps(want, indent=2) + "\n"
+    assert (frames / "summary.json").read_text() == stdout
+    occupancy = np.zeros_like(state.occupancy)
+    days = [config.growth.radicle, *state.day_log]
+    for day, cells in enumerate(days):
+        for r, c in cells:
+            occupancy[r - 1, c - 1] = 1
+        text = (frames / f"day{day:02d}.csv").read_text()
+        assert text == grid_csv(occupancy, lambda v: str(int(v)))
+    assert len(list(frames.glob("day*.csv"))) == len(days)
+    if case == "full-grid":
+        # a 3 x 12 grid fills long before 40 days
+        assert occupancy.all() and len(state.day_log) < 40
 
 
 def test_grow_bad_radicle_is_usage_error(data_dir, capsys):

@@ -2,9 +2,9 @@
 
 ``extract_base_matrix`` and ``extract_spectral_matrix`` group segments by
 length, run ``base_feature_rows`` / ``spectral_rows`` on row blocks and
-scatter the rows back. The reference here is the standalone functions
-(``skewness``, ``zero_crossings``, ``positive_band``, ...) applied to one
-segment at a time. Every comparison is exact (np.array_equal).
+scatter the rows back. The reference here is the standalone functions of
+``reference`` (``skewness``, ``zero_crossings``, ``positive_band``, ...)
+applied to one segment at a time. Every comparison is exact (np.array_equal).
 """
 
 import numpy as np
@@ -18,9 +18,23 @@ from prs.base_features import (
     ThresholdConfig,
     base_feature_rows,
     compute_base_features,
+)
+from prs.dataset import LabeledDataset, generate_synthetic
+from prs.errors import DegenerateDataError
+from prs.pipeline import (
+    _SEGMENT_BLOCK_SAMPLES,
+    extract_base_matrix,
+    extract_spectral_matrix,
+)
+from prs.spectral import MEDIAN_FREQUENCY, MEDIAN_MODES, MEDIAN_PSD, spectral_rows
+
+from conftest import make_segment
+from reference import (
     kurtosis,
     mav,
+    median_frequency,
     nonlinear_energy,
+    positive_band,
     rms,
     signal_std,
     signal_variance,
@@ -31,23 +45,6 @@ from prs.base_features import (
     willison_amplitude,
     zero_crossings,
 )
-from prs.dataset import LabeledDataset, generate_synthetic
-from prs.errors import DegenerateDataError
-from prs.pipeline import (
-    _SEGMENT_BLOCK_SAMPLES,
-    extract_base_matrix,
-    extract_spectral_matrix,
-)
-from prs.spectral import (
-    MEDIAN_FREQUENCY,
-    MEDIAN_MODES,
-    MEDIAN_PSD,
-    median_frequency,
-    positive_band,
-    spectral_rows,
-)
-
-from conftest import make_segment
 
 
 def standalone_base(x, thresholds=ThresholdConfig(), centered_var=False):

@@ -1,4 +1,9 @@
-"""Daily root division, absorption accounting, and the hull-area feature."""
+"""Daily root division, absorption accounting, and the hull-area feature.
+
+The growth and RF cases run the package's ``grow`` and ``extract_prs``
+(``grow_batch`` and ``hull_areas`` on a one-grid block); the absorption
+and hull formula checks test the per-row references in ``reference``.
+"""
 
 from collections import deque
 
@@ -9,14 +14,13 @@ from prs.growth import (
     DEFAULT_RADICLE,
     GrowthConfig,
     RootState,
-    absorption_rate,
-    convex_hull,
     extract_prs,
     grow,
     grow_batch,
-    polygon_area,
 )
 from prs.soil import SOIL_DEPTH, SOIL_WIDTH, NutrientMatrix
+
+from reference import absorption_rate, convex_hull, occupied_cells, polygon_area
 
 RF_MAX = (SOIL_WIDTH - 1) * (SOIL_DEPTH - 1)  # hull of every cell center
 
@@ -80,7 +84,7 @@ def test_absorption_rate_bounded_and_monotone():
 
 def test_zero_days_keeps_only_radicle():
     state = grow(zero_nutrients(), GrowthConfig(days=0))
-    assert state.occupied_cells() == [DEFAULT_RADICLE[0]]
+    assert occupied_cells(state) == [DEFAULT_RADICLE[0]]
     assert state.absorbed == 0.0
     assert state.day_log == []
 
@@ -90,7 +94,7 @@ def test_one_day_on_barren_soil():
     # three zero-valued candidates around (1, 6); ties resolve by (row, col)
     assert state.day_log == [[(1, 5), (1, 7)]]
     assert state.absorbed == 0.0
-    assert sorted(state.occupied_cells()) == [(1, 5), (1, 6), (1, 7)]
+    assert sorted(occupied_cells(state)) == [(1, 5), (1, 6), (1, 7)]
 
 
 def test_single_nutrient_cell_is_taken_first():
@@ -105,7 +109,7 @@ def test_barren_cells_skipped_when_occupy_zero_off():
     state = grow(
         zero_nutrients(), GrowthConfig(days=5, division_limit=2, occupy_zero=False)
     )
-    assert state.occupied_cells() == [DEFAULT_RADICLE[0]]
+    assert occupied_cells(state) == [DEFAULT_RADICLE[0]]
     assert state.day_log == []
 
 
@@ -165,6 +169,16 @@ def test_growth_is_deterministic():
     assert np.array_equal(a.occupancy, b.occupancy)
     assert a.absorbed == b.absorbed
     assert a.day_log == b.day_log
+
+
+def test_grow_returns_the_row_types():
+    # int 0/1 occupancy, a Python float total and 1-based int cells, as
+    # the CLI report and the frames print them
+    state = grow(zero_nutrients(), GrowthConfig(days=3))
+    assert state.occupancy.dtype == np.int64
+    assert set(np.unique(state.occupancy).tolist()) == {0, 1}
+    assert type(state.absorbed) is float
+    assert all(type(v) is int for day in state.day_log for cell in day for v in cell)
 
 
 def test_config_validation():

@@ -1,9 +1,10 @@
 """Batched NF/RF against the per-row reference chain, compared bit for bit.
 
-``prs_features`` bins, convolves, grows and takes hull areas over blocks
-of rows; ``prs_pair_for_row`` (build_discrete_soil -> convolve_soil ->
-grow -> extract_prs) does the same one row at a time. Every comparison
-here is exact (np.array_equal), never approximate.
+``prs_features`` bins, grows and takes hull areas over blocks of rows;
+``reference.prs_pair_for_row`` (scalar binning -> convolve_soil -> the
+division loop -> monotone-chain hull) does the same one row at a time.
+The package's one-grid ``grow`` must also give the loop's day log. Every
+comparison here is exact (np.array_equal), never approximate.
 """
 
 import numpy as np
@@ -12,31 +13,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from prs import growth
 from prs.dataset import generate_synthetic
-from prs.growth import (
-    GrowthConfig,
-    convex_hull,
-    extract_prs,
-    grow,
-    grow_batch,
-    hull_areas,
-    polygon_area,
-)
+from prs.growth import GrowthConfig, grow_batch, hull_areas
 from prs.pipeline import (
     _PRS_BLOCK,
     PipelineConfig,
     extract_base_matrix,
     fit_prep,
     prs_features,
-    prs_pair_for_row,
+    transform_rows,
 )
-from prs.soil import SOIL_DEPTH, SOIL_WIDTH, NutrientMatrix, SoilConfig
+from prs.soil import (
+    SOIL_DEPTH,
+    SOIL_WIDTH,
+    NutrientMatrix,
+    SoilConfig,
+    bin_indices,
+    nutrient_grids,
+)
+
+import reference
 
 
 def per_row(values, artifacts, config=PipelineConfig()):
     out = np.empty((len(values), 2))
     for idx, row in enumerate(values):
-        pair = prs_pair_for_row(row, artifacts, config)
+        pair = reference.prs_pair_for_row(row, artifacts, config)
         out[idx] = (pair.nf, pair.rf)
     return out
 
@@ -49,34 +52,41 @@ def assert_batch_matches_rows(values, artifacts, config=PipelineConfig()):
 
 
 def assert_growth_matches(grids, config):
-    absorbed, occupancy = grow_batch(grids, config)
+    absorbed, occupancy, _ = grow_batch(grids, config)
     for s, grid in enumerate(grids):
-        state = grow(NutrientMatrix(grid=grid), config)
+        nutrients = NutrientMatrix(grid=grid)
+        state = reference.grow(nutrients, config)
         assert absorbed[s] == state.absorbed
         assert np.array_equal(occupancy[s], state.occupancy == 1)
-        assert hull_areas(occupancy[s : s + 1])[0] == extract_prs(state).rf
+        assert hull_areas(occupancy[s : s + 1])[0] == reference.extract_prs(state).rf
+        # the one-grid grow reads its day log from the batch's picks
+        one = growth.grow(nutrients, config)
+        assert one.day_log == state.day_log
+        assert one.absorbed == state.absorbed
+        assert np.array_equal(one.occupancy, state.occupancy)
+        assert growth.extract_prs(one) == reference.extract_prs(state)
 
 
 def hull_oracle(occupancy):
     points = [(c + 1, r + 1) for r, c in np.argwhere(occupancy)]
-    return polygon_area(convex_hull(points))
+    return reference.polygon_area(reference.convex_hull(points))
 
 
 @pytest.fixture(scope="module")
-def reference():
+def reference_rows():
     dataset = generate_synthetic(40, 2000, seed=1)
     base = extract_base_matrix(dataset)
     labels = np.array(dataset.labels)
     return base, labels, fit_prep(base, labels)
 
 
-def test_reference_set_matches_per_row(reference):
-    base, _, artifacts = reference
+def test_reference_set_matches_per_row(reference_rows):
+    base, _, artifacts = reference_rows
     assert_batch_matches_rows(base, artifacts)
 
 
-def test_held_out_rows_outside_fitted_bounds(reference):
-    base, labels, _ = reference
+def test_held_out_rows_outside_fitted_bounds(reference_rows):
+    base, labels, _ = reference_rows
     train = np.arange(0, len(base), 2)
     artifacts = fit_prep(base[train], labels[train])
     lo, hi = artifacts.feature_bounds[:, 0], artifacts.feature_bounds[:, 1]
@@ -88,16 +98,16 @@ def test_held_out_rows_outside_fitted_bounds(reference):
 
 
 @pytest.mark.parametrize("m", [1, _PRS_BLOCK - 1, _PRS_BLOCK, _PRS_BLOCK + 1])
-def test_block_boundary_sizes(reference, m):
-    base, _, artifacts = reference
+def test_block_boundary_sizes(reference_rows, m):
+    base, _, artifacts = reference_rows
     rng = np.random.default_rng(m)
     rows = base[rng.integers(0, len(base), size=m)]
     rows = rows * rng.uniform(0.9, 1.1, size=rows.shape)
     assert_batch_matches_rows(rows, artifacts)
 
 
-def test_constant_column_gives_degenerate_bounds(reference):
-    base, labels, _ = reference
+def test_constant_column_gives_degenerate_bounds(reference_rows):
+    base, labels, _ = reference_rows
     values = base.copy()
     values[:, 4] = 2.5
     artifacts = fit_prep(values, labels)
@@ -111,8 +121,8 @@ def test_constant_column_gives_degenerate_bounds(reference):
     "depth, fill_mode",
     [(SOIL_DEPTH, "onehot"), (9, "stacked"), (9, "onehot"), (22, "stacked")],
 )
-def test_fill_mode_and_depth(reference, depth, fill_mode):
-    base, _, artifacts = reference
+def test_fill_mode_and_depth(reference_rows, depth, fill_mode):
+    base, _, artifacts = reference_rows
     radicle = ((1, 6), (depth, 1))
     assert_batch_matches_rows(
         base,
@@ -124,10 +134,10 @@ def test_fill_mode_and_depth(reference, depth, fill_mode):
     )
 
 
-def test_shallow_soil_with_default_growth(reference):
+def test_shallow_soil_with_default_growth(reference_rows):
     # the growth grid takes its depth from the soil, so no growth setting
     # has to repeat it
-    base, _, artifacts = reference
+    base, _, artifacts = reference_rows
     config = PipelineConfig(soil=SoilConfig(depth=9))
     assert_batch_matches_rows(base, artifacts, config)
 
@@ -156,6 +166,23 @@ def test_criterion_04_grids():
                     days=days, division_limit=limit, occupy_zero=occupy_zero
                 )
                 assert_growth_matches(grids[limits == limit], config)
+
+
+def test_days_that_outlast_a_full_grid(reference_rows):
+    # a 2 x 12 soil fills long before 40 days: the day log stops short
+    base, _, artifacts = reference_rows
+    config = PipelineConfig(
+        soil=SoilConfig(depth=2), growth=GrowthConfig(days=40, division_limit=2)
+    )
+    assert_batch_matches_rows(base, artifacts, config)
+    bins = bin_indices(transform_rows(base[:20], artifacts), artifacts.soil_bounds, 2)
+    grids = nutrient_grids(bins, config.soil)
+    assert_growth_matches(grids, config.growth)
+    days_run = [
+        len(growth.grow(NutrientMatrix(grid=grid), config.growth).day_log)
+        for grid in grids
+    ]
+    assert max(days_run) < 40
 
 
 cells = st.tuples(st.integers(1, SOIL_DEPTH), st.integers(1, SOIL_WIDTH))

@@ -3,23 +3,16 @@
 ``nutrient_grids`` sums cached column responses instead of building and
 convolving each soil; ``grow_batch`` keeps its candidate offers across
 days and lets a grid with no candidate left pick a sentinel;
-``hull_areas`` works only on the rows the block occupies. Every
-comparison here is exact.
+``hull_areas`` works only on the rows the block occupies. The references
+are the scalar soil fill, the division loop and the monotone-chain hull
+in ``reference``. Every comparison here is exact.
 """
 
 import numpy as np
 import pytest
 
 from prs import soil
-from prs.growth import (
-    GrowthConfig,
-    convex_hull,
-    extract_prs,
-    grow,
-    grow_batch,
-    hull_areas,
-    polygon_area,
-)
+from prs.growth import GrowthConfig, grow_batch, hull_areas
 from prs.soil import (
     FILL_MODES,
     NutrientMatrix,
@@ -30,6 +23,8 @@ from prs.soil import (
     convolve_soil,
     nutrient_grids,
 )
+
+import reference
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +52,9 @@ def test_nutrient_grids_equal_the_per_row_soil(rows_and_bounds, depth, fill_mode
     grids = nutrient_grids(bins, config)
     assert grids.shape == (len(rows), depth, 12) and grids.dtype == np.float64
     for row, grid in zip(rows, grids):
-        want = convolve_soil(build_discrete_soil(row, bounds, config)).grid
-        assert np.array_equal(grid, want)
+        discrete = reference.build_discrete_soil(row, bounds, config)
+        assert np.array_equal(build_discrete_soil(row, bounds, config).grid, discrete.grid)
+        assert np.array_equal(grid, convolve_soil(discrete).grid)
 
 
 def test_column_responses_are_built_once_and_read_only():
@@ -95,12 +91,14 @@ def test_table_build_rejects_a_kernel_off_the_sixteenths(
 
 
 def grow_matches_per_row(grids, config):
-    absorbed, occupancy = grow_batch(grids, config)
-    states = [grow(NutrientMatrix(grid=grid), config) for grid in grids]
+    """Grow the block and each grid alone; returns the reference states
+    and the block's picks."""
+    absorbed, occupancy, picks = grow_batch(grids, config)
+    states = [reference.grow(NutrientMatrix(grid=grid), config) for grid in grids]
     for s, state in enumerate(states):
         assert absorbed[s] == state.absorbed
         assert np.array_equal(occupancy[s], state.occupancy == 1)
-    return states
+    return states, picks
 
 
 def test_rows_that_run_out_mid_day_pick_the_sentinel():
@@ -115,11 +113,18 @@ def test_rows_that_run_out_mid_day_pick_the_sentinel():
     grids[1, 1, 3] = 1.5
     grids[2:] = rng.choice([0.25, 0.5, 1.0, 2.0, 3.0], size=(2, 6, 7))
     config = GrowthConfig(days=6, division_limit=3, radicle=((1, 4),), occupy_zero=False)
-    states = grow_matches_per_row(grids, config)
+    states, picks = grow_matches_per_row(grids, config)
     assert [len(day) for day in states[0].day_log] == [3, 1]
     assert [len(day) for day in states[1].day_log] == [1]
     for state in states[2:]:
         assert [len(day) for day in state.day_log] == [3] * 6
+    # the picks hold each day's cells in pick order as the flat index
+    # (row - 1) * 7 + col, and the sentinel 0 from the step a grid runs
+    # out: grid 0 takes (2, 4), (1, 3), (1, 5), then (3, 4)
+    assert picks.shape == (4, 6, 3)
+    assert picks[0, :2].tolist() == [[11, 3, 5], [18, 0, 0]]
+    assert picks[1, 0].tolist() == [11, 0, 0]
+    assert not picks[:2, 2:].any() and picks[2:].all()
 
 
 @pytest.mark.parametrize("division_limit", [1, 3])
@@ -131,13 +136,13 @@ def test_growth_that_fills_the_grid_stops_with_the_rest_of_the_block(division_li
     fill_days = -(-8 // division_limit)
     for days in (fill_days - 1, fill_days, fill_days + 1, 1000):
         config = GrowthConfig(days=days, division_limit=division_limit, radicle=((2, 2),))
-        states = grow_matches_per_row(grids, config)
+        states, _ = grow_matches_per_row(grids, config)
         assert all(state.occupancy.all() == (days >= fill_days) for state in states)
 
 
 def hull_oracle(occupancy):
     points = [(c + 1, r + 1) for r, c in np.argwhere(occupancy)]
-    return polygon_area(convex_hull(points))
+    return reference.polygon_area(reference.convex_hull(points))
 
 
 def test_hull_areas_of_two_radicles_with_a_gap_between_their_rows():
@@ -146,14 +151,15 @@ def test_hull_areas_of_two_radicles_with_a_gap_between_their_rows():
     rng = np.random.default_rng(21)
     grids = rng.choice([0.0, 0.5, 1.0, 2.0], size=(6, 15, 12))
     config = GrowthConfig(days=1, division_limit=4, radicle=((1, 3), (14, 9)))
-    absorbed, occupancy = grow_batch(grids, config)
+    absorbed, occupancy, _ = grow_batch(grids, config)
     occupied_rows = np.flatnonzero(occupancy.any(axis=(0, 2)))
     assert occupied_rows.min() == 0 and occupied_rows.max() >= 13
     assert not occupancy[:, 2:12].any()
     got = hull_areas(occupancy)
     for grid, area, grid_occupancy in zip(grids, got, occupancy):
         assert area == hull_oracle(grid_occupancy)
-        assert area == extract_prs(grow(NutrientMatrix(grid=grid), config)).rf
+        state = reference.grow(NutrientMatrix(grid=grid), config)
+        assert area == reference.extract_prs(state).rf
     assert (got > 0).all()
 
 

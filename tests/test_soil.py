@@ -13,7 +13,7 @@ from prs.soil import (
     SOIL_WIDTH,
     DiscreteSoil,
     SoilConfig,
-    bin_index,
+    bin_indices,
     build_discrete_soil,
     convolve_grid,
     convolve_soil,
@@ -21,6 +21,11 @@ from prs.soil import (
 )
 
 UNIT_BOUNDS = np.tile([0.0, 1.0], (SOIL_WIDTH, 1))
+
+
+def one_bin(value, col_min, col_max, k):
+    """The bin of one value: ``bin_indices`` on a one-element block."""
+    return int(bin_indices([[value]], [[col_min, col_max]], k)[0, 0])
 
 
 def oracle_correlate(grid, kernel):
@@ -43,18 +48,18 @@ def oracle_correlate(grid, kernel):
 
 
 def test_bin_index_examples():
-    assert bin_index(0.0, 0.0, 15.0, 15) == 1
-    assert bin_index(15.0, 0.0, 15.0, 15) == 15
-    assert bin_index(0.5, 0.0, 1.0, 15) == 8
+    assert one_bin(0.0, 0.0, 15.0, 15) == 1
+    assert one_bin(15.0, 0.0, 15.0, 15) == 15
+    assert one_bin(0.5, 0.0, 1.0, 15) == 8
 
 
 def test_bin_index_clamps_out_of_range():
-    assert bin_index(-2.0, 0.0, 1.0, 15) == 1
-    assert bin_index(3.0, 0.0, 1.0, 15) == 15
+    assert one_bin(-2.0, 0.0, 1.0, 15) == 1
+    assert one_bin(3.0, 0.0, 1.0, 15) == 15
 
 
 def test_bin_index_degenerate_bounds():
-    assert bin_index(7.0, 7.0, 7.0, 15) == 1
+    assert one_bin(7.0, 7.0, 7.0, 15) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -63,12 +68,12 @@ def test_bin_index_degenerate_bounds():
     st.integers(min_value=1, max_value=40),
 )
 def test_bin_index_always_in_range(value, k):
-    assert 1 <= bin_index(value, 0.0, 1.0, k) <= k
+    assert 1 <= one_bin(value, 0.0, 1.0, k) <= k
 
 
 def test_bin_index_monotone_in_value():
     values = np.linspace(-0.5, 1.5, 101)
-    bins = [bin_index(v, 0.0, 1.0, 15) for v in values]
+    bins = [one_bin(v, 0.0, 1.0, 15) for v in values]
     assert bins == sorted(bins)
 
 

@@ -1,19 +1,21 @@
-"""Periodogram construction and the two frequency-domain features."""
+"""Periodogram construction and the two frequency-domain features.
+
+The periodogram and positive-band checks test the one-segment references
+in ``reference``; the feature cases run ``compute_spectral``.
+"""
 
 import numpy as np
 import pytest
 
-from prs.spectral import (
-    MEDIAN_FREQUENCY,
-    MEDIAN_PSD,
-    SpectralPair,
-    compute_spectral,
-    median_frequency,
-    periodogram,
-    positive_band,
-)
+from prs.spectral import MEDIAN_FREQUENCY, MEDIAN_PSD, SpectralPair, compute_spectral
 
 from conftest import make_segment
+from reference import periodogram, positive_band
+
+
+def median_frequency(x, fs):
+    """MedPSD in the frequency mode: the half-power frequency."""
+    return compute_spectral(make_segment("f", "A", x, fs), MEDIAN_FREQUENCY).med_psd
 
 
 def tone(bin_index, n=1024, fs=1000.0, amplitude=1.0):
