@@ -9,22 +9,36 @@ SVM_POLY  soft-margin SVM with a polynomial kernel, trained by SMO with
           2005, as in LIBSVM): each step updates the maximal violator i
           and the partner j that most decreases the dual's quadratic
           model, and the fit stops once the maximal violating pair is
-          closer than _SVM_STOP = 1e-9. One loop solves, in lockstep,
-          the duals of every problem of a ``train_group`` call with the
-          same row count (``train`` is a group of one): a run passes the
-          variants of all its reps' splits, each with its own labels.
-          Each step picks i, j and the gap of every unfinished problem
-          by argmin/argmax over a (problems, m) block, with the index
-          sets I_up/I_low kept as offsets (0 or an infinity) on the
-          signed gradient, then makes each problem's scalar pair update.
-          The block's numpy calls are shared, so p problems cost little
-          more per step than one, and the loop takes as many steps as
-          its slowest problem; each problem's floats are those of a fit
-          on its own, and a problem leaves the block when it stops. A
-          block holds the (m, m) kernel and curvature of each of its
-          problems, so it takes at most _SVM_BLOCK_BYTES of them and
-          the problems beyond start another block (at 1200 rows one
-          problem needs 23 MB).
+          closer than _SVM_STOP = 1e-9.
+
+``train_group`` fits one spec on many problems (a run passes the
+variants of all its reps' splits, each with its own labels; ``train`` is
+a group of one), and each kind fits the problems that share a shape as
+one stack of numpy calls:
+
+- LR groups by row count and width. Each damped Newton step runs once
+  on the stack (stacked margins, gradients and Hessians, one stacked
+  ``solve``), and each problem halves its own step in the line search.
+- LDA and QDA group by row count, width and class counts. A stable
+  argsort of the signs gathers each problem's rows by class; the means,
+  covariances, ridges and Cholesky factors are stacked, and a stack
+  whose Cholesky fails escalates the ridge of each problem on its own.
+- SVM_POLY groups by row count. One SMO loop steps the duals of every
+  unfinished problem of a block in lockstep: it picks i, j and the gap
+  of each by argmin/argmax over a (problems, m) block, with the index
+  sets I_up/I_low kept as offsets (0 or an infinity) on the signed
+  gradient, then makes each problem's scalar pair update. A block holds
+  the (m, m) kernel and curvature of each of its problems, so it takes
+  at most _SVM_BLOCK_BYTES of them and the problems beyond start
+  another block (at 1200 rows one problem needs 23 MB).
+
+A problem leaves its stack when its own fit stops, so a stack takes as
+many steps as its slowest problem, and each problem's floats are those
+of a fit on its own. ``decision_group`` and ``predict_group`` score
+models the same way, over matrices of equal shape: one stacked ``@`` per
+LR group, and one stacked ``solve`` against the Cholesky factors of both
+classes per LDA/QDA group; SVM_POLY models score one at a time.
+``TrainedModel.predict`` is a group of one.
 
 Labels are arbitrary strings; the two classes are ordered lexically and
 score ties resolve to the second class. Trained models report fit
@@ -106,60 +120,94 @@ class TrainedModel:
 
     def decision_function(self, X) -> np.ndarray:
         """Raw scores; >= 0 means the second class."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected shape (m, {self.n_features}), got {X.shape}"
-            )
-        kind = self.spec.kind
-        if kind == "LR":
-            w = self.params["weights"]
-            return X @ w[:-1] + w[-1]
-        if kind in ("LDA", "QDA"):
-            return self._gaussian_scores(X)
-        return self._svm_scores(X)
+        return decision_group([self], [X])[0]
 
     def predict(self, X) -> np.ndarray:
-        scores = self.decision_function(X)
-        return np.where(scores >= 0.0, self.classes[1], self.classes[0])
+        return predict_group([self], [X])[0]
 
-    def _gaussian_scores(self, X: np.ndarray) -> np.ndarray:
-        delta = []
-        for c in range(2):
-            mu = self.params["means"][c]
-            chol = self.params["chol"][c]
-            log_det = self.params["log_det"][c]
-            diff = (X - mu).T
-            z = np.linalg.solve(chol, diff)
-            quad = np.sum(z * z, axis=0)
-            delta.append(-0.5 * log_det - 0.5 * quad + self.params["log_priors"][c])
-        return delta[1] - delta[0]
 
-    def _svm_scores(self, X: np.ndarray) -> np.ndarray:
-        sv = self.params["support_vectors"]
-        coef = self.params["dual_coef"]  # alpha_i * y_i, support rows only
-        k = _poly_kernel(X, sv, self.spec.degree, self.spec.coef0)
-        return k @ coef + self.params["bias"]
+def _groups(keys) -> list[list[int]]:
+    """Indices of equal keys, each group and its members in input order."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
+
+
+def _matvec(A, v):
+    """A[k] @ v[k] for every k of a (p, m, n) and a (p, n) stack."""
+    return (A @ v[:, :, None])[:, :, 0]
+
+
+def _dots(a, b):
+    """a[k] @ b[k] for every row k of two (p, n) stacks."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def decision_group(models, matrices) -> list[np.ndarray]:
+    """Raw scores of models[k] on matrices[k]; >= 0 means the second class.
+
+    Models of one kind score each group of equally shaped matrices
+    together: one stacked ``@`` for LR, one stacked ``solve`` against
+    the Cholesky factors of both classes of every model for LDA and QDA,
+    and one kernel per model for SVM_POLY. Each model's scores equal
+    those of a call on its own.
+    """
+    models = list(models)
+    matrices = [np.asarray(X, dtype=np.float64) for X in matrices]
+    if len(models) != len(matrices):
+        raise ValueError(f"{len(models)} models but {len(matrices)} feature matrices")
+    for model, X in zip(models, matrices):
+        if X.ndim != 2 or X.shape[1] != model.n_features:
+            raise ValueError(
+                f"expected shape (m, {model.n_features}), got {X.shape}"
+            )
+    scores = [None] * len(models)
+    for group in _groups((m.spec.kind, X.shape) for m, X in zip(models, matrices)):
+        score = _SCORES[models[group[0]].spec.kind]
+        stacked = score([models[k] for k in group], [matrices[k] for k in group])
+        for k, row in zip(group, stacked):
+            scores[k] = row
+    return scores
+
+
+def predict_group(models, matrices) -> list[np.ndarray]:
+    """Predicted labels of models[k] on matrices[k]; see ``decision_group``."""
+    return [
+        np.where(scores >= 0.0, model.classes[1], model.classes[0])
+        for model, scores in zip(models, decision_group(models, matrices))
+    ]
 
 
 def _encode_labels(y) -> tuple[tuple[str, str], np.ndarray]:
-    labels = [str(v) for v in np.asarray(y).ravel()]
-    classes = sorted(set(labels))
+    """The two classes in sorted order, and -1.0/+1.0 for each label."""
+    labels = np.asarray(y).ravel().astype(str, copy=False)
+    classes = sorted(set(labels.tolist()))
     if len(classes) == 1:
         raise ValueError("training data contains a single class")
     if len(classes) != 2:
         raise ValueError(
             f"training data must contain exactly 2 classes, got {len(classes)}"
         )
-    signed = np.array([1.0 if v == classes[1] else -1.0 for v in labels])
-    return (classes[0], classes[1]), signed
+    return (classes[0], classes[1]), np.where(labels == classes[1], 1.0, -1.0)
+
+
+def _group_key(kind, X, signed):
+    """Problems with equal keys fit as one stack: LR by row count and
+    width, LDA and QDA also by class counts, SVM_POLY by row count
+    alone (its duals see the rows only through their kernel)."""
+    if kind == "SVM_POLY":
+        return len(signed)
+    if kind == "LR":
+        return X.shape
+    return X.shape + (int(np.count_nonzero(signed < 0)),)
 
 
 def _check_matrix(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"feature matrix must be 2D, got {X.ndim}D")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("feature matrix contains non-finite values")
     return X
 
@@ -174,11 +222,10 @@ def train_group(spec: ClassifierSpec, matrices, labels) -> list[TrainedModel]:
 
     ``labels[k]`` holds one label per row of ``matrices[k]``; the
     problems may differ in rows, labels and columns, e.g. the variants
-    of every rep's split at several rates. SVM_POLY solves the duals of
-    the problems with equal row counts in one lockstep loop, in blocks
-    of at most _SVM_BLOCK_BYTES of kernel and curvature; the other kinds
-    fit one matrix at a time. Model k equals
-    ``train(spec, matrices[k], labels[k])`` bit for bit.
+    of every rep's split at several rates. Each kind fits every group of
+    problems with equal keys (see ``_group_key``) in one loop of stacked
+    numpy calls. Model k equals ``train(spec, matrices[k], labels[k])``
+    bit for bit.
     """
     matrices = [_check_matrix(X) for X in matrices]
     labels = list(labels)
@@ -186,16 +233,23 @@ def train_group(spec: ClassifierSpec, matrices, labels) -> list[TrainedModel]:
         raise ValueError(
             f"{len(matrices)} feature matrices but {len(labels)} label vectors"
         )
-    encoded = [_encode_labels(y) for y in labels]
+    # the variants of one split pass one label vector: encode it once
+    by_vector = {}
+    for y in labels:
+        if id(y) not in by_vector:
+            by_vector[id(y)] = _encode_labels(y)
+    encoded = [by_vector[id(y)] for y in labels]
     for X, (_, signed) in zip(matrices, encoded):
         if X.shape[0] != len(signed):
             raise ValueError(f"{X.shape[0]} rows but {len(signed)} labels")
     signs = [signed for _, signed in encoded]
-    if spec.kind == "SVM_POLY":
-        fits = _train_svm(spec, matrices, signs)
-    else:
-        fit = _train_logistic if spec.kind == "LR" else _train_gaussian
-        fits = [fit(spec, X, signed) for X, signed in zip(matrices, signs)]
+    fit = _FITS[spec.kind]
+    fits = [None] * len(matrices)
+    for group in _groups(_group_key(spec.kind, X, s) for X, s in zip(matrices, signs)):
+        group_signs = np.stack([signs[k] for k in group])
+        stacked = fit(spec, [matrices[k] for k in group], group_signs)
+        for k, one in zip(group, stacked):
+            fits[k] = one
     return [
         TrainedModel(
             spec=spec,
@@ -211,103 +265,246 @@ def train_group(spec: ClassifierSpec, matrices, labels) -> list[TrainedModel]:
 # -- logistic regression ----------------------------------------------------
 
 
-def _logistic_objective(w, Xb, signed, penalty):
-    """Mean log-loss plus 0.5 * sum(penalty * w^2); penalty is l2 for
-    each weight and 0 for the intercept."""
-    margins = signed * (Xb @ w)
-    return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * w @ (penalty * w))
+def _logistic_objectives(margins, w, penalty):
+    """Mean log-loss plus 0.5 * sum(penalty * w^2) of each stacked
+    problem; penalty is l2 for each weight and 0 for the intercept.
+    (A sum over the m rows divided by m is np.mean, bit for bit.)"""
+    m = margins.shape[1]
+    return np.logaddexp(0.0, -margins).sum(axis=1) / m + _dots(0.5 * w, penalty * w)
 
 
-def _train_logistic(spec, X, signed):
-    m = X.shape[0]
-    Xb = np.hstack([X, np.ones((m, 1))])
-    penalty = np.full(Xb.shape[1], spec.l2)
+def _fit_logistic(spec, matrices, signed):
+    """Damped Newton (IRLS) fits of p problems with equal (m, f) shapes.
+
+    Every unfinished problem takes each Newton step at once: stacked
+    margins, gradients and (p, f + 1, f + 1) Hessians, one stacked
+    solve, and a line search in which each problem halves its own step.
+    A problem leaves the stack once its gradient norm is <= tol, after
+    max_iter steps, when its Hessian is singular, or when its line
+    search finds no decrease; the problems still in the stack have all
+    taken the same number of steps. Each problem's floats are those of a
+    fit on its own.
+    """
+    X = np.stack(matrices)
+    p, m, f = X.shape
+    Xb = np.concatenate([X, np.ones((p, m, 1))], axis=2)
+    penalty = np.full(f + 1, spec.l2)
     penalty[-1] = 0.0
-    w = np.zeros(Xb.shape[1])
-    loss = _logistic_objective(w, Xb, signed, penalty)
+    penalty_matrix = np.diag(penalty)
+    w = np.zeros((p, f + 1))
+    margins = signed * _matvec(Xb, w)
+    loss = _logistic_objectives(margins, w, penalty)
+    live = np.arange(p)  # input position of each problem in the stack
+    fits = [None] * p
     n_iter = 0
-    while True:
-        margins = signed * (Xb @ w)
+
+    def leave(go, *rows):
+        """Record the fits of the problems not in go; keep the rest."""
+        if go.all():
+            return rows
+        done = ~go
+        for k, wk, lk, gk in zip(
+            live[done], w[done], loss[done].tolist(), grad_norm[done].tolist()
+        ):
+            fits[k] = (
+                {"weights": wk},
+                {
+                    "n_iter": n_iter,
+                    "final_loss": lk,  # the penalised objective
+                    "grad_norm": gk,
+                    "converged": gk <= spec.tol,
+                },
+            )
+        return [a[go] for a in rows]
+
+    while len(live):
         sig = 0.5 * (1.0 + np.tanh(-0.5 * margins))  # sigmoid(-margins), stable
-        grad = -(Xb.T @ (signed * sig)) / m + penalty * w
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= spec.tol or n_iter >= spec.max_iter:
+        grad = -_matvec(Xb.transpose(0, 2, 1), signed * sig) / m + penalty * w
+        grad_norm = np.sqrt(_dots(grad, grad))
+        go = ~((grad_norm <= spec.tol) | (n_iter >= spec.max_iter))
+        live, w, loss, grad_norm, Xb, signed, sig, grad = leave(
+            go, live, w, loss, grad_norm, Xb, signed, sig, grad
+        )
+        if not len(live):
             break
-        hess = (Xb.T * (sig * (1.0 - sig))) @ Xb / m + np.diag(penalty)
-        try:
-            direction = -np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            break  # curvature underflowed; keep the last iterate
-        # damping: halve the Newton step until the objective decreases enough
-        slope = float(grad @ direction)
-        step = 1.0
-        for _ in range(40):
-            trial = w + step * direction
-            trial_loss = _logistic_objective(trial, Xb, signed, penalty)
-            if trial_loss <= loss + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        if not trial_loss < loss:
-            break  # no further decrease at float precision
+        weighted = Xb.transpose(0, 2, 1) * (sig * (1.0 - sig))[:, None, :]
+        hess = weighted @ Xb / m + penalty_matrix
+        direction, go = _newton_directions(hess, grad)
+        # a singular Hessian means the curvature underflowed; keep the last iterate
+        live, w, loss, grad_norm, Xb, signed, grad, direction = leave(
+            go, live, w, loss, grad_norm, Xb, signed, grad, direction
+        )
+        trial, margins, trial_loss = _line_search(
+            w, loss, direction, _dots(grad, direction), Xb, signed, penalty
+        )
+        go = trial_loss < loss  # else no further decrease at float precision
+        live, w, loss, grad_norm, Xb, signed, trial, margins, trial_loss = leave(
+            go, live, w, loss, grad_norm, Xb, signed, trial, margins, trial_loss
+        )
         w, loss = trial, trial_loss
         n_iter += 1
-    return (
-        {"weights": w},
-        {
-            "n_iter": n_iter,
-            "final_loss": loss,  # the penalised objective
-            "grad_norm": grad_norm,
-            "converged": grad_norm <= spec.tol,
-        },
-    )
+    return fits
+
+
+def _newton_directions(hess, grad):
+    """-hess[k]^-1 grad[k] of each stacked problem, and a mask of the
+    problems whose Hessian could be solved."""
+    solved = np.ones(len(grad), dtype=bool)
+    try:
+        return -np.linalg.solve(hess, grad[:, :, None])[:, :, 0], solved
+    except np.linalg.LinAlgError:
+        pass  # one Hessian or more is singular: solve them one at a time
+    direction = np.zeros_like(grad)
+    for k in range(len(grad)):
+        try:
+            direction[k] = -np.linalg.solve(hess[k], grad[k][:, None])[:, 0]
+        except np.linalg.LinAlgError:
+            solved[k] = False
+    return direction, solved
+
+
+def _line_search(w, loss, direction, slope, Xb, signed, penalty):
+    """Damping: each problem halves its Newton step, from 1, until its
+    objective decreases by at least 1e-4 * step * slope, at most 40
+    times. Returns each problem's last trial point, its margins and its
+    objective."""
+    step = np.ones(len(w))
+    trial, margins = np.empty_like(w), np.empty_like(signed)
+    trial_loss = np.empty_like(loss)
+    rows = np.arange(len(w))  # the problems still halving their step
+    for _ in range(40):
+        at = rows if len(rows) < len(w) else slice(None)  # no copies at first
+        trial[at] = w[at] + step[at, None] * direction[at]
+        margins[at] = signed[at] * _matvec(Xb[at], trial[at])
+        trial_loss[at] = _logistic_objectives(margins[at], trial[at], penalty)
+        enough = trial_loss[at] <= loss[at] + 1e-4 * step[at] * slope[at]
+        rows = rows[~enough]
+        if not len(rows):
+            break
+        step[rows] *= 0.5
+    return trial, margins, trial_loss
+
+
+def _logistic_scores(models, matrices):
+    """LR scores of p models on p matrices of equal shape, stacked."""
+    w = np.stack([model.params["weights"] for model in models])
+    return _matvec(np.stack(matrices), w[:, :-1]) + w[:, -1:]
 
 
 # -- Gaussian discriminants -------------------------------------------------
 
 
-def _regularized_cholesky(cov, eps, n_features):
-    attempt = max(eps, 0.0)
-    for _ in range(24):
-        try:
-            chol = np.linalg.cholesky(cov + attempt * np.eye(n_features))
-            return chol, attempt
-        except np.linalg.LinAlgError:
-            attempt = max(attempt * 10.0, 1e-12)
-    raise DegenerateDataError("covariance matrix is not positive definite")
+def _fit_gaussian(spec, matrices, signed):
+    """LDA or QDA fits of p problems with equal (m, f) shapes and class
+    counts.
 
-
-def _train_gaussian(spec, X, signed):
-    m, f = X.shape
-    masks = [signed < 0, signed > 0]
-    counts = [int(np.sum(mask)) for mask in masks]
-    means = [X[mask].mean(axis=0) for mask in masks]
-    centered = [X[mask] - means[c] for c, mask in enumerate(masks)]
+    A stable argsort of the signs gathers each problem's rows by class,
+    negatives first and each class in row order. The class means and
+    scatter matrices are stacked over the problems, and the covariances
+    (one pooled per problem for LDA, two for QDA) take their ridges and
+    Cholesky factors in one stack. Each problem's floats are those of a
+    fit on its own.
+    """
+    X = np.stack(matrices)
+    p, m, f = X.shape
+    order = np.argsort(signed, axis=1, kind="stable")
+    rows = X[np.arange(p)[:, None], order]
+    n_neg = int(np.count_nonzero(signed[0] < 0))
+    counts = [n_neg, m - n_neg]
+    by_class = [rows[:, :n_neg], rows[:, n_neg:]]
+    # a sum over the rows divided by their count is np.mean, bit for bit
+    means = [x.sum(axis=1) / n for x, n in zip(by_class, counts)]
+    centered = [x - mu[:, None, :] for x, mu in zip(by_class, means)]
+    scatter = [c.transpose(0, 2, 1) @ c for c in centered]
     if spec.kind == "LDA":
-        pooled = sum(c.T @ c for c in centered) / max(m - 2, 1)
-        covs = [pooled, pooled]
+        covs = (scatter[0] + scatter[1]) / max(m - 2, 1)
     else:
-        covs = [
-            centered[c].T @ centered[c] / max(counts[c] - 1, 1) for c in range(2)
-        ]
-    chols, log_dets, used_eps = [], [], []
-    for cov in covs:
-        eps = spec.ridge
-        if eps is None:
-            eps = 1e-6 * float(np.trace(cov)) / f
-        chol, eps = _regularized_cholesky(cov, eps, f)
-        chols.append(chol)
-        log_dets.append(2.0 * float(np.sum(np.log(np.diag(chol)))))
-        used_eps.append(eps)
-    params = {
-        "means": means,
-        "chol": chols,
-        "log_det": log_dets,
-        "log_priors": [np.log(counts[c] / m) for c in range(2)],
-    }
-    return params, {"ridge": used_eps, "class_counts": counts}
+        covs = np.stack(
+            [scatter[c] / max(counts[c] - 1, 1) for c in range(2)], axis=1
+        ).reshape(2 * p, f, f)
+    if spec.ridge is None:
+        traces = np.trace(covs, axis1=1, axis2=2).tolist()
+        eps = [1e-6 * trace / f for trace in traces]
+    else:
+        eps = [spec.ridge] * len(covs)
+    chols, used_eps = _regularized_cholesky(covs, eps)
+    # contiguous, as the np.diag of one factor: log takes the same loop
+    diagonals = np.diagonal(chols, axis1=1, axis2=2).copy()
+    log_dets = (2.0 * np.sum(np.log(diagonals), axis=1)).tolist()
+    # covariance j of problem k is row k * per + j; LDA's serves both classes
+    per = len(covs) // p
+    log_priors = [np.log(counts[c] / m) for c in range(2)]
+    return [
+        (
+            {
+                "means": [means[0][k], means[1][k]],
+                "chol": [chols[k * per], chols[k * per + per - 1]],
+                "log_det": [log_dets[k * per], log_dets[k * per + per - 1]],
+                "log_priors": list(log_priors),
+            },
+            {
+                "ridge": [used_eps[k * per], used_eps[k * per + per - 1]],
+                "class_counts": list(counts),
+            },
+        )
+        for k in range(p)
+    ]
+
+
+def _regularized_cholesky(covs, eps):
+    """Cholesky factors of covs[k] + eps[k] I over a (p, f, f) stack,
+    with each ridge floored at 0, and the ridges used.
+
+    When a padded matrix is not positive definite, its problem escalates
+    its own ridge tenfold (from at least 1e-12), 24 tries at most.
+    """
+    eye = np.eye(covs.shape[-1])
+    used = [max(e, 0.0) for e in eps]
+    try:
+        return np.linalg.cholesky(covs + np.array(used)[:, None, None] * eye), used
+    except np.linalg.LinAlgError:
+        pass  # one matrix or more needs a larger ridge
+    chols = np.empty_like(covs)
+    for k, cov in enumerate(covs):
+        for _ in range(24):
+            try:
+                chols[k] = np.linalg.cholesky(cov + used[k] * eye)
+                break
+            except np.linalg.LinAlgError:
+                used[k] = max(used[k] * 10.0, 1e-12)
+        else:
+            raise DegenerateDataError("covariance matrix is not positive definite")
+    return chols, used
+
+
+def _gaussian_scores(models, matrices):
+    """LDA/QDA scores of p models on p matrices of equal shape: one
+    stacked solve covers both classes of every model."""
+    X = np.stack(matrices)
+    params = [model.params for model in models]
+    means = np.array([P["means"] for P in params])  # (p, 2, f)
+    chols = np.array([P["chol"] for P in params])  # (p, 2, f, f)
+    log_dets = np.array([P["log_det"] for P in params])[:, :, None]
+    log_priors = np.array([P["log_priors"] for P in params])[:, :, None]
+    diff = X[:, None] - means[:, :, None, :]  # (p, 2, n, f)
+    z = np.linalg.solve(chols, diff.transpose(0, 1, 3, 2))
+    quad = np.sum(z * z, axis=2)  # (p, 2, n)
+    delta = -0.5 * log_dets - 0.5 * quad + log_priors
+    return delta[:, 1] - delta[:, 0]
 
 
 # -- polynomial-kernel SVM --------------------------------------------------
+
+
+def _svm_scores(models, matrices):
+    """SVM scores of p models on p matrices, one kernel per model."""
+    scores = []
+    for model, x in zip(models, matrices):
+        sv = model.params["support_vectors"]
+        coef = model.params["dual_coef"]  # alpha_i * y_i, support rows only
+        k = _poly_kernel(x, sv, model.spec.degree, model.spec.coef0)
+        scores.append(k @ coef + model.params["bias"])
+    return scores
 
 
 def _poly_kernel(A, B, degree, coef0):
@@ -332,33 +529,26 @@ def _kkt_violation(alpha, margins, penalty):
     return v
 
 
-def _train_svm(spec, matrices, signs):
-    """Solve the dual of each (matrix, signed labels) problem by SMO.
-
-    Problems with equal row counts m share lockstep blocks, in input
-    order; each block holds at most _SVM_BLOCK_BYTES of kernel and
-    curvature (16 m^2 bytes per problem, and at least one problem).
-    """
-    by_rows: dict[int, list[int]] = {}
-    for k, signed in enumerate(signs):
-        by_rows.setdefault(len(signed), []).append(k)
-    fits = [None] * len(matrices)
-    for m, problems in by_rows.items():
-        size = max(1, _SVM_BLOCK_BYTES // (16 * m * m))
-        for at in range(0, len(problems), size):
-            block = problems[at : at + size]
-            solved = _solve_svm_block(
-                spec, [matrices[k] for k in block], [signs[k] for k in block]
-            )
-            for k, fit in zip(block, solved):
-                fits[k] = fit
-    return fits
+def _fit_svm(spec, matrices, signed):
+    """Solve the duals of p problems with m rows each by SMO, in
+    lockstep blocks taken in input order; each block holds at most
+    _SVM_BLOCK_BYTES of kernel and curvature (16 m^2 bytes per problem,
+    and at least one problem)."""
+    m = signed.shape[1]
+    size = max(1, _SVM_BLOCK_BYTES // (16 * m * m))
+    return [
+        fit
+        for at in range(0, len(matrices), size)
+        for fit in _solve_svm_block(
+            spec, matrices[at : at + size], signed[at : at + size]
+        )
+    ]
 
 
-def _solve_svm_block(spec, matrices, signs):
-    """Solve the duals of p problems with m rows each by SMO with
-    second-order working-set selection (WSS2 of Fan, Chen & Lin 2005,
-    as in LIBSVM).
+def _solve_svm_block(spec, matrices, signed):
+    """Solve the duals of p problems with m rows each, labelled by the
+    -1/+1 rows of the (p, m) array signed, by SMO with second-order
+    working-set selection (WSS2 of Fan, Chen & Lin 2005, as in LIBSVM).
 
     The problems run in lockstep: each step makes one pair update in
     every problem still in the block, and a problem leaves the block
@@ -371,7 +561,7 @@ def _solve_svm_block(spec, matrices, signs):
     float operations of a fit on its own. A kernel that overflows raises
     DegenerateDataError before the loop.
     """
-    p, m = len(matrices), len(signs[0])
+    p, m = signed.shape
     K, curv = np.empty((p, m, m)), np.empty((p, m, m))
     for k, X in enumerate(matrices):
         K[k] = _poly_kernel(X, X, spec.degree, spec.coef0)
@@ -382,15 +572,14 @@ def _solve_svm_block(spec, matrices, signs):
     np.maximum(curv, _SVM_TAU, out=curv)
     k_rows, curv_rows = K.reshape(p * m, m), curv.reshape(p * m, m)
     C = spec.penalty
-    ys = [signed.tolist() for signed in signs]
+    ys = signed.tolist()
     alphas = [[0.0] * m for _ in range(p)]
-    signed_rows = np.stack(signs)
-    yg = -signed_rows
+    yg = -signed
     # I_up (alpha may move along +y) and I_low (along -y) as offsets that
     # yg - offset sends to +inf outside I_up and to -inf outside I_low;
     # subtracting 0.0 keeps the sign of a zero, so yg[i] passes unchanged
-    up_off = np.where(signed_rows > 0, 0.0, -np.inf)
-    low_off = np.where(signed_rows > 0, np.inf, 0.0)
+    up_off = np.where(signed > 0, 0.0, -np.inf)
+    low_off = np.where(signed > 0, np.inf, 0.0)
     block = list(range(p))
     ends = [None] * p  # (g_max, g_min, n_updates) where each problem stopped
     cap = spec.max_sweeps * m
@@ -461,7 +650,7 @@ def _solve_svm_block(spec, matrices, signs):
         keep = np.logical_not(stopped)
         yg, up_off, low_off = yg[keep], up_off[keep], low_off[keep]
     return [
-        _svm_fit(X, K[k], signs[k], np.array(alphas[k]), *ends[k], C)
+        _svm_fit(X, K[k], signed[k], np.array(alphas[k]), *ends[k], C)
         for k, X in enumerate(matrices)
     ]
 
@@ -535,3 +724,16 @@ def _pair_update(ai, aj, gi, gj, differ, a, C):
                 ai, aj = 0.0, total
     return ai, aj
 
+
+_FITS = {
+    "LR": _fit_logistic,
+    "LDA": _fit_gaussian,
+    "QDA": _fit_gaussian,
+    "SVM_POLY": _fit_svm,
+}
+_SCORES = {
+    "LR": _logistic_scores,
+    "LDA": _gaussian_scores,
+    "QDA": _gaussian_scores,
+    "SVM_POLY": _svm_scores,
+}

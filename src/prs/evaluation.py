@@ -8,14 +8,15 @@ one split evaluator: feature preparation (normalization bounds, gain
 ranking, soil bounds) is fitted on each training fold only unless
 global_prep is set, which fits it once on the whole dataset and is
 meant for protocol-replication runs. ``run_experiment`` draws and
-prepares every rep's splits first and then fits each classifier once
-over all of them, so that SVM_POLY steps the duals of every rep, rate
-and variant in shared lockstep loops (the classifiers module bounds the
-kernel memory of one loop by a byte budget, as the duals of a run grow
-with reps). ``prs classify`` is rep 0 of ``run_experiment`` with one
-classifier, variant and rate. One ``pipeline.PipelineConfig`` carries
-the feature settings (thresholds, soil, growth, median mode) of a run,
-so a PRS ablation is a config.
+prepares every rep's splits first, then fits each classifier once over
+all of them and predicts its test matrices as one group, so that every
+kind fits and scores the problems of every rep, rate and variant in
+stacks of equal shape (SVM_POLY steps its duals in lockstep loops whose
+kernel memory the classifiers module bounds by a byte budget, as the
+duals of a run grow with reps). ``prs classify`` is rep 0 of
+``run_experiment`` with one classifier, variant and rate. One
+``pipeline.PipelineConfig`` carries the feature settings (thresholds,
+soil, growth, median mode) of a run, so a PRS ablation is a config.
 
 Reports are plain dicts ready for json.dump; an infinite ANOVA F value
 is serialized as the string "inf".
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .base_features import FEATURE_NAMES
-from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, train_group
+from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, predict_group, train_group
 # not called here: the benchmark tracer (perfbench/tracer.py) wraps evaluation.train
 from .classifiers import train  # noqa: F401
 from .dataset import LabeledDataset
@@ -268,9 +269,9 @@ def evaluate_splits(
     split's training and test rows; each variant is scaled by its
     training columns' bounds. Every split's variants are assembled and
     scaled first; then each classifier makes one ``train_group`` fit
-    over all of them, which for SVM_POLY solves the duals of every split
-    and variant in lockstep loops. One dict per split, keyed by
-    (classifier kind, variant).
+    over all of them and one ``predict_group`` call over their test
+    matrices, which stack the problems of equal shape. One dict per
+    split, keyed by (classifier kind, variant).
     """
     base, labels, spectral = inputs.base, inputs.labels, inputs.spectral
     x_train, y_train, tests = [], [], []
@@ -302,8 +303,11 @@ def evaluate_splits(
     results = [{} for _ in splits]
     for spec in specs:
         models = train_group(spec, x_train, y_train)
-        for n, (model, (variant, x, y_test)) in enumerate(zip(models, tests)):
-            counts = confusion_counts(y_test, model.predict(x), model.classes)
+        predictions = predict_group(models, [x for _, x, _ in tests])
+        for n, (model, y_pred, (variant, _, y_test)) in enumerate(
+            zip(models, predictions, tests)
+        ):
+            counts = confusion_counts(y_test, y_pred, model.classes)
             results[n // len(variants)][(spec.kind, variant)] = SplitResult(
                 counts, model.diagnostics
             )

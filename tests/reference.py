@@ -10,7 +10,10 @@ kernels are tested against, bit for bit:
 - scalar soil binning and the per-column soil fill;
 - the daily division loop of root growth, with its day log;
 - Andrew's monotone-chain hull and the shoelace area;
-- the whole per-row chain, ``prs_pair_for_row``.
+- the whole per-row chain, ``prs_pair_for_row``;
+- the one-problem fits and scores of LR, LDA and QDA, and the per-label
+  encoding of a label vector, which ``classifiers.train_group`` and
+  ``classifiers.decision_group`` run over stacks of problems.
 
 They are plain loops and scalar code, deliberately independent of the
 kernels they check; nothing in ``src/prs`` imports them.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from prs.classifiers import TrainedModel
 from prs.errors import DegenerateDataError
 from prs.growth import (
     _NEIGHBOR_STEPS,
@@ -342,3 +346,143 @@ def prs_pair_for_row(
     """NF and RF for one raw base-feature row."""
     nutrients = nutrients_for_row(base_row, artifacts, config.soil)
     return extract_prs(grow(nutrients, config.growth))
+
+
+# -- classifiers: one problem at a time ----------------------------------------
+
+
+def encode_labels(y) -> tuple[tuple[str, str], np.ndarray]:
+    labels = [str(v) for v in np.asarray(y).ravel()]
+    classes = sorted(set(labels))
+    if len(classes) == 1:
+        raise ValueError("training data contains a single class")
+    if len(classes) != 2:
+        raise ValueError(
+            f"training data must contain exactly 2 classes, got {len(classes)}"
+        )
+    signed = np.array([1.0 if v == classes[1] else -1.0 for v in labels])
+    return (classes[0], classes[1]), signed
+
+
+def logistic_objective(w, Xb, signed, penalty):
+    """Mean log-loss plus 0.5 * sum(penalty * w^2); penalty is l2 for
+    each weight and 0 for the intercept."""
+    margins = signed * (Xb @ w)
+    return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * w @ (penalty * w))
+
+
+def train_logistic(spec, X, signed):
+    m = X.shape[0]
+    Xb = np.hstack([X, np.ones((m, 1))])
+    penalty = np.full(Xb.shape[1], spec.l2)
+    penalty[-1] = 0.0
+    w = np.zeros(Xb.shape[1])
+    loss = logistic_objective(w, Xb, signed, penalty)
+    n_iter = 0
+    while True:
+        margins = signed * (Xb @ w)
+        sig = 0.5 * (1.0 + np.tanh(-0.5 * margins))  # sigmoid(-margins), stable
+        grad = -(Xb.T @ (signed * sig)) / m + penalty * w
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= spec.tol or n_iter >= spec.max_iter:
+            break
+        hess = (Xb.T * (sig * (1.0 - sig))) @ Xb / m + np.diag(penalty)
+        try:
+            direction = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            break  # curvature underflowed; keep the last iterate
+        # damping: halve the Newton step until the objective decreases enough
+        slope = float(grad @ direction)
+        step = 1.0
+        for _ in range(40):
+            trial = w + step * direction
+            trial_loss = logistic_objective(trial, Xb, signed, penalty)
+            if trial_loss <= loss + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        if not trial_loss < loss:
+            break  # no further decrease at float precision
+        w, loss = trial, trial_loss
+        n_iter += 1
+    return (
+        {"weights": w},
+        {
+            "n_iter": n_iter,
+            "final_loss": loss,  # the penalised objective
+            "grad_norm": grad_norm,
+            "converged": grad_norm <= spec.tol,
+        },
+    )
+
+
+def regularized_cholesky(cov, eps, n_features):
+    attempt = max(eps, 0.0)
+    for _ in range(24):
+        try:
+            chol = np.linalg.cholesky(cov + attempt * np.eye(n_features))
+            return chol, attempt
+        except np.linalg.LinAlgError:
+            attempt = max(attempt * 10.0, 1e-12)
+    raise DegenerateDataError("covariance matrix is not positive definite")
+
+
+def train_gaussian(spec, X, signed):
+    m, f = X.shape
+    masks = [signed < 0, signed > 0]
+    counts = [int(np.sum(mask)) for mask in masks]
+    means = [X[mask].mean(axis=0) for mask in masks]
+    centered = [X[mask] - means[c] for c, mask in enumerate(masks)]
+    if spec.kind == "LDA":
+        pooled = sum(c.T @ c for c in centered) / max(m - 2, 1)
+        covs = [pooled, pooled]
+    else:
+        covs = [
+            centered[c].T @ centered[c] / max(counts[c] - 1, 1) for c in range(2)
+        ]
+    chols, log_dets, used_eps = [], [], []
+    for cov in covs:
+        eps = spec.ridge
+        if eps is None:
+            eps = 1e-6 * float(np.trace(cov)) / f
+        chol, eps = regularized_cholesky(cov, eps, f)
+        chols.append(chol)
+        log_dets.append(2.0 * float(np.sum(np.log(np.diag(chol)))))
+        used_eps.append(eps)
+    params = {
+        "means": means,
+        "chol": chols,
+        "log_det": log_dets,
+        "log_priors": [np.log(counts[c] / m) for c in range(2)],
+    }
+    return params, {"ridge": used_eps, "class_counts": counts}
+
+
+def gaussian_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    delta = []
+    for c in range(2):
+        mu = model.params["means"][c]
+        chol = model.params["chol"][c]
+        log_det = model.params["log_det"][c]
+        diff = (X - mu).T
+        z = np.linalg.solve(chol, diff)
+        quad = np.sum(z * z, axis=0)
+        delta.append(-0.5 * log_det - 0.5 * quad + model.params["log_priors"][c])
+    return delta[1] - delta[0]
+
+
+def train_model(spec, X, y) -> TrainedModel:
+    """LR, LDA or QDA fitted on (X, y) alone, as a TrainedModel."""
+    X = np.asarray(X, dtype=np.float64)
+    classes, signed = encode_labels(y)
+    fit = train_logistic if spec.kind == "LR" else train_gaussian
+    params, diagnostics = fit(spec, X, signed)
+    return TrainedModel(spec, classes, X.shape[1], params, diagnostics)
+
+
+def decision_function(model: TrainedModel, X) -> np.ndarray:
+    """Raw LR, LDA or QDA scores of one model; >= 0 means the second class."""
+    X = np.asarray(X, dtype=np.float64)
+    if model.spec.kind == "LR":
+        w = model.params["weights"]
+        return X @ w[:-1] + w[-1]
+    return gaussian_scores(model, X)

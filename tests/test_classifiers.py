@@ -7,10 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
+import reference
 from prs.classifiers import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
     TrainedModel,
+    _encode_labels,
+    decision_group,
+    predict_group,
     train,
     train_group,
 )
@@ -451,3 +455,173 @@ def test_svm_group_fit_does_not_depend_on_the_block_budget(
         + [(40,)] * (15 % problems_per_block)
         + [(56,)] * 15
     )
+
+
+# -- stacked fits and scores against the one-problem references --------------
+
+
+def assert_stack_equals_reference(spec, matrices, labels):
+    """train_group and decision_group equal the reference fit and scores
+    of each problem on its own, bit for bit."""
+    models = train_group(spec, matrices, labels)
+    wanted = [reference.train_model(spec, X, y) for X, y in zip(matrices, labels)]
+    for got, want in zip(models, wanted, strict=True):
+        assert_same_model(got, want)
+    # each model scores its own rows and, reversed, those of its neighbour
+    # (copied: numpy's @ on a reversed view leaves BLAS and sums otherwise)
+    tests = [X[::-1].copy() for X in matrices[1:] + matrices[:1]]
+    same_width = [X.shape[1] == T.shape[1] for X, T in zip(matrices, tests)]
+    tests = [T if ok else X for X, T, ok in zip(matrices, tests, same_width)]
+    for inputs in (matrices, tests):
+        scores = decision_group(models, inputs)
+        for got, want, X in zip(scores, wanted, inputs, strict=True):
+            assert _bits(got) == _bits(reference.decision_function(want, X))
+    for got, want, X in zip(predict_group(models, tests), wanted, tests, strict=True):
+        scores = reference.decision_function(want, X)
+        assert got.tolist() == np.where(scores >= 0.0, *want.classes[::-1]).tolist()
+    return models
+
+
+def recording(monkeypatch, name):
+    """Wrap np.linalg.<name>; the list it returns gets the batch shape
+    of every stacked call that raised LinAlgError."""
+    original = getattr(np.linalg, name)
+    raised = []
+
+    def wrapped(a, *args, **kwargs):
+        try:
+            return original(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            if np.ndim(a) == 3:
+                raised.append(np.shape(a)[:1])
+            raise
+
+    monkeypatch.setattr(np.linalg, name, wrapped)
+    return raised
+
+
+@pytest.mark.parametrize("kind", ["LR", "LDA", "QDA"])
+def test_stacked_fit_equals_the_reference_across_a_run(kind, overlap_reps):
+    matrices, labels = shuffled_run_problems(overlap_reps)
+    shapes = {X.shape for X in matrices}
+    assert {m for m, _ in shapes} == {40, 56} and {f for _, f in shapes} == {12, 13, 14}
+    assert_stack_equals_reference(ClassifierSpec(kind=kind), matrices, labels)
+
+
+def lr_problem(scale, seed=0, shift=5.0, m=20, f=3):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, f)) * scale
+    X[m // 2 :, 0] += shift * scale
+    return X, np.array(["A"] * (m // 2) + ["B"] * (m - m // 2))
+
+
+def test_stacked_lr_with_a_problem_at_its_cap_next_to_converged_ones():
+    spec = ClassifierSpec(kind="LR", max_iter=2)
+    X, y = lr_problem(1.0)
+    # both classes hold the same rows: the gradient vanishes at w = 0
+    twin = np.vstack([X[:10], X[:10]])
+    matrices, labels = [X, twin, 2.0 * twin], [y, y, y]
+    models = assert_stack_equals_reference(spec, matrices, labels)
+    diagnostics = [model.diagnostics for model in models]
+    assert [d["n_iter"] for d in diagnostics] == [2, 0, 0]
+    assert [d["converged"] for d in diagnostics] == [False, True, True]
+
+
+def test_stacked_lr_where_problems_stop_at_no_decrease_and_a_singular_hessian(
+    monkeypatch,
+):
+    # a vanishing penalty and tol = 0: on separable rows the first problem's
+    # sigmoids saturate until its gradient is exactly 0, the second's line
+    # search halves its step 40 times without a decrease, and the third's
+    # Hessian turns singular; the fourth's classes overlap, so it stops at
+    # a step that leaves its objective unchanged; the fifth halves many
+    # steps, and the 1e-4 sufficient-decrease test decides between some
+    # step and its half
+    spec = ClassifierSpec(kind="LR", l2=1e-300, tol=0.0)
+    problems = [
+        lr_problem(10.0, 2),
+        lr_problem(10.0, 1),
+        lr_problem(100.0, 1),
+        lr_problem(1.0, 2, shift=0.5),
+        lr_problem(1.0, 10, shift=2.0),
+    ]
+    raised = recording(monkeypatch, "solve")
+    models = assert_stack_equals_reference(
+        spec, [X for X, _ in problems], [y for _, y in problems]
+    )
+    assert raised, "no stacked solve fell back to one problem at a time"
+    diagnostics = [model.diagnostics for model in models]
+    assert [d["converged"] for d in diagnostics] == [True] + [False] * 4
+    iters = [d["n_iter"] for d in diagnostics]
+    assert len(set(iters)) == 5 and max(iters) < spec.max_iter, iters
+
+
+def test_stacked_gaussian_escalates_one_singular_covariance(monkeypatch):
+    rng = np.random.default_rng(3)
+    y = np.array(["A"] * 5 + ["B"] * 5)
+    shift = 4.0 * (y == "B")
+    matrices = [rng.normal(size=(10, 3)) + shift[:, None] for _ in range(3)]
+    # a duplicated column whose class scatter, 16, and covariance, 4, are
+    # exact: the unpadded covariance has an exactly zero Cholesky pivot
+    duplicated = np.tile([2.0, -2.0, 2.0, -2.0, 0.0], 2) + shift
+    matrices[1][:, 0] = matrices[1][:, 2] = duplicated
+    for kind in ("LDA", "QDA"):
+        raised = recording(monkeypatch, "cholesky")
+        models = assert_stack_equals_reference(
+            ClassifierSpec(kind=kind, ridge=0.0), matrices, [y] * 3
+        )
+        # one stack: a pooled covariance per problem for LDA, two for QDA
+        assert raised == [(3 if kind == "LDA" else 6,)]
+        ridges = [model.diagnostics["ridge"] for model in models]
+        assert ridges[0] == ridges[2] == [0.0, 0.0], ridges
+        assert all(eps > 0.0 for eps in ridges[1]), ridges
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kind", ["LDA", "QDA"])
+def test_stacked_gaussian_with_two_class_counts_of_one_shape(kind):
+    rng = np.random.default_rng(4)
+    even = np.array(["A"] * 12 + ["B"] * 12)
+    uneven = np.array(["A"] * 9 + ["B"] * 15)
+    matrices = [rng.normal(size=(24, 4)) for _ in range(4)]
+    labels = [even, uneven, even[::-1], np.where(uneven[::-1] == "A", "B", "A")]
+    models = assert_stack_equals_reference(ClassifierSpec(kind=kind), matrices, labels)
+    counts = [model.diagnostics["class_counts"] for model in models]
+    assert counts == [[12, 12], [9, 15], [12, 12], [15, 9]]
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        ["b", "a", "b", "a"],
+        ["beta", "Alpha", "beta", "Alpha"],
+        [3, 10, 3, 10],
+        [2.5, -1.0, 2.5, 2.5],
+        np.array([1.0, 2.0, 1.0]),
+        ["Émile", "émile", "Émile", "émile"],
+        ["Zoë", "zoë", "zoë"],
+        np.array([["x", "Y"], ["Y", "x"]]),
+    ],
+)
+def test_label_encoding_matches_the_per_label_reference(y):
+    classes, signed = _encode_labels(y)
+    want_classes, want_signed = reference.encode_labels(y)
+    assert classes == want_classes
+    assert classes == tuple(sorted(set(str(v) for v in np.asarray(y).ravel())))
+    assert all(type(c) is str for c in classes)
+    assert _bits(signed) == _bits(want_signed)
+
+
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        (["a", "a"], "single class"),
+        (["a", "B", "b"], "exactly 2 classes, got 3"),
+        ([], "exactly 2 classes, got 0"),
+    ],
+)
+def test_label_encoding_keeps_its_errors(y, message):
+    with pytest.raises(ValueError, match=message):
+        _encode_labels(y)
+    with pytest.raises(ValueError, match=message):
+        reference.encode_labels(y)
