@@ -7,9 +7,11 @@ so the comparison between variants is paired. ``evaluate_splits`` is the
 one split evaluator: feature preparation (normalization bounds, gain
 ranking, soil bounds) is fitted on each training fold only unless
 global_prep is set, which fits it once on the whole dataset and is
-meant for protocol-replication runs. ``run_experiment`` draws and
-prepares every rep's splits first, then fits each classifier once over
-all of them and predicts its test matrices as one group, so that every
+meant for protocol-replication runs. ``run_experiment`` draws every
+rep's splits and prepares their features first (NF/RF of every split's
+rows in one ``prs_features`` call, one scaled feature table per split),
+then fits each classifier once over all of them and predicts its test
+matrices as one group, so that every
 kind fits and scores the problems of every rep, rate and variant in
 stacks of equal shape (SVM_POLY steps its duals in lockstep loops whose
 kernel memory the classifiers module bounds by a byte budget, as the
@@ -59,6 +61,9 @@ _VARIANT_EXTRAS = {
 }
 
 DEFAULT_CLASSIFIERS = CLASSIFIER_KINDS
+
+# The raw feature table: the 12 base columns, NF, RF, MaxPSD, MedPSD.
+TABLE_NAMES = tuple(FEATURE_NAMES) + PRS_NAMES + SPECTRAL_NAMES
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,11 @@ def _extra_columns(names, prs_rows, spectral_rows):
 def assemble_variant(
     variant: str, base_rows: np.ndarray, prs_rows, spectral_rows
 ) -> np.ndarray:
-    """Raw feature matrix for one variant: base columns plus its extras."""
+    """Raw feature matrix for one variant: base columns plus its extras.
+
+    ``evaluate_splits`` selects the same columns from one table per
+    split instead; the benchmark tracer (perfbench/tracer.py) still
+    wraps this name."""
     if variant not in _VARIANT_EXTRAS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     extras = _extra_columns(_VARIANT_EXTRAS[variant], prs_rows, spectral_rows)
@@ -257,6 +266,14 @@ class SplitResult(NamedTuple):
     diagnostics: dict
 
 
+def _variant_columns(variant: str) -> list[int]:
+    """Columns of one variant in the 16-column table of ``TABLE_NAMES``."""
+    if variant not in _VARIANT_EXTRAS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    extras = [TABLE_NAMES.index(name) for name in _VARIANT_EXTRAS[variant]]
+    return list(range(len(FEATURE_NAMES))) + extras
+
+
 def evaluate_splits(
     inputs: SplitInputs, splits, specs, variants
 ) -> list[dict[tuple[str, str], SplitResult]]:
@@ -264,42 +281,51 @@ def evaluate_splits(
 
     ``splits`` is a sequence of (train_idx, test_idx) pairs and
     ``inputs`` comes from ``split_inputs`` for the same variants. NF/RF
-    are the global-prep rows when ``inputs`` has them, else fitted on
-    each training fold and computed by one ``prs_features`` call over the
-    split's training and test rows; each variant is scaled by its
-    training columns' bounds. Every split's variants are assembled and
-    scaled first; then each classifier makes one ``train_group`` fit
-    over all of them and one ``predict_group`` call over their test
-    matrices, which stack the problems of equal shape. One dict per
-    split, keyed by (classifier kind, variant).
+    are the global-prep rows when ``inputs`` has them; else feature
+    preparation is fitted on each training fold, and one
+    ``prs_features`` call takes every split's training and test rows,
+    in split order, each under its own fold's artifacts. Each split's
+    16-column tables (base, NF, RF, MaxPSD, MedPSD) of training and test
+    rows are scaled once by the training table's bounds, and each
+    variant is a column selection of them: min-max scaling works column
+    by column, so this equals scaling the variant's own columns. Then
+    each classifier makes one ``train_group`` fit over every split's
+    variants and one ``predict_group`` call over their test matrices,
+    which stack the problems of equal shape. One dict per split, keyed
+    by (classifier kind, variant).
     """
+    if not splits:
+        return []
     base, labels, spectral = inputs.base, inputs.labels, inputs.spectral
+    columns = [_variant_columns(variant) for variant in variants]
+    rows = np.concatenate([np.concatenate(split) for split in splits])
+    if not _needs(variants, PRS_NAMES):
+        prs_rows = np.zeros((len(rows), 2))
+    elif inputs.global_prs is not None:
+        prs_rows = inputs.global_prs[rows]
+    else:
+        runs = [
+            (fit_prep(base[train_idx], labels[train_idx]), len(train_idx) + len(test_idx))
+            for train_idx, test_idx in splits
+        ]
+        prs_rows = prs_features(base[rows], runs, inputs.config)
+    table = np.column_stack([base[rows], prs_rows, spectral[rows]])
     x_train, y_train, tests = [], [], []
+    start = 0
     for train_idx, test_idx in splits:
+        middle = start + len(train_idx)
+        stop = middle + len(test_idx)
+        bounds = column_bounds(table[start:middle])
+        scaled_train = apply_bounds(table[start:middle], bounds)
+        scaled_test = apply_bounds(table[middle:stop], bounds)
+        start = stop
         y_fold, y_test = labels[train_idx], labels[test_idx]
-        if not _needs(variants, PRS_NAMES):
-            prs_train = np.zeros((len(train_idx), 2))
-            prs_test = np.zeros((len(test_idx), 2))
-        elif inputs.global_prs is not None:
-            prs_train = inputs.global_prs[train_idx]
-            prs_test = inputs.global_prs[test_idx]
-        else:
-            # one call for both parts: they share the artifacts
-            artifacts = fit_prep(base[train_idx], y_fold)
-            rows = np.concatenate([train_idx, test_idx])
-            prs_rows = prs_features(base[rows], artifacts, inputs.config)
-            prs_train, prs_test = np.split(prs_rows, [len(train_idx)])
-        for variant in variants:
-            raw_train = assemble_variant(
-                variant, base[train_idx], prs_train, spectral[train_idx]
-            )
-            raw_test = assemble_variant(
-                variant, base[test_idx], prs_test, spectral[test_idx]
-            )
-            bounds = column_bounds(raw_train)
-            x_train.append(apply_bounds(raw_train, bounds))
+        for variant, cols in zip(variants, columns):
+            # a column selection comes out F-ordered; the classifiers'
+            # products round as on the contiguous matrices
+            x_train.append(np.ascontiguousarray(scaled_train[:, cols]))
             y_train.append(y_fold)
-            tests.append((variant, apply_bounds(raw_test, bounds), y_test))
+            tests.append((variant, np.ascontiguousarray(scaled_test[:, cols]), y_test))
     results = [{} for _ in splits]
     for spec in specs:
         models = train_group(spec, x_train, y_train)
@@ -447,8 +473,6 @@ def run_experiment(
 
 
 # -- correlation report -----------------------------------------------------
-
-TABLE_NAMES = tuple(FEATURE_NAMES) + PRS_NAMES + SPECTRAL_NAMES
 
 
 def build_feature_table(

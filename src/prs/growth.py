@@ -141,11 +141,14 @@ def grow_batch(
     check_radicle(config.radicle, grids.shape[1:])
     m, rows, cols = grids.shape
     # flat indices of each cell's 4-neighbours; 0 stands for outside
-    index = np.pad(np.arange(1, 1 + rows * cols).reshape(rows, cols), 1)
+    index = np.zeros((rows + 2, cols + 2), dtype=np.intp)
+    index[1:-1, 1:-1] = np.arange(1, 1 + rows * cols).reshape(rows, cols)
     neighbours = np.zeros((1 + rows * cols, 4), dtype=np.intp)
     for k, (di, dj) in enumerate(_NEIGHBOR_STEPS):
         neighbours[1:, k] = index[1 + di : 1 + di + rows, 1 + dj : 1 + dj + cols].ravel()
-    cells = np.pad(grids.reshape(m, rows * cols), ((0, 0), (1, 0)), constant_values=-np.inf)
+    cells = np.empty((m, 1 + rows * cols))
+    cells[:, 0] = -np.inf
+    cells[:, 1:] = grids.reshape(m, rows * cols)
     if not config.occupy_zero:
         cells[cells == 0.0] = -np.inf
     seeds = sorted({(r - 1) * cols + c for r, c in config.radicle})
@@ -157,14 +160,20 @@ def grow_batch(
     picks = np.zeros((m, days, config.division_limit), dtype=np.intp)
     picked = np.full(picks.shape, -np.inf)
     samples = np.arange(m)
+    # cell c of grid s sits at s * width + c of the flat views, and a
+    # 1-D take or put there is cheaper than a 2-D fancy index
+    width = cells.shape[1]
+    row_starts = samples * width
+    flat_cells, flat_offers = cells.reshape(-1), offers.reshape(-1)
     new = np.broadcast_to(seeds, (m, len(seeds)))
     for day in range(days):
-        near = neighbours[new].reshape(m, 4 * new.shape[1])
-        offers[samples[:, None], near] = cells[samples[:, None], near]
+        near = row_starts[:, None] + neighbours[new].reshape(m, 4 * new.shape[1])
+        flat_offers[near] = flat_cells[near]
         for k in range(config.division_limit):
             pick = picks[:, day, k] = offers.argmax(axis=1)
-            picked[:, day, k] = offers[samples, pick]
-            offers[samples, pick] = cells[samples, pick] = -np.inf
+            flat = row_starts + pick
+            picked[:, day, k] = flat_offers[flat]
+            flat_offers[flat] = flat_cells[flat] = -np.inf
         new = picks[:, day]
     occupied = np.zeros((m, 1 + rows * cols), dtype=bool)
     occupied[:, seeds] = True

@@ -17,9 +17,14 @@ base-feature thresholds, soil depth and fill, growth, and the MedPSD
 mode. The growth grid is the soil grid (``soil.depth`` rows by one
 column per base feature), so the config rejects a radicle outside it.
 
-``prs_features`` bins, grows and takes hull areas array-at-a-time over
-blocks of rows, with each nutrient grid summed exactly from cached column
-responses (``soil.nutrient_grids``) instead of convolved. The one-row
+``prs_features`` bins, grows and takes hull areas array-at-a-time, with
+each nutrient grid summed exactly from cached column responses
+(``soil.nutrient_grids``) instead of convolved. Binning is the only
+step that reads the artifacts; the kernels then take bins alone, in
+blocks of rows. So one call can take runs of rows binned under
+different artifacts: ``evaluate_splits`` sends every split's training
+and test rows, each split under its own fold's artifacts, through one
+kernel pass per run. The one-row
 chain of the CLI ``soil-dump`` and ``grow`` commands (``soil_for_row``
 -> ``nutrients_for_row`` -> ``growth.grow`` -> ``growth.extract_prs``)
 runs the same binning, growth and hull kernels on a one-row block. The
@@ -29,6 +34,7 @@ per-row loops both are tested against, bit for bit, live in
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,11 +73,13 @@ from .spectral import compute_spectral  # noqa: F401
 PRS_NAMES = ("NF", "RF")
 SPECTRAL_NAMES = ("MaxPSD", "MedPSD")
 
-# Rows per array-at-a-time block in prs_features. Blocks of 128 or 256
-# rows run ~20-30% faster per row on a 2000-row table, but a call's
-# tracemalloc peak grows with the block: 0.42 MB at 64 rows, 0.77 MB at
-# 128 and 1.5 MB at 256.
-_PRS_BLOCK = 64
+# Rows per block of the growth and hull kernels in prs_features. On a
+# 2000-row table (2-vCPU Xeon, timed back to back) blocks of 64, 128,
+# 256 and 512 rows took 17.0, 13.4, 10.6 and 11.1 us per row. A call's
+# tracemalloc peak grows with the block: 0.96 MB at 64 rows and 1.7-1.9
+# MB at 256 on that table (~0.5 MB of it is binning the whole table
+# first), and 1.35 MB for the one call of a 3-rep grid-separable run.
+_PRS_BLOCK = 256
 
 # Samples per block in extract_base_matrix / extract_spectral_matrix
 # (16 rows of 512). Blocks four times larger ran no faster per row and
@@ -177,26 +185,45 @@ def nutrients_for_row(
 
 def prs_features(
     base_values: np.ndarray,
-    artifacts: PrepArtifacts,
+    artifacts: PrepArtifacts | Sequence[tuple[PrepArtifacts, int]],
     config: PipelineConfig = PipelineConfig(),
 ) -> np.ndarray:
     """(m, 2) array of [NF, RF] rows for a raw (m, n_features) base matrix.
 
-    Row s equals, bit for bit, ``extract_prs(grow(nutrients_for_row(...)))``
-    of row s alone.
+    ``artifacts`` is one ``PrepArtifacts`` for every row, or a sequence
+    of (PrepArtifacts, n_rows) runs that cover the rows in order, so that
+    the rows of many training folds go through the kernels together. Row
+    s equals, bit for bit, ``extract_prs(grow(nutrients_for_row(...)))``
+    of row s alone under its run's artifacts.
     """
     values = np.asarray(base_values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != len(artifacts.order):
+    runs = [(artifacts, len(values))] if isinstance(artifacts, PrepArtifacts) else artifacts
+    for prep, _ in runs:
+        if values.ndim != 2 or values.shape[1] != len(prep.order):
+            raise ValueError(
+                f"expected an (m, {len(prep.order)}) base-feature "
+                f"matrix, got shape {values.shape}"
+            )
+    counts = [n_rows for _, n_rows in runs]
+    if min(counts, default=0) < 0:
+        raise ValueError(f"artifact run row counts must be >= 0, got {counts}")
+    if sum(counts) != len(values):
         raise ValueError(
-            f"expected an (m, {len(artifacts.order)}) base-feature "
-            f"matrix, got shape {values.shape}"
+            f"the artifact runs cover {sum(counts)} rows, but the base "
+            f"matrix has {len(values)}"
         )
-    out = np.empty((values.shape[0], 2))
-    for start in range(0, values.shape[0], _PRS_BLOCK):
-        block = transform_rows(values[start : start + _PRS_BLOCK], artifacts)
-        bins = bin_indices(block, artifacts.soil_bounds, config.soil.depth)
+    bins = np.empty(values.shape, dtype=np.int64)
+    start = 0
+    for prep, n_rows in runs:
+        rows = slice(start, start + n_rows)
+        sorted_rows = transform_rows(values[rows], prep)
+        bins[rows] = bin_indices(sorted_rows, prep.soil_bounds, config.soil.depth)
+        start += n_rows
+    out = np.empty((len(values), 2))
+    for start in range(0, len(values), _PRS_BLOCK):
+        block = bins[start : start + _PRS_BLOCK]
         absorbed, occupancy, _ = grow_batch(
-            nutrient_grids(bins, config.soil), config.growth
+            nutrient_grids(block, config.soil), config.growth
         )
         out[start : start + len(block), 0] = absorbed
         out[start : start + len(block), 1] = hull_areas(occupancy)

@@ -22,8 +22,14 @@ from prs.evaluation import (
     correlation_matrix,
     evaluate_splits,
     run_experiment,
+    split_inputs,
     stratified_split,
 )
+from prs.growth import GrowthConfig
+from prs.pipeline import PipelineConfig, fit_prep, prs_features
+from prs.soil import SoilConfig
+
+from conftest import scaled_variants
 
 # -- confusion counts ---------------------------------------------------------
 
@@ -384,22 +390,95 @@ def test_evaluate_split_pairs_each_key_with_its_own_model(overlap_split):
             assert results[(spec.kind, variant)] == (counts, model.diagnostics)
 
 
-def test_evaluate_splits_makes_one_prs_call_per_split(overlap_reps, monkeypatch):
-    # NF/RF of a split's training and test rows come from one call, made
-    # through the module attribute so that a wrapper sees every row
+def test_evaluate_splits_makes_one_prs_call_per_run(overlap_reps, monkeypatch):
+    # NF/RF of every split's training and test rows come from one call,
+    # in run order, made through the module attribute so that a wrapper
+    # sees every row
     s = overlap_reps
     calls = []
     original = evaluation.prs_features
 
-    def recording(base_rows, artifacts, config):
-        calls.append(base_rows)
-        return original(base_rows, artifacts, config)
+    def recording(base_rows, runs, config):
+        calls.append((base_rows, runs))
+        return original(base_rows, runs, config)
 
     monkeypatch.setattr(evaluation, "prs_features", recording)
     evaluate_splits(s.inputs, s.splits, [ClassifierSpec(kind="LDA")], VARIANTS)
-    assert len(calls) == len(s.splits)
-    for rows, (train_idx, test_idx) in zip(calls, s.splits):
-        assert np.array_equal(rows, s.inputs.base[np.concatenate([train_idx, test_idx])])
+    [(rows, runs)] = calls
+    order = np.concatenate([np.concatenate(split) for split in s.splits])
+    assert len(order) == 480  # crosses the 256-row block of prs_features
+    assert np.array_equal(rows, s.inputs.base[order])
+    assert len(runs) == len(s.splits)
+    for (artifacts, n_rows), (train_idx, test_idx) in zip(runs, s.splits):
+        assert n_rows == len(train_idx) + len(test_idx)
+        fold = fit_prep(s.inputs.base[train_idx], s.inputs.labels[train_idx])
+        for name in ("feature_bounds", "gains", "order", "soil_bounds"):
+            assert np.array_equal(getattr(artifacts, name), getattr(fold, name))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PipelineConfig(),
+        PipelineConfig(
+            soil=SoilConfig(depth=9, fill_mode="onehot"),
+            growth=GrowthConfig(radicle=((1, 6), (9, 1))),
+        ),
+    ],
+    ids=["default", "onehot-depth9"],
+)
+def test_stacked_prs_call_equals_per_split_calls(overlap_reps, config, monkeypatch):
+    # the splits at rates 0.5 and 0.7 train on 40 and 56 rows; the one
+    # call's rows equal, bit for bit, separate calls on each part
+    s = overlap_reps
+    inputs = split_inputs(s.dataset, VARIANTS, s.rates, config=config)
+    stacked = []
+    original = evaluation.prs_features
+
+    def recording(base_rows, runs, run_config):
+        stacked.append(original(base_rows, runs, run_config))
+        return stacked[-1]
+
+    monkeypatch.setattr(evaluation, "prs_features", recording)
+    evaluate_splits(inputs, s.splits, [ClassifierSpec(kind="LDA")], VARIANTS)
+    per_split = []
+    for train_idx, test_idx in s.splits:
+        artifacts = fit_prep(inputs.base[train_idx], inputs.labels[train_idx])
+        per_split.append(prs_features(inputs.base[train_idx], artifacts, config))
+        per_split.append(prs_features(inputs.base[test_idx], artifacts, config))
+    [rows] = stacked
+    assert np.array_equal(rows, np.concatenate(per_split))
+    assert evaluate_splits(inputs, [], [ClassifierSpec(kind="LDA")], VARIANTS) == []
+    assert len(stacked) == 1
+    assert prs_features(np.zeros((0, 12)), [], config).shape == (0, 2)
+
+
+def test_evaluate_splits_hands_the_classifiers_the_scaled_variants(overlap_reps, monkeypatch):
+    # each variant is a column selection of the split's scaled table: it
+    # equals scaling the variant's own columns, and is C-contiguous
+    s = overlap_reps
+    seen = {}
+    original_train, original_predict = evaluation.train_group, evaluation.predict_group
+
+    def train_recording(spec, x_train, y_train):
+        seen["train"] = x_train
+        return original_train(spec, x_train, y_train)
+
+    def predict_recording(models, x_test):
+        seen["test"] = x_test
+        return original_predict(models, x_test)
+
+    monkeypatch.setattr(evaluation, "train_group", train_recording)
+    monkeypatch.setattr(evaluation, "predict_group", predict_recording)
+    evaluate_splits(s.inputs, s.splits, [ClassifierSpec(kind="LDA")], VARIANTS)
+    x_train, x_test = [], []
+    for train_idx, test_idx in s.splits:
+        train_part, test_part = scaled_variants(s.inputs, train_idx, test_idx)
+        x_train += train_part
+        x_test += test_part
+    for got, want in zip(seen["train"] + seen["test"], x_train + x_test, strict=True):
+        assert got.flags.c_contiguous
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_run_experiment_equals_one_split_at_a_time(overlap_reps):

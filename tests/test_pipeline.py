@@ -86,6 +86,26 @@ def test_prs_features_rejects_bad_shapes_by_name(fitted):
     assert prs_features(np.zeros((0, 12)), artifacts).shape == (0, 2)
 
 
+def test_prs_features_takes_runs_of_artifacts(fitted):
+    base, artifacts = fitted
+    other = fit_prep(base[::-1][:8], np.array(["A", "B"] * 4))
+    stacked = prs_features(base, [(artifacts, 5), (other, 0), (other, len(base) - 5)])
+    assert np.array_equal(stacked[:5], prs_features(base[:5], artifacts))
+    assert np.array_equal(stacked[5:], prs_features(base[5:], other))
+
+
+@pytest.mark.parametrize("counts", [(5, 6), (5, 8), (13,), ()])
+def test_prs_features_rejects_runs_that_do_not_cover_the_rows(fitted, counts):
+    base, artifacts = fitted
+    assert len(base) == 12
+    runs = [(artifacts, n) for n in counts]
+    message = f"the artifact runs cover {sum(counts)} rows, but the base matrix has 12"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        prs_features(base, runs)
+    with pytest.raises(ValueError, match=re.escape("counts must be >= 0, got [13, -1]")):
+        prs_features(base, [(artifacts, 13), (artifacts, -1)])
+
+
 def test_prep_artifacts_validation():
     with pytest.raises(ValueError, match="permutation"):
         PrepArtifacts(
