@@ -44,7 +44,8 @@ Labels are arbitrary strings; the two classes are ordered lexically and
 score ties resolve to the second class. Trained models report fit
 diagnostics (iterations and convergence, losses, dual objective, KKT
 residual). A polynomial kernel that overflows float64, at fit or at
-predict, raises DegenerateDataError.
+predict, raises DegenerateDataError, and so does an LDA/QDA distance
+that overflows at predict (a test row far outside the training rows).
 """
 
 from __future__ import annotations
@@ -488,7 +489,10 @@ def _gaussian_scores(models, matrices):
     log_priors = np.array([P["log_priors"] for P in params])[:, :, None]
     diff = X[:, None] - means[:, :, None, :]  # (p, 2, n, f)
     z = np.linalg.solve(chols, diff.transpose(0, 1, 3, 2))
-    quad = np.sum(z * z, axis=2)  # (p, 2, n)
+    with np.errstate(over="ignore"):  # raised below, without a warning first
+        quad = np.sum(z * z, axis=2)  # (p, 2, n)
+    if not np.isfinite(quad).all():
+        raise DegenerateDataError("the LDA/QDA distance of a row overflows float64")
     delta = -0.5 * log_dets - 0.5 * quad + log_priors
     return delta[:, 1] - delta[:, 0]
 

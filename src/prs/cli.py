@@ -6,9 +6,8 @@ evaluate, correlate. Every option can also come from a --config file of
 file, the file wins over built-in defaults. Single-file outputs go to
 --out when given (written atomically), else to stdout; evaluate and
 correlate treat --out as a directory and write both a CSV and a JSON
-report into it. Identical configurations produce byte-identical output;
-the thread count is excluded from report echoes for that reason. Exit
-codes: 0 success, 1 data or runtime failure, 2 usage error.
+report into it. Identical configurations produce byte-identical output.
+Exit codes: 0 success, 1 data or runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,12 +19,12 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .base_features import FEATURE_NAMES, ThresholdConfig
+from .base_features import FEATURE_NAMES, RELATIVE_THRESHOLD, ThresholdConfig
 from .classifiers import CLASSIFIER_KINDS, ClassifierSpec
 from .dataset import generate_synthetic, load_dataset, write_dataset
 from .errors import PrsError
@@ -39,7 +38,7 @@ from .evaluation import (
     split_inputs,
     stratified_split,
 )
-from .growth import DEFAULT_RADICLE, GrowthConfig, extract_prs, grow
+from .growth import GrowthConfig, extract_prs, grow
 from .pipeline import (
     SPECTRAL_NAMES,
     PipelineConfig,
@@ -49,116 +48,91 @@ from .pipeline import (
     nutrients_for_row,
     soil_for_row,
 )
-from .soil import SOIL_DEPTH, SoilConfig, convolve_soil
-from .spectral import MEDIAN_PSD
+from .soil import SoilConfig, convolve_soil
 
 
 class _UsageError(Exception):
     pass
 
 
-# option name -> (type tag, built-in default); type tags drive config coercion
-_COMMON = {
-    "manifest": ("str", None),
-    "out": ("str", None),
-    "config": ("str", None),
+@dataclass(frozen=True)
+class _Option:
+    """One option of the command line and of --config files. ``tag`` says
+    how its text parses; ``default`` is its value when unset (for a list,
+    the text of it); a value outside ``choices`` (any entry, for a list)
+    is a usage error; ``echo`` keeps it in report config echoes."""
+
+    tag: str  # str, int, float, bool, list_str or list_float
+    default: object
+    help: str
+    choices: tuple[str, ...] = ()
+    echo: bool = True
+
+
+def _field(cls, name: str, help: str) -> _Option:
+    """An option typed and defaulted by the config field it sets; the
+    annotations are text here, and "float | None" gives the tag float."""
+    [field] = [f for f in fields(cls) if f.name == name]
+    return _Option(field.type.split(" | ")[0], field.default, help)
+
+
+_RELATIVE = f"unset: {RELATIVE_THRESHOLD} max|x| of each segment"
+
+_OPTIONS = {
+    "config": _Option("str", None, "key = value defaults file", echo=False),
+    "manifest": _Option("str", None, "dataset manifest CSV"),
+    "out": _Option("str", None, "output file or directory", echo=False),
+    "n": _Option("int", 20, "segments per class"),
+    "len": _Option("int", 2000, "samples per segment"),
+    "seed": _Option("int", None, "synth: dataset seed; else rep r splits with seed^r"),
+    "centered_var": _Option("bool", False, "subtract the mean in VAR"),
+    "zc_threshold": _field(ThresholdConfig, "zc_threshold", "ZC; " + _RELATIVE),
+    "ssc_threshold": _field(ThresholdConfig, "ssc_threshold", "SSC; " + _RELATIVE),
+    "wamp_threshold": _field(ThresholdConfig, "wamp_threshold", "WAMP; " + _RELATIVE),
+    "sample": _Option("str", None, "segment id"),
+    "depth": _field(SoilConfig, "depth", "soil rows, one per bin"),
+    "fill_mode": _field(SoilConfig, "fill_mode", "stacked or onehot"),
+    "days": _field(GrowthConfig, "days", "growth days"),
+    "division_limit": _field(GrowthConfig, "division_limit", "cells added per day"),
+    "radicle": _Option(
+        "str",
+        None,
+        "seed cells 'row,col;row,col', 1-based; unset: "
+        + ";".join(f"{r},{c}" for r, c in GrowthConfig.radicle),
+    ),
+    "occupy_zero": _field(GrowthConfig, "occupy_zero", "zero-nutrient cells may grow"),
+    "dump_frames": _Option("str", None, "directory of daily grids", echo=False),
+    "median_mode": _field(PipelineConfig, "median_mode", "MedPSD: psd or frequency"),
+    "classifier": _Option("str", None, "a classifier", CLASSIFIER_KINDS),
+    "variant": _Option("str", "PRS", "a feature variant", VARIANTS),
+    "rate": _Option("float", 0.6, "training share of each class"),
+    "global_prep": _Option("bool", False, "fit feature prep on all rows"),
+    "classifiers": _Option(
+        "list_str", ",".join(CLASSIFIER_KINDS), "comma-separated", CLASSIFIER_KINDS
+    ),
+    "variants": _Option("list_str", ",".join(VARIANTS), "comma-separated", VARIANTS),
+    "rates": _Option("list_float", "0.6", "comma-separated training shares"),
+    "reps": _Option("int", 100, "repetitions"),
 }
 
-_SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
-    "synth": {
-        "out": ("str", None),
-        "n": ("int", 20),
-        "len": ("int", 2000),
-        "seed": ("int", None),
-        "config": ("str", None),
-    },
-    "extract": {
-        **_COMMON,
-        "centered_var": ("bool", False),
-        "zc_threshold": ("float", None),
-        "ssc_threshold": ("float", None),
-        "wamp_threshold": ("float", None),
-    },
-    "rank": _COMMON,
-    "soil-dump": {
-        **_COMMON,
-        "sample": ("str", None),
-        "depth": ("int", SOIL_DEPTH),
-        "fill_mode": ("str", "stacked"),
-    },
-    "grow": {
-        **_COMMON,
-        "sample": ("str", None),
-        "depth": ("int", SOIL_DEPTH),
-        "fill_mode": ("str", "stacked"),
-        "days": ("int", 10),
-        "division_limit": ("int", 2),
-        "radicle": ("str", None),
-        "occupy_zero": ("bool", True),
-        "dump_frames": ("str", None),
-    },
-    "spectral": {
-        **_COMMON,
-        "median_mode": ("str", MEDIAN_PSD),
-    },
-    "classify": {
-        **_COMMON,
-        "seed": ("int", None),
-        "classifier": ("str", None),
-        "variant": ("str", "PRS"),
-        "rate": ("float", 0.6),
-        "global_prep": ("bool", False),
-        "median_mode": ("str", MEDIAN_PSD),
-    },
-    "evaluate": {
-        **_COMMON,
-        "seed": ("int", None),
-        "classifiers": ("list_str", list(CLASSIFIER_KINDS)),
-        "variants": ("list_str", list(VARIANTS)),
-        "rates": ("list_float", [0.6]),
-        "reps": ("int", 100),
-        "threads": ("int", 1),
-        "global_prep": ("bool", False),
-        "median_mode": ("str", MEDIAN_PSD),
-    },
-    "correlate": {
-        **_COMMON,
-        "median_mode": ("str", MEDIAN_PSD),
-    },
-}
+# command -> (its handler, its options in report echo order, the required ones)
+_COMMANDS: dict[str, tuple] = {}
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "synth": ("out", "seed"),
-    "extract": ("manifest",),
-    "rank": ("manifest",),
-    "soil-dump": ("manifest", "sample"),
-    "grow": ("manifest", "sample"),
-    "spectral": ("manifest",),
-    "classify": ("manifest", "seed", "classifier"),
-    "evaluate": ("manifest", "seed"),
-    "correlate": ("manifest",),
-}
 
-# fill_mode and median_mode are checked by _pipeline_config
-_ENUMS: dict[str, tuple[str, ...]] = {
-    "classifier": CLASSIFIER_KINDS,
-    "variant": VARIANTS,
-}
+def _command(name: str, options: str, required: str):
+    """Declare the command ``name``, run by the decorated handler, whose
+    docstring is its help: its options and the required ones, as names
+    separated by spaces. Every command also reads --config."""
 
-_LIST_ENUMS: dict[str, tuple[str, ...]] = {
-    "classifiers": CLASSIFIER_KINDS,
-    "variants": VARIANTS,
-}
+    def register(handler):
+        _COMMANDS[name] = (handler, ["config", *options.split()], required.split())
+        return handler
 
-# --help of --seed per command; nothing else in prs draws random numbers
-_SEED_HELP = {
-    "synth": "dataset seed",
-    "classify": "split seed: the split of rep 0 of evaluate with this seed",
-    "evaluate": "rep r splits with seed XOR r",
-}
+    return register
 
-# output paths and scheduling knobs stay out of report config echoes
-_NO_ECHO = ("config", "out", "dump_frames", "threads")
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,43 +142,21 @@ def build_parser() -> argparse.ArgumentParser:
         "labeled 1D signals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key = value defaults file")
-        schema = _SCHEMAS[name]
-        for opt, (tag, _) in schema.items():
-            if opt == "config":
-                continue
-            flag = "--" + opt.replace("_", "-")
-            if tag == "bool":
-                # tri-state so a config file can still set it
-                p.add_argument(flag, dest=opt, action="store_const", const=True)
-                p.add_argument(
-                    "--no-" + opt.replace("_", "-"),
-                    dest=opt,
-                    action="store_const",
-                    const=False,
-                )
-            elif opt == "seed":
-                p.add_argument(flag, dest=opt, type=int, help=_SEED_HELP[name])
-            elif tag == "int":
-                p.add_argument(flag, dest=opt, type=int)
-            elif tag == "float":
-                p.add_argument(flag, dest=opt, type=float)
-            else:  # str and list tags arrive as strings
-                p.add_argument(flag, dest=opt, type=str)
-        return p
-
-    add("synth", "generate a synthetic two-class dataset")
-    add("extract", "write the 12 time-domain base features per segment")
-    add("rank", "information-gain ranking of the base features")
-    add("soil-dump", "discrete or convolved soil grid for one sample")
-    add("grow", "run root growth for one sample and report NF/RF")
-    add("spectral", "write MaxPSD/MedPSD per segment")
-    add("classify", "single stratified split, one classifier, one variant")
-    add("evaluate", "repeated-split accuracy grid over variants")
-    add("correlate", "feature correlation matrix and block summaries")
+    for command, (handler, names, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
+        for name in names:
+            option = _OPTIONS[name]
+            help_text = option.help
+            if option.choices:
+                help_text += f" from {','.join(option.choices)}"
+            if option.default is not None:
+                help_text += f"; default {option.default}"
+            if option.tag == "bool":
+                # --x and --no-x, None if neither is given: a config file may set it
+                how = {"action": argparse.BooleanOptionalAction}
+            else:
+                how = {"type": {"int": int, "float": float}.get(option.tag, str)}
+            p.add_argument(_flag(name), dest=name, help=help_text, **how)
     return parser
 
 
@@ -238,58 +190,47 @@ def _coerce(value: str, tag: str, name: str):
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {value!r}")
-        if tag == "list_float":
-            return [float(v) for v in value.split(",") if v.strip()]
-        if tag == "list_str":
-            return [v.strip() for v in value.split(",") if v.strip()]
+        if tag.startswith("list_"):
+            items = [v.strip() for v in value.split(",") if v.strip()]
+            if not items:
+                raise ValueError("expected at least one comma-separated value")
+            return [float(v) for v in items] if tag == "list_float" else items
         return value
     except ValueError as exc:
         raise _UsageError(f"bad value for {name}: {exc}") from exc
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    schema = _SCHEMAS[args.command]
+    _, names, required = _COMMANDS[args.command]
     config = _load_config_file(args.config) if args.config else {}
-    unknown = sorted(set(config) - set(schema))
+    unknown = sorted(set(config) - set(names))
     if unknown:
         raise _UsageError(
             f"unknown config keys for {args.command}: {', '.join(unknown)}"
         )
     opts: dict = {}
-    for name, (tag, default) in schema.items():
-        flag_value = getattr(args, name, None)
-        if name == "config":
-            opts[name] = args.config
-        elif flag_value is not None:
-            if tag in ("list_str", "list_float"):
-                opts[name] = _coerce(str(flag_value), tag, name)
-            else:
-                opts[name] = flag_value
-        elif name in config:
-            opts[name] = _coerce(config[name], tag, name)
-        else:
-            opts[name] = default
-    for name in _REQUIRED[args.command]:
-        if opts[name] is None:
-            raise _UsageError(f"--{name.replace('_', '-')} is required")
-    for name, allowed in _ENUMS.items():
-        if opts.get(name) is not None and opts[name] not in allowed:
-            raise _UsageError(
-                f"--{name.replace('_', '-')} must be one of "
-                f"{', '.join(allowed)}; got {opts[name]!r}"
-            )
-    for name, allowed in _LIST_ENUMS.items():
-        for value in opts.get(name) or ():
-            if value not in allowed:
+    for name in names:
+        option = _OPTIONS[name]
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name, option.default)
+        # argparse parses int, float and bool flags; the rest arrive as text
+        if isinstance(value, str):
+            value = _coerce(value, option.tag, name)
+        if value is None and name in required:
+            raise _UsageError(f"{_flag(name)} is required")
+        for entry in value if isinstance(value, list) else [value]:
+            if option.choices and entry is not None and entry not in option.choices:
                 raise _UsageError(
-                    f"--{name.replace('_', '-')} entries must be from "
-                    f"{', '.join(allowed)}; got {value!r}"
+                    f"{_flag(name)} must be one of {', '.join(option.choices)}; "
+                    f"got {entry!r}"
                 )
+        opts[name] = value
     return opts
 
 
 def _echo_config(opts: dict) -> dict:
-    return {k: v for k, v in opts.items() if k not in _NO_ECHO}
+    return {k: v for k, v in opts.items() if _OPTIONS[k].echo}
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
@@ -306,11 +247,16 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, files: dict[str, str] | None = None) -> None:
+    """``text`` to stdout without --out; else to the file --out, or, given
+    ``files``, each of them under the directory --out."""
     if out is None:
         sys.stdout.write(text)
-    else:
+    elif files is None:
         _atomic_write(out, text)
+    else:
+        for name, body in files.items():
+            _atomic_write(Path(out) / name, body)
 
 
 def _json_text(obj) -> str:
@@ -327,29 +273,22 @@ def _csv_text(rows) -> str:
 def _parse_radicle(text: str | None) -> tuple[tuple[int, int], ...]:
     """Radicle cells as 'row,col' pairs separated by ';', 1-based."""
     if text is None:
-        return DEFAULT_RADICLE
+        return GrowthConfig.radicle
     cells = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(",")
-        if len(pieces) != 2:
-            raise _UsageError(f"bad radicle cell {part!r}; expected row,col")
+    for part in filter(None, map(str.strip, text.split(";"))):
         try:
-            cells.append((int(pieces[0]), int(pieces[1])))
+            row, col = map(int, part.split(","))
         except ValueError as exc:
-            raise _UsageError(f"bad radicle cell {part!r}: {exc}") from exc
-    if not cells:
-        raise _UsageError("radicle must name at least one cell")
-    return tuple(cells)
+            raise _UsageError(f"bad radicle cell {part!r}; expected row,col") from exc
+        cells.append((row, col))
+    return tuple(cells)  # GrowthConfig rejects an empty radicle
 
 
 def _pipeline_config(opts) -> PipelineConfig:
     """PipelineConfig from the command's options: an option named like a
-    field of ThresholdConfig, SoilConfig or GrowthConfig sets that field,
-    the rest keep their defaults. A bad value is a usage error; handlers
-    call this before reading any data."""
+    field of ThresholdConfig, SoilConfig, GrowthConfig or PipelineConfig
+    sets that field, the rest keep their defaults. A bad value is a usage
+    error; handlers call this before reading any data."""
     opts = {**opts, "radicle": _parse_radicle(opts.get("radicle"))}
 
     def part(cls):
@@ -358,7 +297,7 @@ def _pipeline_config(opts) -> PipelineConfig:
     try:
         return PipelineConfig(
             *(part(cls) for cls in (ThresholdConfig, SoilConfig, GrowthConfig)),
-            opts.get("median_mode", MEDIAN_PSD),
+            opts.get("median_mode", PipelineConfig.median_mode),
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -367,7 +306,9 @@ def _pipeline_config(opts) -> PipelineConfig:
 # -- handlers ---------------------------------------------------------------
 
 
+@_command("synth", "out n len seed", "out seed")
 def _cmd_synth(opts) -> int:
+    """generate a synthetic two-class dataset"""
     dataset = generate_synthetic(
         n_per_class=opts["n"], length=opts["len"], seed=opts["seed"]
     )
@@ -376,7 +317,13 @@ def _cmd_synth(opts) -> int:
     return 0
 
 
+@_command(
+    "extract",
+    "manifest out centered_var zc_threshold ssc_threshold wamp_threshold",
+    "manifest",
+)
 def _cmd_extract(opts) -> int:
+    """write the 12 time-domain base features per segment"""
     config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
     base = extract_base_matrix(dataset, config.thresholds, opts["centered_var"])
@@ -387,7 +334,9 @@ def _cmd_extract(opts) -> int:
     return 0
 
 
+@_command("rank", "manifest out", "manifest")
 def _cmd_rank(opts) -> int:
+    """information-gain ranking of the base features"""
     dataset = load_dataset(opts["manifest"])
     artifacts = fit_prep(extract_base_matrix(dataset), dataset.labels)
     ranked = np.argsort(-artifacts.gains, kind="stable")  # ties: lower index first
@@ -412,7 +361,9 @@ def _fitted_row(opts):
     return segment, row, fit_prep(base, dataset.labels)
 
 
+@_command("soil-dump", "manifest out sample depth fill_mode", "manifest sample")
 def _cmd_soil_dump(opts) -> int:
+    """discrete or convolved soil grid for one sample"""
     config = _pipeline_config(opts)
     _, row, artifacts = _fitted_row(opts)
     soil = soil_for_row(row, artifacts, config.soil)
@@ -421,16 +372,19 @@ def _cmd_soil_dump(opts) -> int:
     nutrient_text = _csv_text(
         [[repr(float(v)) for v in line] for line in nutrients.grid]
     )
-    if opts["out"] is None:
-        sys.stdout.write(discrete_text + "\n" + nutrient_text)
-    else:
-        out_dir = Path(opts["out"])
-        _atomic_write(out_dir / "discrete_soil.csv", discrete_text)
-        _atomic_write(out_dir / "nutrient_matrix.csv", nutrient_text)
+    files = {"discrete_soil.csv": discrete_text, "nutrient_matrix.csv": nutrient_text}
+    _emit(discrete_text + "\n" + nutrient_text, opts["out"], files)
     return 0
 
 
+@_command(
+    "grow",
+    "manifest out sample depth fill_mode days division_limit radicle occupy_zero "
+    "dump_frames",
+    "manifest sample",
+)
 def _cmd_grow(opts) -> int:
+    """run root growth for one sample and report NF/RF"""
     config = _pipeline_config(opts)
     segment, row, artifacts = _fitted_row(opts)
     nutrients = nutrients_for_row(row, artifacts, config.soil)
@@ -461,7 +415,9 @@ def _cmd_grow(opts) -> int:
     return 0
 
 
+@_command("spectral", "manifest out median_mode", "manifest")
 def _cmd_spectral(opts) -> int:
+    """write MaxPSD/MedPSD per segment"""
     config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
     table = extract_spectral_matrix(dataset, config.median_mode)
@@ -472,7 +428,13 @@ def _cmd_spectral(opts) -> int:
     return 0
 
 
+@_command(
+    "classify",
+    "manifest out seed classifier variant rate global_prep median_mode",
+    "manifest seed classifier",
+)
 def _cmd_classify(opts) -> int:
+    """single stratified split, one classifier, one variant"""
     config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
     variants = (opts["variant"],)
@@ -522,7 +484,13 @@ def _eval_csv_rows(report: dict) -> list[list[str]]:
     return rows
 
 
+@_command(
+    "evaluate",
+    "manifest out seed classifiers variants rates reps global_prep median_mode",
+    "manifest seed",
+)
 def _cmd_evaluate(opts) -> int:
+    """repeated-split accuracy grid over variants"""
     config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
     report = run_experiment(
@@ -532,21 +500,19 @@ def _cmd_evaluate(opts) -> int:
         rates=opts["rates"],
         reps=opts["reps"],
         seed=opts["seed"],
-        threads=opts["threads"],
         global_prep=opts["global_prep"],
         config=config,
     )
     report["config"] = _echo_config(opts)
-    if opts["out"] is None:
-        sys.stdout.write(_json_text(report))
-    else:
-        out_dir = Path(opts["out"])
-        _atomic_write(out_dir / "eval_report.json", _json_text(report))
-        _atomic_write(out_dir / "eval_report.csv", _csv_text(_eval_csv_rows(report)))
+    text = _json_text(report)
+    csv_text = _csv_text(_eval_csv_rows(report))
+    _emit(text, opts["out"], {"eval_report.json": text, "eval_report.csv": csv_text})
     return 0
 
 
+@_command("correlate", "manifest out median_mode", "manifest")
 def _cmd_correlate(opts) -> int:
+    """feature correlation matrix and block summaries"""
     config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
     table, names = build_feature_table(dataset, config=config)
@@ -574,40 +540,21 @@ def _cmd_correlate(opts) -> int:
     csv_rows = [["feature", *names]]
     for i, name in enumerate(names):
         csv_rows.append([name, *[repr(float(v)) for v in corr[i]]])
-    if opts["out"] is None:
-        sys.stdout.write(_json_text(report))
-    else:
-        out_dir = Path(opts["out"])
-        _atomic_write(out_dir / "correlation_report.json", _json_text(report))
-        _atomic_write(out_dir / "correlation_report.csv", _csv_text(csv_rows))
+    text = _json_text(report)
+    files = {"correlation_report.json": text}
+    files["correlation_report.csv"] = _csv_text(csv_rows)
+    _emit(text, opts["out"], files)
     return 0
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "extract": _cmd_extract,
-    "rank": _cmd_rank,
-    "soil-dump": _cmd_soil_dump,
-    "grow": _cmd_grow,
-    "spectral": _cmd_spectral,
-    "classify": _cmd_classify,
-    "evaluate": _cmd_evaluate,
-    "correlate": _cmd_correlate,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         opts = _resolve(args)
-        return _HANDLERS[args.command](opts)
-    except _UsageError as exc:
+        return _COMMANDS[args.command][0](opts)
+    except (_UsageError, PrsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PrsError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 if __name__ == "__main__":

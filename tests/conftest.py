@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import prs
 from prs.dataset import LabeledDataset, SignalSegment, generate_synthetic
 from prs.evaluation import (
     VARIANTS,
@@ -124,3 +129,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in RESULT_LINES:
             terminalreporter.write_line(line)
+
+
+def run_cli(argv, **env):
+    """``python -m prs.cli *argv`` in a child process, with ``env`` added
+    to its environment; returns the completed process, output as text."""
+    src = str(Path(prs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "prs.cli", *argv],
+        env={**os.environ, **env, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )

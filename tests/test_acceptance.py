@@ -21,6 +21,7 @@ from prs.growth import GrowthConfig, extract_prs, grow
 from prs.pipeline import prs_features  # noqa: F401  (import sanity for the grid run)
 from prs.soil import KERNEL_DEEP, KERNEL_SHALLOW, NutrientMatrix, convolve_soil, DiscreteSoil
 
+from conftest import run_cli
 from reference import absorption_rate, convex_hull, polygon_area
 
 RESULT_LINES: list[str] = []
@@ -347,26 +348,25 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
         "--reps",
         "5",
     ]
-    outputs = {}
-    for name, extra in (
-        ("first", []),
-        ("second", []),
-        ("threaded", ["--threads", "4"]),
-    ):
-        out_dir = tmp_path / name
-        rc = main(base_args + ["--out", str(out_dir)] + extra)
+    for name in ("first", "second"):
+        rc = main(base_args + ["--out", str(tmp_path / name)])
         assert rc == 0, capsys.readouterr().err
-        outputs[name] = (
-            (out_dir / "eval_report.json").read_bytes(),
-            (out_dir / "eval_report.csv").read_bytes(),
-        )
     capsys.readouterr()
-    identical = (
-        outputs["first"] == outputs["second"] == outputs["threaded"]
-    )
+    # child processes, so that the BLAS thread count differs in the LAPACK calls
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"openblas-{threads}"
+        child = run_cli(base_args + ["--out", str(out_dir)], OPENBLAS_NUM_THREADS=threads)
+        assert child.returncode == 0, child.stderr
+    outputs = {
+        name: tuple(
+            (tmp_path / name / f"eval_report.{ext}").read_bytes() for ext in ("json", "csv")
+        )
+        for name in ("first", "second", "openblas-1", "openblas-2")
+    }
+    identical = len(set(outputs.values())) == 1
     _verdict(
         10,
-        "evaluate output byte-identical across reruns and thread counts",
+        "evaluate output byte-identical across reruns and BLAS thread counts",
         identical,
         f"json={len(outputs['first'][0])}B, csv={len(outputs['first'][1])}B",
     )

@@ -339,6 +339,21 @@ def test_svm_predict_rejects_a_kernel_that_overflows():
     assert np.isfinite(model.decision_function(X[:4] * 1e30)).all()
 
 
+@pytest.mark.parametrize("kind", ["LDA", "QDA"])
+def test_gaussian_predict_rejects_a_distance_that_overflows(kind):
+    # a held-out row near 1e160 squares past float64 in the Mahalanobis
+    # distance, where the scores would be NaN; the error is the only
+    # report, with no numpy warning before it
+    X, y = separated_gaussians(m=20, f=3, seed=2)
+    model = train(ClassifierSpec(kind=kind), X, y)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateDataError, match="distance of a row overflows"):
+            model.predict(X[:4] * 1e160)
+    assert caught == []
+    assert np.isfinite(model.decision_function(X[:4] * 1e100)).all()
+
+
 # -- group fits ---------------------------------------------------------------
 
 

@@ -354,6 +354,21 @@ def test_run_experiment_validation(small_synth):
         run_experiment(small_synth, rates=(0.6, 0.5, 0.6), reps=1)
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [("classifiers", "classifier kinds"), ("variants", "variants"), ("rates", "rates")],
+)
+def test_run_experiment_rejects_an_empty_grid_axis_before_feature_work(
+    name, message, small_synth, monkeypatch
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("feature work before the grid was checked")
+
+    monkeypatch.setattr("prs.evaluation.extract_base_matrix", no_work)
+    with pytest.raises(ValueError, match=f"{message} must not be empty"):
+        run_experiment(small_synth, reps=1, **{name: ()})
+
+
 def test_lda_base_accuracy_on_separable_synthetic():
     dataset = generate_synthetic(40, 2000, seed=1)
     report = run_experiment(
