@@ -130,7 +130,27 @@ def test_block_boundary_sizes(length, offset):
     assert_dataset_matches(dataset_of(rng.normal(size=(rows, length))))
 
 
-@pytest.mark.parametrize("length", [16, 17, 64, 65, 512, 513])
+def test_interleaved_lengths_each_end_in_a_short_block():
+    # 4-row blocks of 2000 and of 2001 samples, 4 + 4 + 1 rows per length;
+    # the blocks of a length share one buffer
+    assert _SEGMENT_BLOCK_SAMPLES // 2000 == _SEGMENT_BLOCK_SAMPLES // 2001 == 4
+    rng = np.random.default_rng(10)
+    data = [rng.normal(size=2000 + i % 2) * rng.uniform(0.1, 10) for i in range(18)]
+    assert_dataset_matches(dataset_of(data))
+
+
+def test_overflowing_spectrum_matches_reference():
+    # the FFT of +-1e308 overflows to inf and NaN bins; np.max and
+    # np.median of such a row are NaN
+    x = np.vstack([np.tile([1e308, -1e308], 32), np.arange(64.0)])
+    with np.errstate(all="ignore"):
+        got = spectral_rows(x, 1000.0)
+        want = [standalone_spectral(row, 1000.0, MEDIAN_PSD) for row in x]
+    assert np.isnan(got[0]).all()
+    assert np.array_equal(got, np.array(want), equal_nan=True)
+
+
+@pytest.mark.parametrize("length", [16, 17, 18, 19, 64, 65, 512, 513])
 def test_single_row_kernels(length):
     x = np.random.default_rng(length).normal(size=length) * 3.0 + 1.0
     got = base_feature_rows(x[None, :])
@@ -191,6 +211,42 @@ def test_overflowing_segment_error_names_first_in_dataset_order():
             compute_base_features(dataset_of(data).segments[2])
 
 
+@pytest.mark.parametrize(
+    "scale, columns",
+    [
+        (1e-83, "KURT"),
+        (1e-140, "SKW, KURT"),
+        (1e-155, "SKW, KURT"),
+        (1e-160, "SKW, KURT"),
+        (1e-200, "SKW, KURT"),
+        (1e-300, "SKW, KURT"),
+    ],
+)
+def test_tiny_segment_error_names_underflow(scale, columns):
+    # m2 * sqrt(m2) or m2 * m2 rounds to 0; at 1e-200 and below m2 itself does
+    rng = np.random.default_rng(7)
+    data = [rng.normal(size=n) for n in [64, 128, 64, 128]]
+    data[1] = scale * data[1]
+    data[2] = scale * data[2]
+    want = f"underflows float64 in {columns} \\(their denominator rounds to 0\\)$"
+    with pytest.raises(DegenerateDataError, match=f"'s001' {want}"):
+        extract_base_matrix(dataset_of(data))
+    with pytest.raises(DegenerateDataError, match=f"'s002' {want}"):
+        compute_base_features(dataset_of(data).segments[2])
+
+
+def test_constant_segment_whose_mean_is_inexact_is_constant():
+    # 2000 x 0.1 sums to a mean that is not 0.1, so m2 > 0 and SKW, KURT
+    # are finite; WL 0 still marks the row
+    data = list(np.random.default_rng(8).normal(size=(4, 2000)))
+    data[1] = np.full(2000, 0.1)
+    assert np.full(2000, 0.1).mean() != 0.1
+    with pytest.raises(DegenerateDataError, match="'s001' is constant: SKW, KURT"):
+        extract_base_matrix(dataset_of(data))
+    with pytest.raises(DegenerateDataError, match="'s001' is constant: SKW, KURT"):
+        compute_base_features(dataset_of(data).segments[1])
+
+
 def test_constant_row_is_marked_by_zero_std():
     x = np.vstack([np.full(32, 7.0), np.arange(32.0)])
     with np.errstate(all="raise"):
@@ -204,18 +260,25 @@ def test_spectral_rows_rejects_unknown_mode():
         spectral_rows(np.ones((2, 16)), 1000.0, "mean")
 
 
-small_blocks = st.integers(1, 5).flatmap(
-    lambda k: st.integers(16, 40).flatmap(
-        lambda n: arrays(
-            np.float64,
-            (k, n),
-            elements=st.floats(-1e3, 1e3, allow_nan=False, width=64),
-        )
+def _block(k, n, quantized, exponent):
+    """A (k, n) block of floats, or of small integers whose steps are often
+    0 and whose PSD bins tie, times 10**exponent."""
+    if quantized:
+        elements = st.integers(-3, 3).map(float)
+    else:
+        elements = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+    return arrays(np.float64, (k, n), elements=elements).map(
+        lambda x: x * 10.0**exponent
     )
-)
 
 
-@settings(max_examples=80, deadline=None)
+# n from 3 to 41 gives positive bands of 1 to 20 bins, odd and even
+small_blocks = st.tuples(
+    st.integers(1, 5), st.integers(3, 41), st.booleans(), st.integers(-150, 150)
+).flatmap(lambda args: _block(*args))
+
+
+@settings(max_examples=150, deadline=None)
 @given(small_blocks, st.sampled_from([MEDIAN_PSD, MEDIAN_FREQUENCY]))
 def test_kernels_match_standalone_functions(block, mode):
     with np.errstate(all="ignore"):
@@ -224,10 +287,12 @@ def test_kernels_match_standalone_functions(block, mode):
         if np.mean((x - x.mean()) ** 2) == 0.0:
             assert row[0] == 0.0
             continue
-        # tiny amplitudes underflow m2**1.5 to 0: both sides give NaN SKW
+        # tiny amplitudes underflow m2**1.5 to 0 and huge ones overflow:
+        # both sides give NaN or inf
         with np.errstate(all="ignore"):
             want = standalone_base(x)
         assert np.array_equal(row, want, equal_nan=True)
-    got = spectral_rows(block, 1000.0, mode)
-    want = [standalone_spectral(x, 1000.0, mode) for x in block]
-    assert np.array_equal(got, np.array(want))
+    with np.errstate(all="ignore"):
+        got = spectral_rows(block, 1000.0, mode)
+        want = [standalone_spectral(x, 1000.0, mode) for x in block]
+    assert np.array_equal(got, np.array(want), equal_nan=True)
