@@ -119,10 +119,6 @@ class TrainedModel:
     params: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
-    def decision_function(self, X) -> np.ndarray:
-        """Raw scores; >= 0 means the second class."""
-        return decision_group([self], [X])[0]
-
     def predict(self, X) -> np.ndarray:
         return predict_group([self], [X])[0]
 

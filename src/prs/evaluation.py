@@ -5,7 +5,7 @@ repetitions. Every repetition draws one stratified split per rate from
 ``rep_rng(seed, rep)`` and reuses it across all variants and classifiers,
 so the comparison between variants is paired. ``evaluate_splits`` is the
 one split evaluator: feature preparation (normalization bounds, gain
-ranking, soil bounds) is fitted on each training fold only unless
+ranking, column order) is fitted on each training fold only unless
 global_prep is set, which fits it once on the whole dataset and is
 meant for protocol-replication runs. ``run_experiment`` draws every
 rep's splits and prepares their features first (NF/RF of every split's
@@ -59,8 +59,6 @@ _VARIANT_EXTRAS = {
     "PRS": ("NF", "RF"),
     "COMPARISON": ("MaxPSD", "MedPSD"),
 }
-
-DEFAULT_CLASSIFIERS = CLASSIFIER_KINDS
 
 # The raw feature table: the 12 base columns, NF, RF, MaxPSD, MedPSD.
 TABLE_NAMES = tuple(FEATURE_NAMES) + PRS_NAMES + SPECTRAL_NAMES
@@ -167,30 +165,25 @@ def stratified_split(labels, class_names, rate: float, rng) -> tuple[np.ndarray,
     return np.sort(np.array(train)), np.sort(np.array(test))
 
 
-def _extra_columns(names, prs_rows, spectral_rows):
-    sources = {
-        "NF": prs_rows[:, 0],
-        "RF": prs_rows[:, 1],
-        "MaxPSD": spectral_rows[:, 0],
-        "MedPSD": spectral_rows[:, 1],
-    }
-    return [sources[name] for name in names]
+def _variant_columns(variant: str) -> list[int]:
+    """Columns of one variant in the 16-column table of ``TABLE_NAMES``."""
+    if variant not in _VARIANT_EXTRAS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    extras = [TABLE_NAMES.index(name) for name in _VARIANT_EXTRAS[variant]]
+    return list(range(len(FEATURE_NAMES))) + extras
 
 
 def assemble_variant(
     variant: str, base_rows: np.ndarray, prs_rows, spectral_rows
 ) -> np.ndarray:
-    """Raw feature matrix for one variant: base columns plus its extras.
-
-    ``evaluate_splits`` selects the same columns from one table per
-    split instead; the benchmark tracer (perfbench/tracer.py) still
-    wraps this name."""
-    if variant not in _VARIANT_EXTRAS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    extras = _extra_columns(_VARIANT_EXTRAS[variant], prs_rows, spectral_rows)
-    if not extras:
-        return base_rows.copy()
-    return np.column_stack([base_rows] + extras)
+    """Raw feature matrix for one variant: base columns plus its extras,
+    the columns ``evaluate_splits`` selects from one table per split.
+    Nothing in the package calls it; it stays because the benchmark
+    tracer (perfbench/tracer.py) wraps this name."""
+    columns = _variant_columns(variant)
+    table = np.column_stack([base_rows, prs_rows, spectral_rows])
+    # a column selection comes out F-ordered; keep the row-major layout
+    return np.ascontiguousarray(table[:, columns])
 
 
 def _needs(variants, column_names) -> bool:
@@ -266,14 +259,6 @@ class SplitResult(NamedTuple):
     diagnostics: dict
 
 
-def _variant_columns(variant: str) -> list[int]:
-    """Columns of one variant in the 16-column table of ``TABLE_NAMES``."""
-    if variant not in _VARIANT_EXTRAS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    extras = [TABLE_NAMES.index(name) for name in _VARIANT_EXTRAS[variant]]
-    return list(range(len(FEATURE_NAMES))) + extras
-
-
 def evaluate_splits(
     inputs: SplitInputs, splits, specs, variants
 ) -> list[dict[tuple[str, str], SplitResult]]:
@@ -342,7 +327,7 @@ def evaluate_splits(
 
 def run_experiment(
     dataset: LabeledDataset,
-    classifiers=DEFAULT_CLASSIFIERS,
+    classifiers=CLASSIFIER_KINDS,
     variants=VARIANTS,
     rates=(0.6,),
     reps: int = 100,

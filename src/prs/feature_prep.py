@@ -2,33 +2,23 @@
 scoring, center-out ordering; ``pipeline.fit_prep`` chains them.
 
 The importance score of a feature column is the information gain of the
-class labels given a two-set split of the column. The split is the exact
-1D 2-means (the threshold with the least within-cluster SSE, found by one
+class labels given a two-set split of the column. ``rank_features`` is
+the one place that splits and scores: the split is the exact 1D 2-means
+(the threshold with the least within-cluster SSE, found by one
 prefix-sum scan over the sorted columns, all columns at once), so the
-ranking is deterministic and needs no seed. Columns are then permuted so the highest-gain feature
-sits at the center of the soil grid and importance decreases outward.
+ranking is deterministic and needs no seed. Columns are then permuted so
+the highest-gain feature sits at the center of the soil grid and
+importance decreases outward.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError
-
 MIN_SAMPLES = 4  # training rows fit_prep needs
-
-
-@dataclass(frozen=True)
-class SplitResult:
-    """Binary split of one column: per-row set index in {1, 2}."""
-
-    assignment: np.ndarray  # int, values 1 or 2
-    centers: tuple[float, float]  # centers[0] < centers[1]
-    sse: float
 
 
 def column_bounds(values: np.ndarray) -> np.ndarray:
@@ -53,15 +43,17 @@ def apply_bounds(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def _two_means_thresholds(s: np.ndarray) -> np.ndarray:
     """Threshold of the exact 1D 2-means split of each column of an
     (m, k) block, sorted along axis 0, whose columns each hold at least
-    two distinct values.
+    two distinct values: set 1 is the values <= the threshold.
 
-    An optimal 1D 2-means partition is contiguous in sorted order, so
-    every cut between distinct sorted values is scored from prefix sums,
-    taken for all columns in one pass. Minimizing the within-cluster
-    SSE is maximizing the between-cluster sum (m*L_c - c*T)^2 /
-    (m*c*(m-c)) over the c smallest values with sum L_c (T is the
-    total), which avoids the cancellation of S2 - S1^2/c. Ties go to the
-    first (lowest) cut; the threshold is the largest value of set 1.
+    This is the k = 2 case of Ckmeans.1d.dp (Wang & Song 2011, The R
+    Journal 3(2)). An optimal 1D 2-means partition is contiguous in
+    sorted order, so every cut between distinct sorted values is scored
+    from prefix sums, taken for all columns in one pass. Minimizing the
+    within-cluster SSE is maximizing the between-cluster sum
+    (m*L_c - c*T)^2 / (m*c*(m-c)) over the c smallest values with sum
+    L_c (T is the total), which avoids the cancellation of S2 - S1^2/c.
+    Ties go to the first (lowest) cut; the threshold is the largest value
+    of set 1.
     """
     if not np.isfinite(s).all():
         raise ValueError("2-means needs finite values")
@@ -88,28 +80,6 @@ def _two_means_thresholds(s: np.ndarray) -> np.ndarray:
     return s[cuts, np.arange(s.shape[1])]
 
 
-def kmeans_binary_split(values) -> SplitResult:
-    """Exact 1D 2-means: the threshold split with the least within-cluster SSE.
-
-    The k = 2 case of Ckmeans.1d.dp (Wang & Song 2011, The R Journal 3(2)),
-    scored as in ``_two_means_thresholds``. Set 1 is v <= threshold.
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if not np.isfinite(v).all():
-        raise ValueError("2-means needs finite values")
-    if v.size < 2 or v.min() == v.max():
-        raise DegenerateDataError("all values identical: no valid binary split")
-    threshold = _two_means_thresholds(np.sort(v)[:, None])[0]
-
-    assignment = np.where(v <= threshold, 1, 2)
-    centers = np.array([v[assignment == 1].mean(), v[assignment == 2].mean()])
-    return SplitResult(
-        assignment=assignment,
-        centers=(float(centers[0]), float(centers[1])),
-        sse=float(np.sum((v - centers[assignment - 1]) ** 2)),
-    )
-
-
 def _label_codes(labels: Sequence) -> np.ndarray:
     """Each label's class index, classes numbered by first appearance."""
     index: dict = {}
@@ -117,7 +87,7 @@ def _label_codes(labels: Sequence) -> np.ndarray:
         [index.setdefault(lab, len(index)) for lab in labels], dtype=np.intp
     )
     if not codes.size:
-        raise ValueError("entropy of an empty label set is undefined")
+        raise ValueError("information gain needs at least one label")
     return codes
 
 
@@ -131,16 +101,6 @@ def _entropy_of_counts(counts, total: int) -> float:
     return h
 
 
-def _split_gain(codes: np.ndarray, assignment: np.ndarray) -> float:
-    """Information gain of integer-coded labels given split sets 1 and 2."""
-    n_classes = int(codes.max()) + 1
-    # row s - 1 of per_set holds the class counts of set s
-    per_set = np.bincount(
-        codes + n_classes * (assignment - 1), minlength=2 * n_classes
-    ).reshape(2, n_classes)
-    return _gain_of_counts(per_set.tolist(), codes.size)
-
-
 def _gain_of_counts(per_set, total: int) -> float:
     """Information gain of the labels from the class counts of each set."""
     expected = 0.0
@@ -152,32 +112,10 @@ def _gain_of_counts(per_set, total: int) -> float:
     return _entropy_of_counts(class_counts, total) - expected
 
 
-def entropy(labels: Sequence) -> float:
-    """Shannon entropy of a label multiset in bits, with 0*log0 := 0."""
-    codes = _label_codes(labels)
-    return _entropy_of_counts(np.bincount(codes).tolist(), codes.size)
-
-
-def information_gain(
-    column, labels: Sequence, split: SplitResult | None = None
-) -> float:
-    """Entropy reduction of the labels given a binary split of the column.
-
-    When ``split`` is omitted it is computed by ``kmeans_binary_split``.
-    """
-    codes = _label_codes(labels)
-    if split is None:
-        split = kmeans_binary_split(column)
-    if len(split.assignment) != codes.size:
-        raise ValueError(
-            f"split covers {len(split.assignment)} rows, have {codes.size} labels"
-        )
-    return _split_gain(codes, np.asarray(split.assignment))
-
-
 def rank_features(norm: np.ndarray, labels: Sequence) -> np.ndarray:
-    """Information gain per min-max normalized column. A column that is
-    constant (so was constant before scaling) scores 0."""
+    """Information gain of the labels given the exact 2-means split of
+    each min-max normalized column. A column that is constant (so was
+    constant before scaling) scores 0."""
     codes = _label_codes(labels)
     bounds = column_bounds(norm)
     live = np.flatnonzero(bounds[:, 0] != bounds[:, 1])

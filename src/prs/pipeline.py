@@ -6,11 +6,12 @@ length (and sampling rate) and run the array-at-a-time kernels of
 in dataset order, as plain arrays.
 
 The stateful part of the chain (normalization bounds, information-gain
-ranking, column order, soil binning bounds) is fitted once on training
-rows and labels by ``fit_prep`` and captured in PrepArtifacts; any row,
-training or held-out, can then be pushed through the same frozen
-transform. Held-out rows may land outside the fitted bounds, which the
-soil binning clamps.
+ranking, column order) is fitted once on training rows and labels by
+``fit_prep`` and captured in PrepArtifacts; any row, training or
+held-out, can then be pushed through the same frozen transform. The soil
+binning bounds follow from those: (0, 1) for a live column, (0, 0) for a
+constant one. Held-out rows may land outside the fitted bounds, which
+the soil binning clamps.
 
 ``PipelineConfig`` holds the settings of the feature pipeline: the
 base-feature thresholds, soil depth and fill, growth, and the MedPSD
@@ -47,6 +48,7 @@ from .base_features import (
     degenerate_rows,
 )
 from .dataset import LabeledDataset, SignalSegment
+from .errors import DegenerateDataError
 from .feature_prep import (
     MIN_SAMPLES,
     apply_bounds,
@@ -116,21 +118,27 @@ class PrepArtifacts:
     feature_bounds  per-column (min, max) of the raw base features
     gains           information gain per raw column, in base-feature order
     order           column permutation applied after normalization
-    soil_bounds     per-column (min, max) of the sorted normalized
-                    training matrix, used for soil binning
     """
 
     feature_bounds: np.ndarray
     gains: np.ndarray
     order: np.ndarray
-    soil_bounds: np.ndarray
 
     def __post_init__(self):
         n = len(self.gains)
-        if self.feature_bounds.shape != (n, 2) or self.soil_bounds.shape != (n, 2):
+        if self.feature_bounds.shape != (n, 2):
             raise ValueError("bounds arrays must be shaped (n_features, 2)")
         if sorted(self.order.tolist()) != list(range(n)):
             raise ValueError("order must be a permutation of the columns")
+
+    @property
+    def soil_bounds(self) -> np.ndarray:
+        """Per-column (min, max) of the sorted normalized training matrix,
+        used for soil binning. Scaling by its own bounds maps a column's
+        minimum to exactly 0 and its maximum to exactly span / span = 1, so
+        these are (0, 1) for a live column and (0, 0) for a constant one."""
+        live = self.feature_bounds[self.order, 1] > self.feature_bounds[self.order, 0]
+        return np.stack([np.zeros(len(live)), live.astype(np.float64)], axis=1)
 
 
 def fit_prep(base_values: np.ndarray, labels) -> PrepArtifacts:
@@ -154,19 +162,12 @@ def fit_prep(base_values: np.ndarray, labels) -> PrepArtifacts:
     # the gain ranks go center-out; ties break toward the lower column
     order = np.empty(n, dtype=np.int64)
     order[list(center_out_positions(n))] = np.argsort(-gains, kind="stable")
-    return PrepArtifacts(
-        feature_bounds=bounds,
-        gains=gains,
-        order=order,
-        soil_bounds=column_bounds(norm[:, order]),
-    )
+    return PrepArtifacts(feature_bounds=bounds, gains=gains, order=order)
 
 
 def transform_rows(base_values: np.ndarray, artifacts: PrepArtifacts) -> np.ndarray:
     """Normalize raw base rows with fitted bounds, then reorder columns."""
     values = np.asarray(base_values, dtype=np.float64)
-    if values.ndim == 1:
-        values = values[None, :]
     return apply_bounds(values, artifacts.feature_bounds)[:, artifacts.order]
 
 
@@ -176,7 +177,7 @@ def soil_for_row(
     config: SoilConfig = SoilConfig(),
 ) -> DiscreteSoil:
     """Discrete soil grid for one raw base-feature row."""
-    sorted_row = transform_rows(base_row, artifacts)[0]
+    sorted_row = transform_rows(base_row[None, :], artifacts)[0]
     return build_discrete_soil(sorted_row, artifacts.soil_bounds, config)
 
 
@@ -282,8 +283,20 @@ def extract_base_matrix(
 def extract_spectral_matrix(
     dataset: LabeledDataset, median_mode: str = MEDIAN_PSD
 ) -> np.ndarray:
-    """(m, 2) array of [MaxPSD, MedPSD], one row per segment."""
+    """(m, 2) array of [MaxPSD, MedPSD], one row per segment.
+
+    Raises DegenerateDataError naming the first segment, in dataset order,
+    whose spectrum overflows float64.
+    """
     out = np.empty((len(dataset.segments), 2))
     for rows, samples, rate in _segment_blocks(dataset.segments):
         out[rows] = spectral_rows(samples, rate, median_mode)
+    finite = np.isfinite(out)
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        names = [name for name, ok in zip(SPECTRAL_NAMES, finite[bad[0]]) if not ok]
+        raise DegenerateDataError(
+            f"segment {dataset.segments[bad[0]].id!r} overflows float64 in "
+            f"{', '.join(names)}"
+        )
     return out

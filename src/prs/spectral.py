@@ -19,8 +19,10 @@ of the two middle entries of an even band. Those are the values
 ``np.max`` and ``np.median`` return (``np.median`` averages the two
 middle entries with ``np.mean``, the same add and divide). A band holding
 NaN, from an FFT that overflowed, sorts it last; both values are then NaN,
-as ``np.max`` and ``np.median`` give. Sorting a (4, 1000) band took 19 us
-on a 2-vCPU Xeon, ``np.median`` 78 us and its ``np.partition`` alone 42 us.
+as ``np.max`` and ``np.median`` give, and
+``pipeline.extract_spectral_matrix`` names the segment. Sorting a
+(4, 1000) band took 19 us on a 2-vCPU Xeon, ``np.median`` 78 us and its
+``np.partition`` alone 42 us.
 """
 
 from __future__ import annotations
@@ -67,8 +69,11 @@ def spectral_rows(
         )
     n = x.shape[1]
     hi = n // 2
-    band = np.fft.fft(x, axis=1)[:, 1 : hi + 1]
-    psd = (band.real**2 + band.imag**2) / (n * sampling_rate)
+    # A huge row overflows to inf or NaN here; the callers name such a
+    # segment, so numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = np.fft.fft(x, axis=1)[:, 1 : hi + 1]
+        psd = (band.real**2 + band.imag**2) / (n * sampling_rate)
     out = np.empty((len(x), 2))
     if median_mode == MEDIAN_PSD:
         # np.max and np.median of each row, from one sort (module docstring)

@@ -16,7 +16,7 @@ from prs.evaluation import (
     split_inputs,
     stratified_split,
 )
-from prs.feature_prep import apply_bounds, column_bounds
+from prs.feature_prep import _two_means_thresholds, apply_bounds, column_bounds
 from prs.pipeline import fit_prep, prs_features
 
 
@@ -24,6 +24,20 @@ def make_segment(id, label, samples, fs=1000.0):
     return SignalSegment(
         id=id, label=label, sampling_rate=fs, samples=np.asarray(samples, dtype=np.float64)
     )
+
+
+def exact_split(values):
+    """Set index in {1, 2} of each value: set 1 is at or below the exact
+    2-means threshold of ``feature_prep._two_means_thresholds``."""
+    v = np.asarray(values, dtype=np.float64)
+    return np.where(v <= _two_means_thresholds(np.sort(v)[:, None])[0], 1, 2)
+
+
+def split_sse(values, assignment):
+    """Within-set sum of squares of a split into sets 1 and 2."""
+    v = np.asarray(values, dtype=np.float64)
+    sets = [v[assignment == s] for s in (1, 2)]
+    return sum(float(np.sum((x - x.mean()) ** 2)) for x in sets)
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ kernels are tested against, bit for bit:
 - the daily division loop of root growth, with its day log;
 - Andrew's monotone-chain hull and the shoelace area;
 - the whole per-row chain, ``prs_pair_for_row``;
+- the entropy of a label list and the information gain of a two-set
+  split, which ``feature_prep.rank_features`` takes from class counts;
 - the one-problem fits and scores of LR, LDA and QDA, and the per-label
   encoding of a label vector, which ``classifiers.train_group`` and
   ``classifiers.decision_group`` run over stacks of problems.
@@ -20,6 +22,9 @@ kernels they check; nothing in ``src/prs`` imports them.
 """
 
 from __future__ import annotations
+
+import math
+from collections import Counter
 
 import numpy as np
 
@@ -326,7 +331,7 @@ def soil_for_row(
     config: SoilConfig = SoilConfig(),
 ) -> DiscreteSoil:
     """Discrete soil grid for one raw base-feature row."""
-    sorted_row = transform_rows(base_row, artifacts)[0]
+    sorted_row = transform_rows(base_row[None, :], artifacts)[0]
     return build_discrete_soil(sorted_row, artifacts.soil_bounds, config)
 
 
@@ -346,6 +351,28 @@ def prs_pair_for_row(
     """NF and RF for one raw base-feature row."""
     nutrients = nutrients_for_row(base_row, artifacts, config.soil)
     return extract_prs(grow(nutrients, config.growth))
+
+
+# -- information gain ----------------------------------------------------------
+
+
+def oracle_entropy(labels) -> float:
+    """Shannon entropy of a label list in bits, from a Counter."""
+    total = len(labels)
+    return -sum(c / total * math.log2(c / total) for c in Counter(labels).values())
+
+
+def list_scan_gain(labels, assignment) -> float:
+    """Information gain of the labels given set indices in {1, 2}, in the
+    float order of a list scan: the weighted set entropies are summed,
+    then taken from the total entropy."""
+    total = len(labels)
+    expected = 0.0
+    for s in (1, 2):
+        subset = [lab for lab, a in zip(labels, assignment) if a == s]
+        if subset:
+            expected += len(subset) / total * oracle_entropy(subset)
+    return oracle_entropy(labels) - expected
 
 
 # -- classifiers: one problem at a time ----------------------------------------

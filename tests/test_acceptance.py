@@ -16,7 +16,7 @@ from prs.classifiers import CLASSIFIER_KINDS, ClassifierSpec, train
 from prs.cli import main
 from prs.dataset import generate_synthetic, write_dataset
 from prs.evaluation import ConfusionCounts, run_experiment
-from prs.feature_prep import entropy, information_gain, kmeans_binary_split
+from prs.feature_prep import _two_means_thresholds, rank_features
 from prs.growth import GrowthConfig, extract_prs, grow
 from prs.pipeline import prs_features  # noqa: F401  (import sanity for the grid run)
 from prs.soil import KERNEL_DEEP, KERNEL_SHALLOW, NutrientMatrix, convolve_soil, DiscreteSoil
@@ -104,24 +104,24 @@ def test_criterion_02_information_gain_oracle():
             for c in Counter(labels).values()
         )
 
-    column = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
-    split = kmeans_binary_split(column)
-    assert split.assignment.tolist() == [1, 1, 1, 2, 2, 2]
+    column = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    # the exact split of the column is its two values: sets {1, 2}
+    assert _two_means_thresholds(column[:, None]).tolist() == [0.0]
+    assignment = [1, 1, 1, 2, 2, 2]
 
     worst = 0.0
     for bits in product("12", repeat=6):
         labels = [f"C{b}" for b in bits]
         want = oracle_entropy(labels)
         for side in (1, 2):
-            subset = [lab for lab, a in zip(labels, split.assignment) if a == side]
+            subset = [lab for lab, a in zip(labels, assignment) if a == side]
             if subset:
                 want -= len(subset) / 6 * oracle_entropy(subset)
-        got = information_gain(column, labels, split=split)
+        got = rank_features(column[:, None], labels)[0]
         worst = max(worst, abs(got - want))
-        worst = max(worst, abs(entropy(labels) - oracle_entropy(labels)))
     _verdict(
         2,
-        "entropy and gain match all 64 label patterns",
+        "rank_features gain matches the Counter oracle on all 64 label patterns",
         worst <= 1e-12,
         f"max_err={worst:.2e}",
     )

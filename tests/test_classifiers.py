@@ -78,7 +78,7 @@ def test_feature_width_mismatch_at_predict(kind):
     with pytest.raises(ValueError, match="expected shape"):
         model.predict(np.zeros((3, 5)))
     with pytest.raises(ValueError, match="expected shape"):
-        model.decision_function(np.zeros(2))
+        decision_group([model], [np.zeros(2)])[0]
 
 
 @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
@@ -186,7 +186,7 @@ def test_lr_probability_one_half_boundary():
     # symmetric two-point data puts the fitted boundary at the midpoint
     X = np.array([[-1.0], [1.0]])
     model = train(ClassifierSpec(kind="LR"), X, ["A", "B"])
-    assert model.decision_function(np.array([[0.0]]))[0] == pytest.approx(
+    assert decision_group([model], [np.array([[0.0]])])[0][0] == pytest.approx(
         0.0, abs=1e-6
     )
     assert model.predict(np.array([[0.0]])).tolist() == ["B"]
@@ -290,7 +290,7 @@ def test_svm_xor_support_geometry():
     # the four corners are all essential
     assert model.diagnostics["n_support"] == 4
     assert model.diagnostics["kkt_residual"] <= 1e-9
-    margins = model.decision_function(XOR_X) * np.array([1.0, -1.0, -1.0, 1.0])
+    margins = decision_group([model], [XOR_X])[0] * np.array([1.0, -1.0, -1.0, 1.0])
     assert np.all(margins >= 1.0 - 1e-9)
 
 
@@ -336,7 +336,7 @@ def test_svm_predict_rejects_a_kernel_that_overflows():
         with pytest.raises(DegenerateDataError, match="kernel overflows float64"):
             model.predict(X[:4] * 1e120)
     assert caught == []
-    assert np.isfinite(model.decision_function(X[:4] * 1e30)).all()
+    assert np.isfinite(decision_group([model], [X[:4] * 1e30])[0]).all()
 
 
 @pytest.mark.parametrize("kind", ["LDA", "QDA"])
@@ -351,7 +351,7 @@ def test_gaussian_predict_rejects_a_distance_that_overflows(kind):
         with pytest.raises(DegenerateDataError, match="distance of a row overflows"):
             model.predict(X[:4] * 1e160)
     assert caught == []
-    assert np.isfinite(model.decision_function(X[:4] * 1e100)).all()
+    assert np.isfinite(decision_group([model], [X[:4] * 1e100])[0]).all()
 
 
 # -- group fits ---------------------------------------------------------------

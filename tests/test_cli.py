@@ -96,7 +96,16 @@ def test_spectral_csv_header(data_dir, capsys):
     assert len(lines) == 9
 
 
-def test_extract_overflowing_segment_prints_only_the_error_line(tmp_path):
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        (["extract"], "STD, VAR, RMS, SKW, KURT, SSI, NLE"),
+        (["spectral"], "MaxPSD, MedPSD"),
+        (["spectral", "--median-mode", "frequency"], "MaxPSD"),
+    ],
+    ids=["extract", "spectral", "spectral-frequency"],
+)
+def test_extract_overflowing_segment_prints_only_the_error_line(tmp_path, argv, columns):
     # a child process, so stderr holds whatever numpy would print
     data = generate_synthetic(2, 64, seed=3)
     huge = data.segments[1]
@@ -105,11 +114,10 @@ def test_extract_overflowing_segment_prints_only_the_error_line(tmp_path):
         huge.id, huge.label, huge.sampling_rate, 1e160 * huge.samples
     )
     manifest = write_dataset(LabeledDataset(data.name, tuple(segments)), tmp_path)
-    proc = run_cli(["extract", "--manifest", str(manifest)])
+    proc = run_cli([*argv, "--manifest", str(manifest)])
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
-        f"error: segment {huge.id!r} overflows float64 in "
-        "STD, VAR, RMS, SKW, KURT, SSI, NLE"
+        f"error: segment {huge.id!r} overflows float64 in {columns}"
     ]
 
 

@@ -1,12 +1,14 @@
 """Normalization, 2-means splitting, information gain, center-out sort.
 
-The normalization and the sort are checked through ``fit_prep``, which
-chains them on plain arrays; the sort tests fix the gains by replacing
-``prs.pipeline.rank_features``, the name ``fit_prep`` calls.
+``rank_features`` is the one split-and-gain path. Its split is checked
+through ``_two_means_thresholds``, its gain on 0.0/1.0 columns whose
+exact split is a given set assignment. The normalization and the sort
+are checked through ``fit_prep``, which chains them on plain arrays; the
+sort tests fix the gains by replacing ``prs.pipeline.rank_features``,
+the name ``fit_prep`` calls.
 """
 
 import math
-from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -14,27 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prs.errors import DegenerateDataError
 from prs.feature_prep import (
     MIN_SAMPLES,
-    SplitResult,
+    _two_means_thresholds,
     apply_bounds,
     center_out_positions,
     column_bounds,
-    entropy,
-    information_gain,
-    kmeans_binary_split,
     rank_features,
 )
 from prs.pipeline import fit_prep, transform_rows
 
+from conftest import exact_split, split_sse
+from reference import list_scan_gain, oracle_entropy
+
 # -- oracles -----------------------------------------------------------------
-
-
-def oracle_entropy(labels):
-    counts = Counter(labels)
-    total = len(labels)
-    return -sum(c / total * math.log2(c / total) for c in counts.values())
 
 
 def oracle_gain(labels, assignment):
@@ -58,6 +53,13 @@ def oracle_best_threshold_sse(values):
         sse = sum((x - ml) ** 2 for x in left) + sum((x - mr) ** 2 for x in right)
         best = min(best, sse)
     return best
+
+
+def gain_of_assignment(labels, assignment):
+    """``rank_features`` on the 0.0/1.0 column whose exact split is the
+    assignment (a one-set assignment is a constant column: gain 0)."""
+    column = np.asarray(assignment, dtype=np.float64) - 1.0
+    return rank_features(column[:, None], labels)[0]
 
 
 # -- min-max normalization ---------------------------------------------------
@@ -119,21 +121,18 @@ def test_matrix_validation():
 
 
 def test_kmeans_clear_gap():
-    split = kmeans_binary_split([0.0, 0.1, 0.9, 1.0])
-    assert split.assignment.tolist() == [1, 1, 2, 2]
-    assert split.centers == (0.05, 0.95)
-    assert split.sse == pytest.approx(0.01, abs=1e-15)
+    v = np.array([0.0, 0.1, 0.9, 1.0])
+    assert _two_means_thresholds(np.sort(v)[:, None]).tolist() == [0.1]
+    assignment = exact_split(v)
+    assert assignment.tolist() == [1, 1, 2, 2]
+    assert (v[assignment == 1].mean(), v[assignment == 2].mean()) == (0.05, 0.95)
+    assert split_sse(v, assignment) == pytest.approx(0.01, abs=1e-15)
 
 
 def test_kmeans_two_points_zero_sse():
-    split = kmeans_binary_split([0.0, 1.0])
-    assert split.sse == 0.0
-    assert split.assignment.tolist() == [1, 2]
-
-
-def test_kmeans_constant_column_rejected():
-    with pytest.raises(DegenerateDataError, match="identical"):
-        kmeans_binary_split([3.0, 3.0, 3.0, 3.0])
+    assignment = exact_split([0.0, 1.0])
+    assert assignment.tolist() == [1, 2]
+    assert split_sse([0.0, 1.0], assignment) == 0.0
 
 
 def test_kmeans_finds_global_optimum_on_small_columns():
@@ -142,71 +141,60 @@ def test_kmeans_finds_global_optimum_on_small_columns():
         v = np.round(rng.uniform(0, 1, size=rng.integers(4, 10)), 2)
         if np.unique(v).size < 2:
             continue
-        split = kmeans_binary_split(v)
-        assert split.sse == pytest.approx(
+        assert split_sse(v, exact_split(v)) == pytest.approx(
             oracle_best_threshold_sse(v.tolist()), abs=1e-12
         )
 
 
 def test_kmeans_deterministic():
-    v = np.random.default_rng(2).normal(size=40)
-    a = kmeans_binary_split(v)
-    b = kmeans_binary_split(v)
-    assert np.array_equal(a.assignment, b.assignment)
-    assert a.centers == b.centers and a.sse == b.sse
+    block = np.random.default_rng(2).normal(size=(40, 3))
+    labels = ["A", "B"] * 20
+    a = rank_features(block, labels)
+    b = rank_features(block, labels)
+    assert a.tobytes() == b.tobytes()
+    ordered = np.sort(block, axis=0)
+    assert np.array_equal(_two_means_thresholds(ordered), _two_means_thresholds(ordered))
 
 
 def test_kmeans_centers_ordered_and_sets_nonempty():
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        v = rng.normal(size=30)
-        split = kmeans_binary_split(v)
-        assert split.centers[0] < split.centers[1]
-        assert {1, 2} == set(np.unique(split.assignment))
-        # set 1 belongs to the lower center
-        assert v[split.assignment == 1].mean() == pytest.approx(split.centers[0])
+    block = np.sort(rng.normal(size=(30, 10)), axis=0)
+    for v, threshold in zip(block.T, _two_means_thresholds(block)):
+        # set 1 (<= threshold) and set 2 are both non-empty, set 1 below
+        assert v[0] <= threshold < v[-1]
+        assert v[v <= threshold].mean() < v[v > threshold].mean()
 
 
 # -- entropy and information gain --------------------------------------------
 
 
 def test_entropy_examples():
-    assert entropy(["C1"] * 8 + ["C2"] * 8) == 1.0
-    assert entropy(["C1"] * 16) == 0.0
-    assert entropy(["C1"] * 4 + ["C2"] * 12) == pytest.approx(0.811278, abs=1e-6)
+    # a split that separates the classes gains the whole label entropy
+    assert gain_of_assignment(["C1"] * 8 + ["C2"] * 8, [1] * 8 + [2] * 8) == 1.0
+    assert gain_of_assignment(["C1"] * 16, [1] * 8 + [2] * 8) == 0.0
+    gain = gain_of_assignment(["C1"] * 4 + ["C2"] * 12, [1] * 4 + [2] * 12)
+    assert gain == pytest.approx(0.811278, abs=1e-6)
 
 
 def test_entropy_empty_rejected():
-    with pytest.raises(ValueError):
-        entropy([])
+    with pytest.raises(ValueError, match="at least one label"):
+        rank_features(np.zeros((0, 2)), [])
 
 
 def test_gain_worked_example():
     labels = ["C1", "C1", "C1", "C2", "C2", "C2"]
-    split = SplitResult(
-        assignment=np.array([1, 1, 2, 2, 2, 2]), centers=(0.0, 1.0), sse=0.0
-    )
-    gain = information_gain([0.0] * 6, labels, split=split)
+    gain = gain_of_assignment(labels, [1, 1, 2, 2, 2, 2])
     assert gain == pytest.approx(1.0 - (2 / 6) * 0.0 - (4 / 6) * 0.811278, abs=1e-6)
     assert gain == pytest.approx(0.459148, abs=1e-6)
 
 
 def test_gain_matches_oracle_on_all_patterns_of_small_column():
     # every binary labeling of 6 rows against a fixed clear split
-    split = SplitResult(
-        assignment=np.array([1, 1, 1, 2, 2, 2]), centers=(0.0, 1.0), sse=0.0
-    )
-    col = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assignment = [1, 1, 1, 2, 2, 2]
     for bits in product("12", repeat=6):
         labels = [f"C{b}" for b in bits]
-        got = information_gain(col, labels, split=split)
-        assert got == pytest.approx(oracle_gain(labels, split.assignment), abs=1e-12)
-
-
-def test_gain_length_mismatch():
-    split = SplitResult(assignment=np.array([1, 2]), centers=(0.0, 1.0), sse=0.0)
-    with pytest.raises(ValueError, match="labels"):
-        information_gain([0.0, 1.0], ["A"], split=split)
+        got = gain_of_assignment(labels, assignment)
+        assert got == pytest.approx(oracle_gain(labels, assignment), abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -215,23 +203,10 @@ def test_gain_length_mismatch():
     st.integers(min_value=0, max_value=2**24 - 1),
 )
 def test_gain_bounds_property(labels, pattern):
-    n = len(labels)
-    assignment = np.array([1 + ((pattern >> i) & 1) for i in range(n)])
-    split = SplitResult(assignment=assignment, centers=(0.0, 1.0), sse=0.0)
-    gain = information_gain([0.0] * n, labels, split=split)
-    assert -1e-12 <= gain <= entropy(labels) + 1e-12
-
-
-def list_scan_gain(labels, assignment):
-    """The gain in the float order of the list-scan implementation: the
-    weighted set entropies are summed, then taken from the total entropy."""
-    total = len(labels)
-    expected = 0.0
-    for s in (1, 2):
-        subset = [lab for lab, a in zip(labels, assignment) if a == s]
-        if subset:
-            expected += len(subset) / total * oracle_entropy(subset)
-    return oracle_entropy(labels) - expected
+    assignment = [1 + ((pattern >> i) & 1) for i in range(len(labels))]
+    gain = gain_of_assignment(labels, assignment)
+    assert -1e-12 <= gain <= oracle_entropy(labels) + 1e-12
+    assert gain == list_scan_gain(labels, assignment)
 
 
 def test_gains_equal_list_scan_oracle_on_random_folds():
@@ -248,9 +223,7 @@ def test_gains_equal_list_scan_oracle_on_random_folds():
             if norm[:, j].min() == norm[:, j].max():
                 assert gains[j] == 0.0
                 continue
-            want = list_scan_gain(labels, kmeans_binary_split(norm[:, j]).assignment)
-            assert gains[j] == want
-            assert information_gain(norm[:, j], labels) == want
+            assert gains[j] == list_scan_gain(labels, exact_split(norm[:, j]))
 
 
 # -- ranking and center-out sort ---------------------------------------------

@@ -4,7 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from prs.feature_prep import MIN_SAMPLES, apply_bounds, column_bounds
 from prs.pipeline import (
     PrepArtifacts,
     extract_base_matrix,
@@ -53,7 +56,7 @@ def test_transform_keeps_training_rows_in_unit_box(fitted):
 
 def test_transform_accepts_single_row(fitted):
     base, artifacts = fitted
-    one = transform_rows(base[3], artifacts)
+    one = transform_rows(base[3:4], artifacts)
     assert one.shape == (1, 12)
     assert np.array_equal(one[0], transform_rows(base, artifacts)[3])
 
@@ -112,15 +115,46 @@ def test_prep_artifacts_validation():
             feature_bounds=np.zeros((2, 2)),
             gains=np.zeros(2),
             order=np.array([0, 0]),
-            soil_bounds=np.zeros((2, 2)),
         )
     with pytest.raises(ValueError, match="bounds"):
         PrepArtifacts(
             feature_bounds=np.zeros((3, 2)),
             gains=np.zeros(2),
             order=np.array([0, 1]),
-            soil_bounds=np.zeros((2, 2)),
         )
+
+
+@st.composite
+def prep_blocks(draw):
+    """Raw training blocks whose columns are constant, quantized (ties) or
+    spread, scaled by 1e-300 to 1e300 around a shift; a tiny scale on a
+    nonzero shift rounds to a constant column as well."""
+    m = draw(st.integers(MIN_SAMPLES, 24))
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        shift = draw(st.sampled_from([0.0, 1.0, -7.5, 1e10]))
+        kind = draw(st.sampled_from(["constant", "quantized", "spread"]))
+        if kind == "constant":
+            steps = [draw(st.integers(-3, 3))] * m
+        elif kind == "quantized":
+            steps = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        else:
+            steps = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+        columns.append(shift + scale * np.array(steps, dtype=np.float64))
+    return np.column_stack(columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prep_blocks())
+def test_soil_bounds_equal_the_bounds_of_the_scaled_ordered_block(values):
+    # the bounds as fit_prep once fitted them, from the scaled training rows
+    artifacts = fit_prep(values, [("A", "B")[i % 2] for i in range(len(values))])
+    scaled = apply_bounds(values, column_bounds(values))
+    want = column_bounds(scaled[:, artifacts.order])
+    got = artifacts.soil_bounds
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_extract_base_matrix_row_per_segment(small_synth):

@@ -1,7 +1,8 @@
 """The exact 1D 2-means split against a brute-force scan and a frozen Lloyd.
 
-``kmeans_binary_split`` scores every cut of the sorted column from prefix
-sums. Two references check it:
+``feature_prep._two_means_thresholds`` scores every cut of the sorted
+columns from prefix sums, and ``rank_features`` takes the gain of the
+split at that threshold. Two references check the split:
 
 * a brute-force scan in exact rational arithmetic over every cut between
   distinct values (the optimum of 1D 2-means is a threshold split);
@@ -9,6 +10,8 @@ sums. Two references check it:
   25 seeded restarts by within-cluster SSE, one child seed per column.
   The exact split may never be worse, and where the SSEs agree the two
   must assign every row to the same set.
+
+The list-scan gain of ``tests/reference.py`` checks the gain of each split.
 """
 
 import math
@@ -20,16 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prs.dataset import generate_synthetic
-from prs.errors import DegenerateDataError
 from prs.evaluation import stratified_split
 from prs.feature_prep import (
+    _two_means_thresholds,
     apply_bounds,
     column_bounds,
-    information_gain,
-    kmeans_binary_split,
     rank_features,
 )
 from prs.pipeline import extract_base_matrix
+
+from conftest import exact_split, split_sse
+from reference import list_scan_gain
 
 # -- frozen reference: best-of-restarts Lloyd -------------------------------
 
@@ -100,13 +104,24 @@ def brute_force_split(values):
     return best[0], best[1], sum((x - mean) ** 2 for x in exact)
 
 
-def check_split_shape(values, split):
-    v = np.asarray(values, dtype=np.float64)
-    low, high = v[split.assignment == 1], v[split.assignment == 2]
+def check_exact_split(column):
+    """The exact split of a column with two distinct values or more: a
+    threshold split with set 1 below, scored by ``rank_features`` as the
+    list-scan gain of some labels. Returns its assignment."""
+    v = np.asarray(column, dtype=np.float64)
+    assignment = exact_split(v)
+    low, high = v[assignment == 1], v[assignment == 2]
     assert low.size and high.size
     assert low.max() < high.min()  # a threshold split, set 1 below
-    assert split.centers == (float(low.mean()), float(high.mean()))
-    assert split.centers[0] < split.centers[1]
+    labels = [("P", "N", "N")[i % 3] for i in range(len(v))]
+    assert rank_features(v[:, None], labels)[0] == list_scan_gain(labels, assignment)
+    return assignment
+
+
+def check_constant(column):
+    """A column of one value has no split: ``rank_features`` scores it 0."""
+    labels = [("P", "N")[i % 2] for i in range(len(column))]
+    assert rank_features(np.array(column, dtype=np.float64)[:, None], labels)[0] == 0.0
 
 
 # -- the reference workload's training folds --------------------------------
@@ -135,13 +150,15 @@ def test_exact_split_never_worse_than_restarts_on_reference_folds(reference_fold
     n_columns = n_better = 0
     for rep, norm, _ in reference_folds:
         seeds = reference_column_seeds(rep, norm.shape[1])
+        thresholds = _two_means_thresholds(np.sort(norm, axis=0))
         for j in range(norm.shape[1]):
             column = norm[:, j]
-            exact = kmeans_binary_split(column)
+            assignment = np.where(column <= thresholds[j], 1, 2)
+            sse = split_sse(column, assignment)
             lloyd_assignment, lloyd_sse = reference_lloyd_split(column, int(seeds[j]))
-            assert exact.sse <= lloyd_sse + 1e-12, (rep, j)
-            if abs(exact.sse - lloyd_sse) <= 1e-12:
-                assert np.array_equal(exact.assignment, lloyd_assignment), (rep, j)
+            assert sse <= lloyd_sse + 1e-12, (rep, j)
+            if abs(sse - lloyd_sse) <= 1e-12:
+                assert np.array_equal(assignment, lloyd_assignment), (rep, j)
             else:
                 n_better += 1
             n_columns += 1
@@ -153,8 +170,7 @@ def test_rank_features_is_the_gain_of_the_exact_split(reference_folds):
     for _, norm, labels in reference_folds[:3]:
         gains = rank_features(norm, labels)
         for j in range(norm.shape[1]):
-            split = kmeans_binary_split(norm[:, j])
-            assert gains[j] == information_gain(norm[:, j], labels, split)
+            assert gains[j] == list_scan_gain(labels, exact_split(norm[:, j]))
 
 
 # -- brute force over awkward columns ---------------------------------------
@@ -186,59 +202,54 @@ def awkward_columns():
 @given(quantized_columns())
 def test_first_optimal_cut_on_tie_heavy_quantized_columns(column):
     if len(set(column)) < 2:
-        with pytest.raises(DegenerateDataError):
-            kmeans_binary_split(column)
+        check_constant(column)
         return
-    split = kmeans_binary_split(column)
     want, _, _ = brute_force_split(column)
-    assert split.assignment.tolist() == want
-    check_split_shape(column, split)
+    assert check_exact_split(column).tolist() == want
 
 
-# The SSE of a column spanning 1e300 is beyond float range and overflows.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(awkward_columns())
 def test_optimal_sse_on_duplicate_zero_and_extreme_columns(column):
     if len(set(column)) < 2:  # -0.0 == 0.0
-        with pytest.raises(DegenerateDataError):
-            kmeans_binary_split(column)
+        check_constant(column)
         return
-    split = kmeans_binary_split(column)
+    assignment = check_exact_split(column)
     _, best, total = brute_force_split(column)
-    got = exact_sse(column, split.assignment)
+    got = exact_sse(column, assignment)
     assert got >= best
     assert got - best <= Fraction(1, 10**12) * total
-    check_split_shape(column, split)
 
 
 def test_two_point_columns():
     for pair in ([0.0, 1.0], [1.0, 0.0], [-1e300, 1e300], [5e-324, 0.0], [-0.0, 1.0]):
-        split = kmeans_binary_split(pair)
-        assert split.sse == 0.0
+        assignment = check_exact_split(pair)
         low = int(np.argmin(pair))
-        assert split.assignment[low] == 1 and split.assignment[1 - low] == 2
+        assert assignment[low] == 1 and assignment[1 - low] == 2
 
 
 def test_signed_zeros_are_one_value():
-    split = kmeans_binary_split([-0.0, 0.0, 0.0, -0.0, 1.0, 1.0])
-    assert split.assignment.tolist() == [1, 1, 1, 1, 2, 2]
-    with pytest.raises(DegenerateDataError):
-        kmeans_binary_split([0.0, -0.0, 0.0])
+    assert check_exact_split([-0.0, 0.0, 0.0, -0.0, 1.0, 1.0]).tolist() == [
+        1, 1, 1, 1, 2, 2
+    ]
+    check_constant([0.0, -0.0, 0.0])
 
 
 def test_exact_tie_takes_the_first_cut():
     # Both cuts of [0, 0.5, 1] leave SSE 0.125: {0 | 0.5, 1} and
     # {0, 0.5 | 1}. The scan keeps the first, so 0.5 joins the upper set.
-    split = kmeans_binary_split([0.0, 0.5, 1.0])
-    assert split.assignment.tolist() == [1, 2, 2]
-    assert split.centers == (0.0, 0.75)
-    assert split.sse == 0.125
+    assert _two_means_thresholds(np.array([[0.0], [0.5], [1.0]])).tolist() == [0.0]
+    assignment = check_exact_split([0.0, 0.5, 1.0])
+    assert assignment.tolist() == [1, 2, 2]
+    assert split_sse([0.0, 0.5, 1.0], assignment) == 0.125
     # the order of the rows does not matter
-    assert kmeans_binary_split([1.0, 0.0, 0.5]).assignment.tolist() == [2, 1, 2]
+    assert check_exact_split([1.0, 0.0, 0.5]).tolist() == [2, 1, 2]
 
 
 def test_non_finite_column_rejected():
     for bad in ([0.0, math.nan, 1.0], [0.0, math.inf], [-math.inf, 1.0]):
+        column = np.array(bad)[:, None]
         with pytest.raises(ValueError, match="finite"):
-            kmeans_binary_split(bad)
+            _two_means_thresholds(np.sort(column, axis=0))
+        with pytest.raises(ValueError, match="finite"):
+            rank_features(column, ["P", "N", "P"][: len(bad)])
