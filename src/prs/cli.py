@@ -35,7 +35,6 @@ from .evaluation import (
     evaluate_splits,
     rep_rng,
     run_experiment,
-    split_inputs,
     stratified_split,
 )
 from .growth import GrowthConfig, extract_prs, grow
@@ -437,15 +436,14 @@ def _cmd_classify(opts) -> int:
     """single stratified split, one classifier, one variant"""
     config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
-    variants = (opts["variant"],)
-    inputs = split_inputs(
-        dataset, variants, (opts["rate"],), opts["global_prep"], config
-    )
     train_idx, test_idx = stratified_split(
-        inputs.labels, dataset.class_names, opts["rate"], rep_rng(opts["seed"], 0)
+        dataset.labels, dataset.class_names, opts["rate"], rep_rng(opts["seed"], 0)
     )
     spec = ClassifierSpec(kind=opts["classifier"])
-    [results] = evaluate_splits(inputs, [(train_idx, test_idx)], [spec], variants)
+    variants = (opts["variant"],)
+    [results] = evaluate_splits(
+        dataset, [(train_idx, test_idx)], [spec], variants, opts["global_prep"], config
+    )
     counts, diagnostics = results[(spec.kind, opts["variant"])]
     report = {
         "dataset": dataset.name,

@@ -140,8 +140,9 @@ def _read_signal_lines(path: Path) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def load_dataset(manifest_path: str | Path, name: str | None = None) -> LabeledDataset:
-    """Load a dataset from a manifest CSV (see module docstring for format)."""
+def load_dataset(manifest_path: str | Path) -> LabeledDataset:
+    """Load a dataset from a manifest CSV (see module docstring for format),
+    named after the manifest file's stem."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DatasetError(f"missing manifest file {manifest_path}")
@@ -201,7 +202,7 @@ def load_dataset(manifest_path: str | Path, name: str | None = None) -> LabeledD
         except DatasetError as err:
             raise DatasetError(f"{manifest_path}: row {rownum}: {err}") from None
 
-    return LabeledDataset(name=name or manifest_path.stem, segments=tuple(segments))
+    return LabeledDataset(name=manifest_path.stem, segments=tuple(segments))
 
 
 def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:

@@ -4,21 +4,23 @@ A run crosses classifiers x feature variants x training rates over many
 repetitions. Every repetition draws one stratified split per rate from
 ``rep_rng(seed, rep)`` and reuses it across all variants and classifiers,
 so the comparison between variants is paired. ``evaluate_splits`` is the
-one split evaluator: feature preparation (normalization bounds, gain
-ranking, column order) is fitted on each training fold only unless
-global_prep is set, which fits it once on the whole dataset and is
-meant for protocol-replication runs. ``run_experiment`` draws every
-rep's splits and prepares their features first (NF/RF of every split's
-rows in one ``prs_features`` call, one scaled feature table per split),
-then fits each classifier once over all of them and predicts its test
-matrices as one group, so that every
-kind fits and scores the problems of every rep, rate and variant in
-stacks of equal shape (SVM_POLY steps its duals in lockstep loops whose
-kernel memory the classifiers module bounds by a byte budget, as the
-duals of a run grow with reps). ``prs classify`` is rep 0 of
-``run_experiment`` with one classifier, variant and rate. One
-``pipeline.PipelineConfig`` carries the feature settings (thresholds,
-soil, growth, median mode) of a run, so a PRS ablation is a config.
+one split evaluator, from a dataset and its splits to scored splits:
+feature preparation (normalization bounds, gain ranking, column order)
+is fitted on each training fold only unless global_prep is set, which
+fits it once on the whole dataset and is meant for protocol-replication
+runs. It prepares the features of every split first (NF/RF of every
+split's rows in one ``prs_features`` call, one scaled feature table per
+split), then fits each classifier once over all of them and predicts its
+test matrices as one group, so that every kind fits and scores the
+problems of every rep, rate and variant in stacks of equal shape
+(SVM_POLY steps its duals in lockstep loops whose kernel memory the
+classifiers module bounds by a byte budget, as the duals of a run grow
+with reps). ``run_experiment`` draws every rep's splits, makes one
+``evaluate_splits`` call and builds its report from one accuracy array.
+``prs classify`` is rep 0 of ``run_experiment`` with one classifier,
+variant and rate. One ``pipeline.PipelineConfig`` carries the feature
+settings (thresholds, soil, growth, median mode) of a run, so a PRS
+ablation is a config.
 
 Reports are plain dicts ready for json.dump; an infinite ANOVA F value
 is serialized as the string "inf".
@@ -141,24 +143,18 @@ def anova_oneway(groups) -> AnovaResult:
     )
 
 
-def _n_train(n_class: int, rate: float) -> int:
-    """Training rows drawn from a class of n_class segments:
-    round(rate * n_class) clamped to [1, n_class - 1]."""
-    if not (0.0 < rate < 1.0):
-        raise ValueError(f"training rate must be in (0, 1), got {rate}")
-    return min(max(round(rate * n_class), 1), n_class - 1)
-
-
 def stratified_split(labels, class_names, rate: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Per-class split: n_train = round(rate * n_c) clamped to [1, n_c - 1].
     Returns ascending (train_idx, test_idx)."""
+    if not (0.0 < rate < 1.0):
+        raise ValueError(f"training rate must be in (0, 1), got {rate}")
     labels = [str(v) for v in labels]
     train, test = [], []
     for name in class_names:
         idx = np.array([i for i, v in enumerate(labels) if v == name])
         if idx.size < 2:
             raise ValueError(f"class {name!r} needs at least 2 segments to split")
-        n_train = _n_train(idx.size, rate)
+        n_train = min(max(round(rate * idx.size), 1), idx.size - 1)
         perm = rng.permutation(idx.size)
         train.extend(idx[perm[:n_train]].tolist())
         test.extend(idx[perm[n_train:]].tolist())
@@ -186,72 +182,9 @@ def assemble_variant(
     return np.ascontiguousarray(table[:, columns])
 
 
-def _needs(variants, column_names) -> bool:
-    return any(
-        name in _VARIANT_EXTRAS.get(v, ()) for v in variants for name in column_names
-    )
-
-
-def _check_prep_folds(dataset: LabeledDataset, rates) -> None:
-    """Fail before any work when a training fold is too small for
-    per-fold feature preparation."""
-    sizes = [dataset.labels.count(name) for name in dataset.class_names]
-    for rate in rates:
-        rows = sum(_n_train(n, rate) for n in sizes)
-        if rows < MIN_SAMPLES:
-            raise PrsError(
-                f"training folds at rate {rate} hold {rows} rows, but per-fold "
-                f"feature preparation needs at least {MIN_SAMPLES}; the smallest "
-                f"class has {min(sizes)} segments"
-            )
-
-
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
     """Generator that draws the splits of repetition ``rep``."""
     return np.random.default_rng(seed ^ rep)
-
-
-@dataclass(frozen=True)
-class SplitInputs:
-    """Per-segment rows that every split of one dataset draws from.
-
-    spectral is all zeros when no variant has MaxPSD/MedPSD; global_prs
-    holds NF/RF fitted on the whole dataset under global prep, else None
-    and NF/RF are fitted per training fold with ``config``.
-    """
-
-    base: np.ndarray
-    labels: np.ndarray
-    spectral: np.ndarray
-    global_prs: np.ndarray | None
-    config: PipelineConfig
-
-
-def split_inputs(
-    dataset: LabeledDataset,
-    variants,
-    rates,
-    global_prep: bool = False,
-    config: PipelineConfig = PipelineConfig(),
-) -> SplitInputs:
-    """Rows for ``evaluate_splits`` over ``variants``; computes only the
-    columns those variants use. Raises ``PrsError`` before any feature
-    work when per-fold prep would get too few rows at one of ``rates``."""
-    needs_prs = _needs(variants, PRS_NAMES)
-    if needs_prs and not global_prep:
-        _check_prep_folds(dataset, rates)
-    base = extract_base_matrix(dataset, config.thresholds)
-    labels = np.array(dataset.labels)
-    spectral = (
-        extract_spectral_matrix(dataset, config.median_mode)
-        if _needs(variants, SPECTRAL_NAMES)
-        else np.zeros((len(labels), 2))
-    )
-    global_prs = None
-    if global_prep and needs_prs:
-        artifacts = fit_prep(base, labels)
-        global_prs = prs_features(base, artifacts, config)
-    return SplitInputs(base, labels, spectral, global_prs, config)
 
 
 class SplitResult(NamedTuple):
@@ -260,41 +193,64 @@ class SplitResult(NamedTuple):
 
 
 def evaluate_splits(
-    inputs: SplitInputs, splits, specs, variants
+    dataset: LabeledDataset,
+    splits,
+    specs,
+    variants,
+    global_prep: bool = False,
+    config: PipelineConfig = PipelineConfig(),
 ) -> list[dict[tuple[str, str], SplitResult]]:
     """Train and score every classifier on every variant of each split.
 
-    ``splits`` is a sequence of (train_idx, test_idx) pairs and
-    ``inputs`` comes from ``split_inputs`` for the same variants. NF/RF
-    are the global-prep rows when ``inputs`` has them; else feature
-    preparation is fitted on each training fold, and one
-    ``prs_features`` call takes every split's training and test rows,
-    in split order, each under its own fold's artifacts. Each split's
-    16-column tables (base, NF, RF, MaxPSD, MedPSD) of training and test
-    rows are scaled once by the training table's bounds, and each
-    variant is a column selection of them: min-max scaling works column
-    by column, so this equals scaling the variant's own columns. Then
-    each classifier makes one ``train_group`` fit over every split's
-    variants and one ``predict_group`` call over their test matrices,
-    which stack the problems of equal shape. One dict per split, keyed
-    by (classifier kind, variant).
+    ``splits`` is a sequence of (train_idx, test_idx) pairs of rows of
+    ``dataset``. The base rows are computed, and MaxPSD/MedPSD and NF/RF
+    only when a variant has them. Under ``global_prep`` feature
+    preparation is fitted once on the whole dataset and NF/RF of every
+    row come from one ``prs_features`` call; else it is fitted on each
+    training fold, after a check that raises ``PrsError`` before any
+    feature work when a fold has fewer than ``MIN_SAMPLES`` rows, and one
+    ``prs_features`` call takes every split's training and test rows, in
+    split order, each under its own fold's artifacts. Each split's 16-column tables (base,
+    NF, RF, MaxPSD, MedPSD) of training and test rows are scaled once by
+    the training table's bounds, and each variant is a column selection
+    of them: min-max scaling works column by column, so this equals
+    scaling the variant's own columns. Then each classifier makes one
+    ``train_group`` fit over every split's variants and one
+    ``predict_group`` call over their test matrices, which stack the
+    problems of equal shape. One dict per split, keyed by (classifier
+    kind, variant).
     """
+    columns = [_variant_columns(variant) for variant in variants]
     if not splits:
         return []
-    base, labels, spectral = inputs.base, inputs.labels, inputs.spectral
-    columns = [_variant_columns(variant) for variant in variants]
+    extras = {name for variant in variants for name in _VARIANT_EXTRAS[variant]}
+    needs_prs = not extras.isdisjoint(PRS_NAMES)
+    smallest = min(len(train_idx) for train_idx, _ in splits)
+    if needs_prs and not global_prep and smallest < MIN_SAMPLES:
+        raise PrsError(
+            f"the smallest training fold holds {smallest} rows, but per-fold "
+            f"feature preparation needs at least {MIN_SAMPLES}; the smallest class "
+            f"has {min(map(dataset.labels.count, dataset.class_names))} segments"
+        )
+    labels = np.array(dataset.labels)
+    base = extract_base_matrix(dataset, config.thresholds)
     rows = np.concatenate([np.concatenate(split) for split in splits])
-    if not _needs(variants, PRS_NAMES):
+    spectral_rows = (
+        extract_spectral_matrix(dataset, config.median_mode)[rows]
+        if not extras.isdisjoint(SPECTRAL_NAMES)
+        else np.zeros((len(rows), 2))
+    )
+    if not needs_prs:
         prs_rows = np.zeros((len(rows), 2))
-    elif inputs.global_prs is not None:
-        prs_rows = inputs.global_prs[rows]
+    elif global_prep:
+        prs_rows = prs_features(base, fit_prep(base, labels), config)[rows]
     else:
         runs = [
             (fit_prep(base[train_idx], labels[train_idx]), len(train_idx) + len(test_idx))
             for train_idx, test_idx in splits
         ]
-        prs_rows = prs_features(base[rows], runs, inputs.config)
-    table = np.column_stack([base[rows], prs_rows, spectral[rows]])
+        prs_rows = prs_features(base[rows], runs, config)
+    table = np.column_stack([base[rows], prs_rows, spectral_rows])
     x_train, y_train, tests = [], [], []
     start = 0
     for train_idx, test_idx in splits:
@@ -343,9 +299,11 @@ def run_experiment(
     ``reps`` and ``threads`` integers >= 1. Every rep's splits are drawn
     and their features prepared first; then each classifier is fitted
     once over all of them, so SVM_POLY takes as many lockstep steps as
-    its slowest dual needs, not that many per rep. ``threads`` changes
-    nothing: it stays only because the benchmark harness in
-    ``perfbench/`` passes it, and goes when that harness drops it.
+    its slowest dual needs, not that many per rep. The cells, ANOVA rows
+    and difference rows read slices of one accuracy array indexed
+    (classifier, variant, rate, rep). ``threads`` changes nothing: it
+    stays only because the benchmark harness in ``perfbench/`` passes
+    it, and goes when that harness drops it.
     """
     for name, value in (("reps", reps), ("threads", threads)):
         check_integer(name, value)
@@ -366,77 +324,65 @@ def run_experiment(
             raise ValueError(f"{name} must not be empty")
         if len(set(values)) != len(values):
             raise ValueError(f"{name} must be unique within one run")
-    class_names = dataset.class_names
-    inputs = split_inputs(dataset, variants, rates, global_prep, config)
-
+    labels, class_names = np.array(dataset.labels), dataset.class_names
     splits = []
     for rep in range(reps):
         rng = rep_rng(seed, rep)
-        splits += [
-            stratified_split(inputs.labels, class_names, rate, rng) for rate in rates
-        ]
-    results = evaluate_splits(inputs, splits, specs, variants)
-    # results[rep * len(rates) + r] is the split of rep at rates[r]
-    rep_results = [{} for _ in range(reps)]
+        splits += [stratified_split(labels, class_names, rate, rng) for rate in rates]
+    results = evaluate_splits(dataset, splits, specs, variants, global_prep, config)
+    # accuracy[k, v, r, rep]; results[rep * len(rates) + r] is the split of
+    # rep at rates[r], and each (classifier, variant, rate) slice is contiguous
+    accuracy = np.empty((len(specs), len(variants), len(rates), reps))
     for n, split_results in enumerate(results):
         rep, r = divmod(n, len(rates))
-        for (kind, variant), result in split_results.items():
-            rep_results[rep][(kind, variant, rates[r])] = result.counts.accuracy
+        for k, v in np.ndindex(accuracy.shape[:2]):
+            result = split_results[(specs[k].kind, variants[v])]
+            accuracy[k, v, r, rep] = result.counts.accuracy
 
     cells = []
-    acc_lists: dict[tuple[str, str, float], list[float]] = {}
-    for spec in specs:
-        for variant in variants:
-            for rate in rates:
-                key = (spec.kind, variant, rate)
-                accs = [rep_results[r][key] for r in range(reps)]
-                acc_lists[key] = accs
-                arr = np.array(accs)
-                cells.append(
-                    {
-                        "classifier": spec.kind,
-                        "variant": variant,
-                        "rate": rate,
-                        "mean_accuracy": float(np.mean(arr)),
-                        "std_accuracy": float(np.std(arr, ddof=1)) if reps > 1 else 0.0,
-                        "accuracies": [float(a) for a in accs],
-                    }
-                )
+    for k, v, r in np.ndindex(accuracy.shape[:3]):
+        accs = accuracy[k, v, r]
+        cells.append(
+            {
+                "classifier": specs[k].kind,
+                "variant": variants[v],
+                "rate": rates[r],
+                "mean_accuracy": float(np.mean(accs)),
+                "std_accuracy": float(np.std(accs, ddof=1)) if reps > 1 else 0.0,
+                "accuracies": accs.tolist(),
+            }
+        )
 
     baseline = "BASE" if "BASE" in variants else variants[0]
     anova_rows = []
     diff_rows = []
-    for spec in specs:
-        for rate in rates:
-            # each ANOVA group is one variant's per-rep accuracies
-            if len(variants) >= 2 and reps >= 2:
-                result = anova_oneway(
-                    [acc_lists[(spec.kind, v, rate)] for v in variants]
-                )
-                anova_rows.append(
-                    {
-                        "classifier": spec.kind,
-                        "rate": rate,
-                        "f": "inf" if result.infinite else float(result.f),
-                        "df_between": result.df_between,
-                        "df_within": result.df_within,
-                        "infinite": result.infinite,
-                    }
-                )
-            base_mean = float(np.mean(acc_lists[(spec.kind, baseline, rate)]))
-            for variant in variants:
-                if variant == baseline:
-                    continue
-                diff_rows.append(
-                    {
-                        "classifier": spec.kind,
-                        "rate": rate,
-                        "variant": variant,
-                        "mean_diff_vs_baseline": float(
-                            np.mean(acc_lists[(spec.kind, variant, rate)]) - base_mean
-                        ),
-                    }
-                )
+    for k, r in np.ndindex(len(specs), len(rates)):
+        # row v holds variant v's per-rep accuracies
+        groups = accuracy[k, :, r]
+        if len(variants) >= 2 and reps >= 2:
+            result = anova_oneway(groups)
+            anova_rows.append(
+                {
+                    "classifier": specs[k].kind,
+                    "rate": rates[r],
+                    "f": "inf" if result.infinite else float(result.f),
+                    "df_between": result.df_between,
+                    "df_within": result.df_within,
+                    "infinite": result.infinite,
+                }
+            )
+        base_mean = float(np.mean(groups[variants.index(baseline)]))
+        for variant, accs in zip(variants, groups):
+            if variant == baseline:
+                continue
+            diff_rows.append(
+                {
+                    "classifier": specs[k].kind,
+                    "rate": rates[r],
+                    "variant": variant,
+                    "mean_diff_vs_baseline": float(np.mean(accs) - base_mean),
+                }
+            )
 
     return {
         "dataset": dataset.name,

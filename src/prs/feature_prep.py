@@ -115,8 +115,10 @@ def _gain_of_counts(per_set, total: int) -> float:
 def rank_features(norm: np.ndarray, labels: Sequence) -> np.ndarray:
     """Information gain of the labels given the exact 2-means split of
     each min-max normalized column. A column that is constant (so was
-    constant before scaling) scores 0."""
+    constant before scaling) scores 0. Needs one label per row."""
     codes = _label_codes(labels)
+    if codes.size != len(norm):
+        raise ValueError(f"{len(norm)} rows but {codes.size} labels")
     bounds = column_bounds(norm)
     live = np.flatnonzero(bounds[:, 0] != bounds[:, 1])
     gains = np.zeros(norm.shape[1])

@@ -9,15 +9,15 @@ import pytest
 
 import prs
 from prs.dataset import LabeledDataset, SignalSegment, generate_synthetic
-from prs.evaluation import (
-    VARIANTS,
-    assemble_variant,
-    rep_rng,
-    split_inputs,
-    stratified_split,
-)
+from prs.evaluation import VARIANTS, assemble_variant, rep_rng, stratified_split
 from prs.feature_prep import _two_means_thresholds, apply_bounds, column_bounds
-from prs.pipeline import fit_prep, prs_features
+from prs.pipeline import (
+    PipelineConfig,
+    extract_base_matrix,
+    extract_spectral_matrix,
+    fit_prep,
+    prs_features,
+)
 
 
 def make_segment(id, label, samples, fs=1000.0):
@@ -71,13 +71,29 @@ def overlap_dataset():
     return LabeledDataset(name="overlap", segments=tuple(segs))
 
 
-def scaled_variants(inputs, train_idx, test_idx):
+def dataset_rows(dataset, config=PipelineConfig()):
+    """The base and spectral rows of every segment and the labels, as
+    evaluate_splits computes them, with the config they were made under."""
+    return SimpleNamespace(
+        base=extract_base_matrix(dataset, config.thresholds),
+        spectral=extract_spectral_matrix(dataset, config.median_mode),
+        labels=np.array(dataset.labels),
+        config=config,
+    )
+
+
+def scaled_variants(inputs, train_idx, test_idx, global_prs=None):
     """Scaled train/test matrices of all five variants of one split,
-    built from the public functions as evaluate_splits builds them."""
+    built from the public functions as evaluate_splits builds them;
+    ``inputs`` comes from ``dataset_rows``. NF/RF are fitted on the
+    training fold, or taken from ``global_prs`` (NF/RF of every row)."""
     base, spectral = inputs.base, inputs.spectral
-    artifacts = fit_prep(base[train_idx], inputs.labels[train_idx])
-    prs_train = prs_features(base[train_idx], artifacts, inputs.config)
-    prs_test = prs_features(base[test_idx], artifacts, inputs.config)
+    if global_prs is None:
+        artifacts = fit_prep(base[train_idx], inputs.labels[train_idx])
+        prs_train = prs_features(base[train_idx], artifacts, inputs.config)
+        prs_test = prs_features(base[test_idx], artifacts, inputs.config)
+    else:
+        prs_train, prs_test = global_prs[train_idx], global_prs[test_idx]
     x_train, x_test = [], []
     for variant in VARIANTS:
         raw_train = assemble_variant(variant, base[train_idx], prs_train, spectral[train_idx])
@@ -92,12 +108,13 @@ def scaled_variants(inputs, train_idx, test_idx):
 def overlap_split(overlap_dataset):
     """Rep 0 of a seed-1 run at rate 0.6 on the overlap dataset, with
     the scaled train/test matrices of all five variants."""
-    inputs = split_inputs(overlap_dataset, VARIANTS, (0.6,))
+    inputs = dataset_rows(overlap_dataset)
     train_idx, test_idx = stratified_split(
         inputs.labels, overlap_dataset.class_names, 0.6, rep_rng(1, 0)
     )
     x_train, x_test = scaled_variants(inputs, train_idx, test_idx)
     return SimpleNamespace(
+        dataset=overlap_dataset,
         inputs=inputs,
         train_idx=train_idx,
         test_idx=test_idx,
@@ -114,7 +131,7 @@ def overlap_reps(overlap_dataset):
     dataset: the splits in run order (rep-major) and, for every split
     and variant in that order, the scaled training matrix and labels."""
     rates = (0.5, 0.7)
-    inputs = split_inputs(overlap_dataset, VARIANTS, rates)
+    inputs = dataset_rows(overlap_dataset)
     splits, x_train, y_train = [], [], []
     for rep in range(3):
         rng = rep_rng(1, rep)

@@ -165,11 +165,14 @@ def positive_band(samples, sampling_rate: float):
 
 def median_frequency(samples, sampling_rate: float) -> float:
     """Lowest positive frequency at which cumulative power reaches half
-    of the positive band's total. 0 for an all-zero signal."""
+    of the positive band's total. 0 for an all-zero signal, NaN when the
+    total is not finite."""
     freqs, psd = positive_band(samples, sampling_rate)
     total = float(np.sum(psd))
     if total == 0.0:
         return 0.0
+    if not math.isfinite(total):
+        return math.nan
     cumulative = np.cumsum(psd)
     k = int(np.searchsorted(cumulative, 0.5 * total))
     return float(freqs[min(k, len(freqs) - 1)])

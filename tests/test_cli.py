@@ -97,27 +97,31 @@ def test_spectral_csv_header(data_dir, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, columns",
+    "argv, rate, scale, columns",
     [
-        (["extract"], "STD, VAR, RMS, SKW, KURT, SSI, NLE"),
-        (["spectral"], "MaxPSD, MedPSD"),
-        (["spectral", "--median-mode", "frequency"], "MaxPSD"),
+        (["extract"], 1000.0, 1e160, "STD, VAR, RMS, SKW, KURT, SSI, NLE"),
+        (["spectral"], 1000.0, 1e160, "MaxPSD, MedPSD"),
+        (["spectral", "--median-mode", "frequency"], 1000.0, 1e160, "MaxPSD, MedPSD"),
+        # at 0.001 Hz every bin is finite, but the band's total is not, so
+        # it has no half-power frequency
+        (["spectral", "--median-mode", "frequency"], 0.001, 1e152, "MedPSD"),
     ],
-    ids=["extract", "spectral", "spectral-frequency"],
+    ids=["extract", "spectral", "spectral-frequency", "spectral-frequency-total"],
 )
-def test_extract_overflowing_segment_prints_only_the_error_line(tmp_path, argv, columns):
+def test_extract_overflowing_segment_prints_only_the_error_line(
+    tmp_path, argv, rate, scale, columns
+):
     # a child process, so stderr holds whatever numpy would print
     data = generate_synthetic(2, 64, seed=3)
-    huge = data.segments[1]
-    segments = list(data.segments)
-    segments[1] = SignalSegment(
-        huge.id, huge.label, huge.sampling_rate, 1e160 * huge.samples
-    )
+    segments = [
+        SignalSegment(s.id, s.label, rate, s.samples * (scale if n == 1 else 1.0))
+        for n, s in enumerate(data.segments)
+    ]
     manifest = write_dataset(LabeledDataset(data.name, tuple(segments)), tmp_path)
     proc = run_cli([*argv, "--manifest", str(manifest)])
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
-        f"error: segment {huge.id!r} overflows float64 in {columns}"
+        f"error: segment {segments[1].id!r} overflows float64 in {columns}"
     ]
 
 
@@ -500,7 +504,7 @@ def test_classify_without_spectral_columns_skips_spectral(
 def test_classify_builds_rows_like_evaluate(
     data_dir, two_per_class_dir, monkeypatch, capsys
 ):
-    # classify gets its rows from evaluation.split_inputs, as evaluate does
+    # classify scores its split with evaluation.evaluate_splits, as evaluate does
     def no_work(*args, **kwargs):
         raise AssertionError("feature work the variant does not need")
 

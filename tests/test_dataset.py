@@ -158,7 +158,8 @@ def test_synthetic_rejects_tiny_inputs():
 
 def test_write_then_load_round_trip(tmp_path, tiny_dataset):
     manifest = write_dataset(tiny_dataset, tmp_path / "out")
-    loaded = load_dataset(manifest, name="tiny")
+    loaded = load_dataset(manifest)
+    assert loaded.name == "manifest"  # the manifest file's stem
     assert loaded.class_names == tiny_dataset.class_names
     for orig, back in zip(tiny_dataset.segments, loaded.segments):
         assert orig.id == back.id

@@ -22,14 +22,13 @@ from prs.evaluation import (
     correlation_matrix,
     evaluate_splits,
     run_experiment,
-    split_inputs,
     stratified_split,
 )
 from prs.growth import GrowthConfig
 from prs.pipeline import PipelineConfig, fit_prep, prs_features
 from prs.soil import SoilConfig
 
-from conftest import scaled_variants
+from conftest import dataset_rows, scaled_variants
 
 # -- confusion counts ---------------------------------------------------------
 
@@ -270,6 +269,48 @@ def test_run_experiment_report_structure(small_synth):
     assert json.dumps(report)  # json-ready throughout
 
 
+@pytest.mark.parametrize(
+    "variants",
+    [("PRS", "BASE", "BASE_NF"), ("PRS", "BASE_NF", "COMPARISON")],
+    ids=["base-second", "no-base"],
+)
+def test_report_summary_rows_equal_their_formulas_over_the_cells(overlap_dataset, variants):
+    # every summary row is a function of the cells' per-rep accuracies
+    rates = (0.5, 0.7)
+    report = run_experiment(overlap_dataset, variants=variants, rates=rates, reps=3, seed=1)
+    baseline = "BASE" if "BASE" in variants else variants[0]
+    assert report["baseline_variant"] == baseline
+    keys = [(k, v, r) for k in CLASSIFIER_KINDS for v in variants for r in rates]
+    cells = report["cells"]
+    assert [(c["classifier"], c["variant"], c["rate"]) for c in cells] == keys
+    accuracies = {key: cell["accuracies"] for key, cell in zip(keys, cells)}
+    for cell, accs in zip(cells, accuracies.values()):
+        assert len(accs) == 3
+        assert cell["mean_accuracy"] == float(np.mean(accs))
+        assert cell["std_accuracy"] == float(np.std(accs, ddof=1))
+    anova_keys = [(k, r) for k in CLASSIFIER_KINDS for r in rates]
+    assert [(a["classifier"], a["rate"]) for a in report["anova"]] == anova_keys
+    for row, (kind, rate) in zip(report["anova"], anova_keys):
+        result = anova_oneway([accuracies[(kind, v, rate)] for v in variants])
+        assert row == {
+            "classifier": kind,
+            "rate": rate,
+            "f": "inf" if result.infinite else result.f,
+            "df_between": result.df_between,
+            "df_within": result.df_within,
+            "infinite": result.infinite,
+        }
+    others = [v for v in variants if v != baseline]
+    diff_keys = [(k, r, v) for k in CLASSIFIER_KINDS for r in rates for v in others]
+    diffs = report["pairwise_diffs"]
+    assert [(d["classifier"], d["rate"], d["variant"]) for d in diffs] == diff_keys
+    for row, (kind, rate, variant) in zip(diffs, diff_keys):
+        want = np.mean(accuracies[(kind, variant, rate)]) - np.mean(
+            accuracies[(kind, baseline, rate)]
+        )
+        assert row["mean_diff_vs_baseline"] == float(want)
+
+
 def test_run_experiment_single_rep_has_zero_std(tiny_dataset):
     report = run_experiment(
         tiny_dataset,
@@ -396,7 +437,7 @@ def test_build_feature_table_shape(small_synth):
 def test_evaluate_split_pairs_each_key_with_its_own_model(overlap_split):
     s = overlap_split
     specs = [ClassifierSpec(kind=kind) for kind in CLASSIFIER_KINDS]
-    [results] = evaluate_splits(s.inputs, [(s.train_idx, s.test_idx)], specs, VARIANTS)
+    [results] = evaluate_splits(s.dataset, [(s.train_idx, s.test_idx)], specs, VARIANTS)
     assert set(results) == {(k, v) for k in CLASSIFIER_KINDS for v in VARIANTS}
     for spec in specs:
         for variant, x_train, x_test in zip(VARIANTS, s.x_train, s.x_test):
@@ -418,7 +459,7 @@ def test_evaluate_splits_makes_one_prs_call_per_run(overlap_reps, monkeypatch):
         return original(base_rows, runs, config)
 
     monkeypatch.setattr(evaluation, "prs_features", recording)
-    evaluate_splits(s.inputs, s.splits, [ClassifierSpec(kind="LDA")], VARIANTS)
+    evaluate_splits(s.dataset, s.splits, [ClassifierSpec(kind="LDA")], VARIANTS)
     [(rows, runs)] = calls
     order = np.concatenate([np.concatenate(split) for split in s.splits])
     assert len(order) == 480  # crosses the 256-row block of prs_features
@@ -446,7 +487,7 @@ def test_stacked_prs_call_equals_per_split_calls(overlap_reps, config, monkeypat
     # the splits at rates 0.5 and 0.7 train on 40 and 56 rows; the one
     # call's rows equal, bit for bit, separate calls on each part
     s = overlap_reps
-    inputs = split_inputs(s.dataset, VARIANTS, s.rates, config=config)
+    inputs = dataset_rows(s.dataset, config)
     stacked = []
     original = evaluation.prs_features
 
@@ -455,7 +496,8 @@ def test_stacked_prs_call_equals_per_split_calls(overlap_reps, config, monkeypat
         return stacked[-1]
 
     monkeypatch.setattr(evaluation, "prs_features", recording)
-    evaluate_splits(inputs, s.splits, [ClassifierSpec(kind="LDA")], VARIANTS)
+    specs = [ClassifierSpec(kind="LDA")]
+    evaluate_splits(s.dataset, s.splits, specs, VARIANTS, config=config)
     per_split = []
     for train_idx, test_idx in s.splits:
         artifacts = fit_prep(inputs.base[train_idx], inputs.labels[train_idx])
@@ -463,14 +505,15 @@ def test_stacked_prs_call_equals_per_split_calls(overlap_reps, config, monkeypat
         per_split.append(prs_features(inputs.base[test_idx], artifacts, config))
     [rows] = stacked
     assert np.array_equal(rows, np.concatenate(per_split))
-    assert evaluate_splits(inputs, [], [ClassifierSpec(kind="LDA")], VARIANTS) == []
+    assert evaluate_splits(s.dataset, [], [ClassifierSpec(kind="LDA")], VARIANTS) == []
     assert len(stacked) == 1
     assert prs_features(np.zeros((0, 12)), [], config).shape == (0, 2)
 
 
 def test_evaluate_splits_hands_the_classifiers_the_scaled_variants(overlap_reps, monkeypatch):
     # each variant is a column selection of the split's scaled table: it
-    # equals scaling the variant's own columns, and is C-contiguous
+    # equals scaling the variant's own columns, and is C-contiguous. Under
+    # global prep NF/RF are fitted once on all rows and taken at the split's
     s = overlap_reps
     seen = {}
     original_train, original_predict = evaluation.train_group, evaluation.predict_group
@@ -485,15 +528,19 @@ def test_evaluate_splits_hands_the_classifiers_the_scaled_variants(overlap_reps,
 
     monkeypatch.setattr(evaluation, "train_group", train_recording)
     monkeypatch.setattr(evaluation, "predict_group", predict_recording)
-    evaluate_splits(s.inputs, s.splits, [ClassifierSpec(kind="LDA")], VARIANTS)
-    x_train, x_test = [], []
-    for train_idx, test_idx in s.splits:
-        train_part, test_part = scaled_variants(s.inputs, train_idx, test_idx)
-        x_train += train_part
-        x_test += test_part
-    for got, want in zip(seen["train"] + seen["test"], x_train + x_test, strict=True):
-        assert got.flags.c_contiguous
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    base, labels = s.inputs.base, s.inputs.labels
+    global_prs = prs_features(base, fit_prep(base, labels), s.inputs.config)
+    for global_prep, prs_rows in ((False, None), (True, global_prs)):
+        specs = [ClassifierSpec(kind="LDA")]
+        evaluate_splits(s.dataset, s.splits, specs, VARIANTS, global_prep)
+        x_train, x_test = [], []
+        for train_idx, test_idx in s.splits:
+            train_part, test_part = scaled_variants(s.inputs, train_idx, test_idx, prs_rows)
+            x_train += train_part
+            x_test += test_part
+        for got, want in zip(seen["train"] + seen["test"], x_train + x_test, strict=True):
+            assert got.flags.c_contiguous
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_run_experiment_equals_one_split_at_a_time(overlap_reps):
@@ -501,14 +548,14 @@ def test_run_experiment_equals_one_split_at_a_time(overlap_reps):
     # split on its own, in every count and diagnostic
     s = overlap_reps
     specs = [ClassifierSpec(kind=kind) for kind in CLASSIFIER_KINDS]
-    together = evaluate_splits(s.inputs, s.splits, specs, VARIANTS)
+    together = evaluate_splits(s.dataset, s.splits, specs, VARIANTS)
     report = run_experiment(s.dataset, rates=s.rates, reps=3, seed=1)
     accuracies = {
         (c["classifier"], c["variant"], c["rate"]): c["accuracies"] for c in report["cells"]
     }
     assert len(together) == len(s.splits) == 6
     for n, (split, results) in enumerate(zip(s.splits, together)):
-        [alone] = evaluate_splits(s.inputs, [split], specs, VARIANTS)
+        [alone] = evaluate_splits(s.dataset, [split], specs, VARIANTS)
         assert results == alone
         rep, r = divmod(n, len(s.rates))
         for (kind, variant), result in alone.items():

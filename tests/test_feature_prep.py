@@ -181,6 +181,14 @@ def test_entropy_empty_rejected():
         rank_features(np.zeros((0, 2)), [])
 
 
+@pytest.mark.parametrize("n_labels", [1, 3, 5])
+def test_rank_features_needs_one_label_per_row(n_labels):
+    # one label code broadcast over four rows once gave a gain of -8.0
+    labels = ["A", "B", "A", "B", "A"][:n_labels]
+    with pytest.raises(ValueError, match=f"4 rows but {n_labels} labels"):
+        rank_features(np.array([[0.0], [1.0], [0.5], [0.2]]), labels)
+
+
 def test_gain_worked_example():
     labels = ["C1", "C1", "C1", "C2", "C2", "C2"]
     gain = gain_of_assignment(labels, [1, 1, 2, 2, 2, 2])

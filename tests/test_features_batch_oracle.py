@@ -7,6 +7,8 @@ scatter the rows back. The reference here is the standalone functions of
 applied to one segment at a time. Every comparison is exact (np.array_equal).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,20 @@ def test_overflowing_spectrum_matches_reference():
         got = spectral_rows(x, 1000.0)
         want = [standalone_spectral(row, 1000.0, MEDIAN_PSD) for row in x]
     assert np.isnan(got[0]).all()
+    assert np.array_equal(got, np.array(want), equal_nan=True)
+
+
+def test_overflowing_band_total_gives_nan_median_frequency():
+    # at 0.001 Hz the first row's bins are finite but sum past float64;
+    # its MedPSD is NaN, with no numpy warning, and the finite row below
+    # keeps the reference bits
+    x = generate_synthetic(2, 64, seed=3).segments[1].samples * np.array([[1e152], [1e2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spectral_rows(x, 0.001, MEDIAN_FREQUENCY)
+    assert np.isfinite(got[0, 0]) and np.isnan(got[0, 1])
+    with np.errstate(over="ignore"):
+        want = [standalone_spectral(row, 0.001, MEDIAN_FREQUENCY) for row in x]
     assert np.array_equal(got, np.array(want), equal_nan=True)
 
 
