@@ -34,10 +34,10 @@ one stack of numpy calls:
 
 A problem leaves its stack when its own fit stops, so a stack takes as
 many steps as its slowest problem, and each problem's floats are those
-of a fit on its own. ``decision_group`` and ``predict_group`` score
-models the same way, over matrices of equal shape: one stacked ``@`` per
-LR group, and one stacked ``solve`` against the Cholesky factors of both
-classes per LDA/QDA group; SVM_POLY models score one at a time.
+of a fit on its own. ``decision_group`` scores models the same way,
+over matrices of equal shape: one stacked ``@`` per LR group, and one
+stacked ``solve`` against the Cholesky factors of both classes per
+LDA/QDA group; SVM_POLY models score one at a time.
 ``TrainedModel.predict`` is a group of one.
 
 Labels are arbitrary strings; the two classes are ordered lexically and
@@ -120,7 +120,9 @@ class TrainedModel:
     diagnostics: dict = field(default_factory=dict)
 
     def predict(self, X) -> np.ndarray:
-        return predict_group([self], [X])[0]
+        """Predicted labels; a score >= 0 means the second class."""
+        scores = decision_group([self], [X])[0]
+        return np.where(scores >= 0.0, self.classes[1], self.classes[0])
 
 
 def _groups(keys) -> list[list[int]]:
@@ -166,14 +168,6 @@ def decision_group(models, matrices) -> list[np.ndarray]:
         for k, row in zip(group, stacked):
             scores[k] = row
     return scores
-
-
-def predict_group(models, matrices) -> list[np.ndarray]:
-    """Predicted labels of models[k] on matrices[k]; see ``decision_group``."""
-    return [
-        np.where(scores >= 0.0, model.classes[1], model.classes[0])
-        for model, scores in zip(models, decision_group(models, matrices))
-    ]
 
 
 def _encode_labels(y) -> tuple[tuple[str, str], np.ndarray]:

@@ -30,12 +30,12 @@ from .dataset import generate_synthetic, load_dataset, write_dataset
 from .errors import PrsError
 from .evaluation import (
     VARIANTS,
+    accuracy,
     build_feature_table,
     correlation_matrix,
+    draw_splits,
     evaluate_splits,
-    rep_rng,
     run_experiment,
-    stratified_split,
 )
 from .growth import GrowthConfig, extract_prs, grow
 from .pipeline import (
@@ -83,7 +83,7 @@ _OPTIONS = {
     "out": _Option("str", None, "output file or directory", echo=False),
     "n": _Option("int", 20, "segments per class"),
     "len": _Option("int", 2000, "samples per segment"),
-    "seed": _Option("int", None, "synth: dataset seed; else rep r splits with seed^r"),
+    "seed": _Option("int", None, "synth: dataset seed; else the seed of every rep's splits"),
     "centered_var": _Option("bool", False, "subtract the mean in VAR"),
     "zc_threshold": _field(ThresholdConfig, "zc_threshold", "ZC; " + _RELATIVE),
     "ssc_threshold": _field(ThresholdConfig, "ssc_threshold", "SSC; " + _RELATIVE),
@@ -436,29 +436,20 @@ def _cmd_classify(opts) -> int:
     """single stratified split, one classifier, one variant"""
     config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
-    train_idx, test_idx = stratified_split(
-        dataset.labels, dataset.class_names, opts["rate"], rep_rng(opts["seed"], 0)
-    )
+    splits = draw_splits(dataset, (opts["rate"],), 1, opts["seed"])
     spec = ClassifierSpec(kind=opts["classifier"])
-    variants = (opts["variant"],)
-    [results] = evaluate_splits(
-        dataset, [(train_idx, test_idx)], [spec], variants, opts["global_prep"], config
+    counts, [[[diagnostics]]] = evaluate_splits(
+        dataset, splits, [spec], (opts["variant"],), opts["global_prep"], config
     )
-    counts, diagnostics = results[(spec.kind, opts["variant"])]
     report = {
         "dataset": dataset.name,
         "classifier": opts["classifier"],
         "variant": opts["variant"],
         "rate": opts["rate"],
-        "n_train": int(len(train_idx)),
-        "n_test": int(len(test_idx)),
-        "accuracy": counts.accuracy,
-        "confusion": {
-            "tp": counts.tp,
-            "tn": counts.tn,
-            "fp": counts.fp,
-            "fn": counts.fn,
-        },
+        "n_train": len(splits[0][0]),
+        "n_test": len(splits[0][1]),
+        "accuracy": float(accuracy(counts)[0, 0, 0]),
+        "confusion": dict(zip(("tp", "tn", "fp", "fn"), counts[0, 0, 0].tolist())),
         "diagnostics": diagnostics,
         "config": _echo_config(opts),
     }
@@ -469,16 +460,8 @@ def _cmd_classify(opts) -> int:
 def _eval_csv_rows(report: dict) -> list[list[str]]:
     rows = [["classifier", "variant", "rate", "rep_mean", "rep_std", "n_reps"]]
     for cell in report["cells"]:
-        rows.append(
-            [
-                cell["classifier"],
-                cell["variant"],
-                repr(float(cell["rate"])),
-                repr(float(cell["mean_accuracy"])),
-                repr(float(cell["std_accuracy"])),
-                str(report["reps"]),
-            ]
-        )
+        stats = [repr(float(cell[k])) for k in ("rate", "mean_accuracy", "std_accuracy")]
+        rows.append([cell["classifier"], cell["variant"], *stats, str(report["reps"])])
     return rows
 
 
@@ -515,32 +498,22 @@ def _cmd_correlate(opts) -> int:
     dataset = load_dataset(opts["manifest"])
     table, names = build_feature_table(dataset, config=config)
     corr, constant = correlation_matrix(table)
-    n_base = len(FEATURE_NAMES)
-    base_block = [
-        abs(corr[i, j]) for i in range(n_base) for j in range(i + 1, n_base)
-    ]
-    prs_block = [
-        abs(corr[i, j]) for i in (n_base, n_base + 1) for j in range(n_base)
-    ]
-    spectral_block = [
-        abs(corr[i, j]) for i in (n_base + 2, n_base + 3) for j in range(n_base)
-    ]
+    # |r| of each base pair, and of NF/RF and MaxPSD/MedPSD with each base column
+    n, magnitude = len(FEATURE_NAMES), np.abs(corr)
     report = {
         "dataset": dataset.name,
         "names": list(names),
         "matrix": [[float(v) for v in line] for line in corr],
         "constant_columns": [names[i] for i in range(len(names)) if constant[i]],
-        "mean_abs_base_base": float(np.mean(base_block)),
-        "mean_abs_prs_base": float(np.mean(prs_block)),
-        "mean_abs_spectral_base": float(np.mean(spectral_block)),
+        "mean_abs_base_base": float(np.mean(magnitude[np.triu_indices(n, 1)])),
+        "mean_abs_prs_base": float(np.mean(magnitude[n : n + 2, :n].ravel())),
+        "mean_abs_spectral_base": float(np.mean(magnitude[n + 2 :, :n].ravel())),
         "config": _echo_config(opts),
     }
     csv_rows = [["feature", *names]]
-    for i, name in enumerate(names):
-        csv_rows.append([name, *[repr(float(v)) for v in corr[i]]])
+    csv_rows += [[name, *map(repr, line.tolist())] for name, line in zip(names, corr)]
     text = _json_text(report)
-    files = {"correlation_report.json": text}
-    files["correlation_report.csv"] = _csv_text(csv_rows)
+    files = {"correlation_report.json": text, "correlation_report.csv": _csv_text(csv_rows)}
     _emit(text, opts["out"], files)
     return 0
 

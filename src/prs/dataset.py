@@ -22,6 +22,7 @@ signal file with one call, every value as its shortest round-trip repr.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,11 +206,31 @@ def load_dataset(manifest_path: str | Path) -> LabeledDataset:
     return LabeledDataset(name=manifest_path.stem, segments=tuple(segments))
 
 
+def _unreadable(value: str, is_id: bool) -> str:
+    """Why ``value`` would not read back from a manifest as written, or
+    "". The reader strips each field, skips a line that starts with #,
+    breaks lines at CR and LF and fields at commas (a quote opens a
+    quoted field), and an id names its file in the manifest's directory."""
+    breaks = ',"\r\n' + (os.sep + (os.altsep or "") + "\0" if is_id else "")
+    if not value or value != value.strip():
+        return "is empty or padded with whitespace"
+    if any(c in breaks for c in value) or (is_id and value.startswith("#")):
+        return f"holds one of {breaks!r}" + (" or starts with #" if is_id else "")
+    return ""
+
+
 def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
     """Write a dataset to disk in manifest format; returns the manifest path.
 
     All segments must share one sampling rate (the format stores it once).
+    An id or label that would not read back as written raises
+    ``DatasetError`` naming its segment, before any file is written.
     """
+    for seg in dataset.segments:
+        for field, value in (("id", seg.id), ("label", seg.label)):
+            problem = _unreadable(value, field == "id")
+            if problem:
+                raise DatasetError(f"segment {seg.id!r}: {field} {value!r} {problem}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rates = {s.sampling_rate for s in dataset.segments}

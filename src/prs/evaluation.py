@@ -1,26 +1,22 @@
 """Repeated-split accuracy experiments and feature correlation reports.
 
 A run crosses classifiers x feature variants x training rates over many
-repetitions. Every repetition draws one stratified split per rate from
-``rep_rng(seed, rep)`` and reuses it across all variants and classifiers,
-so the comparison between variants is paired. ``evaluate_splits`` is the
-one split evaluator, from a dataset and its splits to scored splits:
-feature preparation (normalization bounds, gain ranking, column order)
+repetitions. ``draw_splits`` draws every split of a run: each repetition
+draws one stratified split per rate from ``rep_rng(seed, rep)``, shared
+by all variants and classifiers, so the variants are compared paired.
+``evaluate_splits`` takes a dataset and its splits to one int64 array
+of (tp, tn, fp, fn) counts indexed (split, classifier, variant).
+Feature preparation (normalization bounds, gain ranking, column order)
 is fitted on each training fold only unless global_prep is set, which
-fits it once on the whole dataset and is meant for protocol-replication
-runs. It prepares the features of every split first (NF/RF of every
-split's rows in one ``prs_features`` call, one scaled feature table per
-split), then fits each classifier once over all of them and predicts its
-test matrices as one group, so that every kind fits and scores the
-problems of every rep, rate and variant in stacks of equal shape
-(SVM_POLY steps its duals in lockstep loops whose kernel memory the
-classifiers module bounds by a byte budget, as the duals of a run grow
-with reps). ``run_experiment`` draws every rep's splits, makes one
-``evaluate_splits`` call and builds its report from one accuracy array.
-``prs classify`` is rep 0 of ``run_experiment`` with one classifier,
-variant and rate. One ``pipeline.PipelineConfig`` carries the feature
-settings (thresholds, soil, growth, median mode) of a run, so a PRS
-ablation is a config.
+fits it once on the whole dataset for protocol-replication runs. Every
+split's features are prepared first; then each classifier is fitted
+once over all of them and scores its test matrices as one group, so
+that every kind fits the problems of every rep, rate and variant in
+stacks of equal shape (see ``classifiers``). ``run_experiment`` builds
+its report from one accuracy array, ``accuracy(counts)``, and ``prs
+classify`` is its rep 0 with one classifier, variant and rate. One
+``pipeline.PipelineConfig`` carries the feature settings (thresholds,
+soil, growth, median mode) of a run, so a PRS ablation is a config.
 
 Reports are plain dicts ready for json.dump; an infinite ANOVA F value
 is serialized as the string "inf".
@@ -30,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .base_features import FEATURE_NAMES
-from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, predict_group, train_group
+from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, decision_group, train_group
 # not called here: the benchmark tracer (perfbench/tracer.py) wraps evaluation.train
 from .classifiers import train  # noqa: F401
 from .dataset import LabeledDataset
@@ -66,35 +61,22 @@ _VARIANT_EXTRAS = {
 TABLE_NAMES = tuple(FEATURE_NAMES) + PRS_NAMES + SPECTRAL_NAMES
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """2x2 confusion table; the second class plays the positive role."""
-
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-    @property
-    def accuracy(self) -> float:
-        if self.total == 0:
-            raise ValueError("empty confusion table")
-        return (self.tp + self.tn) / self.total
-
-
-def confusion_counts(y_true, y_pred, classes: tuple[str, str]) -> ConfusionCounts:
-    truth = np.asarray(y_true).ravel().astype(str) == classes[1]
-    pred = np.asarray(y_pred).ravel().astype(str) == classes[1]
+def confusion_counts(truth, pred) -> tuple[int, int, int, int]:
+    """(tp, tn, fp, fn) of two boolean arrays that mark the second class."""
+    truth = np.asarray(truth, dtype=bool).ravel()
+    pred = np.asarray(pred, dtype=bool).ravel()
     if truth.size != pred.size:
         raise ValueError("prediction count does not match label count")
     tp = int(np.count_nonzero(truth & pred))
     fn = int(np.count_nonzero(truth)) - tp
     fp = int(np.count_nonzero(pred)) - tp
-    return ConfusionCounts(tp=tp, tn=truth.size - tp - fn - fp, fp=fp, fn=fn)
+    return tp, truth.size - tp - fn - fp, fp, fn
+
+
+def accuracy(counts) -> np.ndarray:
+    """(tp + tn) / total of each (tp, tn, fp, fn) entry on the last axis."""
+    counts = np.asarray(counts)
+    return (counts[..., 0] + counts[..., 1]) / counts.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -148,17 +130,17 @@ def stratified_split(labels, class_names, rate: float, rng) -> tuple[np.ndarray,
     Returns ascending (train_idx, test_idx)."""
     if not (0.0 < rate < 1.0):
         raise ValueError(f"training rate must be in (0, 1), got {rate}")
-    labels = [str(v) for v in labels]
+    labels = np.asarray(labels, dtype=str)
     train, test = [], []
     for name in class_names:
-        idx = np.array([i for i, v in enumerate(labels) if v == name])
+        idx = np.flatnonzero(labels == name)
         if idx.size < 2:
             raise ValueError(f"class {name!r} needs at least 2 segments to split")
         n_train = min(max(round(rate * idx.size), 1), idx.size - 1)
         perm = rng.permutation(idx.size)
-        train.extend(idx[perm[:n_train]].tolist())
-        test.extend(idx[perm[n_train:]].tolist())
-    return np.sort(np.array(train)), np.sort(np.array(test))
+        train.append(idx[perm[:n_train]])
+        test.append(idx[perm[n_train:]])
+    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
 def _variant_columns(variant: str) -> list[int]:
@@ -187,9 +169,16 @@ def rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(seed ^ rep)
 
 
-class SplitResult(NamedTuple):
-    counts: ConfusionCounts
-    diagnostics: dict
+def draw_splits(dataset: LabeledDataset, rates, reps: int, seed: int) -> list:
+    """The (train_idx, test_idx) splits of a run, rep-major: entry
+    ``rep * len(rates) + r`` is drawn at ``rates[r]`` from
+    ``rep_rng(seed, rep)``, which draws each rep's rates in order."""
+    labels, class_names = np.array(dataset.labels), dataset.class_names
+    splits = []
+    for rep in range(reps):
+        rng = rep_rng(seed, rep)
+        splits += [stratified_split(labels, class_names, rate, rng) for rate in rates]
+    return splits
 
 
 def evaluate_splits(
@@ -199,30 +188,31 @@ def evaluate_splits(
     variants,
     global_prep: bool = False,
     config: PipelineConfig = PipelineConfig(),
-) -> list[dict[tuple[str, str], SplitResult]]:
+) -> tuple[np.ndarray, list]:
     """Train and score every classifier on every variant of each split.
 
-    ``splits`` is a sequence of (train_idx, test_idx) pairs of rows of
-    ``dataset``. The base rows are computed, and MaxPSD/MedPSD and NF/RF
-    only when a variant has them. Under ``global_prep`` feature
-    preparation is fitted once on the whole dataset and NF/RF of every
-    row come from one ``prs_features`` call; else it is fitted on each
-    training fold, after a check that raises ``PrsError`` before any
-    feature work when a fold has fewer than ``MIN_SAMPLES`` rows, and one
-    ``prs_features`` call takes every split's training and test rows, in
-    split order, each under its own fold's artifacts. Each split's 16-column tables (base,
-    NF, RF, MaxPSD, MedPSD) of training and test rows are scaled once by
-    the training table's bounds, and each variant is a column selection
-    of them: min-max scaling works column by column, so this equals
-    scaling the variant's own columns. Then each classifier makes one
-    ``train_group`` fit over every split's variants and one
-    ``predict_group`` call over their test matrices, which stack the
-    problems of equal shape. One dict per split, keyed by (classifier
-    kind, variant).
+    ``splits`` holds (train_idx, test_idx) pairs of rows of ``dataset``.
+    Only the columns the variants use are computed. Feature preparation
+    is fitted on each training fold (a fold under ``MIN_SAMPLES`` rows
+    raises ``PrsError`` before any feature work), and NF/RF of every
+    split's rows, each under its own fold's artifacts, come from one
+    ``prs_features`` call; under ``global_prep`` it is fitted once on all
+    rows. Each split's 16-column table is min-max scaled once by its
+    training rows, and a variant is a column selection of it (scaling
+    works column by column, so this equals scaling the variant's own
+    columns). Each classifier then makes one ``train_group`` fit and one
+    ``decision_group`` call over every split's variants, which stack the
+    problems of equal shape; a score >= 0 marks the second class.
+
+    Returns ``(counts, diagnostics)``, indexed by position, not by name:
+    ``counts[s, k, v]`` is the int64 (tp, tn, fp, fn) of ``specs[k]`` on
+    ``variants[v]`` of ``splits[s]``, and ``diagnostics[s][k][v]`` that
+    model's ``diagnostics`` dict.
     """
     columns = [_variant_columns(variant) for variant in variants]
+    counts = np.zeros((len(splits), len(specs), len(variants), 4), dtype=np.int64)
     if not splits:
-        return []
+        return counts, []
     extras = {name for variant in variants for name in _VARIANT_EXTRAS[variant]}
     needs_prs = not extras.isdisjoint(PRS_NAMES)
     smallest = min(len(train_idx) for train_idx, _ in splits)
@@ -233,6 +223,7 @@ def evaluate_splits(
             f"has {min(map(dataset.labels.count, dataset.class_names))} segments"
         )
     labels = np.array(dataset.labels)
+    second = labels == dataset.class_names[1]
     base = extract_base_matrix(dataset, config.thresholds)
     rows = np.concatenate([np.concatenate(split) for split in splits])
     spectral_rows = (
@@ -251,7 +242,7 @@ def evaluate_splits(
         ]
         prs_rows = prs_features(base[rows], runs, config)
     table = np.column_stack([base[rows], prs_rows, spectral_rows])
-    x_train, y_train, tests = [], [], []
+    x_train, y_train, x_test, truths = [], [], [], []
     start = 0
     for train_idx, test_idx in splits:
         middle = start + len(train_idx)
@@ -260,25 +251,23 @@ def evaluate_splits(
         scaled_train = apply_bounds(table[start:middle], bounds)
         scaled_test = apply_bounds(table[middle:stop], bounds)
         start = stop
-        y_fold, y_test = labels[train_idx], labels[test_idx]
-        for variant, cols in zip(variants, columns):
+        y_fold, truth = labels[train_idx], second[test_idx]
+        for cols in columns:
             # a column selection comes out F-ordered; the classifiers'
             # products round as on the contiguous matrices
             x_train.append(np.ascontiguousarray(scaled_train[:, cols]))
             y_train.append(y_fold)
-            tests.append((variant, np.ascontiguousarray(scaled_test[:, cols]), y_test))
-    results = [{} for _ in splits]
-    for spec in specs:
+            x_test.append(np.ascontiguousarray(scaled_test[:, cols]))
+            truths.append(truth)
+    diagnostics = [[[None] * len(variants) for _ in specs] for _ in splits]
+    for k, spec in enumerate(specs):
         models = train_group(spec, x_train, y_train)
-        predictions = predict_group(models, [x for _, x, _ in tests])
-        for n, (model, y_pred, (variant, _, y_test)) in enumerate(
-            zip(models, predictions, tests)
-        ):
-            counts = confusion_counts(y_test, y_pred, model.classes)
-            results[n // len(variants)][(spec.kind, variant)] = SplitResult(
-                counts, model.diagnostics
-            )
-    return results
+        scores = decision_group(models, x_test)
+        for n, (model, score, truth) in enumerate(zip(models, scores, truths)):
+            s, v = divmod(n, len(variants))
+            counts[s, k, v] = confusion_counts(truth, score >= 0.0)
+            diagnostics[s][k][v] = model.diagnostics
+    return counts, diagnostics
 
 
 def run_experiment(
@@ -324,24 +313,16 @@ def run_experiment(
             raise ValueError(f"{name} must not be empty")
         if len(set(values)) != len(values):
             raise ValueError(f"{name} must be unique within one run")
-    labels, class_names = np.array(dataset.labels), dataset.class_names
-    splits = []
-    for rep in range(reps):
-        rng = rep_rng(seed, rep)
-        splits += [stratified_split(labels, class_names, rate, rng) for rate in rates]
-    results = evaluate_splits(dataset, splits, specs, variants, global_prep, config)
-    # accuracy[k, v, r, rep]; results[rep * len(rates) + r] is the split of
-    # rep at rates[r], and each (classifier, variant, rate) slice is contiguous
-    accuracy = np.empty((len(specs), len(variants), len(rates), reps))
-    for n, split_results in enumerate(results):
-        rep, r = divmod(n, len(rates))
-        for k, v in np.ndindex(accuracy.shape[:2]):
-            result = split_results[(specs[k].kind, variants[v])]
-            accuracy[k, v, r, rep] = result.counts.accuracy
+    splits = draw_splits(dataset, rates, reps, seed)
+    counts, _ = evaluate_splits(dataset, splits, specs, variants, global_prep, config)
+    # counts[rep * len(rates) + r] holds the split of rep at rates[r]; in
+    # acc[k, v, r, rep] each (classifier, variant, rate) slice is contiguous
+    by_split = accuracy(counts).reshape(reps, len(rates), len(specs), len(variants))
+    acc = np.ascontiguousarray(by_split.transpose(2, 3, 1, 0))
 
     cells = []
-    for k, v, r in np.ndindex(accuracy.shape[:3]):
-        accs = accuracy[k, v, r]
+    for k, v, r in np.ndindex(acc.shape[:3]):
+        accs = acc[k, v, r]
         cells.append(
             {
                 "classifier": specs[k].kind,
@@ -358,7 +339,7 @@ def run_experiment(
     diff_rows = []
     for k, r in np.ndindex(len(specs), len(rates)):
         # row v holds variant v's per-rep accuracies
-        groups = accuracy[k, :, r]
+        groups = acc[k, :, r]
         if len(variants) >= 2 and reps >= 2:
             result = anova_oneway(groups)
             anova_rows.append(
@@ -386,7 +367,7 @@ def run_experiment(
 
     return {
         "dataset": dataset.name,
-        "classes": list(class_names),
+        "classes": list(dataset.class_names),
         "n_segments": len(dataset.segments),
         "seed": seed,
         "rates": list(rates),

@@ -9,7 +9,7 @@ import pytest
 
 import prs
 from prs.dataset import LabeledDataset, SignalSegment, generate_synthetic
-from prs.evaluation import VARIANTS, assemble_variant, rep_rng, stratified_split
+from prs.evaluation import VARIANTS, assemble_variant, draw_splits
 from prs.feature_prep import _two_means_thresholds, apply_bounds, column_bounds
 from prs.pipeline import (
     PipelineConfig,
@@ -109,9 +109,7 @@ def overlap_split(overlap_dataset):
     """Rep 0 of a seed-1 run at rate 0.6 on the overlap dataset, with
     the scaled train/test matrices of all five variants."""
     inputs = dataset_rows(overlap_dataset)
-    train_idx, test_idx = stratified_split(
-        inputs.labels, overlap_dataset.class_names, 0.6, rep_rng(1, 0)
-    )
+    [(train_idx, test_idx)] = draw_splits(overlap_dataset, (0.6,), 1, 1)
     x_train, x_test = scaled_variants(inputs, train_idx, test_idx)
     return SimpleNamespace(
         dataset=overlap_dataset,
@@ -132,14 +130,11 @@ def overlap_reps(overlap_dataset):
     and variant in that order, the scaled training matrix and labels."""
     rates = (0.5, 0.7)
     inputs = dataset_rows(overlap_dataset)
-    splits, x_train, y_train = [], [], []
-    for rep in range(3):
-        rng = rep_rng(1, rep)
-        for rate in rates:
-            split = stratified_split(inputs.labels, overlap_dataset.class_names, rate, rng)
-            splits.append(split)
-            x_train += scaled_variants(inputs, *split)[0]
-            y_train += [inputs.labels[split[0]]] * len(VARIANTS)
+    splits = draw_splits(overlap_dataset, rates, 3, 1)
+    x_train, y_train = [], []
+    for split in splits:
+        x_train += scaled_variants(inputs, *split)[0]
+        y_train += [inputs.labels[split[0]]] * len(VARIANTS)
     return SimpleNamespace(
         dataset=overlap_dataset,
         inputs=inputs,

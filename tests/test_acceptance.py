@@ -15,7 +15,7 @@ import pytest
 from prs.classifiers import CLASSIFIER_KINDS, ClassifierSpec, train
 from prs.cli import main
 from prs.dataset import generate_synthetic, write_dataset
-from prs.evaluation import ConfusionCounts, run_experiment
+from prs.evaluation import accuracy, run_experiment
 from prs.feature_prep import _two_means_thresholds, rank_features
 from prs.growth import GrowthConfig, extract_prs, grow
 from prs.pipeline import prs_features  # noqa: F401  (import sanity for the grid run)
@@ -316,19 +316,22 @@ def test_criterion_08_full_grid_runtime(full_grid):
 
 
 def test_criterion_09_accuracy_rational_exactness():
-    worst_ok = True
-    checked = 0
-    for tp in range(21):
-        for fp in range(21 - tp):
-            for tn in range(21 - tp - fp):
-                for fn in range(21 - tp - fp - tn):
-                    total = tp + fp + tn + fn
-                    if total == 0:
-                        continue
-                    counts = ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
-                    exact = Fraction(tp + tn, total)
-                    worst_ok &= counts.accuracy == float(exact)
-                    checked += 1
+    # every (tp, tn, fp, fn) table with 1 to 20 rows, through the one
+    # accuracy function that evaluate's report and classify both use
+    tables = [
+        (tp, tn, fp, fn)
+        for tp in range(21)
+        for fp in range(21 - tp)
+        for tn in range(21 - tp - fp)
+        for fn in range(21 - tp - fp - tn)
+        if tp + fp + tn + fn > 0
+    ]
+    got = accuracy(np.array(tables, dtype=np.int64)).tolist()
+    worst_ok = all(
+        value == float(Fraction(tp + tn, tp + tn + fp + fn))
+        for value, (tp, tn, fp, fn) in zip(got, tables, strict=True)
+    )
+    checked = len(tables)
     _verdict(
         9,
         "accuracy equals rational arithmetic on all tables <= 20",

@@ -14,7 +14,6 @@ from prs.classifiers import (
     TrainedModel,
     _encode_labels,
     decision_group,
-    predict_group,
     train,
     train_group,
 )
@@ -491,8 +490,8 @@ def assert_stack_equals_reference(spec, matrices, labels):
         scores = decision_group(models, inputs)
         for got, want, X in zip(scores, wanted, inputs, strict=True):
             assert _bits(got) == _bits(reference.decision_function(want, X))
-    for got, want, X in zip(predict_group(models, tests), wanted, tests, strict=True):
-        scores = reference.decision_function(want, X)
+    for model, want, X in zip(models, wanted, tests, strict=True):
+        got, scores = model.predict(X), reference.decision_function(want, X)
         assert got.tolist() == np.where(scores >= 0.0, *want.classes[::-1]).tolist()
     return models
 

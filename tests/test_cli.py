@@ -557,6 +557,25 @@ def test_classify_equals_rep0_of_evaluate(overlap_dir, kind, variant, prep, caps
     assert single["accuracy"] == grid["cells"][0]["accuracies"][0]
 
 
+def test_classify_draws_its_split_through_draw_splits(overlap_dir, monkeypatch, capsys):
+    # one split at --rate, rep 0 of --seed, from evaluation.draw_splits
+    from prs import cli, evaluation
+
+    calls = []
+
+    def recording(*args):
+        calls.append(args[1:])
+        return evaluation.draw_splits(*args)
+
+    monkeypatch.setattr(cli, "draw_splits", recording)
+    argv = ["classify", "--manifest", overlap_dir, "--seed", "5", "--classifier", "LDA"]
+    report = json.loads(run_ok(argv + ["--rate", "0.3"], capsys))
+    assert calls == [((0.3,), 1, 5)]
+    assert (report["n_train"], report["n_test"]) == (2 * round(0.3 * 8), 2 * 6)
+    confusion = report["confusion"]
+    assert report["accuracy"] == (confusion["tp"] + confusion["tn"]) / report["n_test"]
+
+
 def test_classify_rejects_unknown_classifier(data_dir, capsys):
     rc = main(
         [

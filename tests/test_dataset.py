@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -177,6 +179,61 @@ def test_write_dataset_bytes_match_per_value_format(tmp_path):
     old_format = "".join(f"{float(v)!r}\n" for v in seg.samples)
     assert (tmp_path / "v.txt").read_bytes() == old_format.encode("utf-8")
     assert np.array_equal(_read_signal_file(tmp_path / "v.txt", "v"), seg.samples)
+
+
+def _four_segments(ids=("a0", "a1", "b0", "b1"), labels=("A", "A", "B", "B"), samples=None):
+    samples = np.linspace(-1.0, 1.0, 32) if samples is None else samples
+    segments = [make_segment(i, lab, samples) for i, lab in zip(ids, labels)]
+    return LabeledDataset(name="fields", segments=tuple(segments))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("id", "#a0"),  # reads as a comment line: one segment short
+        ("id", "a,0"),
+        ("id", 'a"0'),
+        ("id", " a0"),
+        ("id", "a0\t"),
+        ("id", "a\r0"),
+        ("id", "a\n0"),
+        ("id", "a/0"),
+        ("id", "../a0"),  # its file would land outside the output directory
+        ("id", ""),
+        ("label", "A,B"),
+        ("label", '"A"'),
+        ("label", "A "),
+        ("label", "A\n"),
+        ("label", ""),
+    ],
+)
+def test_write_dataset_rejects_a_field_that_would_not_read_back(tmp_path, field, value):
+    # a bad id replaces the first segment's; a bad label replaces class A
+    if field == "id":
+        dataset = _four_segments(ids=(value, "a1", "b0", "b1"))
+    else:
+        dataset = _four_segments(labels=(value, value, "B", "B"))
+    out = tmp_path / "out"
+    name = re.escape(f"segment {dataset.segments[0].id!r}: {field} {value!r} ")
+    with pytest.raises(DatasetError, match=name):
+        write_dataset(dataset, out)
+    assert not out.exists()  # nothing was written
+
+
+def test_write_dataset_round_trips_unusual_fields_exactly(tmp_path):
+    # ids and labels that read back as written, and samples whose
+    # shortest repr must parse to the same bits
+    samples = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, -2.5e-300] * 3)
+    dataset = _four_segments(
+        ids=("a 0", "x#1", "é.2", "a;b\t'c"), labels=("#A", "#A", "B b", "B b"), samples=samples
+    )
+    loaded = load_dataset(write_dataset(dataset, tmp_path))
+    assert [(s.id, s.label) for s in loaded.segments] == [
+        (s.id, s.label) for s in dataset.segments
+    ]
+    for orig, back in zip(dataset.segments, loaded.segments, strict=True):
+        assert back.samples.tobytes() == orig.samples.tobytes()
+        assert back.sampling_rate == orig.sampling_rate
 
 
 # -- one-read loader against the line-by-line reader --------------------------

@@ -14,12 +14,13 @@ from prs.evaluation import (
     TABLE_NAMES,
     VARIANTS,
     AnovaResult,
-    ConfusionCounts,
+    accuracy,
     anova_oneway,
     assemble_variant,
     build_feature_table,
     confusion_counts,
     correlation_matrix,
+    draw_splits,
     evaluate_splits,
     run_experiment,
     stratified_split,
@@ -30,46 +31,44 @@ from prs.soil import SoilConfig
 
 from conftest import dataset_rows, scaled_variants
 
-# -- confusion counts ---------------------------------------------------------
+# -- confusion counts and accuracy ----------------------------------------------
 
 
 def test_confusion_accuracy_values():
-    assert ConfusionCounts(tp=50, fp=0, tn=50, fn=0).accuracy == 1.0
-    assert ConfusionCounts(tp=0, fp=50, tn=0, fn=50).accuracy == 0.0
-    assert ConfusionCounts(tp=30, fp=10, tn=40, fn=20).accuracy == 0.7
-
-
-def test_confusion_empty_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        ConfusionCounts(tp=0, fp=0, tn=0, fn=0).accuracy
+    # one call over a stack of (tp, tn, fp, fn) tables, one accuracy each
+    counts = np.array([[50, 50, 0, 0], [0, 0, 50, 50], [30, 40, 10, 20]])
+    assert accuracy(counts).tolist() == [1.0, 0.0, 0.7]
+    assert accuracy(counts.reshape(3, 1, 4)).shape == (3, 1)
+    assert [accuracy(table) for table in counts] == [1.0, 0.0, 0.7]
 
 
 def test_confusion_counts_from_labels():
-    truth = ["B", "B", "A", "A", "B"]
-    pred = ["B", "A", "A", "B", "B"]
-    counts = confusion_counts(truth, pred, ("A", "B"))
-    assert counts == ConfusionCounts(tp=2, tn=1, fp=1, fn=1)
-    assert counts.accuracy == pytest.approx(0.6)
+    # the marks say which labels are the second class, "B"
+    truth = np.array(["B", "B", "A", "A", "B"])
+    pred = np.array(["B", "A", "A", "B", "B"])
+    counts = confusion_counts(truth == "B", pred == "B")
+    assert counts == (2, 1, 1, 1)
+    assert accuracy(counts) == pytest.approx(0.6)
 
 
 def test_confusion_counts_match_a_row_loop():
     rng = np.random.default_rng(9)
     for n in (0, 1, 7, 40):
-        truth = rng.choice(["A", "B"], size=n)
-        pred = rng.choice(["A", "B"], size=n)
+        truth = rng.random(n) < 0.5
+        pred = rng.random(n) < 0.5
         want = dict(tp=0, tn=0, fp=0, fn=0)
         for t, p in zip(truth.tolist(), pred.tolist()):
-            key = ("t" if t == p else "f") + ("p" if p == "B" else "n")
+            key = ("t" if t == p else "f") + ("p" if p else "n")
             want[key] += 1
         for args in ((truth, pred), (truth.tolist(), pred.tolist())):
-            counts = confusion_counts(*args, ("A", "B"))
-            assert counts == ConfusionCounts(**want)
-            assert all(type(v) is int for v in vars(counts).values())
+            counts = confusion_counts(*args)
+            assert counts == (want["tp"], want["tn"], want["fp"], want["fn"])
+            assert all(type(v) is int for v in counts)
 
 
 def test_confusion_counts_length_mismatch():
     with pytest.raises(ValueError, match="count"):
-        confusion_counts(["A"], ["A", "B"], ("A", "B"))
+        confusion_counts([True], [True, False])
 
 
 # -- stratified split ---------------------------------------------------------
@@ -435,15 +434,37 @@ def test_build_feature_table_shape(small_synth):
 
 
 def test_evaluate_split_pairs_each_key_with_its_own_model(overlap_split):
+    # entry [0, k, v] holds specs[k] fitted on variant v of the split alone,
+    # scored through its predicted labels
     s = overlap_split
     specs = [ClassifierSpec(kind=kind) for kind in CLASSIFIER_KINDS]
-    [results] = evaluate_splits(s.dataset, [(s.train_idx, s.test_idx)], specs, VARIANTS)
-    assert set(results) == {(k, v) for k in CLASSIFIER_KINDS for v in VARIANTS}
-    for spec in specs:
-        for variant, x_train, x_test in zip(VARIANTS, s.x_train, s.x_test):
+    split = (s.train_idx, s.test_idx)
+    counts, diagnostics = evaluate_splits(s.dataset, [split], specs, VARIANTS)
+    assert counts.shape == (1, len(specs), len(VARIANTS), 4)
+    assert counts.dtype == np.int64
+    truth = s.y_test == s.dataset.class_names[1]
+    for k, spec in enumerate(specs):
+        for v, (x_train, x_test) in enumerate(zip(s.x_train, s.x_test)):
             model = train(spec, x_train, s.y_train)
-            counts = confusion_counts(s.y_test, model.predict(x_test), model.classes)
-            assert results[(spec.kind, variant)] == (counts, model.diagnostics)
+            pred = model.predict(x_test) == model.classes[1]
+            assert tuple(counts[0, k, v].tolist()) == confusion_counts(truth, pred)
+            assert diagnostics[0][k][v] == model.diagnostics
+
+
+def test_evaluate_splits_keeps_two_specs_of_one_kind_apart():
+    # two LR specs that differ only in l2 each keep their own entry; a
+    # table keyed by kind would hold only the last one
+    dataset = generate_synthetic(10, 128, 2)
+    splits = draw_splits(dataset, (0.6,), 1, 0)
+    specs = [ClassifierSpec("LR", l2=1e-2), ClassifierSpec("LR", l2=10.0)]
+    counts, diagnostics = evaluate_splits(dataset, splits, specs, ("BASE",))
+    assert counts.shape == (1, 2, 1, 4)
+    for k, spec in enumerate(specs):
+        alone, [[[alone_diagnostics]]] = evaluate_splits(dataset, splits, [spec], ("BASE",))
+        assert np.array_equal(counts[:, k], alone[:, 0])
+        assert diagnostics[0][k][0] == alone_diagnostics
+    losses = [diagnostics[0][k][0]["final_loss"] for k in range(2)]
+    assert losses[0] < 0.2 < 0.5 < losses[1]
 
 
 def test_evaluate_splits_makes_one_prs_call_per_run(overlap_reps, monkeypatch):
@@ -505,7 +526,8 @@ def test_stacked_prs_call_equals_per_split_calls(overlap_reps, config, monkeypat
         per_split.append(prs_features(inputs.base[test_idx], artifacts, config))
     [rows] = stacked
     assert np.array_equal(rows, np.concatenate(per_split))
-    assert evaluate_splits(s.dataset, [], [ClassifierSpec(kind="LDA")], VARIANTS) == []
+    counts, diagnostics = evaluate_splits(s.dataset, [], [ClassifierSpec(kind="LDA")], VARIANTS)
+    assert counts.shape == (0, 1, len(VARIANTS), 4) and diagnostics == []
     assert len(stacked) == 1
     assert prs_features(np.zeros((0, 12)), [], config).shape == (0, 2)
 
@@ -516,18 +538,18 @@ def test_evaluate_splits_hands_the_classifiers_the_scaled_variants(overlap_reps,
     # global prep NF/RF are fitted once on all rows and taken at the split's
     s = overlap_reps
     seen = {}
-    original_train, original_predict = evaluation.train_group, evaluation.predict_group
+    original_train, original_scores = evaluation.train_group, evaluation.decision_group
 
     def train_recording(spec, x_train, y_train):
         seen["train"] = x_train
         return original_train(spec, x_train, y_train)
 
-    def predict_recording(models, x_test):
+    def scores_recording(models, x_test):
         seen["test"] = x_test
-        return original_predict(models, x_test)
+        return original_scores(models, x_test)
 
     monkeypatch.setattr(evaluation, "train_group", train_recording)
-    monkeypatch.setattr(evaluation, "predict_group", predict_recording)
+    monkeypatch.setattr(evaluation, "decision_group", scores_recording)
     base, labels = s.inputs.base, s.inputs.labels
     global_prs = prs_features(base, fit_prep(base, labels), s.inputs.config)
     for global_prep, prs_rows in ((False, None), (True, global_prs)):
@@ -545,18 +567,44 @@ def test_evaluate_splits_hands_the_classifiers_the_scaled_variants(overlap_reps,
 
 def test_run_experiment_equals_one_split_at_a_time(overlap_reps):
     # one fit per classifier over every rep and rate equals fitting each
-    # split on its own, in every count and diagnostic
+    # split on its own, in every count and diagnostic, and each cell's
+    # accuracies are those of its counts
     s = overlap_reps
     specs = [ClassifierSpec(kind=kind) for kind in CLASSIFIER_KINDS]
-    together = evaluate_splits(s.dataset, s.splits, specs, VARIANTS)
+    counts, diagnostics = evaluate_splits(s.dataset, s.splits, specs, VARIANTS)
     report = run_experiment(s.dataset, rates=s.rates, reps=3, seed=1)
     accuracies = {
         (c["classifier"], c["variant"], c["rate"]): c["accuracies"] for c in report["cells"]
     }
-    assert len(together) == len(s.splits) == 6
-    for n, (split, results) in enumerate(zip(s.splits, together)):
-        [alone] = evaluate_splits(s.dataset, [split], specs, VARIANTS)
-        assert results == alone
+    assert counts.shape == (len(s.splits), len(specs), len(VARIANTS), 4)
+    assert len(s.splits) == 6
+    for n, split in enumerate(s.splits):
+        alone, [alone_diagnostics] = evaluate_splits(s.dataset, [split], specs, VARIANTS)
+        assert np.array_equal(counts[n], alone[0])
+        assert diagnostics[n] == alone_diagnostics
         rep, r = divmod(n, len(s.rates))
-        for (kind, variant), result in alone.items():
-            assert accuracies[(kind, variant, s.rates[r])][rep] == result.counts.accuracy
+        for k, v in np.ndindex(len(specs), len(VARIANTS)):
+            key = (specs[k].kind, VARIANTS[v], s.rates[r])
+            assert accuracies[key][rep] == accuracy(counts[n, k, v])
+
+
+def test_run_experiment_draws_its_splits_through_draw_splits(overlap_dataset, monkeypatch):
+    # the splits are rep-major, and a shorter run draws a prefix of a
+    # longer one's; run_experiment takes them from one draw_splits call
+    rates = (0.5, 0.7)
+    splits = draw_splits(overlap_dataset, rates, 3, 1)
+    assert len(splits) == 6
+    for earlier, later in zip(draw_splits(overlap_dataset, rates, 2, 1), splits):
+        assert all(np.array_equal(a, b) for a, b in zip(earlier, later))
+    [first] = draw_splits(overlap_dataset, rates[:1], 1, 1)
+    assert all(np.array_equal(a, b) for a, b in zip(first, splits[0]))
+    calls = []
+
+    def recording(*args):
+        calls.append(args[1:])
+        return draw_splits(*args)
+
+    monkeypatch.setattr(evaluation, "draw_splits", recording)
+    grid = dict(classifiers=("LDA",), variants=("BASE",), rates=rates)
+    run_experiment(overlap_dataset, reps=3, seed=1, **grid)
+    assert calls == [(rates, 3, 1)]
