@@ -82,8 +82,8 @@ class ThresholdConfig:
     def __post_init__(self):
         for name in ("zc_threshold", "ssc_threshold", "wamp_threshold"):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
+            if v is not None and not 0 <= v < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
     def resolve(self, peak: np.ndarray):
         """(zc, ssc, wamp) thresholds for a block whose rows peak at ``peak``.

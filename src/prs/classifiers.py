@@ -98,9 +98,7 @@ class ClassifierSpec:
         if not self.l2 > 0:
             raise ValueError("l2 must be positive")
         for name in ("max_iter", "degree", "max_sweeps"):
-            check_integer(name, getattr(self, name))
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            check_integer(name, getattr(self, name), 1)
         if self.ridge is not None and not 0 <= self.ridge < math.inf:
             raise ValueError("ridge must be None or finite and >= 0")
         if not 0 < self.penalty < math.inf:

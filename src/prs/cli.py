@@ -44,10 +44,9 @@ from .pipeline import (
     extract_base_matrix,
     extract_spectral_matrix,
     fit_prep,
-    nutrients_for_row,
-    soil_for_row,
+    transform_rows,
 )
-from .soil import SoilConfig, convolve_soil
+from .soil import SoilConfig, build_discrete_soil, convolve_soil
 
 
 class _UsageError(Exception):
@@ -350,26 +349,26 @@ def _cmd_rank(opts) -> int:
     return 0
 
 
-def _fitted_row(opts):
-    """Shared lookup for the single-sample commands: the segment, its raw
-    base row and the artifacts fitted on the whole dataset."""
+def _fitted_row(opts, config: SoilConfig):
+    """The segment of a single-sample command and its discrete soil, under
+    the artifacts fitted on the whole dataset."""
     dataset = load_dataset(opts["manifest"])
     segment = dataset.segment_by_id(opts["sample"])
     base = extract_base_matrix(dataset)
+    artifacts = fit_prep(base, dataset.labels)
     row = base[[seg.id for seg in dataset.segments].index(segment.id)]
-    return segment, row, fit_prep(base, dataset.labels)
+    sorted_row = transform_rows(row[None, :], artifacts)[0]
+    return segment, build_discrete_soil(sorted_row, artifacts.soil_bounds, config)
 
 
 @_command("soil-dump", "manifest out sample depth fill_mode", "manifest sample")
 def _cmd_soil_dump(opts) -> int:
     """discrete or convolved soil grid for one sample"""
     config = _pipeline_config(opts)
-    _, row, artifacts = _fitted_row(opts)
-    soil = soil_for_row(row, artifacts, config.soil)
-    nutrients = convolve_soil(soil)
-    discrete_text = _csv_text([[str(int(v)) for v in line] for line in soil.grid])
+    _, soil = _fitted_row(opts, config.soil)
+    discrete_text = _csv_text([[str(int(v)) for v in line] for line in soil])
     nutrient_text = _csv_text(
-        [[repr(float(v)) for v in line] for line in nutrients.grid]
+        [[repr(float(v)) for v in line] for line in convolve_soil(soil)]
     )
     files = {"discrete_soil.csv": discrete_text, "nutrient_matrix.csv": nutrient_text}
     _emit(discrete_text + "\n" + nutrient_text, opts["out"], files)
@@ -385,14 +384,13 @@ def _cmd_soil_dump(opts) -> int:
 def _cmd_grow(opts) -> int:
     """run root growth for one sample and report NF/RF"""
     config = _pipeline_config(opts)
-    segment, row, artifacts = _fitted_row(opts)
-    nutrients = nutrients_for_row(row, artifacts, config.soil)
-    state = grow(nutrients, config.growth)
-    pair = extract_prs(state)
+    segment, soil = _fitted_row(opts, config.soil)
+    state = grow(convolve_soil(soil), config.growth)
+    nf, rf = extract_prs(state).tolist()
     report = {
         "id": segment.id,
-        "nf": pair.nf,
-        "rf": pair.rf,
+        "nf": nf,
+        "rf": rf,
         "days_run": len(state.day_log),
         "n_occupied": int(np.sum(state.occupancy)),
         "day_log": [[list(cell) for cell in day] for day in state.day_log],

@@ -53,8 +53,11 @@ class SignalSegment:
             )
         if not np.all(np.isfinite(samples)):
             raise DatasetError(f"segment {self.id!r}: non-finite amplitude")
-        if not (self.sampling_rate > 0):
-            raise DatasetError(f"segment {self.id!r}: sampling_rate must be > 0")
+        if not 0 < self.sampling_rate < np.inf:
+            raise DatasetError(
+                f"segment {self.id!r}: sampling_rate must be finite and > 0, "
+                f"got {self.sampling_rate!r}"
+            )
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 

@@ -295,9 +295,7 @@ def run_experiment(
     it, and goes when that harness drops it.
     """
     for name, value in (("reps", reps), ("threads", threads)):
-        check_integer(name, value)
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1")
+        check_integer(name, value, 1)
     specs = [
         c if isinstance(c, ClassifierSpec) else ClassifierSpec(kind=str(c))
         for c in classifiers

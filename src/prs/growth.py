@@ -18,10 +18,11 @@ are given, and ``pipeline.PipelineConfig`` checks it against the soil.
 a whole stack of grids at once, keeping each grid's candidates as offers
 across days and recording every day's picks, and take RF from each grid
 row's extreme columns. ``grow`` and ``extract_prs`` are those kernels on
-a one-grid block; ``grow`` reads the day log that the CLI ``grow``
-command prints from the recorded picks. The per-row loop, monotone-chain
-hull and shoelace area they are tested against bit for bit live in
-``tests/reference.py``.
+a one-grid block: ``grow`` takes a plain (rows, cols) nutrient grid and
+reads the day log that the CLI ``grow`` command prints from the recorded
+picks, and ``extract_prs`` returns the [NF, RF] row. The per-row loop,
+monotone-chain hull and shoelace area they are tested against bit for
+bit live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import check_integer
-from .soil import NutrientMatrix
 
 # Upper-center seed cell: surface row, center column of a 12-wide grid.
 DEFAULT_RADICLE = ((1, 6),)
@@ -50,12 +50,8 @@ class GrowthConfig:
     occupy_zero: bool = True  # zero-nutrient cells may still be occupied
 
     def __post_init__(self):
-        check_integer("days", self.days)
-        if self.days < 0:
-            raise ValueError(f"days must be >= 0, got {self.days}")
-        check_integer("division_limit", self.division_limit)
-        if self.division_limit < 1:
-            raise ValueError(f"division_limit must be >= 1, got {self.division_limit}")
+        check_integer("days", self.days, 0)
+        check_integer("division_limit", self.division_limit, 1)
         for r, c in self.radicle:
             check_integer("radicle row", r)
             check_integer("radicle column", c)
@@ -83,23 +79,16 @@ class RootState:
     day_log: list[list[tuple[int, int]]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class PRSFeaturePair:
-    """The two growth features: NF (absorption) and RF (polygon area)."""
-
-    nf: float
-    rf: float
-
-
-def grow(nutrients: NutrientMatrix, config: GrowthConfig = GrowthConfig()) -> RootState:
-    """``grow_batch`` on one grid, with the day log read from its picks.
+def grow(nutrients, config: GrowthConfig = GrowthConfig()) -> RootState:
+    """``grow_batch`` on one (rows, cols) nutrient grid, with the day log
+    read from its picks.
 
     Each day lists the cells picked that day in pick order; the log stops
     at the first day with no candidate left, so it may be shorter than
     ``config.days``.
     """
-    cols = nutrients.grid.shape[1]
-    absorbed, occupancy, picks = grow_batch(nutrients.grid[None], config)
+    absorbed, occupancy, picks = grow_batch(np.asarray(nutrients)[None], config)
+    cols = occupancy.shape[2]
     day_log: list[list[tuple[int, int]]] = []
     for day in picks[0].tolist():
         # flat pick p > 0 is the 1-based cell (row, col) with
@@ -242,11 +231,10 @@ def hull_areas(occupancy) -> np.ndarray:
     return 0.5 * twice.astype(np.float64)
 
 
-def extract_prs(state: RootState) -> PRSFeaturePair:
-    """NF = accumulated absorption; RF = convex-hull area of the root,
-    from ``hull_areas`` on a one-grid block. The hull of fewer than 3
+def extract_prs(state: RootState) -> np.ndarray:
+    """The (2,) [NF, RF] row of a grown root, as ``pipeline.prs_features``
+    gives it: NF = accumulated absorption; RF = convex-hull area, from
+    ``hull_areas`` on a one-grid block. The hull of fewer than 3
     non-collinear cells has area 0.
     """
-    return PRSFeaturePair(
-        nf=state.absorbed, rf=float(hull_areas(state.occupancy[None])[0])
-    )
+    return np.array([state.absorbed, hull_areas(state.occupancy[None])[0]])

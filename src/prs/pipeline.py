@@ -25,9 +25,9 @@ step that reads the artifacts; the kernels then take bins alone, in
 blocks of rows. So one call can take runs of rows binned under
 different artifacts: ``evaluate_splits`` sends every split's training
 and test rows, each split under its own fold's artifacts, through one
-kernel pass per run. The one-row
-chain of the CLI ``soil-dump`` and ``grow`` commands (``soil_for_row``
--> ``nutrients_for_row`` -> ``growth.grow`` -> ``growth.extract_prs``)
+kernel pass per run. The one-row chain of the CLI ``soil-dump`` and
+``grow`` commands (``soil.build_discrete_soil`` -> ``soil.convolve_soil``
+-> ``growth.grow`` -> ``growth.extract_prs``) passes plain arrays and
 runs the same binning, growth and hull kernels on a one-row block. The
 per-row loops both are tested against, bit for bit, live in
 ``tests/reference.py``.
@@ -57,20 +57,12 @@ from .feature_prep import (
     rank_features,
 )
 from .growth import GrowthConfig, check_radicle, grow_batch, hull_areas
-from .soil import (
-    DiscreteSoil,
-    NutrientMatrix,
-    SoilConfig,
-    bin_indices,
-    build_discrete_soil,
-    convolve_soil,
-    nutrient_grids,
-)
+from .soil import SoilConfig, bin_indices, nutrient_grids
 from .spectral import MEDIAN_MODES, MEDIAN_PSD, spectral_rows
-# grow, extract_prs and compute_spectral are not called here; they stay
-# module attributes because perfbench/tracer.py wraps them on
-# prs.pipeline by name.
+# The one-row chain is not called here; its names stay module attributes
+# because perfbench/tracer.py wraps them on prs.pipeline by name.
 from .growth import extract_prs, grow  # noqa: F401
+from .soil import build_discrete_soil, convolve_soil  # noqa: F401
 from .spectral import compute_spectral  # noqa: F401
 
 PRS_NAMES = ("NF", "RF")
@@ -171,24 +163,6 @@ def transform_rows(base_values: np.ndarray, artifacts: PrepArtifacts) -> np.ndar
     return apply_bounds(values, artifacts.feature_bounds)[:, artifacts.order]
 
 
-def soil_for_row(
-    base_row: np.ndarray,
-    artifacts: PrepArtifacts,
-    config: SoilConfig = SoilConfig(),
-) -> DiscreteSoil:
-    """Discrete soil grid for one raw base-feature row."""
-    sorted_row = transform_rows(base_row[None, :], artifacts)[0]
-    return build_discrete_soil(sorted_row, artifacts.soil_bounds, config)
-
-
-def nutrients_for_row(
-    base_row: np.ndarray,
-    artifacts: PrepArtifacts,
-    config: SoilConfig = SoilConfig(),
-) -> NutrientMatrix:
-    return convolve_soil(soil_for_row(base_row, artifacts, config))
-
-
 def prs_features(
     base_values: np.ndarray,
     artifacts: PrepArtifacts | Sequence[tuple[PrepArtifacts, int]],
@@ -199,8 +173,9 @@ def prs_features(
     ``artifacts`` is one ``PrepArtifacts`` for every row, or a sequence
     of (PrepArtifacts, n_rows) runs that cover the rows in order, so that
     the rows of many training folds go through the kernels together. Row
-    s equals, bit for bit, ``extract_prs(grow(nutrients_for_row(...)))``
-    of row s alone under its run's artifacts.
+    s equals, bit for bit, ``extract_prs(grow(convolve_soil(
+    build_discrete_soil(...))))`` of row s alone under its run's
+    artifacts.
     """
     values = np.asarray(base_values, dtype=np.float64)
     runs = [(artifacts, len(values))] if isinstance(artifacts, PrepArtifacts) else artifacts

@@ -7,16 +7,19 @@ with depth. Two 3x3 kernel passes (zero padding 1, applied as
 correlation) then redistribute the nutrients horizontally: the first
 kernel pushes mass from the shallow side, the second from the deep side.
 
-``bin_indices`` is the one binning implementation; ``build_discrete_soil``
-fills one row's soil from its bins on a one-row block, and
-``convolve_soil`` runs the two passes on that soil for the CLI
-``soil-dump`` and ``grow`` commands. The block path, ``nutrient_grids``,
-builds no soil: both kernel passes are linear, so a nutrient grid is the
-sum of the responses of its one-column soils, which ``column_responses``
-tables once per (depth, fill mode, width). Soil values are 0 or 1 and
-kernel weights multiples of 1/4, so every response is a whole number of
-sixteenths, and a grid sums them exactly in small integers. The scalar
-binning and per-column soil fill they are tested against live in
+Soils and nutrient grids are plain float64 arrays, (depth, n) with row 1
+(index 0) at the surface. ``bin_indices`` is the one binning
+implementation; ``build_discrete_soil`` fills one row's soil from its
+bins on a one-row block, and ``convolve_soil`` runs the two passes on a
+grid or a stack of grids, for the CLI ``soil-dump`` and ``grow``
+commands. The block path, ``nutrient_grids``, builds no soil: both
+kernel passes are linear, so a nutrient grid is the sum of the responses
+of its one-column soils, which ``column_responses`` tables once per
+(depth, fill mode, width), filling each soil column by the same rule as
+``build_discrete_soil``. Soil values are 0 or 1 and kernel weights
+multiples of 1/4, so every response is a whole number of sixteenths, and
+a grid sums them exactly in small integers. The scalar binning and
+per-column soil fill they are tested against live in
 ``tests/reference.py``.
 """
 
@@ -57,51 +60,15 @@ class SoilConfig:
     fill_mode: str = "stacked"
 
     def __post_init__(self):
-        check_integer("depth", self.depth)
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        check_integer("depth", self.depth, 1)
         if self.fill_mode not in FILL_MODES:
             raise ValueError(
                 f"fill_mode must be one of {FILL_MODES}, got {self.fill_mode!r}"
             )
 
 
-@dataclass(frozen=True)
-class DiscreteSoil:
-    """Binary 15x12 grid; row 1 (index 0) is the surface."""
-
-    grid: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
-        if grid.ndim != 2:
-            raise ValueError("soil grid must be 2D")
-        grid.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-
-
-@dataclass(frozen=True)
-class NutrientMatrix:
-    """Non-negative 15x12 grid of reconstituted nutrient values."""
-
-    grid: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
-        if grid.ndim != 2:
-            raise ValueError("nutrient grid must be 2D")
-        if not np.all(np.isfinite(grid)):
-            raise ValueError("nutrient grid contains non-finite values")
-        if (grid < 0).any():
-            raise ValueError("nutrient grid contains negative values")
-        grid.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-
-
-def build_discrete_soil(
-    sorted_row, bounds, config: SoilConfig = SoilConfig()
-) -> DiscreteSoil:
-    """Stack one sample's sorted feature row into a binary depth grid.
+def build_discrete_soil(sorted_row, bounds, config: SoilConfig = SoilConfig()) -> np.ndarray:
+    """Binary (depth, n) float64 soil of one sample's sorted feature row.
 
     ``bounds`` is an (n, 2) array of per-sorted-column (min, max) taken
     over the whole (training) dataset.
@@ -111,10 +78,14 @@ def build_discrete_soil(
     if bounds.shape != (row.size, 2):
         raise ValueError(f"expected bounds shape {(row.size, 2)}, got {bounds.shape}")
     bins = bin_indices(row[None, :], bounds, config.depth)[0]
-    depths = np.arange(1, config.depth + 1)[:, None]
-    # stacked fills rows 1..b of each column, onehot row b only
-    filled = depths <= bins if config.fill_mode == "stacked" else depths == bins
-    return DiscreteSoil(grid=filled)
+    return _fill(bins, config.depth, config.fill_mode).astype(np.float64)
+
+
+def _fill(bins, depth: int, fill_mode: str) -> np.ndarray:
+    """Boolean (depth, n) soil of n columns at 1-based ``bins``: stacked
+    fills rows 1..b of each column, onehot row b only."""
+    depths = np.arange(1, depth + 1)[:, None]
+    return depths <= bins if fill_mode == "stacked" else depths == bins
 
 
 def bin_indices(values, bounds, k: int = SOIL_DEPTH) -> np.ndarray:
@@ -155,37 +126,27 @@ def correlate3(grid: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def convolve_grid(grid: np.ndarray, kernels=(KERNEL_SHALLOW, KERNEL_DEEP)) -> np.ndarray:
-    """Sequential kernel passes over a real-valued grid, or over a stack
-    of grids on the last two axes."""
-    out = np.asarray(grid, dtype=np.float64)
-    for kernel in kernels:
-        out = correlate3(out, kernel)
-    return out
-
-
-def convolve_soil(soil: DiscreteSoil) -> NutrientMatrix:
-    """Reconstitute nutrients: shallow-side pass then deep-side pass."""
-    return NutrientMatrix(grid=convolve_grid(soil.grid))
+def convolve_soil(grid) -> np.ndarray:
+    """Reconstitute nutrients: the shallow-side pass, then the deep-side
+    pass, over one grid or a stack of grids on the last two axes."""
+    return correlate3(correlate3(grid, KERNEL_SHALLOW), KERNEL_DEEP)
 
 
 @lru_cache(maxsize=None)
 def column_responses(depth: int, fill_mode: str, width: int) -> np.ndarray:
     """Read-only (width, depth, depth, width) uint8 table: entry [j, b - 1]
-    is 16 times ``convolve_grid`` of the soil whose only filled column is
+    is 16 times ``convolve_soil`` of the soil whose only filled column is
     j, at bin b. Raises ValueError unless every entry is a whole number
     and one bin per column sums to at most 255 in every cell, so that
     ``nutrient_grids`` adds them without rounding or overflow."""
-    fill = np.arange(depth)[None, :] <= np.arange(depth)[:, None]  # [b - 1, row]
-    if fill_mode == "onehot":
-        fill = np.eye(depth, dtype=bool)
+    fill = _fill(np.arange(1, depth + 1), depth, fill_mode).T  # [b - 1, row]
     table = np.empty((width, depth, depth, width), dtype=np.uint8)
     worst = np.zeros((depth, width))  # largest sum one bin per column reaches
     for start in range(0, width, 4):  # stacks of 4 columns stay in cache
         cols = np.arange(start, min(start + 4, width))
         soils = np.zeros((len(cols), depth, depth, width))
         soils[np.arange(len(cols)), :, :, cols] = fill
-        sixteenths = 16.0 * convolve_grid(soils, (KERNEL_SHALLOW, KERNEL_DEEP))
+        sixteenths = 16.0 * convolve_soil(soils)
         if (sixteenths != np.round(sixteenths)).any() or sixteenths.min() < 0.0:
             raise ValueError("a column response is not a whole number of sixteenths")
         worst += sixteenths.max(axis=1).sum(axis=0)
@@ -198,7 +159,7 @@ def column_responses(depth: int, fill_mode: str, width: int) -> np.ndarray:
 
 def nutrient_grids(bins, config: SoilConfig = SoilConfig()) -> np.ndarray:
     """(m, depth, n) nutrient grids for an (m, n) block of 1-based bins;
-    slice s equals ``convolve_soil(build_discrete_soil(...)).grid`` of the
+    slice s equals ``convolve_soil(build_discrete_soil(...))`` of the
     row whose bins are ``bins[s]``. The columns' responses are added one
     column at a time, in whole sixteenths."""
     m, n = np.shape(bins)

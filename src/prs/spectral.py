@@ -9,9 +9,9 @@ band's power in half instead of the median density.
 
 ``spectral_rows`` computes both for a block of equal-length segments with
 one FFT along the sample axis; ``compute_spectral`` is that kernel on a
-one-row block. The one-segment spectrum, positive band and median
-frequency the kernel is tested against, bit for bit, live in
-``tests/reference.py``.
+one-row block, and returns its (2,) row. The one-segment spectrum,
+positive band and median frequency the kernel is tested against, bit for
+bit, live in ``tests/reference.py``.
 
 In the ``psd`` mode one sort of each row's band gives both values:
 MaxPSD is its last entry, and MedPSD its middle entry, or ``(a + b) / 2.0``
@@ -29,8 +29,6 @@ finite, as after such an FFT or from huge finite bins. Sorting a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import SignalSegment
@@ -38,14 +36,6 @@ from .dataset import SignalSegment
 MEDIAN_PSD = "psd"
 MEDIAN_FREQUENCY = "frequency"
 MEDIAN_MODES = (MEDIAN_PSD, MEDIAN_FREQUENCY)
-
-
-@dataclass(frozen=True)
-class SpectralPair:
-    """MaxPSD and MedPSD values for one segment."""
-
-    max_psd: float
-    med_psd: float
 
 
 def spectral_rows(
@@ -63,8 +53,10 @@ def spectral_rows(
         raise ValueError(
             f"median_mode must be one of {MEDIAN_MODES}, got {median_mode!r}"
         )
-    if sampling_rate <= 0:
-        raise ValueError(f"sampling_rate must be positive, got {sampling_rate}")
+    if not 0 < sampling_rate < np.inf:
+        raise ValueError(
+            f"sampling_rate must be finite and positive, got {sampling_rate}"
+        )
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError(
@@ -105,9 +97,10 @@ def spectral_rows(
     return out
 
 
-def compute_spectral(segment: SignalSegment, median_mode: str = MEDIAN_PSD) -> SpectralPair:
-    """MaxPSD and MedPSD for one segment; all-zero input yields (0, 0)."""
-    max_psd, med = spectral_rows(
-        segment.samples[None, :], segment.sampling_rate, median_mode
-    )[0]
-    return SpectralPair(max_psd=float(max_psd), med_psd=float(med))
+def compute_spectral(
+    segment: SignalSegment, median_mode: str = MEDIAN_PSD
+) -> np.ndarray:
+    """The (2,) [MaxPSD, MedPSD] row of one segment; all-zero input yields
+    (0, 0)."""
+    x = segment.samples[None, :]
+    return spectral_rows(x, segment.sampling_rate, median_mode)[0]

@@ -10,7 +10,9 @@ kernels are tested against, bit for bit:
 - scalar soil binning and the per-column soil fill;
 - the daily division loop of root growth, with its day log;
 - Andrew's monotone-chain hull and the shoelace area;
-- the whole per-row chain, ``prs_pair_for_row``;
+- the whole per-row chain, ``prs_pair_for_row``, on plain arrays: a
+  soil and a nutrient grid are (depth, n) float64 arrays, and NF and RF
+  come back as one (2,) row;
 - the entropy of a label list and the information gain of a two-set
   split, which ``feature_prep.rank_features`` takes from class counts;
 - the one-problem fits and scores of LR, LDA and QDA, and the per-label
@@ -30,21 +32,9 @@ import numpy as np
 
 from prs.classifiers import TrainedModel
 from prs.errors import DegenerateDataError
-from prs.growth import (
-    _NEIGHBOR_STEPS,
-    GrowthConfig,
-    PRSFeaturePair,
-    RootState,
-    check_radicle,
-)
+from prs.growth import _NEIGHBOR_STEPS, GrowthConfig, RootState, check_radicle
 from prs.pipeline import PipelineConfig, PrepArtifacts, transform_rows
-from prs.soil import (
-    SOIL_DEPTH,
-    DiscreteSoil,
-    NutrientMatrix,
-    SoilConfig,
-    convolve_soil,
-)
+from prs.soil import SOIL_DEPTH, SoilConfig, convolve_soil
 
 # -- base features -------------------------------------------------------------
 
@@ -197,7 +187,7 @@ def bin_index(value: float, col_min: float, col_max: float, k: int = SOIL_DEPTH)
 
 def build_discrete_soil(
     sorted_row, bounds, config: SoilConfig = SoilConfig()
-) -> DiscreteSoil:
+) -> np.ndarray:
     """Stack one sample's sorted feature row into a binary depth grid.
 
     ``bounds`` is an (n, 2) array of per-sorted-column (min, max) taken
@@ -214,7 +204,7 @@ def build_discrete_soil(
             grid[:b, j] = 1.0
         else:
             grid[b - 1, j] = 1.0
-    return DiscreteSoil(grid=grid)
+    return grid
 
 
 # -- growth and hull -----------------------------------------------------------
@@ -232,13 +222,14 @@ def absorption_rate(value: float) -> float:
     return value / (1.0 + abs(value)) + 0.49
 
 
-def grow(nutrients: NutrientMatrix, config: GrowthConfig = GrowthConfig()) -> RootState:
-    """Run the daily division loop; deterministic for identical inputs.
+def grow(nutrients, config: GrowthConfig = GrowthConfig()) -> RootState:
+    """Run the daily division loop over a (rows, cols) nutrient grid;
+    deterministic for identical inputs.
 
     Candidate ties (equal nutrient value) break by (row, col) ascending.
     Stops early when no division candidates remain.
     """
-    grid = nutrients.grid
+    grid = np.asarray(nutrients, dtype=np.float64)
     rows, cols = grid.shape
     check_radicle(config.radicle, grid.shape)
     occupancy = np.zeros(grid.shape, dtype=np.int64)
@@ -314,15 +305,16 @@ def convex_hull(points) -> list[tuple[float, float]]:
     return lower[:-1] + upper[:-1]
 
 
-def extract_prs(state: RootState) -> PRSFeaturePair:
-    """NF = accumulated absorption; RF = convex-hull area of the root.
+def extract_prs(state: RootState) -> np.ndarray:
+    """The [NF, RF] row: NF = accumulated absorption; RF = convex-hull
+    area of the root.
 
     Cell (row, col) maps to the plane point (col, row); the hull of fewer
     than 3 non-collinear cells has area 0.
     """
     points = [(c, r) for r, c in occupied_cells(state)]
     hull = convex_hull(points)
-    return PRSFeaturePair(nf=state.absorbed, rf=polygon_area(hull))
+    return np.array([state.absorbed, polygon_area(hull)])
 
 
 # -- the per-row chain ---------------------------------------------------------
@@ -332,7 +324,7 @@ def soil_for_row(
     base_row: np.ndarray,
     artifacts: PrepArtifacts,
     config: SoilConfig = SoilConfig(),
-) -> DiscreteSoil:
+) -> np.ndarray:
     """Discrete soil grid for one raw base-feature row."""
     sorted_row = transform_rows(base_row[None, :], artifacts)[0]
     return build_discrete_soil(sorted_row, artifacts.soil_bounds, config)
@@ -342,7 +334,7 @@ def nutrients_for_row(
     base_row: np.ndarray,
     artifacts: PrepArtifacts,
     config: SoilConfig = SoilConfig(),
-) -> NutrientMatrix:
+) -> np.ndarray:
     return convolve_soil(soil_for_row(base_row, artifacts, config))
 
 
@@ -350,8 +342,8 @@ def prs_pair_for_row(
     base_row: np.ndarray,
     artifacts: PrepArtifacts,
     config: PipelineConfig = PipelineConfig(),
-) -> PRSFeaturePair:
-    """NF and RF for one raw base-feature row."""
+) -> np.ndarray:
+    """The [NF, RF] row of one raw base-feature row."""
     nutrients = nutrients_for_row(base_row, artifacts, config.soil)
     return extract_prs(grow(nutrients, config.growth))
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes, and output formats."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +124,27 @@ def test_extract_overflowing_segment_prints_only_the_error_line(
     assert proc.stderr.splitlines() == [
         f"error: segment {segments[1].id!r} overflows float64 in {columns}"
     ]
+
+
+@pytest.mark.parametrize("median_mode", ["psd", "frequency"])
+def test_spectral_infinite_sampling_rate_prints_only_the_error_line(
+    data_dir, tmp_path, median_mode
+):
+    # the frequency mode divided by zero in np.fft.fftfreq, and the psd
+    # mode wrote zeros; both must reject the manifest, in a child process
+    # so that stderr holds any traceback
+    source = Path(data_dir)
+    lines = source.read_text().splitlines()
+    lines[0] = "# sampling_rate=inf"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    for signal in source.parent.glob("*.txt"):
+        (tmp_path / signal.name).write_text(signal.read_text())
+    proc = run_cli(["spectral", "--manifest", str(manifest), "--median-mode", median_mode])
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: {manifest}: row 1: segment ")
+    assert line.endswith("sampling_rate must be finite and > 0, got inf")
 
 
 def test_missing_manifest_is_runtime_error(capsys):
@@ -326,7 +348,7 @@ def test_soil_dump_and_grow_equal_the_reference_chain(
     soil = reference.soil_for_row(rows[sample], artifacts, config.soil)
     nutrients = convolve_soil(soil)
     state = reference.grow(nutrients, config.growth)
-    pair = reference.extract_prs(state)
+    nf, rf = reference.extract_prs(state).tolist()
 
     soil_args = ["--depth", str(config.soil.depth), "--fill-mode", config.soil.fill_mode]
     out = tmp_path / "soil"
@@ -336,10 +358,10 @@ def test_soil_dump_and_grow_equal_the_reference_chain(
         capsys,
     )
     assert (out / "discrete_soil.csv").read_text() == grid_csv(
-        soil.grid, lambda v: str(int(v))
+        soil, lambda v: str(int(v))
     )
     assert (out / "nutrient_matrix.csv").read_text() == grid_csv(
-        nutrients.grid, lambda v: repr(float(v))
+        nutrients, lambda v: repr(float(v))
     )
 
     frames = tmp_path / "frames"
@@ -350,8 +372,8 @@ def test_soil_dump_and_grow_equal_the_reference_chain(
     )
     want = {
         "id": sample,
-        "nf": pair.nf,
-        "rf": pair.rf,
+        "nf": nf,
+        "rf": rf,
         "days_run": len(state.day_log),
         "n_occupied": int(state.occupancy.sum()),
         "day_log": [[list(cell) for cell in day] for day in state.day_log],
@@ -398,6 +420,12 @@ def test_grow_bad_radicle_is_usage_error(data_dir, capsys):
         ("grow", "--fill-mode", "bogus"),
         ("extract", "--zc-threshold", "-1"),
         ("evaluate", "--median-mode", "bogus"),
+        # a threshold must be finite: NaN counted no zero crossings at all
+        *(
+            ("extract", option, value)
+            for option in ("--zc-threshold", "--ssc-threshold", "--wamp-threshold")
+            for value in ("nan", "inf")
+        ),
     ],
 )
 def test_bad_pipeline_option_is_usage_error_before_loading(
@@ -412,7 +440,8 @@ def test_bad_pipeline_option_is_usage_error_before_loading(
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2
-    assert option[2:].replace("-", "_") in captured.err
+    [line] = captured.err.splitlines()
+    assert option[2:].replace("-", "_") in line
 
 
 # -- classify -----------------------------------------------------------------------

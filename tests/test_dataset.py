@@ -112,6 +112,18 @@ def test_missing_rate_comment_rejected(tmp_path):
         load_dataset(manifest)
 
 
+@pytest.mark.parametrize("rate", ["0.0", "-5.0", "inf", "nan"])
+def test_rate_that_is_not_finite_and_positive_rejected(tmp_path, rate):
+    write_signal(tmp_path / "x.txt", range(20))
+    manifest = write_manifest(tmp_path, [("x", "A", "x.txt")], rate=rate)
+    with pytest.raises(DatasetError) as err:
+        load_dataset(manifest)
+    assert str(err.value) == (
+        f"{manifest}: row 1: segment 'x': sampling_rate must be finite and > 0, "
+        f"got {float(rate)!r}"
+    )
+
+
 def test_segment_by_id(tiny_dataset):
     assert tiny_dataset.segment_by_id("b1").label == "B"
     with pytest.raises(DatasetError, match="no segment"):

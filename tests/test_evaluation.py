@@ -381,6 +381,24 @@ def test_run_experiment_rejects_non_integer_counts_before_feature_work(
         run_experiment(small_synth, **{"reps": 1, **counts})
 
 
+@pytest.mark.parametrize(
+    "make, kwargs, message",
+    [
+        (ClassifierSpec, {"kind": "LR", "max_iter": 0}, "max_iter must be >= 1, got 0"),
+        (ClassifierSpec, {"kind": "SVM_POLY", "degree": 0}, "degree must be >= 1, got 0"),
+        (SoilConfig, {"depth": 0}, "depth must be >= 1, got 0"),
+        (GrowthConfig, {"days": -1}, "days must be >= 0, got -1"),
+        (GrowthConfig, {"division_limit": 0}, "division_limit must be >= 1, got 0"),
+        (run_experiment, {"reps": 0}, "reps must be >= 1, got 0"),
+        (run_experiment, {"threads": -2}, "threads must be >= 1, got -2"),
+    ],
+)
+def test_counts_below_their_minimum_name_the_bound(make, kwargs, message, small_synth):
+    args = (small_synth,) if make is run_experiment else ()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(*args, **kwargs)
+
+
 def test_run_experiment_validation(small_synth):
     with pytest.raises(ValueError, match="reps"):
         run_experiment(small_synth, reps=0)

@@ -18,7 +18,7 @@ from prs.growth import (
     grow,
     grow_batch,
 )
-from prs.soil import SOIL_DEPTH, SOIL_WIDTH, NutrientMatrix
+from prs.soil import SOIL_DEPTH, SOIL_WIDTH
 
 from reference import absorption_rate, convex_hull, occupied_cells, polygon_area
 
@@ -56,7 +56,7 @@ def is_connected_to_radicle(occupancy, radicle):
 
 
 def nutrients_from(array):
-    return NutrientMatrix(grid=np.asarray(array, dtype=np.float64))
+    return np.asarray(array, dtype=np.float64)
 
 
 def zero_nutrients():
@@ -157,8 +157,7 @@ def test_growth_invariants_on_random_grids():
             partial = grow(nutrients, GrowthConfig(days=days, division_limit=2))
             assert partial.absorbed >= previous - 1e-15
             previous = partial.absorbed
-        pair = extract_prs(state)
-        assert 0.0 <= pair.rf <= RF_MAX
+        assert 0.0 <= extract_prs(state)[1] <= RF_MAX
 
 
 def test_growth_is_deterministic():
@@ -263,14 +262,12 @@ def test_extract_prs_square_of_cells():
     occupancy = np.zeros((SOIL_DEPTH, SOIL_WIDTH), dtype=np.int64)
     for r, c in [(1, 1), (1, 3), (3, 1), (3, 3)]:
         occupancy[r - 1, c - 1] = 1
-    pair = extract_prs(RootState(occupancy=occupancy, absorbed=2.5))
-    assert pair.rf == 4.0
-    assert pair.nf == 2.5
+    row = extract_prs(RootState(occupancy=occupancy, absorbed=2.5))
+    assert row.tolist() == [2.5, 4.0]  # [NF, RF]
 
 
 def test_extract_prs_collinear_cells():
     occupancy = np.zeros((SOIL_DEPTH, SOIL_WIDTH), dtype=np.int64)
     for c in (1, 2, 3):
         occupancy[0, c - 1] = 1
-    pair = extract_prs(RootState(occupancy=occupancy, absorbed=0.0))
-    assert pair.rf == 0.0
+    assert extract_prs(RootState(occupancy=occupancy, absorbed=0.0))[1] == 0.0

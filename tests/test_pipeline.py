@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from prs.dataset import LabeledDataset, SignalSegment, generate_synthetic
 from prs.feature_prep import MIN_SAMPLES, apply_bounds, column_bounds
+from prs import pipeline
 from prs.pipeline import (
     PrepArtifacts,
     extract_base_matrix,
     extract_spectral_matrix,
     fit_prep,
-    nutrients_for_row,
     prs_features,
-    soil_for_row,
     transform_rows,
 )
 from prs.soil import SOIL_DEPTH, SOIL_WIDTH
@@ -62,14 +61,19 @@ def test_transform_accepts_single_row(fitted):
     assert np.array_equal(one[0], transform_rows(base, artifacts)[3])
 
 
-def test_soil_and_nutrients_for_row(fitted):
+def test_one_row_chain_matches_prs_features(fitted):
+    """The one-row names that stay on ``prs.pipeline`` pass plain arrays,
+    and chain to the row ``prs_features`` gives."""
     base, artifacts = fitted
-    soil = soil_for_row(base[0], artifacts)
-    assert soil.grid.shape == (SOIL_DEPTH, SOIL_WIDTH)
-    assert set(np.unique(soil.grid)) <= {0.0, 1.0}
-    nutrients = nutrients_for_row(base[0], artifacts)
-    assert nutrients.grid.shape == soil.grid.shape
-    assert np.all(nutrients.grid >= 0.0)
+    sorted_row = transform_rows(base[:1], artifacts)[0]
+    soil = pipeline.build_discrete_soil(sorted_row, artifacts.soil_bounds)
+    assert soil.shape == (SOIL_DEPTH, SOIL_WIDTH)
+    assert set(np.unique(soil)) <= {0.0, 1.0}
+    nutrients = pipeline.convolve_soil(soil)
+    assert nutrients.shape == soil.shape
+    assert np.all(nutrients >= 0.0)
+    row = pipeline.extract_prs(pipeline.grow(nutrients))
+    assert np.array_equal(row, prs_features(base[:1], artifacts)[0])
 
 
 def test_prs_features_shape_and_determinism(fitted):

@@ -15,7 +15,6 @@ from prs import soil
 from prs.growth import GrowthConfig, grow_batch, hull_areas
 from prs.soil import (
     FILL_MODES,
-    NutrientMatrix,
     SoilConfig,
     bin_indices,
     build_discrete_soil,
@@ -53,8 +52,8 @@ def test_nutrient_grids_equal_the_per_row_soil(rows_and_bounds, depth, fill_mode
     assert grids.shape == (len(rows), depth, 12) and grids.dtype == np.float64
     for row, grid in zip(rows, grids):
         discrete = reference.build_discrete_soil(row, bounds, config)
-        assert np.array_equal(build_discrete_soil(row, bounds, config).grid, discrete.grid)
-        assert np.array_equal(grid, convolve_soil(discrete).grid)
+        assert np.array_equal(build_discrete_soil(row, bounds, config), discrete)
+        assert np.array_equal(grid, convolve_soil(discrete))
 
 
 def test_column_responses_are_built_once_and_read_only():
@@ -94,7 +93,7 @@ def grow_matches_per_row(grids, config):
     """Grow the block and each grid alone; returns the reference states
     and the block's picks."""
     absorbed, occupancy, picks = grow_batch(grids, config)
-    states = [reference.grow(NutrientMatrix(grid=grid), config) for grid in grids]
+    states = [reference.grow(grid, config) for grid in grids]
     for s, state in enumerate(states):
         assert absorbed[s] == state.absorbed
         assert np.array_equal(occupancy[s], state.occupancy == 1)
@@ -158,8 +157,7 @@ def test_hull_areas_of_two_radicles_with_a_gap_between_their_rows():
     got = hull_areas(occupancy)
     for grid, area, grid_occupancy in zip(grids, got, occupancy):
         assert area == hull_oracle(grid_occupancy)
-        state = reference.grow(NutrientMatrix(grid=grid), config)
-        assert area == reference.extract_prs(state).rf
+        assert area == reference.extract_prs(reference.grow(grid, config))[1]
     assert (got > 0).all()
 
 

@@ -11,11 +11,9 @@ from prs.soil import (
     KERNEL_SHALLOW,
     SOIL_DEPTH,
     SOIL_WIDTH,
-    DiscreteSoil,
     SoilConfig,
     bin_indices,
     build_discrete_soil,
-    convolve_grid,
     convolve_soil,
     correlate3,
 )
@@ -82,25 +80,25 @@ def test_bin_index_monotone_in_value():
 
 def test_zero_row_gives_single_surface_layer():
     soil = build_discrete_soil(np.zeros(SOIL_WIDTH), UNIT_BOUNDS)
-    assert soil.grid.shape == (SOIL_DEPTH, SOIL_WIDTH)
-    assert np.array_equal(soil.grid[0], np.ones(SOIL_WIDTH))
-    assert not soil.grid[1:].any()
+    assert soil.shape == (SOIL_DEPTH, SOIL_WIDTH)
+    assert np.array_equal(soil[0], np.ones(SOIL_WIDTH))
+    assert not soil[1:].any()
 
 
 def test_half_value_column_fills_eight_rows():
     row = np.zeros(SOIL_WIDTH)
     row[5] = 0.5  # column 6, 1-based
     soil = build_discrete_soil(row, UNIT_BOUNDS)
-    assert soil.grid[:8, 5].tolist() == [1.0] * 8
-    assert not soil.grid[8:, 5].any()
+    assert soil[:8, 5].tolist() == [1.0] * 8
+    assert not soil[8:, 5].any()
 
 
 def test_onehot_mode_places_single_cell():
     row = np.zeros(SOIL_WIDTH)
     row[5] = 0.5
     soil = build_discrete_soil(row, UNIT_BOUNDS, SoilConfig(fill_mode="onehot"))
-    assert soil.grid[:, 5].sum() == 1.0
-    assert soil.grid[7, 5] == 1.0
+    assert soil[:, 5].sum() == 1.0
+    assert soil[7, 5] == 1.0
 
 
 def test_stacked_columns_never_have_gaps():
@@ -108,7 +106,7 @@ def test_stacked_columns_never_have_gaps():
     for _ in range(20):
         soil = build_discrete_soil(rng.uniform(size=SOIL_WIDTH), UNIT_BOUNDS)
         for j in range(SOIL_WIDTH):
-            col = soil.grid[:, j]
+            col = soil[:, j]
             # non-increasing down the column: ones then zeros
             assert np.all(np.diff(col) <= 0)
             assert col[0] == 1.0
@@ -162,7 +160,7 @@ def test_sequential_passes_match_oracle():
     rng = np.random.default_rng(13)
     grid = (rng.uniform(size=(SOIL_DEPTH, SOIL_WIDTH)) > 0.5).astype(np.float64)
     want = oracle_correlate(oracle_correlate(grid, KERNEL_SHALLOW), KERNEL_DEEP)
-    assert np.max(np.abs(convolve_grid(grid) - want)) <= 1e-12
+    assert np.max(np.abs(convolve_soil(grid) - want)) <= 1e-12
 
 
 def test_impulse_response_is_mirrored_kernel():
@@ -182,8 +180,8 @@ def test_passes_are_linear():
     rng = np.random.default_rng(14)
     x = rng.uniform(size=(6, 5))
     y = rng.uniform(size=(6, 5))
-    combo = convolve_grid(2.0 * x + 3.0 * y)
-    parts = 2.0 * convolve_grid(x) + 3.0 * convolve_grid(y)
+    combo = convolve_soil(2.0 * x + 3.0 * y)
+    parts = 2.0 * convolve_soil(x) + 3.0 * convolve_soil(y)
     assert np.allclose(combo, parts, atol=1e-12)
 
 
@@ -196,20 +194,24 @@ def test_passes_are_linear():
     )
 )
 def test_nonnegative_input_gives_nonnegative_output(grid):
-    assert np.all(convolve_grid(grid) >= 0.0)
+    assert np.all(convolve_soil(grid) >= 0.0)
 
 
 def test_monotone_in_the_input():
     rng = np.random.default_rng(15)
     x = rng.uniform(size=(SOIL_DEPTH, SOIL_WIDTH))
     y = x + rng.uniform(size=x.shape)  # y >= x everywhere
-    assert np.all(convolve_grid(y) >= convolve_grid(x))
+    assert np.all(convolve_soil(y) >= convolve_soil(x))
 
 
-def test_convolve_soil_wraps_validated_grid():
-    soil = build_discrete_soil(np.full(SOIL_WIDTH, 0.5), UNIT_BOUNDS)
-    nutrients = convolve_soil(soil)
-    assert nutrients.grid.shape == soil.grid.shape
-    assert not nutrients.grid.flags.writeable
-    with pytest.raises(ValueError):
-        DiscreteSoil(grid=np.zeros(5))
+def test_convolve_soil_takes_a_grid_or_a_stack():
+    rng = np.random.default_rng(16)
+    soils = [
+        build_discrete_soil(rng.uniform(size=SOIL_WIDTH), UNIT_BOUNDS, SoilConfig(fill_mode=mode))
+        for mode in ("stacked", "onehot")
+    ]
+    assert all(soil.dtype == np.float64 for soil in soils)
+    stacked = convolve_soil(np.stack(soils))
+    assert stacked.shape == (2, SOIL_DEPTH, SOIL_WIDTH)
+    for soil, nutrients in zip(soils, stacked):
+        assert np.array_equal(convolve_soil(soil), nutrients)
