@@ -27,11 +27,12 @@ import numpy as np
 from .base_features import FEATURE_NAMES, RELATIVE_THRESHOLD, ThresholdConfig
 from .classifiers import CLASSIFIER_KINDS, ClassifierSpec
 from .dataset import generate_synthetic, load_dataset, write_dataset
-from .errors import PrsError
+from .errors import PrsError, check_integer
 from .evaluation import (
     VARIANTS,
     accuracy,
     build_feature_table,
+    check_rates,
     correlation_matrix,
     draw_splits,
     evaluate_splits,
@@ -301,6 +302,15 @@ def _pipeline_config(opts) -> PipelineConfig:
         raise _UsageError(str(exc)) from exc
 
 
+def _check_usage(check, *args) -> None:
+    """Run one of the package's value checks on options, so that a bad
+    value is a usage error; handlers call this before reading any data."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 # -- handlers ---------------------------------------------------------------
 
 
@@ -433,6 +443,7 @@ def _cmd_spectral(opts) -> int:
 def _cmd_classify(opts) -> int:
     """single stratified split, one classifier, one variant"""
     config = _pipeline_config(opts)
+    _check_usage(check_rates, (opts["rate"],))
     dataset = load_dataset(opts["manifest"])
     splits = draw_splits(dataset, (opts["rate"],), 1, opts["seed"])
     spec = ClassifierSpec(kind=opts["classifier"])
@@ -471,6 +482,8 @@ def _eval_csv_rows(report: dict) -> list[list[str]]:
 def _cmd_evaluate(opts) -> int:
     """repeated-split accuracy grid over variants"""
     config = _pipeline_config(opts)
+    _check_usage(check_rates, opts["rates"])
+    _check_usage(check_integer, "reps", opts["reps"], 1)
     dataset = load_dataset(opts["manifest"])
     report = run_experiment(
         dataset,

@@ -169,10 +169,27 @@ def rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(seed ^ rep)
 
 
+def check_rates(rates) -> tuple[float, ...]:
+    """The training rates of one run as floats. Raise ValueError unless
+    there is at least one, no two are equal, and each is in (0, 1), which
+    rules out NaN and the infinities too."""
+    rates = tuple(float(r) for r in rates)
+    if not rates:
+        raise ValueError("rates must not be empty")
+    if len(set(rates)) != len(rates):
+        raise ValueError("rates must be unique within one run")
+    for rate in rates:
+        if not 0.0 < rate < 1.0:
+            raise ValueError(f"training rate must be in (0, 1), got {rate}")
+    return rates
+
+
 def draw_splits(dataset: LabeledDataset, rates, reps: int, seed: int) -> list:
     """The (train_idx, test_idx) splits of a run, rep-major: entry
     ``rep * len(rates) + r`` is drawn at ``rates[r]`` from
-    ``rep_rng(seed, rep)``, which draws each rep's rates in order."""
+    ``rep_rng(seed, rep)``, which draws each rep's rates in order. The
+    rates must pass ``check_rates``."""
+    rates = check_rates(rates)
     labels, class_names = np.array(dataset.labels), dataset.class_names
     splits = []
     for rep in range(reps):
@@ -284,15 +301,16 @@ def run_experiment(
     """Full accuracy grid; returns a JSON-ready report dict.
 
     The report is a pure function of the run configuration. Classifier
-    kinds, variants and rates must each be non-empty and unique, and
-    ``reps`` and ``threads`` integers >= 1. Every rep's splits are drawn
-    and their features prepared first; then each classifier is fitted
-    once over all of them, so SVM_POLY takes as many lockstep steps as
-    its slowest dual needs, not that many per rep. The cells, ANOVA rows
-    and difference rows read slices of one accuracy array indexed
-    (classifier, variant, rate, rep). ``threads`` changes nothing: it
-    stays only because the benchmark harness in ``perfbench/`` passes
-    it, and goes when that harness drops it.
+    kinds and variants must each be non-empty and unique, the rates must
+    pass ``check_rates``, and ``reps`` and ``threads`` must be integers
+    >= 1. Every rep's splits are drawn and their features prepared
+    first; then each classifier is fitted once over all of them, so
+    SVM_POLY takes as many lockstep steps as its slowest dual needs, not
+    that many per rep. The cells, ANOVA rows and difference rows read
+    slices of one accuracy array indexed (classifier, variant, rate,
+    rep). ``threads`` changes nothing: it stays only because the
+    benchmark harness in ``perfbench/`` passes it, and goes when that
+    harness drops it.
     """
     for name, value in (("reps", reps), ("threads", threads)):
         check_integer(name, value, 1)
@@ -301,16 +319,15 @@ def run_experiment(
         for c in classifiers
     ]
     variants = tuple(variants)
-    rates = tuple(float(r) for r in rates)
     for name, values in (
         ("classifier kinds", [s.kind for s in specs]),
         ("variants", variants),
-        ("rates", rates),
     ):
         if not values:
             raise ValueError(f"{name} must not be empty")
         if len(set(values)) != len(values):
             raise ValueError(f"{name} must be unique within one run")
+    rates = check_rates(rates)
     splits = draw_splits(dataset, rates, reps, seed)
     counts, _ = evaluate_splits(dataset, splits, specs, variants, global_prep, config)
     # counts[rep * len(rates) + r] holds the split of rep at rates[r]; in

@@ -683,6 +683,33 @@ def test_evaluate_rejects_single_segment_class_before_feature_work(
     assert "class 'N' has fewer than 2 segments" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, option, value, message",
+    [
+        ("classify", "--rate", "nan", "training rate must be in (0, 1), got nan"),
+        ("classify", "--rate", "1.0", "training rate must be in (0, 1), got 1.0"),
+        ("evaluate", "--rates", "0.6,0.6", "rates must be unique within one run"),
+        ("evaluate", "--rates", "0.5,inf", "training rate must be in (0, 1), got inf"),
+        ("evaluate", "--reps", "0", "reps must be >= 1, got 0"),
+    ],
+)
+def test_bad_rate_or_reps_is_usage_error_before_loading(
+    data_dir, tmp_path, command, option, value, message, monkeypatch, capsys
+):
+    def no_load(*args, **kwargs):
+        raise AssertionError("read the data before checking the options")
+
+    monkeypatch.setattr("prs.cli.load_dataset", no_load)
+    argv = [command, "--manifest", data_dir, "--seed", "0"]
+    argv += ["--classifier", "LR"] if command == "classify" else []
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option[2:]} = {value}\n")
+    for extra in ([option, value], ["--config", str(cfg)]):
+        rc = main(argv + extra)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("option", ["classifiers", "variants", "rates"])
 @pytest.mark.parametrize("text", [",", " , ,", ""])
 def test_evaluate_empty_list_option_is_usage_error(

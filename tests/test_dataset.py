@@ -1,4 +1,10 @@
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,3 +326,195 @@ def test_empty_file_reads_as_no_samples(tmp_path):
     path = tmp_path / "s.txt"
     path.write_bytes(b"")
     assert _read_signal_file(path, "s").shape == (0,)
+
+
+# -- two processes against one -------------------------------------------------
+
+two_processes = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="the loader forks only on Linux"
+)
+
+
+def _load_outcome(manifest):
+    """What loading ``manifest`` gives: its ids, labels and sample bytes,
+    or the type and message of what it raised."""
+    try:
+        ds = load_dataset(manifest)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+    assert not any(s.samples.flags.writeable for s in ds.segments)
+    return "dataset", ds.labels, [(s.id, s.samples.tobytes()) for s in ds.segments]
+
+
+def _one_and_two_processes(manifest, monkeypatch):
+    """The outcome of one serial load and of one load that forks a child
+    for the second half of the rows, with two usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+
+    class CountingReader(dataset_module._ChildReader):
+        def __init__(self, paths, ids):
+            forks.append(len(paths))
+            super().__init__(paths, ids)
+
+    monkeypatch.setattr(dataset_module, "_ChildReader", CountingReader)
+    outcomes = []
+    for limit in (float("inf"), 0):
+        monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", limit)
+        outcomes.append(_load_outcome(manifest))
+        assert multiprocessing.active_children() == []
+    return outcomes, forks
+
+
+# how a row's signal file goes wrong, if it does
+_ROW_KINDS = [
+    "ok", "ok", "ok", "ok", "blank lines", "missing", "non-numeric", "non-finite",
+    "too short", "empty", "empty label", "directory", "not utf-8",
+]
+
+
+def _write_row(directory, i, kind, length, rng):
+    """Write row ``i``'s signal file as ``kind`` asks; returns its manifest row."""
+    name = f"s{i}.txt"
+    path = directory / name
+    lines = [repr(v) for v in rng.standard_normal(length).tolist()]
+    at = int(rng.integers(len(lines)))
+    if kind == "blank lines":
+        lines[at:at] = ["", "  "]
+    elif kind == "non-numeric":
+        lines[at] = "nope"
+    elif kind == "non-finite":
+        lines[at] = "inf"
+    elif kind == "too short":
+        lines = lines[: MIN_SEGMENT_LENGTH - 1]
+    elif kind == "empty":
+        lines = []
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"0.5\n\xff\xfe\n")
+    elif kind != "missing":
+        path.write_text("".join(line + "\n" for line in lines))
+    label = "" if kind == "empty label" else "AB"[int(rng.integers(2))]
+    return (f"s{i}", label, name)
+
+
+@two_processes
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=2, max_size=9),
+    lengths=st.lists(st.integers(MIN_SEGMENT_LENGTH, 300), min_size=9, max_size=9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_processes_load_what_one_loads(tmp_path, monkeypatch, kinds, lengths, seed):
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    rng = np.random.default_rng(seed)
+    rows = [_write_row(directory, i, k, n, rng) for i, (k, n) in enumerate(zip(kinds, lengths))]
+    (serial, forked), forks = _one_and_two_processes(write_manifest(directory, rows), monkeypatch)
+    assert forked == serial
+    assert forks in ([], [len(rows) - len(rows) // 2])
+
+
+def _rows_of(tmp_path, kinds, length=64):
+    """A manifest of one row per kind, labelled A, B, A, ..."""
+    rng = np.random.default_rng(5)
+    return write_manifest(
+        tmp_path,
+        [_write_row(tmp_path, i, k, length, rng)[:1] + ("AB"[i % 2], f"s{i}.txt")
+         for i, k in enumerate(kinds)],
+    )
+
+
+@two_processes
+@pytest.mark.parametrize(
+    "kinds, length, row, message",
+    [
+        # a segment check in the parent's half before a read failure in the child's
+        (["ok", "too short", "ok", "ok", "missing", "ok"], 64, 2, "segment too short"),
+        # both halves fail to read: the parent's row comes first
+        (["ok", "non-numeric", "ok", "missing", "ok", "ok"], 64, 2, "non-numeric sample"),
+        # the child's half: a read failure before a segment check
+        (["ok", "ok", "ok", "non-numeric", "non-finite", "ok"], 64, 4, "non-numeric sample"),
+        # the child's half: a segment check before a read failure it stopped at
+        (["ok", "ok", "ok", "non-finite", "missing", "ok"], 64, 4, "non-finite amplitude"),
+        (["ok", "ok", "ok", "ok", "ok", "missing"], 64, 6, "missing file"),
+        # the parent fails while the child still has more samples to send
+        # than a pipe holds: the child is stopped, not waited for
+        (["non-finite", "ok", "ok", "ok", "ok", "ok"], 4000, 1, "non-finite amplitude"),
+    ],
+)
+def test_the_earliest_failing_row_wins(tmp_path, monkeypatch, kinds, length, row, message):
+    manifest = _rows_of(tmp_path, kinds, length)
+    (serial, forked), forks = _one_and_two_processes(manifest, monkeypatch)
+    assert forks == [3]
+    assert forked == serial
+    kind, exc_type, text = forked
+    assert exc_type is DatasetError
+    assert text.startswith(f"{manifest}: row {row}: ") and message in text
+
+
+@two_processes
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+@pytest.mark.parametrize("at", [1, 4])
+def test_an_error_that_is_no_dataset_error_keeps_its_type(tmp_path, monkeypatch, kind, at):
+    kinds = ["ok"] * 6
+    kinds[at] = kind
+    (serial, forked), forks = _one_and_two_processes(_rows_of(tmp_path, kinds), monkeypatch)
+    assert forks == [3]
+    assert forked == serial
+    assert forked[1] is (IsADirectoryError if kind == "directory" else UnicodeDecodeError)
+
+
+@two_processes
+def test_a_child_that_sends_nothing_leaves_its_rows_to_the_parent(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset_module, "_send_samples", lambda paths, ids, writer: None)
+    (serial, forked), forks = _one_and_two_processes(_rows_of(tmp_path, ["ok"] * 6), monkeypatch)
+    assert forks == [3]
+    assert forked == serial and forked[0] == "dataset"
+
+
+@two_processes
+@pytest.mark.parametrize("batch_bytes", [0, 1100, 1 << 16])
+def test_any_batching_of_the_pipe_loads_the_same(tmp_path, monkeypatch, batch_bytes):
+    # 64 samples are 512 bytes: one array per message, two, or all four
+    monkeypatch.setattr(dataset_module, "_PIPE_BATCH_BYTES", batch_bytes)
+    (serial, forked), forks = _one_and_two_processes(_rows_of(tmp_path, ["ok"] * 7), monkeypatch)
+    assert forks == [4]
+    assert forked == serial and forked[0] == "dataset"
+
+
+def test_a_fork_that_fails_leaves_every_row_to_the_parent(tmp_path, monkeypatch):
+    def no_fork(paths, ids):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    manifest = _rows_of(tmp_path, ["ok"] * 6)
+    serial = _load_outcome(manifest)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(dataset_module, "_ChildReader", no_fork)
+    monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", 0)
+    assert _load_outcome(manifest) == serial and serial[0] == "dataset"
+
+
+def test_one_usable_cpu_reads_in_one_process(tmp_path, monkeypatch):
+    def no_child(paths, ids):
+        raise AssertionError("forked a child with one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(dataset_module, "_ChildReader", no_child)
+    monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", 0)
+    assert len(load_dataset(_rows_of(tmp_path, ["ok"] * 6))) == 6
+
+
+def test_a_small_manifest_imports_no_multiprocessing(tmp_path):
+    manifest = _rows_of(tmp_path, ["ok"] * 6)
+    code = (
+        "import sys; import prs; prs.load_dataset(sys.argv[1]); "
+        "assert 'multiprocessing' not in sys.modules, 'imported multiprocessing'"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dataset_module.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code, str(manifest)], env=env, check=True)

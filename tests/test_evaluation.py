@@ -18,6 +18,7 @@ from prs.evaluation import (
     anova_oneway,
     assemble_variant,
     build_feature_table,
+    check_rates,
     confusion_counts,
     correlation_matrix,
     draw_splits,
@@ -425,6 +426,30 @@ def test_run_experiment_rejects_an_empty_grid_axis_before_feature_work(
     monkeypatch.setattr("prs.evaluation.extract_base_matrix", no_work)
     with pytest.raises(ValueError, match=f"{message} must not be empty"):
         run_experiment(small_synth, reps=1, **{name: ()})
+
+
+@pytest.mark.parametrize(
+    "rates, message",
+    [
+        ((), "rates must not be empty"),
+        ((0.6, 0.6), "rates must be unique within one run"),
+        ((0.6, float("nan")), "training rate must be in (0, 1), got nan"),
+        ((float("inf"),), "training rate must be in (0, 1), got inf"),
+        ((float("-inf"),), "training rate must be in (0, 1), got -inf"),
+        ((0.0,), "training rate must be in (0, 1), got 0.0"),
+        ((1.0,), "training rate must be in (0, 1), got 1.0"),
+    ],
+)
+def test_one_rate_rule_for_runs_and_splits(rates, message, small_synth):
+    for check in (
+        check_rates,
+        lambda r: draw_splits(small_synth, r, 1, 0),
+        lambda r: run_experiment(small_synth, rates=r, reps=1),
+    ):
+        with pytest.raises(ValueError) as err:
+            check(rates)
+        assert str(err.value) == message
+    assert check_rates([0.5, "0.25"]) == (0.5, 0.25)
 
 
 def test_lda_base_accuracy_on_separable_synthetic():
