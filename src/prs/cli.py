@@ -32,6 +32,7 @@ from .evaluation import (
     VARIANTS,
     accuracy,
     build_feature_table,
+    check_grid,
     check_rates,
     correlation_matrix,
     draw_splits,
@@ -368,7 +369,7 @@ def _fitted_row(opts, config: SoilConfig):
     artifacts = fit_prep(base, dataset.labels)
     row = base[[seg.id for seg in dataset.segments].index(segment.id)]
     sorted_row = transform_rows(row[None, :], artifacts)[0]
-    return segment, build_discrete_soil(sorted_row, artifacts.soil_bounds, config)
+    return segment, build_discrete_soil(sorted_row, config)
 
 
 @_command("soil-dump", "manifest out sample depth fill_mode", "manifest sample")
@@ -482,7 +483,7 @@ def _eval_csv_rows(report: dict) -> list[list[str]]:
 def _cmd_evaluate(opts) -> int:
     """repeated-split accuracy grid over variants"""
     config = _pipeline_config(opts)
-    _check_usage(check_rates, opts["rates"])
+    _check_usage(check_grid, opts["classifiers"], opts["variants"], opts["rates"])
     _check_usage(check_integer, "reps", opts["reps"], 1)
     dataset = load_dataset(opts["manifest"])
     report = run_experiment(

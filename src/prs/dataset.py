@@ -145,11 +145,14 @@ class LabeledDataset:
 
 def _read_signal_file(path: Path, segment_id: str) -> np.ndarray:
     try:
-        fh = path.open("r", encoding="utf-8")
+        with path.open("r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except FileNotFoundError:
         raise DatasetError(f"segment {segment_id!r}: missing file {path}") from None
-    with fh:
-        lines = fh.read().split("\n")
+    except OSError as err:  # a directory, no permission, ...
+        raise DatasetError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise DatasetError(f"{path}: not UTF-8 text: {err}") from None
     if lines[-1] == "":
         lines.pop()  # after the final newline
     try:

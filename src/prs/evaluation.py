@@ -184,6 +184,29 @@ def check_rates(rates) -> tuple[float, ...]:
     return rates
 
 
+def check_grid(classifiers, variants, rates) -> tuple[list, tuple, tuple]:
+    """The classifier specs, variants and rates of one run's grid; a kind
+    becomes a default ``ClassifierSpec``. Raise ValueError unless the
+    kinds and variants are non-empty, unique and known, and the rates
+    pass ``check_rates``."""
+    specs = [
+        c if isinstance(c, ClassifierSpec) else ClassifierSpec(kind=str(c))
+        for c in classifiers
+    ]
+    variants = tuple(variants)
+    for name, values in (
+        ("classifier kinds", [s.kind for s in specs]),
+        ("variants", variants),
+    ):
+        if not values:
+            raise ValueError(f"{name} must not be empty")
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must be unique within one run")
+    for variant in variants:
+        _variant_columns(variant)  # raises on an unknown one
+    return specs, variants, check_rates(rates)
+
+
 def draw_splits(dataset: LabeledDataset, rates, reps: int, seed: int) -> list:
     """The (train_idx, test_idx) splits of a run, rep-major: entry
     ``rep * len(rates) + r`` is drawn at ``rates[r]`` from
@@ -301,12 +324,11 @@ def run_experiment(
     """Full accuracy grid; returns a JSON-ready report dict.
 
     The report is a pure function of the run configuration. Classifier
-    kinds and variants must each be non-empty and unique, the rates must
-    pass ``check_rates``, and ``reps`` and ``threads`` must be integers
-    >= 1. Every rep's splits are drawn and their features prepared
-    first; then each classifier is fitted once over all of them, so
-    SVM_POLY takes as many lockstep steps as its slowest dual needs, not
-    that many per rep. The cells, ANOVA rows and difference rows read
+    kinds, variants and rates must pass ``check_grid``, and ``reps`` and
+    ``threads`` must be integers >= 1. Every rep's splits are drawn and
+    their features prepared first; then each classifier is fitted once
+    over all of them, so SVM_POLY takes as many lockstep steps as its
+    slowest dual needs, not that many per rep. The cells, ANOVA rows and difference rows read
     slices of one accuracy array indexed (classifier, variant, rate,
     rep). ``threads`` changes nothing: it stays only because the
     benchmark harness in ``perfbench/`` passes it, and goes when that
@@ -314,20 +336,7 @@ def run_experiment(
     """
     for name, value in (("reps", reps), ("threads", threads)):
         check_integer(name, value, 1)
-    specs = [
-        c if isinstance(c, ClassifierSpec) else ClassifierSpec(kind=str(c))
-        for c in classifiers
-    ]
-    variants = tuple(variants)
-    for name, values in (
-        ("classifier kinds", [s.kind for s in specs]),
-        ("variants", variants),
-    ):
-        if not values:
-            raise ValueError(f"{name} must not be empty")
-        if len(set(values)) != len(values):
-            raise ValueError(f"{name} must be unique within one run")
-    rates = check_rates(rates)
+    specs, variants, rates = check_grid(classifiers, variants, rates)
     splits = draw_splits(dataset, rates, reps, seed)
     counts, _ = evaluate_splits(dataset, splits, specs, variants, global_prep, config)
     # counts[rep * len(rates) + r] holds the split of rep at rates[r]; in

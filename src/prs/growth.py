@@ -17,10 +17,11 @@ are given, and ``pipeline.PipelineConfig`` checks it against the soil.
 ``grow_batch`` and ``hull_areas`` are the one implementation: they grow
 a whole stack of grids at once, keeping each grid's candidates as offers
 across days and recording every day's picks, and take RF from each grid
-row's extreme columns. ``grow`` and ``extract_prs`` are those kernels on
-a one-grid block: ``grow`` takes a plain (rows, cols) nutrient grid and
-reads the day log that the CLI ``grow`` command prints from the recorded
-picks, and ``extract_prs`` returns the [NF, RF] row. The per-row loop,
+row's extreme columns, peeled to the hull's vertices in exact integers.
+``grow`` and ``extract_prs`` are those kernels on a one-grid block:
+``grow`` takes a plain (rows, cols) nutrient grid and reads the day log
+that the CLI ``grow`` command prints from the recorded picks, and
+``extract_prs`` returns the [NF, RF] row. The per-row loop,
 monotone-chain hull and shoelace area they are tested against bit for
 bit live in ``tests/reference.py``.
 """
@@ -180,29 +181,35 @@ def _envelope_twice_integral(heights: np.ndarray, present: np.ndarray) -> np.nda
     """Twice the integral of the upper concave envelope of integer
     heights over the present rows, per leading index; exact in integers.
 
-    Present row i is an envelope vertex when every chord from an earlier
-    present row rises to it more steeply than any chord leaves it for a
-    later one. The slopes are ratios of small integers, so comparing them
-    as floats is exact. The envelope is linear between vertices, so its
-    integral is the trapezoid sum over consecutive vertices.
+    A row on or below a chord between two other rows is no vertex. So
+    every row on or below the chord between its nearest remaining rows is
+    dropped, all at once, until none is; the rows left are the vertices,
+    and the integral is the trapezoid sum over consecutive ones.
     """
-    n = heights.shape[1]
-    steps = np.arange(n)
-    gap = steps[None, :] - steps[:, None]  # gap[i, j] = j - i
-    pair = present[:, :, None] & present[:, None, :] & (gap > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (heights[:, None, :] - heights[:, :, None]) / gap
-    rise_in = np.where(pair, slope, np.inf).min(axis=1)  # over earlier rows
-    rise_out = np.where(pair, slope, -np.inf).max(axis=2)  # over later rows
-    vertex = present & (rise_in > rise_out)
-    marks = np.where(vertex, steps, n)
-    following = np.minimum.accumulate(marks[:, ::-1], axis=1)[:, ::-1]
-    after = np.concatenate([following[:, 1:], np.full((len(marks), 1), n)], axis=1)
+    # rows along axis 0: the scans below then run across all grids at once
+    heights, vertex = heights.T, present.T
+    n, m = heights.shape
+    steps = np.arange(n)[:, None]
+    flat = heights.ravel()  # row r of grid s at r * m + s
+    grids = np.arange(m)
+    # the nearest vertex before and after each row; -1 and n for none
+    before = np.full((n, m), -1)
+    after = np.full((n, m), n)
+    while True:
+        before[1:] = np.maximum.accumulate(np.where(vertex, steps, -1)[:-1], 0)
+        after[:-1] = np.minimum.accumulate(np.where(vertex, steps, n)[:0:-1], 0)[::-1]
+        height_before = flat[np.maximum(before, 0) * m + grids]
+        height_after = flat[np.minimum(after, n - 1) * m + grids]
+        # the slope from before to the row against the chord's, cross-multiplied
+        rise = (heights - height_before) * (after - before)
+        below = rise <= (height_after - height_before) * (steps - before)
+        drop = vertex & (before >= 0) & (after < n) & below
+        if not drop.any():
+            break
+        vertex = vertex & ~drop
     closed = vertex & (after < n)
-    after = np.minimum(after, n - 1)
-    width = after - steps
-    total = width * (heights + np.take_along_axis(heights, after, axis=1))
-    return np.where(closed, total, 0).sum(axis=1)
+    total = (after - steps) * (heights + height_after)
+    return np.where(closed, total, 0).sum(axis=0)
 
 
 def hull_areas(occupancy) -> np.ndarray:

@@ -8,10 +8,10 @@ in dataset order, as plain arrays.
 The stateful part of the chain (normalization bounds, information-gain
 ranking, column order) is fitted once on training rows and labels by
 ``fit_prep`` and captured in PrepArtifacts; any row, training or
-held-out, can then be pushed through the same frozen transform. The soil
-binning bounds follow from those: (0, 1) for a live column, (0, 0) for a
-constant one. Held-out rows may land outside the fitted bounds, which
-the soil binning clamps.
+held-out, can then be pushed through the same frozen transform. On the
+training rows it maps a live column onto exactly [0, 1] and a constant
+one to 0, so the soil bins every column on [0, 1]. Held-out rows may
+land outside [0, 1], which the soil binning clamps.
 
 ``PipelineConfig`` holds the settings of the feature pipeline: the
 base-feature thresholds, soil depth and fill, growth, and the MedPSD
@@ -123,15 +123,6 @@ class PrepArtifacts:
         if sorted(self.order.tolist()) != list(range(n)):
             raise ValueError("order must be a permutation of the columns")
 
-    @property
-    def soil_bounds(self) -> np.ndarray:
-        """Per-column (min, max) of the sorted normalized training matrix,
-        used for soil binning. Scaling by its own bounds maps a column's
-        minimum to exactly 0 and its maximum to exactly span / span = 1, so
-        these are (0, 1) for a live column and (0, 0) for a constant one."""
-        live = self.feature_bounds[self.order, 1] > self.feature_bounds[self.order, 0]
-        return np.stack([np.zeros(len(live)), live.astype(np.float64)], axis=1)
-
 
 def fit_prep(base_values: np.ndarray, labels) -> PrepArtifacts:
     """Fit normalization, ranking, and ordering on training rows.
@@ -197,8 +188,7 @@ def prs_features(
     start = 0
     for prep, n_rows in runs:
         rows = slice(start, start + n_rows)
-        sorted_rows = transform_rows(values[rows], prep)
-        bins[rows] = bin_indices(sorted_rows, prep.soil_bounds, config.soil.depth)
+        bins[rows] = bin_indices(transform_rows(values[rows], prep), config.soil.depth)
         start += n_rows
     out = np.empty((len(values), 2))
     for start in range(0, len(values), _PRS_BLOCK):

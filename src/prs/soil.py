@@ -1,25 +1,28 @@
 """Digital soil: binning one sorted feature row into a 15x12 nutrient grid.
 
-Each sorted feature value is discretized into one of k=15 equal-width
-bins and stacked as unit nutrients from the surface (row 1) downward, so
-nutrient density is highest in the shallow layers and non-increasing
-with depth. Two 3x3 kernel passes (zero padding 1, applied as
-correlation) then redistribute the nutrients horizontally: the first
-kernel pushes mass from the shallow side, the second from the deep side.
+Each sorted feature value, min-max normalized on the training rows, is
+discretized into one of k=15 equal-width bins on [0, 1] and stacked as
+unit nutrients from the surface (row 1) downward, so nutrient density is
+highest in the shallow layers and non-increasing with depth. Two 3x3
+kernel passes (zero padding 1, applied as correlation) then redistribute
+the nutrients horizontally: the first kernel pushes mass from the
+shallow side, the second from the deep side.
 
 Soils and nutrient grids are plain float64 arrays, (depth, n) with row 1
 (index 0) at the surface. ``bin_indices`` is the one binning
-implementation; ``build_discrete_soil`` fills one row's soil from its
-bins on a one-row block, and ``convolve_soil`` runs the two passes on a
-grid or a stack of grids, for the CLI ``soil-dump`` and ``grow``
-commands. The block path, ``nutrient_grids``, builds no soil: both
-kernel passes are linear, so a nutrient grid is the sum of the responses
-of its one-column soils, which ``column_responses`` tables once per
-(depth, fill mode, width), filling each soil column by the same rule as
-``build_discrete_soil``. Soil values are 0 or 1 and kernel weights
-multiples of 1/4, so every response is a whole number of sixteenths, and
-a grid sums them exactly in small integers. The scalar binning and
-per-column soil fill they are tested against live in
+implementation. It takes no per-column bounds: on the training rows a
+live column spans exactly [0, 1] and a constant one is all 0
+(``feature_prep.apply_bounds``). ``build_discrete_soil`` fills one row's
+soil from its bins on a one-row block, and ``convolve_soil`` runs the
+two passes on a grid or a stack of grids, for the CLI ``soil-dump`` and
+``grow`` commands. The block path, ``nutrient_grids``, builds no soil:
+both kernel passes are linear, so a nutrient grid is the sum of the
+responses of its one-column soils, which ``column_responses`` tables
+once per (depth, fill mode, width), filling each soil column by the same
+rule as ``build_discrete_soil``. Soil values are 0 or 1 and kernel
+weights multiples of 1/4, so every response is a whole number of
+sixteenths, and a grid sums them exactly in small integers. The scalar
+binning and per-column soil fill they are tested against live in
 ``tests/reference.py``.
 """
 
@@ -67,17 +70,10 @@ class SoilConfig:
             )
 
 
-def build_discrete_soil(sorted_row, bounds, config: SoilConfig = SoilConfig()) -> np.ndarray:
-    """Binary (depth, n) float64 soil of one sample's sorted feature row.
-
-    ``bounds`` is an (n, 2) array of per-sorted-column (min, max) taken
-    over the whole (training) dataset.
-    """
-    row = np.asarray(sorted_row, dtype=np.float64).ravel()
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.shape != (row.size, 2):
-        raise ValueError(f"expected bounds shape {(row.size, 2)}, got {bounds.shape}")
-    bins = bin_indices(row[None, :], bounds, config.depth)[0]
+def build_discrete_soil(sorted_row, config: SoilConfig = SoilConfig()) -> np.ndarray:
+    """Binary (depth, n) float64 soil of one sample's sorted, normalized
+    feature row."""
+    bins = bin_indices(np.ravel(sorted_row)[None, :], config.depth)[0]
     return _fill(bins, config.depth, config.fill_mode).astype(np.float64)
 
 
@@ -88,26 +84,19 @@ def _fill(bins, depth: int, fill_mode: str) -> np.ndarray:
     return depths <= bins if fill_mode == "stacked" else depths == bins
 
 
-def bin_indices(values, bounds, k: int = SOIL_DEPTH) -> np.ndarray:
-    """Equal-width bins of an (m, n) block in per-column (n, 2) bounds,
-    clamped to [1, k].
+def bin_indices(values, k: int = SOIL_DEPTH) -> np.ndarray:
+    """k equal-width bins on [0, 1] of an (m, n) block of normalized
+    values, 1-based and clamped to [1, k].
 
-    A column with degenerate bounds (max <= min) gives bin 1. Values
-    outside the bounds (held-out rows scaled with train-fold bounds) clamp
-    to the nearest end bin. Raises ValueError where a non-degenerate
-    column holds a value that has no finite bin (NaN, or an overflow to
-    inf).
+    Values outside [0, 1] (held-out rows scaled with train-fold bounds)
+    clamp to the nearest end bin. Raises ValueError for a value that has
+    no finite bin (NaN, or an overflow to inf).
     """
     values = np.asarray(values, dtype=np.float64)
-    bounds = np.asarray(bounds, dtype=np.float64)
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    spread = ~(hi <= lo)
-    delta = np.where(spread, (hi - lo) / k, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.floor((values - lo) / delta)
-    if not np.isfinite(scaled[:, spread]).all():
+        scaled = np.floor(values / (1.0 / k))
+    if not np.isfinite(scaled).all():
         raise ValueError("soil binning got a value with no finite bin")
-    scaled[:, ~spread] = 0.0
     return np.clip(scaled + 1.0, 1, k).astype(np.int64)
 
 

@@ -325,9 +325,16 @@ def soil_for_row(
     artifacts: PrepArtifacts,
     config: SoilConfig = SoilConfig(),
 ) -> np.ndarray:
-    """Discrete soil grid for one raw base-feature row."""
+    """Discrete soil grid for one raw base-feature row.
+
+    The bins run over the bounds of the scaled, ordered training block:
+    (0, 1) for a column whose training values spread, (0, 0) for a
+    constant one.
+    """
     sorted_row = transform_rows(base_row[None, :], artifacts)[0]
-    return build_discrete_soil(sorted_row, artifacts.soil_bounds, config)
+    lo, hi = artifacts.feature_bounds[artifacts.order].T
+    bounds = np.stack([np.zeros(len(lo)), (hi > lo).astype(np.float64)], axis=1)
+    return build_discrete_soil(sorted_row, bounds, config)
 
 
 def nutrients_for_row(

@@ -738,6 +738,29 @@ def test_evaluate_rejects_unknown_variant(data_dir, capsys):
     assert "EXTRA" in captured.err
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("classifiers", "LR,LR", "classifier kinds must be unique within one run"),
+        ("variants", "PRS,BASE,PRS", "variants must be unique within one run"),
+    ],
+)
+def test_evaluate_duplicate_list_entry_is_usage_error_before_loading(
+    tmp_path, option, value, message, monkeypatch, capsys
+):
+    def no_load(*args, **kwargs):
+        raise AssertionError("read the data before checking the options")
+
+    monkeypatch.setattr("prs.cli.load_dataset", no_load)
+    argv = ["evaluate", "--manifest", str(tmp_path / "missing.csv"), "--seed", "1"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option} = {value}\n")
+    for extra in (["--" + option, value], ["--config", str(cfg)]):
+        rc = main(argv + extra)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- correlate -----------------------------------------------------------------------
 
 

@@ -461,12 +461,19 @@ def test_the_earliest_failing_row_wins(tmp_path, monkeypatch, kinds, length, row
 @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
 @pytest.mark.parametrize("at", [1, 4])
 def test_an_error_that_is_no_dataset_error_keeps_its_type(tmp_path, monkeypatch, kind, at):
+    # an OSError or a decoding error becomes a DatasetError naming the row
+    # and the file, on both load paths alike
     kinds = ["ok"] * 6
     kinds[at] = kind
-    (serial, forked), forks = _one_and_two_processes(_rows_of(tmp_path, kinds), monkeypatch)
+    manifest = _rows_of(tmp_path, kinds)
+    (serial, forked), forks = _one_and_two_processes(manifest, monkeypatch)
     assert forks == [3]
     assert forked == serial
-    assert forked[1] is (IsADirectoryError if kind == "directory" else UnicodeDecodeError)
+    _, exc_type, text = forked
+    assert exc_type is DatasetError
+    why = "Is a directory" if kind == "directory" else "not UTF-8 text: 'utf-8' codec"
+    path = tmp_path / f"s{at}.txt"
+    assert text.startswith(f"{manifest}: row {at + 1}: {path}: {why}")
 
 
 @two_processes

@@ -409,6 +409,8 @@ def test_run_experiment_validation(small_synth):
         run_experiment(small_synth, classifiers=("LR", "LR"), reps=1)
     with pytest.raises(ValueError, match="variants must be unique"):
         run_experiment(small_synth, variants=("BASE", "BASE"), reps=1)
+    with pytest.raises(ValueError, match="unknown variant"):
+        run_experiment(small_synth, variants=("BASE", "EXTRA"), reps=1)
     with pytest.raises(ValueError, match="rates must be unique"):
         run_experiment(small_synth, rates=(0.6, 0.5, 0.6), reps=1)
 
@@ -532,7 +534,7 @@ def test_evaluate_splits_makes_one_prs_call_per_run(overlap_reps, monkeypatch):
     for (artifacts, n_rows), (train_idx, test_idx) in zip(runs, s.splits):
         assert n_rows == len(train_idx) + len(test_idx)
         fold = fit_prep(s.inputs.base[train_idx], s.inputs.labels[train_idx])
-        for name in ("feature_bounds", "gains", "order", "soil_bounds"):
+        for name in ("feature_bounds", "gains", "order"):
             assert np.array_equal(getattr(artifacts, name), getattr(fold, name))
 
 

@@ -80,10 +80,10 @@ def test_minmax_examples():
     assert norm[:, 1].tolist() == [0.0, 0.0, 0.0, 0.0]
     artifacts = fit_prep(values, alternating_labels(4))
     assert artifacts.feature_bounds.tolist() == [[0.0, 10.0], [7.0, 7.0]]
-    # the constant column is degenerate: gain 0, soil bounds (0, 0)
+    # the constant column is degenerate: gain 0, scaled to all 0
     assert artifacts.gains[1] == 0.0
     pos = artifacts.order.tolist().index(1)
-    assert artifacts.soil_bounds[pos].tolist() == [0.0, 0.0]
+    assert transform_rows(values, artifacts)[:, pos].tolist() == [0.0] * 4
 
 
 def test_apply_bounds_maps_outside_unit_interval_for_new_data():
@@ -293,7 +293,7 @@ def test_sort_permutes_values_and_bounds_consistently(monkeypatch):
     assert sorted(artifacts.order.tolist()) == list(range(7))
     for pos, col in enumerate(artifacts.order):
         assert np.array_equal(sorted_values[:, pos], norm[:, col])
-        assert np.array_equal(artifacts.soil_bounds[pos], norm_bounds[col])
+        assert np.array_equal(column_bounds(sorted_values)[pos], norm_bounds[col])
 
 
 def test_column_bounds_shape():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prs.dataset import LabeledDataset, SignalSegment, generate_synthetic
-from prs.feature_prep import MIN_SAMPLES, apply_bounds, column_bounds
+from prs.feature_prep import MIN_SAMPLES, column_bounds
 from prs import pipeline
 from prs.pipeline import (
     PrepArtifacts,
@@ -33,7 +33,6 @@ def test_fit_prep_shapes_and_permutation(fitted):
         [lo, hi] for lo, hi in zip(base.min(axis=0), base.max(axis=0))
     ]
     assert artifacts.feature_bounds.shape == (12, 2)
-    assert artifacts.soil_bounds.shape == (12, 2)
     assert sorted(artifacts.order.tolist()) == list(range(12))
     assert artifacts.gains.shape == (12,)
     assert np.all(artifacts.gains >= 0.0)
@@ -66,7 +65,7 @@ def test_one_row_chain_matches_prs_features(fitted):
     and chain to the row ``prs_features`` gives."""
     base, artifacts = fitted
     sorted_row = transform_rows(base[:1], artifacts)[0]
-    soil = pipeline.build_discrete_soil(sorted_row, artifacts.soil_bounds)
+    soil = pipeline.build_discrete_soil(sorted_row)
     assert soil.shape == (SOIL_DEPTH, SOIL_WIDTH)
     assert set(np.unique(soil)) <= {0.0, 1.0}
     nutrients = pipeline.convolve_soil(soil)
@@ -152,14 +151,16 @@ def prep_blocks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(prep_blocks())
-def test_soil_bounds_equal_the_bounds_of_the_scaled_ordered_block(values):
-    # the bounds as fit_prep once fitted them, from the scaled training rows
+def test_scaled_ordered_training_columns_span_the_unit_interval_or_are_zero(values):
+    # soil.bin_indices bins every column on [0, 1]: that equals binning
+    # each column between the bounds of the scaled, ordered training block
     artifacts = fit_prep(values, [("A", "B")[i % 2] for i in range(len(values))])
-    scaled = apply_bounds(values, column_bounds(values))
-    want = column_bounds(scaled[:, artifacts.order])
-    got = artifacts.soil_bounds
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    scaled = transform_rows(values, artifacts)
+    lo, hi = artifacts.feature_bounds[artifacts.order].T
+    live = hi > lo
+    unit = np.stack([np.zeros(len(live)), live.astype(np.float64)], axis=1)
+    assert column_bounds(scaled).tobytes() == unit.tobytes()
+    assert (scaled[:, ~live] == 0.0).all() and not np.signbit(scaled).any()
 
 
 def test_extract_base_matrix_row_per_segment(small_synth):

@@ -108,7 +108,7 @@ def test_constant_column_gives_degenerate_bounds(reference_rows):
     values = base.copy()
     values[:, 4] = 2.5
     artifacts = fit_prep(values, labels)
-    assert (artifacts.soil_bounds[:, 0] == artifacts.soil_bounds[:, 1]).any()
+    assert artifacts.feature_bounds[4, 0] == artifacts.feature_bounds[4, 1]
     held_out = values[:10].copy()
     held_out[:, 4] = [-1.0, 0.0, 2.5, 9.0, 1e6, -1e6, 2.5, 3.0, 2.0, 2.5]
     assert_batch_matches_rows(np.vstack([values, held_out]), artifacts)
@@ -172,7 +172,7 @@ def test_days_that_outlast_a_full_grid(reference_rows):
         soil=SoilConfig(depth=2), growth=GrowthConfig(days=40, division_limit=2)
     )
     assert_batch_matches_rows(base, artifacts, config)
-    bins = bin_indices(transform_rows(base[:20], artifacts), artifacts.soil_bounds, 2)
+    bins = bin_indices(transform_rows(base[:20], artifacts), 2)
     grids = nutrient_grids(bins, config.soil)
     assert_growth_matches(grids, config.growth)
     days_run = [len(growth.grow(grid, config.growth).day_log) for grid in grids]
@@ -210,7 +210,7 @@ def test_quantized_grids_match_per_row_growth(
 @given(
     occupancy=arrays(
         bool,
-        st.tuples(st.integers(1, 8), st.integers(1, SOIL_WIDTH)),
+        st.tuples(st.integers(1, 20), st.integers(1, SOIL_WIDTH)),
         elements=st.booleans(),
     ),
 )

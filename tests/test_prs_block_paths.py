@@ -27,32 +27,33 @@ import reference
 
 
 @pytest.fixture(scope="module")
-def rows_and_bounds():
-    """40 rows of 12 columns; column 4 has degenerate bounds and half of
-    the rows lie outside the bounds, so their bins clamp."""
+def normalized_rows():
+    """40 normalized rows of 12 columns and the reference's per-column
+    bounds. Column 4 is constant, so apply_bounds made it all 0, and its
+    reference bounds are (0, 0); half of the rows lie outside [0, 1], so
+    their bins clamp."""
     rng = np.random.default_rng(14)
-    lo = rng.uniform(-1.0, 0.0, size=12)
-    hi = lo + rng.uniform(0.5, 2.0, size=12)
-    hi[4] = lo[4]
-    rows = lo + (hi - lo) * rng.uniform(0.0, 1.0, size=(40, 12))
-    rows[20:] = lo + (hi - lo + 1.0) * rng.uniform(-1.0, 2.0, size=(20, 12))
-    rows[:, 4] = rng.uniform(-2.0, 2.0, size=40)
-    outside = (rows < lo) | (rows > hi)
-    assert outside[20:].any(axis=1).all() and not outside[:20, :4].any()
-    return rows, np.stack([lo, hi], axis=1)
+    rows = rng.uniform(0.0, 1.0, size=(40, 12))
+    rows[20:] = rng.uniform(-1.5, 2.5, size=(20, 12))
+    rows[:, 4] = 0.0
+    outside = (rows < 0.0) | (rows > 1.0)
+    assert outside[20:].any(axis=1).all() and not outside[:20].any()
+    bounds = np.tile([0.0, 1.0], (12, 1))
+    bounds[4] = 0.0
+    return rows, bounds
 
 
 @pytest.mark.parametrize("fill_mode", FILL_MODES)
 @pytest.mark.parametrize("depth", range(1, 21))
-def test_nutrient_grids_equal_the_per_row_soil(rows_and_bounds, depth, fill_mode):
-    rows, bounds = rows_and_bounds
+def test_nutrient_grids_equal_the_per_row_soil(normalized_rows, depth, fill_mode):
+    rows, bounds = normalized_rows
     config = SoilConfig(depth=depth, fill_mode=fill_mode)
-    bins = bin_indices(rows, bounds, depth)
+    bins = bin_indices(rows, depth)
     grids = nutrient_grids(bins, config)
     assert grids.shape == (len(rows), depth, 12) and grids.dtype == np.float64
     for row, grid in zip(rows, grids):
         discrete = reference.build_discrete_soil(row, bounds, config)
-        assert np.array_equal(build_discrete_soil(row, bounds, config), discrete)
+        assert np.array_equal(build_discrete_soil(row, config), discrete)
         assert np.array_equal(grid, convolve_soil(discrete))
 
 

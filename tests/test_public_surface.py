@@ -17,7 +17,7 @@ from pathlib import Path
 
 import prs
 
-# wrapped by perfbench/tracer.py; goes with ROADMAP item 5
+# wrapped by perfbench/tracer.py; goes with ROADMAP item 4
 TRACER_ONLY = {"TrainedModel.predict", "assemble_variant", "compute_spectral"}
 
 

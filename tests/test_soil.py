@@ -18,12 +18,11 @@ from prs.soil import (
     correlate3,
 )
 
-UNIT_BOUNDS = np.tile([0.0, 1.0], (SOIL_WIDTH, 1))
 
-
-def one_bin(value, col_min, col_max, k):
-    """The bin of one value: ``bin_indices`` on a one-element block."""
-    return int(bin_indices([[value]], [[col_min, col_max]], k)[0, 0])
+def one_bin(value, k):
+    """The bin of one normalized value: ``bin_indices`` on a one-element
+    block."""
+    return int(bin_indices([[value]], k)[0, 0])
 
 
 def oracle_correlate(grid, kernel):
@@ -46,18 +45,27 @@ def oracle_correlate(grid, kernel):
 
 
 def test_bin_index_examples():
-    assert one_bin(0.0, 0.0, 15.0, 15) == 1
-    assert one_bin(15.0, 0.0, 15.0, 15) == 15
-    assert one_bin(0.5, 0.0, 1.0, 15) == 8
+    assert one_bin(0.0, 15) == 1
+    assert one_bin(1.0, 15) == 15
+    assert one_bin(0.5, 15) == 8
+    assert one_bin(1.0 / 3.0, 3) == 2
 
 
 def test_bin_index_clamps_out_of_range():
-    assert one_bin(-2.0, 0.0, 1.0, 15) == 1
-    assert one_bin(3.0, 0.0, 1.0, 15) == 15
+    assert one_bin(-2.0, 15) == 1
+    assert one_bin(3.0, 15) == 15
 
 
-def test_bin_index_degenerate_bounds():
-    assert one_bin(7.0, 7.0, 7.0, 15) == 1
+def test_bin_index_of_a_constant_column():
+    # apply_bounds writes 0 into a column whose training values are equal
+    assert one_bin(0.0, 15) == 1
+    assert one_bin(-0.0, 15) == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308])
+def test_a_value_with_no_finite_bin_is_rejected(value):
+    with pytest.raises(ValueError, match="no finite bin"):
+        bin_indices([[0.5, value]], 15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -66,12 +74,12 @@ def test_bin_index_degenerate_bounds():
     st.integers(min_value=1, max_value=40),
 )
 def test_bin_index_always_in_range(value, k):
-    assert 1 <= one_bin(value, 0.0, 1.0, k) <= k
+    assert 1 <= one_bin(value, k) <= k
 
 
 def test_bin_index_monotone_in_value():
     values = np.linspace(-0.5, 1.5, 101)
-    bins = [one_bin(v, 0.0, 1.0, 15) for v in values]
+    bins = [one_bin(v, 15) for v in values]
     assert bins == sorted(bins)
 
 
@@ -79,7 +87,7 @@ def test_bin_index_monotone_in_value():
 
 
 def test_zero_row_gives_single_surface_layer():
-    soil = build_discrete_soil(np.zeros(SOIL_WIDTH), UNIT_BOUNDS)
+    soil = build_discrete_soil(np.zeros(SOIL_WIDTH))
     assert soil.shape == (SOIL_DEPTH, SOIL_WIDTH)
     assert np.array_equal(soil[0], np.ones(SOIL_WIDTH))
     assert not soil[1:].any()
@@ -88,7 +96,7 @@ def test_zero_row_gives_single_surface_layer():
 def test_half_value_column_fills_eight_rows():
     row = np.zeros(SOIL_WIDTH)
     row[5] = 0.5  # column 6, 1-based
-    soil = build_discrete_soil(row, UNIT_BOUNDS)
+    soil = build_discrete_soil(row)
     assert soil[:8, 5].tolist() == [1.0] * 8
     assert not soil[8:, 5].any()
 
@@ -96,7 +104,7 @@ def test_half_value_column_fills_eight_rows():
 def test_onehot_mode_places_single_cell():
     row = np.zeros(SOIL_WIDTH)
     row[5] = 0.5
-    soil = build_discrete_soil(row, UNIT_BOUNDS, SoilConfig(fill_mode="onehot"))
+    soil = build_discrete_soil(row, SoilConfig(fill_mode="onehot"))
     assert soil[:, 5].sum() == 1.0
     assert soil[7, 5] == 1.0
 
@@ -104,7 +112,7 @@ def test_onehot_mode_places_single_cell():
 def test_stacked_columns_never_have_gaps():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        soil = build_discrete_soil(rng.uniform(size=SOIL_WIDTH), UNIT_BOUNDS)
+        soil = build_discrete_soil(rng.uniform(size=SOIL_WIDTH))
         for j in range(SOIL_WIDTH):
             col = soil[:, j]
             # non-increasing down the column: ones then zeros
@@ -121,11 +129,6 @@ def test_soil_config_validation():
         with pytest.raises(ValueError, match="depth must be an integer"):
             SoilConfig(depth=depth)
     assert SoilConfig(depth=np.int64(9)).depth == 9
-
-
-def test_bounds_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="bounds"):
-        build_discrete_soil(np.zeros(5), UNIT_BOUNDS)
 
 
 # -- kernel passes -----------------------------------------------------------
@@ -207,7 +210,7 @@ def test_monotone_in_the_input():
 def test_convolve_soil_takes_a_grid_or_a_stack():
     rng = np.random.default_rng(16)
     soils = [
-        build_discrete_soil(rng.uniform(size=SOIL_WIDTH), UNIT_BOUNDS, SoilConfig(fill_mode=mode))
+        build_discrete_soil(rng.uniform(size=SOIL_WIDTH), SoilConfig(fill_mode=mode))
         for mode in ("stacked", "onehot")
     ]
     assert all(soil.dtype == np.float64 for soil in soils)
