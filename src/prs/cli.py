@@ -26,7 +26,7 @@ import numpy as np
 
 from .base_features import FEATURE_NAMES, RELATIVE_THRESHOLD, ThresholdConfig
 from .classifiers import CLASSIFIER_KINDS, ClassifierSpec
-from .dataset import generate_synthetic, load_dataset, write_dataset
+from .dataset import MIN_SEGMENT_LENGTH, generate_synthetic, load_dataset, write_dataset
 from .errors import PrsError, check_integer
 from .evaluation import (
     VARIANTS,
@@ -163,9 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -318,6 +320,8 @@ def _check_usage(check, *args) -> None:
 @_command("synth", "out n len seed", "out seed")
 def _cmd_synth(opts) -> int:
     """generate a synthetic two-class dataset"""
+    _check_usage(check_integer, "n", opts["n"], 2)
+    _check_usage(check_integer, "len", opts["len"], MIN_SEGMENT_LENGTH)
     dataset = generate_synthetic(
         n_per_class=opts["n"], length=opts["len"], seed=opts["seed"]
     )

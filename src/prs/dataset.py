@@ -22,24 +22,24 @@ Parsing is bound by ``float()``, which holds the interpreter lock, so a
 large manifest is read in two processes: on Linux, with at least two
 usable CPUs, once the signal files add up to ``_TWO_PROCESS_MIN_BYTES``
 (1 MiB). A child forked through ``multiprocessing`` reads the second
-half of the rows with the same reader and pipes their samples back; the
-parent reads the first half meanwhile, then checks and builds every
-segment in manifest order. So the arrays are the same bits, and the
-first failing row raises the same exception with the same message as in
-one process: the parent reads the row the child failed on again itself.
-The child is always joined before ``load_dataset`` returns or raises.
-If no child can be started, or it dies, the parent reads its rows too.
-The threshold is the measured break-even. On a 2-vCPU Xeon, with 25-41
-interleaved loads per shape, two processes lost on every shape up to
-0.7 MiB (64 files x 512 samples, 0.6 MiB: 11.2 against 17.7 ms; the fork
-and join cost ~5 ms), were even at 0.9-1.2 MiB (faster in 10-17 of 25),
-and won from 1.2 MiB on in 31-37 of 41 (128 x 512: 37.1 against 25.8 ms;
-2000 x 512, 19 MiB: 525 against 247 ms). On Python >= 3.12 ``os.fork()``
-in a process that runs other threads (numpy's BLAS pool) emits a
-DeprecationWarning from ``multiprocessing``; pytest's
-``error::DeprecationWarning:prs`` filter leaves it a warning. The child
-only reads files and builds arrays, so it needs no lock such a thread
-may hold.
+half of the rows with the same reader, then sends each file's samples
+back as one pipe message; the parent reads the first half meanwhile,
+then checks and builds every segment in manifest order. So the arrays
+are the same bits, and the first failing row raises the same exception
+with the same message as in one process: the parent itself reads every
+row it received no array for, the row the child failed on included. The
+child is always joined before ``load_dataset`` returns or raises. If no
+child can be started, the parent reads all rows. The threshold is the
+measured break-even. On a 2-vCPU Xeon, with 25-41 interleaved loads per
+shape, two processes lost on every shape up to 0.7 MiB (64 files x 512
+samples, 0.6 MiB: 11.2 against 17.7 ms; the fork and join cost ~5 ms),
+were even at 0.9-1.2 MiB (faster in 10-17 of 25), and won from 1.2 MiB
+on in 31-37 of 41 (128 x 512: 37.1 against 25.8 ms; 2000 x 512, 19 MiB:
+525 against 247 ms). On Python >= 3.12 ``os.fork()`` in a process that
+runs other threads (numpy's BLAS pool) emits a DeprecationWarning from
+``multiprocessing``; pytest's ``error::DeprecationWarning:prs`` filter
+leaves it a warning. The child only reads files and builds arrays, so it
+needs no lock such a thread may hold.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ MIN_SEGMENT_LENGTH = 16
 # Summed size of the signal files from which load_dataset reads the
 # second half of the rows in a forked child (see the module docstring).
 _TWO_PROCESS_MIN_BYTES = 1 << 20
-# Bytes of samples per pipe message from that child, unless one array
-# is larger. The parent receives each message into one new array and
-# slices the message's segments from it.
-_PIPE_BATCH_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -187,35 +183,35 @@ def load_dataset(manifest_path: str | Path) -> LabeledDataset:
     if not manifest_path.exists():
         raise DatasetError(f"missing manifest file {manifest_path}")
 
+    try:
+        with manifest_path.open("r", encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise DatasetError(f"{manifest_path}: not UTF-8 text: {err}") from None
     sampling_rate = None
-    rows = []
-    with manifest_path.open("r", encoding="utf-8", newline="") as fh:
-        data_lines = []
-        for line in fh:
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                body = stripped.lstrip("#").strip()
-                if body.startswith("sampling_rate="):
-                    try:
-                        sampling_rate = float(body.split("=", 1)[1])
-                    except ValueError:
-                        raise DatasetError(
-                            f"{manifest_path}: bad sampling_rate comment {stripped!r}"
-                        ) from None
-                continue
-            if stripped:
-                data_lines.append(line)
-        reader = csv.DictReader(data_lines)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [
-            "id",
-            "label",
-            "path",
-        ]:
-            raise DatasetError(
-                f"{manifest_path}: manifest header must be 'id,label,path', "
-                f"got {reader.fieldnames}"
-            )
-        rows = list(reader)
+    data_lines = []
+    for line in lines:
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            body = stripped.lstrip("#").strip()
+            if body.startswith("sampling_rate="):
+                try:
+                    sampling_rate = float(body.split("=", 1)[1])
+                except ValueError:
+                    raise DatasetError(
+                        f"{manifest_path}: bad sampling_rate comment {stripped!r}"
+                    ) from None
+            continue
+        if stripped:
+            data_lines.append(line)
+    # the header's names are checked stripped, so rows are read by position
+    reader = csv.reader(data_lines)
+    header = next(reader, None)
+    if header is None or [f.strip() for f in header] != ["id", "label", "path"]:
+        raise DatasetError(
+            f"{manifest_path}: manifest header must be 'id,label,path', got {header}"
+        )
+    rows = list(reader)
 
     if sampling_rate is None:
         raise DatasetError(
@@ -224,7 +220,8 @@ def load_dataset(manifest_path: str | Path) -> LabeledDataset:
     if not rows:
         raise DatasetError(f"{manifest_path}: manifest lists no segments")
 
-    fields = [tuple((row[k] or "").strip() for k in ("id", "label", "path")) for row in rows]
+    # a short row reads as empty fields, and fields past the third are ignored
+    fields = [tuple(f.strip() for f in (row + ["", ""])[:3]) for row in rows]
     paths = [manifest_path.parent / rel for _, _, rel in fields]
     # Rows from ``split`` on are read by a forked child, if one pays; the
     # loop below still checks and builds every row in manifest order.
@@ -232,7 +229,7 @@ def load_dataset(manifest_path: str | Path) -> LabeledDataset:
     if _two_processes_pay(paths):
         half = len(rows) // 2
         try:
-            child = _ChildReader(paths[half:], [seg_id for seg_id, _, _ in fields[half:]])
+            child = _ChildReader(paths[half:])
             split = half
         except OSError:  # no process or pipe to spare: read every row here
             pass
@@ -281,66 +278,49 @@ def _two_processes_pay(paths) -> bool:
 
 
 class _ChildReader:
-    """A forked child that reads a run of signal files and sends their
-    samples back over a one-way pipe, a batch of whole arrays at a time:
-    one message with the arrays' lengths, one with their float64 samples,
-    and an empty lengths message at the end."""
+    """A forked child that reads a run of signal files and sends each
+    file's float64 samples back over a one-way pipe as one message."""
 
-    def __init__(self, paths, ids):
+    def __init__(self, paths):
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         self._conn, writer = ctx.Pipe(duplex=False)
-        self._process = ctx.Process(target=_send_samples, args=(paths, ids, writer))
+        self._process = ctx.Process(target=_send_samples, args=(paths, writer))
         self._process.start()
         writer.close()
-        self._received = False
 
     def receive(self) -> list[np.ndarray]:
-        """The arrays the child read, in order, up to the first file it
-        could not read; [] if it died before sending them all. The arrays
-        of a batch are slices of the one array its samples arrive in."""
+        """The arrays the child sent, in order: one per file, up to the
+        first file it could not read or the moment it died."""
         arrays = []
         try:
-            while sizes := np.frombuffer(self._conn.recv_bytes(), dtype=np.int64).tolist():
-                batch = np.empty(sum(sizes), dtype=np.float64)
-                self._conn.recv_bytes_into(batch)
-                ends = np.cumsum(sizes).tolist()
-                arrays += [batch[end - size : end] for end, size in zip(ends, sizes)]
+            while True:
+                arrays.append(np.frombuffer(self._conn.recv_bytes(), dtype=np.float64))
         except EOFError:
-            return []
-        self._received = True
-        return arrays
+            return arrays
 
     def close(self) -> None:
-        """Join the child; one still sending is terminated first."""
-        if not self._received:
-            self._process.terminate()
+        """Stop the child, if it still runs, and join it."""
+        self._process.terminate()
         self._process.join()
         self._conn.close()
 
 
-def _send_samples(paths, ids, writer) -> None:
-    """Child side of ``_ChildReader``: it stops at the first file that
-    fails, which the parent then reads itself, raising its error in row
-    order. It makes only file reads, float() calls and numpy arrays. A
-    batch holds ``_PIPE_BATCH_BYTES`` of samples at most, or one array."""
+def _send_samples(paths, writer) -> None:
+    """Child side of ``_ChildReader``. It reads every file before it sends
+    any, so it never waits on a full pipe while the parent parses. It stops
+    at the first file that fails, whose error the parent raises when it
+    reads that file itself, so the child names no segment. It makes only
+    file reads, float() calls and numpy arrays."""
     arrays = []
-    for path, seg_id in zip(paths, ids):
+    for path in paths:
         try:
-            arrays.append(_read_signal_file(path, seg_id))
+            arrays.append(_read_signal_file(path, ""))
         except Exception:
             break
-    start = 0
-    while start < len(arrays):
-        stop, nbytes = start + 1, arrays[start].nbytes
-        while stop < len(arrays) and nbytes + arrays[stop].nbytes <= _PIPE_BATCH_BYTES:
-            nbytes += arrays[stop].nbytes
-            stop += 1
-        writer.send_bytes(np.array([a.size for a in arrays[start:stop]], dtype=np.int64))
-        writer.send_bytes(np.concatenate(arrays[start:stop]))
-        start = stop
-    writer.send_bytes(b"")
+    for samples in arrays:
+        writer.send_bytes(samples)
     writer.close()
 
 

@@ -72,6 +72,18 @@ def test_synth_requires_seed(tmp_path, capsys):
     assert "--seed" in captured.err
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [("--n", "1", "n must be >= 2, got 1"), ("--len", "8", "len must be >= 16, got 8")],
+)
+def test_synth_too_small_is_usage_error_before_writing(tmp_path, option, value, message, capsys):
+    out = tmp_path / "data"
+    rc = main(["synth", "--seed", "1", "--out", str(out), option, value])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # -- extract / spectral ----------------------------------------------------------
 
 
@@ -836,6 +848,14 @@ def test_malformed_config_line(data_dir, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "key = value" in captured.err
+
+
+def test_config_that_is_not_utf8_is_usage_error_naming_it(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# r\xe9glages\nseed = 4\n".encode("latin-1"))
+    rc = main(["rank", "--manifest", data_dir, "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text: 'utf-8' codec")
 
 
 def test_config_can_supply_required_option(data_dir, tmp_path, capsys):

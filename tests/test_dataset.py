@@ -118,6 +118,23 @@ def test_missing_rate_comment_rejected(tmp_path):
         load_dataset(manifest)
 
 
+def test_padded_header_loads_like_the_plain_one(tmp_path):
+    manifest = write_dataset(_four_segments(), tmp_path)
+    plain = _load_outcome(manifest)
+    text = manifest.read_text()
+    manifest.write_text(text.replace("\nid,label,path\n", "\n id , label , path\n"))
+    assert _load_outcome(manifest) == plain and plain[0] == "dataset"
+
+
+def test_manifest_that_is_not_utf8_names_the_manifest(tmp_path):
+    write_signal(tmp_path / "x.txt", range(20))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(b"# sampling_rate=1000.0\nid,label,path\nx,\xff,x.txt\n")
+    with pytest.raises(DatasetError) as err:
+        load_dataset(manifest)
+    assert str(err.value).startswith(f"{manifest}: not UTF-8 text: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("rate", ["0.0", "-5.0", "inf", "nan"])
 def test_rate_that_is_not_finite_and_positive_rejected(tmp_path, rate):
     write_signal(tmp_path / "x.txt", range(20))
@@ -353,9 +370,9 @@ def _one_and_two_processes(manifest, monkeypatch):
     forks = []
 
     class CountingReader(dataset_module._ChildReader):
-        def __init__(self, paths, ids):
+        def __init__(self, paths):
             forks.append(len(paths))
-            super().__init__(paths, ids)
+            super().__init__(paths)
 
     monkeypatch.setattr(dataset_module, "_ChildReader", CountingReader)
     outcomes = []
@@ -460,7 +477,9 @@ def test_the_earliest_failing_row_wins(tmp_path, monkeypatch, kinds, length, row
 @two_processes
 @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
 @pytest.mark.parametrize("at", [1, 4])
-def test_an_error_that_is_no_dataset_error_keeps_its_type(tmp_path, monkeypatch, kind, at):
+def test_an_unreadable_file_is_a_dataset_error_naming_row_and_file(
+    tmp_path, monkeypatch, kind, at
+):
     # an OSError or a decoding error becomes a DatasetError naming the row
     # and the file, on both load paths alike
     kinds = ["ok"] * 6
@@ -478,24 +497,40 @@ def test_an_error_that_is_no_dataset_error_keeps_its_type(tmp_path, monkeypatch,
 
 @two_processes
 def test_a_child_that_sends_nothing_leaves_its_rows_to_the_parent(tmp_path, monkeypatch):
-    monkeypatch.setattr(dataset_module, "_send_samples", lambda paths, ids, writer: None)
+    monkeypatch.setattr(dataset_module, "_send_samples", lambda paths, writer: None)
     (serial, forked), forks = _one_and_two_processes(_rows_of(tmp_path, ["ok"] * 6), monkeypatch)
     assert forks == [3]
     assert forked == serial and forked[0] == "dataset"
 
 
 @two_processes
-@pytest.mark.parametrize("batch_bytes", [0, 1100, 1 << 16])
-def test_any_batching_of_the_pipe_loads_the_same(tmp_path, monkeypatch, batch_bytes):
-    # 64 samples are 512 bytes: one array per message, two, or all four
-    monkeypatch.setattr(dataset_module, "_PIPE_BATCH_BYTES", batch_bytes)
-    (serial, forked), forks = _one_and_two_processes(_rows_of(tmp_path, ["ok"] * 7), monkeypatch)
-    assert forks == [4]
+@pytest.mark.parametrize(
+    "sent, count", [(0, 0), (1, 1), (-1, 2)], ids=["none", "first", "all-but-last"]
+)
+def test_rows_past_the_last_array_received_are_read_by_the_parent(
+    tmp_path, monkeypatch, sent, count
+):
+    # the child sends the arrays of its first rows only, then exits
+    send, receive = dataset_module._send_samples, dataset_module._ChildReader.receive
+    received = []
+
+    def counted_receive(self):
+        arrays = receive(self)
+        received.append(len(arrays))
+        return arrays
+
+    monkeypatch.setattr(
+        dataset_module, "_send_samples", lambda paths, writer: send(paths[:sent], writer)
+    )
+    monkeypatch.setattr(dataset_module._ChildReader, "receive", counted_receive)
+    (serial, forked), forks = _one_and_two_processes(_rows_of(tmp_path, ["ok"] * 6), monkeypatch)
+    assert forks == [3] and received == [count]
     assert forked == serial and forked[0] == "dataset"
+    assert multiprocessing.active_children() == []
 
 
 def test_a_fork_that_fails_leaves_every_row_to_the_parent(tmp_path, monkeypatch):
-    def no_fork(paths, ids):
+    def no_fork(paths):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     manifest = _rows_of(tmp_path, ["ok"] * 6)
@@ -508,7 +543,7 @@ def test_a_fork_that_fails_leaves_every_row_to_the_parent(tmp_path, monkeypatch)
 
 
 def test_one_usable_cpu_reads_in_one_process(tmp_path, monkeypatch):
-    def no_child(paths, ids):
+    def no_child(paths):
         raise AssertionError("forked a child with one usable CPU")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
