@@ -41,7 +41,6 @@ from .evaluation import (
 )
 from .growth import GrowthConfig, extract_prs, grow
 from .pipeline import (
-    SPECTRAL_NAMES,
     PipelineConfig,
     extract_base_matrix,
     extract_spectral_matrix,
@@ -49,6 +48,7 @@ from .pipeline import (
     transform_rows,
 )
 from .soil import SoilConfig, build_discrete_soil, convolve_soil
+from .spectral import SPECTRAL_NAMES
 
 
 class _UsageError(Exception):
@@ -322,6 +322,7 @@ def _cmd_synth(opts) -> int:
     """generate a synthetic two-class dataset"""
     _check_usage(check_integer, "n", opts["n"], 2)
     _check_usage(check_integer, "len", opts["len"], MIN_SEGMENT_LENGTH)
+    _check_usage(check_integer, "seed", opts["seed"], 0)
     dataset = generate_synthetic(
         n_per_class=opts["n"], length=opts["len"], seed=opts["seed"]
     )
@@ -449,6 +450,7 @@ def _cmd_classify(opts) -> int:
     """single stratified split, one classifier, one variant"""
     config = _pipeline_config(opts)
     _check_usage(check_rates, (opts["rate"],))
+    _check_usage(check_integer, "seed", opts["seed"], 0)
     dataset = load_dataset(opts["manifest"])
     splits = draw_splits(dataset, (opts["rate"],), 1, opts["seed"])
     spec = ClassifierSpec(kind=opts["classifier"])
@@ -489,6 +491,7 @@ def _cmd_evaluate(opts) -> int:
     config = _pipeline_config(opts)
     _check_usage(check_grid, opts["classifiers"], opts["variants"], opts["rates"])
     _check_usage(check_integer, "reps", opts["reps"], 1)
+    _check_usage(check_integer, "seed", opts["seed"], 0)
     dataset = load_dataset(opts["manifest"])
     report = run_experiment(
         dataset,

@@ -13,10 +13,12 @@ distinct labels must be present. Downstream code maps the two labels to
 (C1, C2) by lexicographic order, so ``class_names`` is always sorted.
 
 A signal file is read in one piece and all its lines are parsed in one
-pass. A file with a blank or unparsable line is read again by the
-line-by-line reader, which is the reference for what a file means and
-reports the first bad line by number. ``write_dataset`` writes each
-signal file with one call, every value as its shortest round-trip repr.
+pass. When a line is blank or unparsable, the lines already read are
+walked one at a time: blank lines are skipped, and the first bad line is
+reported by its number. The reader that opens the file again and reads
+it line by line, which this one is tested against, lives in
+``tests/reference.py``. ``write_dataset`` writes each signal file with
+one call, every value as its shortest round-trip repr.
 
 Parsing is bound by ``float()``, which holds the interpreter lock, so a
 large manifest is read in two processes: on Linux, with at least two
@@ -52,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, check_integer
 
 MIN_SEGMENT_LENGTH = 16
 
@@ -153,26 +155,17 @@ def _read_signal_file(path: Path, segment_id: str) -> np.ndarray:
         lines.pop()  # after the final newline
     try:
         return np.fromiter(map(float, lines), dtype=np.float64, count=len(lines))
-    except ValueError:
-        return _read_signal_lines(path)
-
-
-def _read_signal_lines(path: Path) -> np.ndarray:
-    """One line at a time: blank lines are skipped, and the first line
-    that is not a number is reported by its line number."""
-    values = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    except ValueError:  # a blank or bad line: skip the blank ones, name the first bad one
+        values = []
+        for lineno, line in enumerate(lines, start=1):
             text = line.strip()
             if not text:
                 continue
             try:
                 values.append(float(text))
             except ValueError:
-                raise DatasetError(
-                    f"{path}:{lineno}: non-numeric sample {text!r}"
-                ) from None
-    return np.asarray(values, dtype=np.float64)
+                raise DatasetError(f"{path}:{lineno}: non-numeric sample {text!r}") from None
+        return np.asarray(values, dtype=np.float64)
 
 
 def load_dataset(manifest_path: str | Path) -> LabeledDataset:
@@ -342,15 +335,14 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
 
     All segments must share one sampling rate (the format stores it once).
     An id or label that would not read back as written raises
-    ``DatasetError`` naming its segment, before any file is written.
+    ``DatasetError`` naming its segment; both are checked before any
+    directory or file is made.
     """
     for seg in dataset.segments:
         for field, value in (("id", seg.id), ("label", seg.label)):
             problem = _unreadable(value, field == "id")
             if problem:
                 raise DatasetError(f"segment {seg.id!r}: {field} {value!r} {problem}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rates = {s.sampling_rate for s in dataset.segments}
     if len(rates) != 1:
         raise DatasetError(
@@ -358,6 +350,8 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
             f"dataset has {sorted(rates)}"
         )
     (rate,) = rates
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     lines = [f"# sampling_rate={float(rate)!r}", "id,label,path"]
     for seg in dataset.segments:
@@ -379,6 +373,7 @@ def generate_synthetic(n_per_class: int, length: int, seed: int) -> LabeledDatas
     Sampling rate 1000 Hz. The classes are separable by variance- and
     frequency-sensitive features, so classifiers should score highly.
     """
+    check_integer("seed", seed, 0)
     if n_per_class < 2:
         raise DatasetError(f"n_per_class must be >= 2, got {n_per_class}")
     if length < MIN_SEGMENT_LENGTH:

@@ -5,7 +5,9 @@ repetitions. ``draw_splits`` draws every split of a run: each repetition
 draws one stratified split per rate from ``rep_rng(seed, rep)``, shared
 by all variants and classifiers, so the variants are compared paired.
 ``evaluate_splits`` takes a dataset and its splits to one int64 array
-of (tp, tn, fp, fn) counts indexed (split, classifier, variant).
+of (tp, tn, fp, fn) counts indexed (split, classifier, variant). A
+variant is a set of columns of the 16-column table of ``TABLE_NAMES``,
+and ``assemble_variant`` is the one place that selects them.
 Feature preparation (normalization bounds, gain ranking, column order)
 is fitted on each training fold only unless global_prep is set, which
 fits it once on the whole dataset for protocol-replication runs. Every
@@ -38,27 +40,29 @@ from .errors import PrsError, check_integer
 from .feature_prep import MIN_SAMPLES, apply_bounds, column_bounds
 from .pipeline import (
     PRS_NAMES,
-    SPECTRAL_NAMES,
     PipelineConfig,
     extract_base_matrix,
     extract_spectral_matrix,
     fit_prep,
     prs_features,
 )
-
-VARIANTS = ("BASE", "BASE_NF", "BASE_RF", "PRS", "COMPARISON")
-
-# Extra columns appended to the 12 raw base columns, per variant.
-_VARIANT_EXTRAS = {
-    "BASE": (),
-    "BASE_NF": ("NF",),
-    "BASE_RF": ("RF",),
-    "PRS": ("NF", "RF"),
-    "COMPARISON": ("MaxPSD", "MedPSD"),
-}
+from .spectral import SPECTRAL_NAMES
 
 # The raw feature table: the 12 base columns, NF, RF, MaxPSD, MedPSD.
 TABLE_NAMES = tuple(FEATURE_NAMES) + PRS_NAMES + SPECTRAL_NAMES
+
+# Each variant's columns of the table: the 12 base columns, then its extras.
+_VARIANT_COLUMNS = {
+    variant: list(range(len(FEATURE_NAMES))) + [TABLE_NAMES.index(n) for n in extras]
+    for variant, extras in (
+        ("BASE", ()),
+        ("BASE_NF", ("NF",)),
+        ("BASE_RF", ("RF",)),
+        ("PRS", ("NF", "RF")),
+        ("COMPARISON", ("MaxPSD", "MedPSD")),
+    )
+}
+VARIANTS = tuple(_VARIANT_COLUMNS)
 
 
 def confusion_counts(truth, pred) -> tuple[int, int, int, int]:
@@ -127,9 +131,9 @@ def anova_oneway(groups) -> AnovaResult:
 
 def stratified_split(labels, class_names, rate: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Per-class split: n_train = round(rate * n_c) clamped to [1, n_c - 1].
-    Returns ascending (train_idx, test_idx)."""
-    if not (0.0 < rate < 1.0):
-        raise ValueError(f"training rate must be in (0, 1), got {rate}")
+    Returns ascending (train_idx, test_idx). The rate must pass
+    ``check_rates``."""
+    check_rates((rate,))
     labels = np.asarray(labels, dtype=str)
     train, test = [], []
     for name in class_names:
@@ -143,25 +147,14 @@ def stratified_split(labels, class_names, rate: float, rng) -> tuple[np.ndarray,
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
-def _variant_columns(variant: str) -> list[int]:
-    """Columns of one variant in the 16-column table of ``TABLE_NAMES``."""
-    if variant not in _VARIANT_EXTRAS:
+def assemble_variant(variant: str, table: np.ndarray) -> np.ndarray:
+    """One variant's columns of an (m, 16) table of ``TABLE_NAMES``, in
+    row-major order. Raise ValueError on an unknown variant."""
+    if variant not in _VARIANT_COLUMNS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    extras = [TABLE_NAMES.index(name) for name in _VARIANT_EXTRAS[variant]]
-    return list(range(len(FEATURE_NAMES))) + extras
-
-
-def assemble_variant(
-    variant: str, base_rows: np.ndarray, prs_rows, spectral_rows
-) -> np.ndarray:
-    """Raw feature matrix for one variant: base columns plus its extras,
-    the columns ``evaluate_splits`` selects from one table per split.
-    Nothing in the package calls it; it stays because the benchmark
-    tracer (perfbench/tracer.py) wraps this name."""
-    columns = _variant_columns(variant)
-    table = np.column_stack([base_rows, prs_rows, spectral_rows])
-    # a column selection comes out F-ordered; keep the row-major layout
-    return np.ascontiguousarray(table[:, columns])
+    # a column selection comes out F-ordered; the classifiers' products
+    # round as on the contiguous matrices
+    return np.ascontiguousarray(table[:, _VARIANT_COLUMNS[variant]])
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -203,7 +196,7 @@ def check_grid(classifiers, variants, rates) -> tuple[list, tuple, tuple]:
         if len(set(values)) != len(values):
             raise ValueError(f"{name} must be unique within one run")
     for variant in variants:
-        _variant_columns(variant)  # raises on an unknown one
+        assemble_variant(variant, np.array([TABLE_NAMES]))  # raises on an unknown one
     return specs, variants, check_rates(rates)
 
 
@@ -211,8 +204,9 @@ def draw_splits(dataset: LabeledDataset, rates, reps: int, seed: int) -> list:
     """The (train_idx, test_idx) splits of a run, rep-major: entry
     ``rep * len(rates) + r`` is drawn at ``rates[r]`` from
     ``rep_rng(seed, rep)``, which draws each rep's rates in order. The
-    rates must pass ``check_rates``."""
+    rates must pass ``check_rates``, and the seed must be an integer >= 0."""
     rates = check_rates(rates)
+    check_integer("seed", seed, 0)
     labels, class_names = np.array(dataset.labels), dataset.class_names
     splits = []
     for rep in range(reps):
@@ -238,23 +232,25 @@ def evaluate_splits(
     split's rows, each under its own fold's artifacts, come from one
     ``prs_features`` call; under ``global_prep`` it is fitted once on all
     rows. Each split's 16-column table is min-max scaled once by its
-    training rows, and a variant is a column selection of it (scaling
-    works column by column, so this equals scaling the variant's own
-    columns). Each classifier then makes one ``train_group`` fit and one
-    ``decision_group`` call over every split's variants, which stack the
-    problems of equal shape; a score >= 0 marks the second class.
+    training rows, and ``assemble_variant`` selects each variant's
+    columns from it (scaling works column by column, so this equals
+    scaling the variant's own columns). Each classifier then makes one
+    ``train_group`` fit and one ``decision_group`` call over every
+    split's variants, which stack the problems of equal shape; a score
+    >= 0 marks the second class.
 
     Returns ``(counts, diagnostics)``, indexed by position, not by name:
     ``counts[s, k, v]`` is the int64 (tp, tn, fp, fn) of ``specs[k]`` on
     ``variants[v]`` of ``splits[s]``, and ``diagnostics[s][k][v]`` that
     model's ``diagnostics`` dict.
     """
-    columns = [_variant_columns(variant) for variant in variants]
+    # the names of the columns the variants select; raises on an unknown one
+    names = np.array([TABLE_NAMES])
+    used = {name for v in variants for name in assemble_variant(v, names)[0]}
     counts = np.zeros((len(splits), len(specs), len(variants), 4), dtype=np.int64)
     if not splits:
         return counts, []
-    extras = {name for variant in variants for name in _VARIANT_EXTRAS[variant]}
-    needs_prs = not extras.isdisjoint(PRS_NAMES)
+    needs_prs = not used.isdisjoint(PRS_NAMES)
     smallest = min(len(train_idx) for train_idx, _ in splits)
     if needs_prs and not global_prep and smallest < MIN_SAMPLES:
         raise PrsError(
@@ -268,7 +264,7 @@ def evaluate_splits(
     rows = np.concatenate([np.concatenate(split) for split in splits])
     spectral_rows = (
         extract_spectral_matrix(dataset, config.median_mode)[rows]
-        if not extras.isdisjoint(SPECTRAL_NAMES)
+        if not used.isdisjoint(SPECTRAL_NAMES)
         else np.zeros((len(rows), 2))
     )
     if not needs_prs:
@@ -292,12 +288,10 @@ def evaluate_splits(
         scaled_test = apply_bounds(table[middle:stop], bounds)
         start = stop
         y_fold, truth = labels[train_idx], second[test_idx]
-        for cols in columns:
-            # a column selection comes out F-ordered; the classifiers'
-            # products round as on the contiguous matrices
-            x_train.append(np.ascontiguousarray(scaled_train[:, cols]))
+        for variant in variants:
+            x_train.append(assemble_variant(variant, scaled_train))
             y_train.append(y_fold)
-            x_test.append(np.ascontiguousarray(scaled_test[:, cols]))
+            x_test.append(assemble_variant(variant, scaled_test))
             truths.append(truth)
     diagnostics = [[[None] * len(variants) for _ in specs] for _ in splits]
     for k, spec in enumerate(specs):

@@ -111,16 +111,17 @@ def grow_batch(
     """Grow the root in each grid of an (m, rows, cols) stack.
 
     Returns the absorption totals (m,), the boolean occupancy
-    (m, rows, cols) and the picks (m, days, division_limit): the flat
-    index ``(row - 1) * cols + col`` of each cell occupied at each step of
-    each day, in pick order, or the sentinel 0 where the grid had no
-    candidate left. ``days`` is ``config.days`` capped at ``rows * cols``.
+    (m, rows, cols) and the picks (m, days, limit): the flat index
+    ``(row - 1) * cols + col`` of each cell occupied at each step of each
+    day, in pick order, or the sentinel 0 where the grid had no candidate
+    left. ``days`` is ``config.days`` and ``limit`` is
+    ``config.division_limit``, each capped at ``rows * cols``.
 
     The offers of each grid (cell values, -inf where not offered) are kept
     across days after a -inf sentinel at flat index 0, and each day adds
     only the neighbours of the previous day's picks; an occupied cell,
     or a barren one when ``occupy_zero`` is off, is offered at -inf. Up
-    to ``division_limit`` times a day every grid picks the first maximum
+    to ``limit`` times a day every grid picks the first maximum
     of its offers, so candidates rank by (-value, row, col), or the
     sentinel when no candidate is left. The picked values are recorded
     and their absorptions added in pick order.
@@ -144,10 +145,11 @@ def grow_batch(
     seeds = sorted({(r - 1) * cols + c for r, c in config.radicle})
     cells[:, seeds] = -np.inf
     offers = np.full_like(cells, -np.inf)
-    # a grid occupies a cell on each day it grows, so after rows * cols
-    # days none can
+    # a grid occupies a cell at each step it grows, so after rows * cols
+    # days, or steps in a day, none can
     days = min(config.days, rows * cols)
-    picks = np.zeros((m, days, config.division_limit), dtype=np.intp)
+    limit = min(config.division_limit, rows * cols)
+    picks = np.zeros((m, days, limit), dtype=np.intp)
     picked = np.full(picks.shape, -np.inf)
     samples = np.arange(m)
     # cell c of grid s sits at s * width + c of the flat views, and a
@@ -159,7 +161,7 @@ def grow_batch(
     for day in range(days):
         near = row_starts[:, None] + neighbours[new].reshape(m, 4 * new.shape[1])
         flat_offers[near] = flat_cells[near]
-        for k in range(config.division_limit):
+        for k in range(limit):
             pick = picks[:, day, k] = offers.argmax(axis=1)
             flat = row_starts + pick
             picked[:, day, k] = flat_offers[flat]
@@ -167,7 +169,7 @@ def grow_batch(
         new = picks[:, day]
     occupied = np.zeros((m, 1 + rows * cols), dtype=bool)
     occupied[:, seeds] = True
-    steps = days * config.division_limit
+    steps = days * limit
     occupied[samples[:, None], picks.reshape(m, steps)] = True
     values = np.where(picked == -np.inf, 0.0, picked).reshape(m, steps)
     rates = np.where(values == 0.0, 0.0, values / (1.0 + np.abs(values)) + 0.49)

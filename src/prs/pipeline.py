@@ -48,7 +48,6 @@ from .base_features import (
     degenerate_rows,
 )
 from .dataset import LabeledDataset, SignalSegment
-from .errors import DegenerateDataError
 from .feature_prep import (
     MIN_SAMPLES,
     apply_bounds,
@@ -58,15 +57,13 @@ from .feature_prep import (
 )
 from .growth import GrowthConfig, check_radicle, grow_batch, hull_areas
 from .soil import SoilConfig, bin_indices, nutrient_grids
-from .spectral import MEDIAN_MODES, MEDIAN_PSD, spectral_rows
+from .spectral import MEDIAN_MODES, MEDIAN_PSD, compute_spectral, spectral_rows
 # The one-row chain is not called here; its names stay module attributes
 # because perfbench/tracer.py wraps them on prs.pipeline by name.
 from .growth import extract_prs, grow  # noqa: F401
 from .soil import build_discrete_soil, convolve_soil  # noqa: F401
-from .spectral import compute_spectral  # noqa: F401
 
 PRS_NAMES = ("NF", "RF")
-SPECTRAL_NAMES = ("MaxPSD", "MedPSD")
 
 # Rows per block of the growth and hull kernels in prs_features. On a
 # 2000-row table (2-vCPU Xeon, timed back to back) blocks of 64, 128,
@@ -256,12 +253,8 @@ def extract_spectral_matrix(
     out = np.empty((len(dataset.segments), 2))
     for rows, samples, rate in _segment_blocks(dataset.segments):
         out[rows] = spectral_rows(samples, rate, median_mode)
-    finite = np.isfinite(out)
-    bad = np.flatnonzero(~finite.all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
-        names = [name for name, ok in zip(SPECTRAL_NAMES, finite[bad[0]]) if not ok]
-        raise DegenerateDataError(
-            f"segment {dataset.segments[bad[0]].id!r} overflows float64 in "
-            f"{', '.join(names)}"
-        )
+        # the one-row path raises the error that names the segment
+        compute_spectral(dataset.segments[bad[0]], median_mode)
     return out

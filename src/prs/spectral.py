@@ -9,9 +9,11 @@ band's power in half instead of the median density.
 
 ``spectral_rows`` computes both for a block of equal-length segments with
 one FFT along the sample axis; ``compute_spectral`` is that kernel on a
-one-row block, and returns its (2,) row. The one-segment spectrum,
-positive band and median frequency the kernel is tested against, bit for
-bit, live in ``tests/reference.py``.
+one-row block, and returns its (2,) row or raises the
+``DegenerateDataError`` that names the segment and its columns that
+overflow float64. The one-segment spectrum, positive band and median
+frequency the kernel is tested against, bit for bit, live in
+``tests/reference.py``.
 
 In the ``psd`` mode one sort of each row's band gives both values:
 MaxPSD is its last entry, and MedPSD its middle entry, or ``(a + b) / 2.0``
@@ -19,12 +21,11 @@ of the two middle entries of an even band. Those are the values
 ``np.max`` and ``np.median`` return (``np.median`` averages the two
 middle entries with ``np.mean``, the same add and divide). A band holding
 NaN, from an FFT that overflowed, sorts it last; both values are then NaN,
-as ``np.max`` and ``np.median`` give, and
-``pipeline.extract_spectral_matrix`` names the segment. In the
-``frequency`` mode MedPSD is NaN when the band's total power is not
-finite, as after such an FFT or from huge finite bins. Sorting a
-(4, 1000) band took 19 us on a 2-vCPU Xeon, ``np.median`` 78 us and its
-``np.partition`` alone 42 us.
+as ``np.max`` and ``np.median`` give, and ``compute_spectral`` names the
+segment. In the ``frequency`` mode MedPSD is NaN when the band's total
+power is not finite, as after such an FFT or from huge finite bins.
+Sorting a (4, 1000) band took 19 us on a 2-vCPU Xeon, ``np.median`` 78
+us and its ``np.partition`` alone 42 us.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import SignalSegment
+from .errors import DegenerateDataError
 
+SPECTRAL_NAMES = ("MaxPSD", "MedPSD")
 MEDIAN_PSD = "psd"
 MEDIAN_FREQUENCY = "frequency"
 MEDIAN_MODES = (MEDIAN_PSD, MEDIAN_FREQUENCY)
@@ -101,6 +104,13 @@ def compute_spectral(
     segment: SignalSegment, median_mode: str = MEDIAN_PSD
 ) -> np.ndarray:
     """The (2,) [MaxPSD, MedPSD] row of one segment; all-zero input yields
-    (0, 0)."""
+    (0, 0). Raises DegenerateDataError naming the segment when a value is
+    not finite, because its spectrum overflows float64."""
     x = segment.samples[None, :]
-    return spectral_rows(x, segment.sampling_rate, median_mode)[0]
+    row = spectral_rows(x, segment.sampling_rate, median_mode)[0]
+    overflowed = [name for name, v in zip(SPECTRAL_NAMES, row) if not np.isfinite(v)]
+    if overflowed:
+        raise DegenerateDataError(
+            f"segment {segment.id!r} overflows float64 in {', '.join(overflowed)}"
+        )
+    return row

@@ -94,10 +94,13 @@ def scaled_variants(inputs, train_idx, test_idx, global_prs=None):
         prs_test = prs_features(base[test_idx], artifacts, inputs.config)
     else:
         prs_train, prs_test = global_prs[train_idx], global_prs[test_idx]
+    table_train = np.column_stack([base[train_idx], prs_train, spectral[train_idx]])
+    table_test = np.column_stack([base[test_idx], prs_test, spectral[test_idx]])
     x_train, x_test = [], []
     for variant in VARIANTS:
-        raw_train = assemble_variant(variant, base[train_idx], prs_train, spectral[train_idx])
-        raw_test = assemble_variant(variant, base[test_idx], prs_test, spectral[test_idx])
+        # assembled before it is scaled: evaluate_splits scales the whole table
+        raw_train = assemble_variant(variant, table_train)
+        raw_test = assemble_variant(variant, table_test)
         bounds = column_bounds(raw_train)
         x_train.append(apply_bounds(raw_train, bounds))
         x_test.append(apply_bounds(raw_test, bounds))

@@ -17,7 +17,9 @@ kernels are tested against, bit for bit:
   split, which ``feature_prep.rank_features`` takes from class counts;
 - the one-problem fits and scores of LR, LDA and QDA, and the per-label
   encoding of a label vector, which ``classifiers.train_group`` and
-  ``classifiers.decision_group`` run over stacks of problems.
+  ``classifiers.decision_group`` run over stacks of problems;
+- the reader that opens a signal file again and parses it one line at a
+  time, which ``dataset._read_signal_file`` is tested against.
 
 They are plain loops and scalar code, deliberately independent of the
 kernels they check; nothing in ``src/prs`` imports them.
@@ -27,11 +29,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from prs.classifiers import TrainedModel
-from prs.errors import DegenerateDataError
+from prs.errors import DatasetError, DegenerateDataError
 from prs.growth import _NEIGHBOR_STEPS, GrowthConfig, RootState, check_radicle
 from prs.pipeline import PipelineConfig, PrepArtifacts, transform_rows
 from prs.soil import SOIL_DEPTH, SoilConfig, convolve_soil
@@ -515,3 +518,24 @@ def decision_function(model: TrainedModel, X) -> np.ndarray:
         w = model.params["weights"]
         return X @ w[:-1] + w[-1]
     return gaussian_scores(model, X)
+
+
+# -- signal files --------------------------------------------------------------
+
+
+def read_signal_lines(path: Path) -> np.ndarray:
+    """One line at a time: blank lines are skipped, and the first line
+    that is not a number is reported by its line number."""
+    values = []
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise DatasetError(
+                    f"{path}:{lineno}: non-numeric sample {text!r}"
+                ) from None
+    return np.asarray(values, dtype=np.float64)

@@ -78,6 +78,10 @@ def test_feature_width_mismatch_at_predict(kind):
         model.predict(np.zeros((3, 5)))
     with pytest.raises(ValueError, match="expected shape"):
         decision_group([model], [np.zeros(2)])[0]
+    for matrices in ([], [X, X]):
+        with pytest.raises(ValueError) as err:
+            decision_group([model], matrices)
+        assert str(err.value) == f"1 models but {len(matrices)} feature matrices"
 
 
 @pytest.mark.parametrize("kind", CLASSIFIER_KINDS)

@@ -84,6 +84,29 @@ def test_synth_too_small_is_usage_error_before_writing(tmp_path, option, value, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--out", "{tmp}/data"],
+        ["evaluate", "--manifest", "{tmp}/missing.csv"],
+        ["classify", "--manifest", "{tmp}/missing.csv", "--classifier", "LR"],
+    ],
+    ids=["synth", "evaluate", "classify"],
+)
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+def test_negative_seed_is_usage_error_before_reading_or_writing(
+    tmp_path, argv, seed, monkeypatch, capsys
+):
+    def no_load(*args, **kwargs):
+        raise AssertionError("read the data before checking the seed")
+
+    monkeypatch.setattr("prs.cli.load_dataset", no_load)
+    rc = main([arg.format(tmp=tmp_path) for arg in argv] + ["--seed", seed])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- extract / spectral ----------------------------------------------------------
 
 
@@ -856,6 +879,23 @@ def test_config_that_is_not_utf8_is_usage_error_naming_it(data_dir, tmp_path, ca
     rc = main(["rank", "--manifest", data_dir, "--config", str(cfg)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text: 'utf-8' codec")
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (lambda cfg: cfg.mkdir(), "cannot read config file: [Errno 21] Is a directory: "),
+        (lambda cfg: cfg.write_text("global_prep = maybe\n"),
+         "bad value for global_prep: not a boolean: 'maybe'"),
+    ],
+    ids=["directory", "not-a-boolean"],
+)
+def test_config_that_cannot_be_used_is_usage_error(data_dir, tmp_path, write, message, capsys):
+    cfg = tmp_path / "run.cfg"
+    write(cfg)
+    rc = main(["evaluate", "--manifest", data_dir, "--seed", "1", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_config_can_supply_required_option(data_dir, tmp_path, capsys):

@@ -17,7 +17,6 @@ from prs.dataset import (
     LabeledDataset,
     SignalSegment,
     _read_signal_file,
-    _read_signal_lines,
     generate_synthetic,
     load_dataset,
     write_dataset,
@@ -25,6 +24,7 @@ from prs.dataset import (
 from prs.errors import DatasetError
 
 from conftest import make_segment
+from reference import read_signal_lines
 
 
 def write_signal(path, values):
@@ -133,6 +133,46 @@ def test_manifest_that_is_not_utf8_names_the_manifest(tmp_path):
     with pytest.raises(DatasetError) as err:
         load_dataset(manifest)
     assert str(err.value).startswith(f"{manifest}: not UTF-8 text: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# sampling_rate=1000.0\nid,label\nx,A,x.txt\n",
+         "manifest header must be 'id,label,path', got ['id', 'label']"),
+        ("# sampling_rate=fast\nid,label,path\nx,A,x.txt\n",
+         "bad sampling_rate comment '# sampling_rate=fast'"),
+        ("# sampling_rate=1000.0\nid,label,path\n\n", "manifest lists no segments"),
+    ],
+    ids=["header", "rate-comment", "no-rows"],
+)
+def test_bad_manifest_names_the_manifest_and_the_fault(tmp_path, text, message):
+    write_signal(tmp_path / "x.txt", range(20))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(text)
+    with pytest.raises(DatasetError) as err:
+        load_dataset(manifest)
+    assert str(err.value) == f"{manifest}: {message}"
+
+
+def test_two_sampling_rates_are_not_written(tmp_path):
+    rates = [("A", 1000.0), ("A", 500.0), ("B", 1000.0), ("B", 1000.0)]
+    segments = [
+        make_segment(f"s{i}", label, np.arange(20.0), fs) for i, (label, fs) in enumerate(rates)
+    ]
+    with pytest.raises(DatasetError) as err:
+        write_dataset(LabeledDataset(name="mixed", segments=tuple(segments)), tmp_path / "out")
+    assert str(err.value) == (
+        "dataset 'mixed': manifest format stores one sampling rate, "
+        "dataset has [500.0, 1000.0]"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_two_dimensional_samples_rejected():
+    with pytest.raises(DatasetError) as err:
+        make_segment("x", "A", np.zeros((4, 20)))
+    assert str(err.value) == "segment 'x': samples must be 1D"
 
 
 @pytest.mark.parametrize("rate", ["0.0", "-5.0", "inf", "nan"])
@@ -274,15 +314,21 @@ def test_write_dataset_round_trips_unusual_fields_exactly(tmp_path):
 # -- one-read loader against the line-by-line reader --------------------------
 
 def test_clean_file_is_parsed_without_the_line_reader(tmp_path, monkeypatch):
-    def line_reader(path):
-        raise AssertionError("fell back to the line-by-line reader")
+    # one float() call per line: the lines are not walked a second time
+    calls = []
 
-    monkeypatch.setattr(dataset_module, "_read_signal_lines", line_reader)
+    def counting_float(text):
+        calls.append(text)
+        return float(text)
+
+    monkeypatch.setattr(dataset_module, "float", counting_float, raising=False)
     path = tmp_path / "s.txt"
     for ending in (b"", b"\n", b"\r\n"):
+        calls.clear()
         path.write_bytes(b" 1.5\r\n-2e3\t\r\n1_0\rnan\n\x0c7" + ending)
         got = _read_signal_file(path, "s")
         assert np.array_equal(got, [1.5, -2000.0, 10.0, np.nan, 7.0], equal_nan=True)
+        assert len(calls) == 5
 
 
 _TOKENS = [
@@ -329,7 +375,7 @@ def test_one_read_loader_matches_line_reader(tmp_path, text):
     path = tmp_path / "s.txt"
     path.write_bytes(text.encode("utf-8"))
     got_kind, got = _outcome(lambda p: _read_signal_file(p, "s"), path)
-    want_kind, want = _outcome(_read_signal_lines, path)
+    want_kind, want = _outcome(read_signal_lines, path)
     assert got_kind == want_kind
     if got_kind == "error":
         assert got == want

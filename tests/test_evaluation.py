@@ -106,10 +106,12 @@ def test_split_always_leaves_test_rows_per_class():
 
 
 def test_split_rate_validation():
+    # the message of check_rates, the one rule for a rate
     rng = np.random.default_rng(0)
-    for rate in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(ValueError, match="rate"):
+    for rate in (0.0, 1.0, -0.2, 1.7, float("nan")):
+        with pytest.raises(ValueError) as err:
             stratified_split(["A", "A", "B", "B"], ("A", "B"), rate, rng)
+        assert str(err.value) == f"training rate must be in (0, 1), got {rate}"
 
 
 def test_split_needs_two_per_class():
@@ -223,22 +225,28 @@ def test_correlation_symmetric_and_bounded():
 
 
 def test_variant_widths():
-    base = np.zeros((5, 12))
-    prs = np.ones((5, 2))
-    spectral = np.full((5, 2), 2.0)
-    widths = {"BASE": 12, "BASE_NF": 13, "BASE_RF": 13, "PRS": 14, "COMPARISON": 14}
+    # the table of TABLE_NAMES: 12 base columns of 0, NF 1, RF 2, MaxPSD 3, MedPSD 4
+    table = np.column_stack([np.zeros((5, 12)), np.tile([1.0, 2.0, 3.0, 4.0], (5, 1))])
+    extras = {
+        "BASE": [],
+        "BASE_NF": [1.0],
+        "BASE_RF": [2.0],
+        "PRS": [1.0, 2.0],
+        "COMPARISON": [3.0, 4.0],
+    }
     for variant in VARIANTS:
-        out = assemble_variant(variant, base, prs, spectral)
-        assert out.shape == (5, widths[variant])
-    nf = assemble_variant("BASE_NF", base, prs, spectral)
-    assert np.all(nf[:, 12] == 1.0)
-    comparison = assemble_variant("COMPARISON", base, prs, spectral)
-    assert np.all(comparison[:, 12:] == 2.0)
+        out = assemble_variant(variant, table)
+        want = np.column_stack([table[:, :12], np.tile(extras[variant], (5, 1))])
+        assert out.flags.c_contiguous and np.array_equal(out, want)
+    names = assemble_variant("PRS", np.array([TABLE_NAMES]))[0]
+    assert names.tolist() == list(TABLE_NAMES[:12]) + ["NF", "RF"]
 
 
 def test_variant_unknown_name():
-    with pytest.raises(ValueError, match="variant"):
-        assemble_variant("EXTRA", np.zeros((2, 12)), None, None)
+    with pytest.raises(ValueError, match="unknown variant 'EXTRA'"):
+        assemble_variant("EXTRA", np.zeros((2, 16)))
+    with pytest.raises(ValueError, match="unknown variant 'EXTRA'"):
+        evaluate_splits(generate_synthetic(3, 32, 1), [], [ClassifierSpec(kind="LDA")], ["EXTRA"])
 
 
 # -- experiment runs -----------------------------------------------------------
@@ -398,6 +406,22 @@ def test_counts_below_their_minimum_name_the_bound(make, kwargs, message, small_
     args = (small_synth,) if make is run_experiment else ()
     with pytest.raises(ValueError, match=f"^{message}$"):
         make(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda data, seed: run_experiment(data, reps=1, seed=seed),
+        lambda data, seed: draw_splits(data, (0.6,), 1, seed),
+        lambda data, seed: generate_synthetic(3, 64, seed),
+    ],
+    ids=["run_experiment", "draw_splits", "generate_synthetic"],
+)
+def test_a_seed_that_is_no_count_is_named(call, small_synth):
+    for seed, message in ((-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")):
+        with pytest.raises(ValueError) as err:
+            call(small_synth, seed)
+        assert str(err.value) == message
 
 
 def test_run_experiment_validation(small_synth):

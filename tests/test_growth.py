@@ -141,6 +141,24 @@ def test_growth_stops_when_grid_is_full():
     assert len(state.day_log) < 50
 
 
+def test_picks_per_day_are_capped_at_the_cell_count():
+    # a 3 x 4 grid has 12 cells, so no day picks more than 12: a larger
+    # limit adds only sentinel picks, which absorb +0.0
+    rng = np.random.default_rng(5)
+    grids = rng.uniform(-1.0, 1.0, size=(3, 3, 4))
+    grids[0, 1, :] = 0.0
+    radicle = ((2, 2),)
+    wide = GrowthConfig(days=4, division_limit=50, radicle=radicle)
+    capped = GrowthConfig(days=4, division_limit=12, radicle=radicle)
+    absorbed, occupancy, picks = grow_batch(grids, wide)
+    want_absorbed, want_occupancy, want_picks = grow_batch(grids, capped)
+    assert picks.shape == (3, 4, 12)
+    assert absorbed.tobytes() == want_absorbed.tobytes()
+    assert np.array_equal(occupancy, want_occupancy)
+    assert np.array_equal(picks, want_picks)
+    assert grow(grids[0], wide).day_log == grow(grids[0], capped).day_log
+
+
 def test_growth_invariants_on_random_grids():
     rng = np.random.default_rng(77)
     for trial in range(10):

@@ -18,7 +18,7 @@ from pathlib import Path
 import prs
 
 # wrapped by perfbench/tracer.py; goes with ROADMAP item 4
-TRACER_ONLY = {"TrainedModel.predict", "assemble_variant", "compute_spectral"}
+TRACER_ONLY = {"TrainedModel.predict"}
 
 
 def _definitions(tree):

@@ -7,6 +7,7 @@ in ``reference``; the feature cases run ``compute_spectral``.
 import numpy as np
 import pytest
 
+from prs.errors import DegenerateDataError
 from prs.spectral import MEDIAN_FREQUENCY, MEDIAN_PSD, compute_spectral, spectral_rows
 
 from conftest import make_segment
@@ -98,6 +99,22 @@ def test_median_mode_selects_the_statistic():
     assert by_psd[0] == by_freq[0]
     assert by_freq[1] == pytest.approx(25 * fs / len(x))
     assert by_psd[1] != by_freq[1]
+
+
+@pytest.mark.parametrize(
+    "rate, scale, mode, columns",
+    [
+        (1000.0, 1e160, MEDIAN_PSD, "MaxPSD, MedPSD"),
+        (1000.0, 1e160, MEDIAN_FREQUENCY, "MaxPSD, MedPSD"),
+        # every bin is finite, but the band's total is not
+        (0.001, 1e152, MEDIAN_FREQUENCY, "MedPSD"),
+    ],
+)
+def test_compute_spectral_names_an_overflowing_segment(rate, scale, mode, columns):
+    x = scale * np.random.default_rng(4).standard_normal(64)
+    with pytest.raises(DegenerateDataError) as err:
+        compute_spectral(make_segment("big", "A", x, rate), mode)
+    assert str(err.value) == f"segment 'big' overflows float64 in {columns}"
 
 
 def test_compute_spectral_rejects_unknown_mode():
