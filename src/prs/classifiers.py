@@ -269,9 +269,10 @@ def _fit_logistic(spec, matrices, signed):
     margins, gradients and (p, f + 1, f + 1) Hessians, one stacked
     solve, and a line search in which each problem halves its own step.
     A problem leaves the stack once its gradient norm is <= tol, after
-    max_iter steps, when its Hessian is singular, or when its line
-    search finds no decrease; the problems still in the stack have all
-    taken the same number of steps. Each problem's floats are those of a
+    max_iter steps, or when its line search finds no decrease, which
+    includes a singular Hessian: its direction is 0, so its trial point
+    is its iterate; the problems still in the stack have all taken the
+    same number of steps. Each problem's floats are those of a
     fit on its own.
     """
     X = np.stack(matrices)
@@ -318,15 +319,12 @@ def _fit_logistic(spec, matrices, signed):
             break
         weighted = Xb.transpose(0, 2, 1) * (sig * (1.0 - sig))[:, None, :]
         hess = weighted @ Xb / m + penalty_matrix
-        direction, go = _newton_directions(hess, grad)
-        # a singular Hessian means the curvature underflowed; keep the last iterate
-        live, w, loss, grad_norm, Xb, signed, grad, direction = leave(
-            go, live, w, loss, grad_norm, Xb, signed, grad, direction
-        )
+        direction = _newton_directions(hess, grad)
         trial, margins, trial_loss = _line_search(
             w, loss, direction, _dots(grad, direction), Xb, signed, penalty
         )
-        go = trial_loss < loss  # else no further decrease at float precision
+        # else no decrease at float precision, or a singular Hessian's 0 direction
+        go = trial_loss < loss
         live, w, loss, grad_norm, Xb, signed, trial, margins, trial_loss = leave(
             go, live, w, loss, grad_norm, Xb, signed, trial, margins, trial_loss
         )
@@ -336,11 +334,11 @@ def _fit_logistic(spec, matrices, signed):
 
 
 def _newton_directions(hess, grad):
-    """-hess[k]^-1 grad[k] of each stacked problem, and a mask of the
-    problems whose Hessian could be solved."""
-    solved = np.ones(len(grad), dtype=bool)
+    """-hess[k]^-1 grad[k] of each stacked problem; 0 where hess[k] is
+    singular (its curvature underflowed), so that the line search
+    returns the same iterate and objective."""
     try:
-        return -np.linalg.solve(hess, grad[:, :, None])[:, :, 0], solved
+        return -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         pass  # one Hessian or more is singular: solve them one at a time
     direction = np.zeros_like(grad)
@@ -348,8 +346,8 @@ def _newton_directions(hess, grad):
         try:
             direction[k] = -np.linalg.solve(hess[k], grad[k][:, None])[:, 0]
         except np.linalg.LinAlgError:
-            solved[k] = False
-    return direction, solved
+            pass
+    return direction
 
 
 def _line_search(w, loss, direction, slope, Xb, signed, penalty):

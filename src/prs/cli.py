@@ -27,7 +27,7 @@ import numpy as np
 from .base_features import FEATURE_NAMES, RELATIVE_THRESHOLD, ThresholdConfig
 from .classifiers import CLASSIFIER_KINDS, ClassifierSpec
 from .dataset import MIN_SEGMENT_LENGTH, generate_synthetic, load_dataset, write_dataset
-from .errors import PrsError, check_integer
+from .errors import DatasetError, PrsError, check_integer
 from .evaluation import (
     VARIANTS,
     accuracy,
@@ -41,6 +41,7 @@ from .evaluation import (
 )
 from .growth import GrowthConfig, extract_prs, grow
 from .pipeline import (
+    PRS_NAMES,
     PipelineConfig,
     extract_base_matrix,
     extract_spectral_matrix,
@@ -272,6 +273,15 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def _segment_csv(dataset, names, values) -> str:
+    """A CSV of one row per segment: its id, its label and the repr of each
+    of its values, under the header id, label and ``names``."""
+    rows = [["id", "label", *names]]
+    for seg, line in zip(dataset.segments, values.tolist()):
+        rows.append([seg.id, seg.label, *map(repr, line)])
+    return _csv_text(rows)
+
+
 def _parse_radicle(text: str | None) -> tuple[tuple[int, int], ...]:
     """Radicle cells as 'row,col' pairs separated by ';', 1-based."""
     if text is None:
@@ -296,20 +306,20 @@ def _pipeline_config(opts) -> PipelineConfig:
     def part(cls):
         return cls(**{f.name: opts[f.name] for f in fields(cls) if f.name in opts})
 
-    try:
-        return PipelineConfig(
+    return _check_usage(
+        lambda: PipelineConfig(
             *(part(cls) for cls in (ThresholdConfig, SoilConfig, GrowthConfig)),
             opts.get("median_mode", PipelineConfig.median_mode),
         )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    )
 
 
-def _check_usage(check, *args) -> None:
-    """Run one of the package's value checks on options, so that a bad
-    value is a usage error; handlers call this before reading any data."""
+def _check_usage(check, *args):
+    """Run one of the package's value checks on options, or build a config
+    from them, and return its value, so that a bad value is a usage error;
+    handlers call this before reading any data."""
     try:
-        check(*args)
+        return check(*args)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -341,10 +351,7 @@ def _cmd_extract(opts) -> int:
     config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
     base = extract_base_matrix(dataset, config.thresholds, opts["centered_var"])
-    rows = [["id", "label", *FEATURE_NAMES]]
-    for seg, values in zip(dataset.segments, base):
-        rows.append([seg.id, seg.label, *[repr(float(v)) for v in values]])
-    _emit(_csv_text(rows), opts["out"])
+    _emit(_segment_csv(dataset, FEATURE_NAMES, base), opts["out"])
     return 0
 
 
@@ -369,12 +376,16 @@ def _fitted_row(opts, config: SoilConfig):
     """The segment of a single-sample command and its discrete soil, under
     the artifacts fitted on the whole dataset."""
     dataset = load_dataset(opts["manifest"])
-    segment = dataset.segment_by_id(opts["sample"])
+    try:
+        index = [seg.id for seg in dataset.segments].index(opts["sample"])
+    except ValueError:
+        raise DatasetError(
+            f"dataset {dataset.name!r}: no segment with id {opts['sample']!r}"
+        ) from None
     base = extract_base_matrix(dataset)
     artifacts = fit_prep(base, dataset.labels)
-    row = base[[seg.id for seg in dataset.segments].index(segment.id)]
-    sorted_row = transform_rows(row[None, :], artifacts)[0]
-    return segment, build_discrete_soil(sorted_row, config)
+    sorted_row = transform_rows(base[index : index + 1], artifacts)[0]
+    return dataset.segments[index], build_discrete_soil(sorted_row, config)
 
 
 @_command("soil-dump", "manifest out sample depth fill_mode", "manifest sample")
@@ -434,10 +445,7 @@ def _cmd_spectral(opts) -> int:
     config = _pipeline_config(opts)
     dataset = load_dataset(opts["manifest"])
     table = extract_spectral_matrix(dataset, config.median_mode)
-    rows = [["id", "label", *SPECTRAL_NAMES]]
-    for seg, values in zip(dataset.segments, table):
-        rows.append([seg.id, seg.label, repr(float(values[0])), repr(float(values[1]))])
-    _emit(_csv_text(rows), opts["out"])
+    _emit(_segment_csv(dataset, SPECTRAL_NAMES, table), opts["out"])
     return 0
 
 
@@ -518,15 +526,20 @@ def _cmd_correlate(opts) -> int:
     table, names = build_feature_table(dataset, config=config)
     corr, constant = correlation_matrix(table)
     # |r| of each base pair, and of NF/RF and MaxPSD/MedPSD with each base column
-    n, magnitude = len(FEATURE_NAMES), np.abs(corr)
+    base, prs, spectral = (
+        [names.index(name) for name in block]
+        for block in (FEATURE_NAMES, PRS_NAMES, SPECTRAL_NAMES)
+    )
+    magnitude = np.abs(corr)
+    base_base = magnitude[np.ix_(base, base)][np.triu_indices(len(base), 1)]
     report = {
         "dataset": dataset.name,
         "names": list(names),
         "matrix": [[float(v) for v in line] for line in corr],
         "constant_columns": [names[i] for i in range(len(names)) if constant[i]],
-        "mean_abs_base_base": float(np.mean(magnitude[np.triu_indices(n, 1)])),
-        "mean_abs_prs_base": float(np.mean(magnitude[n : n + 2, :n].ravel())),
-        "mean_abs_spectral_base": float(np.mean(magnitude[n + 2 :, :n].ravel())),
+        "mean_abs_base_base": float(np.mean(base_base)),
+        "mean_abs_prs_base": float(np.mean(magnitude[np.ix_(prs, base)])),
+        "mean_abs_spectral_base": float(np.mean(magnitude[np.ix_(spectral, base)])),
         "config": _echo_config(opts),
     }
     csv_rows = [["feature", *names]]

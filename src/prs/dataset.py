@@ -9,8 +9,10 @@ segment (one amplitude per line, scientific notation accepted):
     ...
 
 Paths are resolved relative to the manifest's directory. Exactly two
-distinct labels must be present. Downstream code maps the two labels to
-(C1, C2) by lexicographic order, so ``class_names`` is always sorted.
+distinct labels must be present. ``LabeledDataset`` checks them once,
+when it is built, and stores each segment's label as ``labels`` and the
+two labels in lexicographic order as ``class_names``, which downstream
+code maps to (C1, C2).
 
 A signal file is read in one piece and all its lines are parsed in one
 pass. When a line is blank or unparsable, the lines already read are
@@ -49,7 +51,7 @@ from __future__ import annotations
 import csv
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -97,14 +99,17 @@ class SignalSegment:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Ordered collection of segments carrying exactly two class labels."""
+    """Ordered collection of segments carrying exactly two class labels;
+    ``labels`` and ``class_names`` are set from the segments."""
 
     name: str
     segments: tuple[SignalSegment, ...]
+    labels: tuple[str, ...] = field(init=False)
+    class_names: tuple[str, str] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
-        labels = [s.label for s in self.segments]
+        labels = tuple(s.label for s in self.segments)
         distinct = sorted(set(labels))
         if len(distinct) != 2:
             raise DatasetError(
@@ -120,25 +125,11 @@ class LabeledDataset:
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise DatasetError(f"dataset {self.name!r}: duplicate segment ids {dupes}")
-
-    @property
-    def class_names(self) -> tuple[str, str]:
-        """The two labels in lexicographic order: (C1, C2)."""
-        c1, c2 = sorted({s.label for s in self.segments})
-        return c1, c2
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.segments)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "class_names", tuple(distinct))
 
     def __len__(self) -> int:
         return len(self.segments)
-
-    def segment_by_id(self, segment_id: str) -> SignalSegment:
-        for seg in self.segments:
-            if seg.id == segment_id:
-                return seg
-        raise DatasetError(f"dataset {self.name!r}: no segment with id {segment_id!r}")
 
 
 def _read_signal_file(path: Path, segment_id: str) -> np.ndarray:
@@ -339,10 +330,10 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
     directory or file is made.
     """
     for seg in dataset.segments:
-        for field, value in (("id", seg.id), ("label", seg.label)):
-            problem = _unreadable(value, field == "id")
+        for key, value in (("id", seg.id), ("label", seg.label)):
+            problem = _unreadable(value, key == "id")
             if problem:
-                raise DatasetError(f"segment {seg.id!r}: {field} {value!r} {problem}")
+                raise DatasetError(f"segment {seg.id!r}: {key} {value!r} {problem}")
     rates = {s.sampling_rate for s in dataset.segments}
     if len(rates) != 1:
         raise DatasetError(
@@ -374,12 +365,8 @@ def generate_synthetic(n_per_class: int, length: int, seed: int) -> LabeledDatas
     frequency-sensitive features, so classifiers should score highly.
     """
     check_integer("seed", seed, 0)
-    if n_per_class < 2:
-        raise DatasetError(f"n_per_class must be >= 2, got {n_per_class}")
-    if length < MIN_SEGMENT_LENGTH:
-        raise DatasetError(
-            f"length must be >= {MIN_SEGMENT_LENGTH}, got {length}"
-        )
+    check_integer("n_per_class", n_per_class, 2)
+    check_integer("length", length, MIN_SEGMENT_LENGTH)
 
     rng = np.random.default_rng(seed)
     rate = 1000.0

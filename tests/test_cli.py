@@ -276,11 +276,12 @@ def test_grow_without_sample_is_usage_error(data_dir, capsys):
     assert "--sample" in captured.err
 
 
-def test_grow_unknown_sample_is_runtime_error(data_dir, capsys):
-    rc = main(["grow", "--manifest", data_dir, "--sample", "Q9"])
+@pytest.mark.parametrize("command", ["grow", "soil-dump"])
+def test_unknown_sample_is_runtime_error(data_dir, capsys, command):
+    rc = main([command, "--manifest", data_dir, "--sample", "Q9"])
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err.startswith("error:")
+    assert captured.err == "error: dataset 'manifest': no segment with id 'Q9'\n"
 
 
 def test_grow_dump_frames(data_dir, tmp_path, capsys):

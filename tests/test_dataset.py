@@ -187,12 +187,6 @@ def test_rate_that_is_not_finite_and_positive_rejected(tmp_path, rate):
     )
 
 
-def test_segment_by_id(tiny_dataset):
-    assert tiny_dataset.segment_by_id("b1").label == "B"
-    with pytest.raises(DatasetError, match="no segment"):
-        tiny_dataset.segment_by_id("zzz")
-
-
 def test_segment_samples_read_only(tiny_dataset):
     with pytest.raises(ValueError):
         tiny_dataset.segments[0].samples[0] = 99.0
@@ -231,6 +225,27 @@ def test_synthetic_rejects_tiny_inputs():
         generate_synthetic(1, 2000, seed=0)
     with pytest.raises((DatasetError, ValueError)):
         generate_synthetic(2, 8, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n_per_class, length, message",
+    [
+        (2.5, 64, "n_per_class must be an integer, got 2.5"),
+        (3, 20.5, "length must be an integer, got 20.5"),
+        (True, 64, "n_per_class must be an integer, got True"),
+        (1, 64, "n_per_class must be >= 2, got 1"),
+    ],
+)
+def test_synthetic_sizes_must_be_counts(n_per_class, length, message):
+    with pytest.raises(ValueError) as err:
+        generate_synthetic(n_per_class, length, seed=1)
+    assert str(err.value) == message
+
+
+def test_dataset_stores_its_labels_and_class_names(tiny_dataset):
+    assert tiny_dataset.labels == tuple(s.label for s in tiny_dataset.segments)
+    assert tiny_dataset.class_names == ("A", "B")
+    assert tiny_dataset.labels is tiny_dataset.labels
 
 
 def test_write_then_load_round_trip(tmp_path, tiny_dataset):
