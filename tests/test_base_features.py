@@ -243,6 +243,14 @@ def test_threshold_overrides_apply(tiny_dataset):
     assert tight[wamp_i] == 0.0
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (5,)])
+def test_base_feature_rows_rejects_a_block_that_is_no_segments(shape):
+    with pytest.raises(ValueError) as err:
+        base_feature_rows(np.ones(shape))
+    message = f"expected a (k, n >= 3) block of samples, got shape {shape}"
+    assert str(err.value) == message
+
+
 def test_threshold_config_rejects_negative():
     with pytest.raises(ValueError):
         ThresholdConfig(zc_threshold=-0.1)

@@ -64,6 +64,12 @@ def test_label_row_count_mismatch():
         train(ClassifierSpec(kind="LR"), np.zeros((4, 1)), ["A", "B"])
 
 
+def test_one_dimensional_features_rejected():
+    with pytest.raises(ValueError) as err:
+        train(ClassifierSpec(kind="LR"), np.zeros(4), ["A", "A", "B", "B"])
+    assert str(err.value) == "feature matrix must be 2D, got 1D"
+
+
 def test_nonfinite_features_rejected():
     X = np.array([[0.0], [np.inf], [1.0], [2.0]])
     with pytest.raises(ValueError, match="finite"):
@@ -245,6 +251,19 @@ def test_gaussian_ridge_escalates_on_singular_covariance():
     model = train(ClassifierSpec(kind="QDA", ridge=0.0), X, y)
     assert np.mean(model.predict(X) == np.asarray(y, str)) == 1.0
     assert all(eps > 0.0 for eps in model.diagnostics["ridge"])
+
+
+def test_gaussian_ridge_gives_up_after_24_escalations():
+    # two equal columns of magnitude 1e150: each class's covariance is
+    # singular, and a ridge of at most 1e10 is lost in its 1e300 entries;
+    # the pooled covariance of LDA rounds to positive definite unpadded
+    x = np.random.default_rng(0).standard_normal((10, 1)) * 1e150
+    X, y = np.hstack([x, x]), ["A"] * 5 + ["B"] * 5
+    with pytest.raises(DegenerateDataError) as err:
+        train(ClassifierSpec(kind="QDA", ridge=0.0), X, y)
+    assert str(err.value) == "covariance matrix is not positive definite"
+    lda = train(ClassifierSpec(kind="LDA", ridge=0.0), X, y)
+    assert lda.diagnostics["ridge"] == [0.0, 0.0]
 
 
 def test_gaussian_unbalanced_priors_shift_the_boundary():

@@ -125,6 +125,21 @@ def test_extract_out_file_matches_stdout(data_dir, tmp_path, capsys):
     assert out_file.read_text() == stdout
 
 
+def test_out_that_cannot_be_replaced_leaves_no_temporary_file(
+    data_dir, tmp_path, capsys
+):
+    # the output is written to a temporary file beside --out, which then
+    # fails to replace the directory that --out names
+    out_dir = tmp_path / "features"
+    out_dir.mkdir()
+    rc = main(["extract", "--manifest", data_dir, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"error: [Errno 21] Is a directory: '{out_dir}.")
+    assert sorted(tmp_path.iterdir()) == [out_dir]
+    assert not any(out_dir.iterdir())
+
+
 def test_spectral_csv_header(data_dir, capsys):
     stdout = run_ok(["spectral", "--manifest", data_dir], capsys)
     lines = stdout.strip().split("\n")

@@ -227,6 +227,20 @@ def test_overflowing_segment_error_names_first_in_dataset_order():
             compute_base_features(dataset_of(data).segments[2])
 
 
+@pytest.mark.parametrize("mode", MEDIAN_MODES)
+def test_overflowing_spectrum_error_names_first_in_dataset_order(mode):
+    rng = np.random.default_rng(4)
+    data = [rng.normal(size=n) for n in [64, 128, 64, 128]]
+    # s001 (length 128) overflows; s002 (length 64) sits in the group that
+    # is blocked first
+    data[1] = 1e160 * data[1]
+    data[2] = 1e160 * data[2]
+    with np.errstate(all="ignore"):
+        with pytest.raises(DegenerateDataError) as err:
+            extract_spectral_matrix(dataset_of(data), mode)
+    assert str(err.value) == "segment 's001' overflows float64 in MaxPSD, MedPSD"
+
+
 @pytest.mark.parametrize(
     "scale, columns",
     [

@@ -232,6 +232,11 @@ def test_config_validation():
 def test_grid_shape_mismatch():
     with pytest.raises(ValueError, match="grid"):
         grow(nutrients_from(np.zeros((3, 3))))
+    with pytest.raises(ValueError) as err:
+        grow_batch(np.zeros((SOIL_DEPTH, SOIL_WIDTH)))
+    assert str(err.value) == (
+        f"nutrient grids are ({SOIL_DEPTH}, {SOIL_WIDTH}), expected (m, rows, cols)"
+    )
 
 
 # -- polygon area and hull ---------------------------------------------------

@@ -129,6 +129,12 @@ def test_spectral_rows_rejects_a_rate_that_is_not_finite_and_positive(rate):
         spectral_rows(np.ones((1, 8)), rate)
 
 
+def test_spectral_rows_rejects_a_block_of_one_sample_segments():
+    with pytest.raises(ValueError) as err:
+        spectral_rows(np.ones((2, 1)), 1000.0, MEDIAN_PSD)
+    assert str(err.value) == "expected a (k, n >= 2) block of samples, got shape (2, 1)"
+
+
 def test_periodogram_validation():
     with pytest.raises(ValueError, match="empty"):
         periodogram(np.array([]), 100.0)
