@@ -19,6 +19,8 @@ one stack of numpy calls:
 - LR groups by row count and width. Each damped Newton step runs once
   on the stack (stacked margins, gradients and Hessians, one stacked
   ``solve``), and each problem halves its own step in the line search.
+  A problem stops at tol, at max_iter or when its line search finds no
+  decrease, which a singular Hessian's 0 direction never finds.
 - LDA and QDA group by row count, width and class counts. A stable
   argsort of the signs gathers each problem's rows by class; the means,
   covariances, ridges and Cholesky factors are stacked, and a stack
@@ -269,11 +271,10 @@ def _fit_logistic(spec, matrices, signed):
     margins, gradients and (p, f + 1, f + 1) Hessians, one stacked
     solve, and a line search in which each problem halves its own step.
     A problem leaves the stack once its gradient norm is <= tol, after
-    max_iter steps, or when its line search finds no decrease, which
-    includes a singular Hessian: its direction is 0, so its trial point
-    is its iterate; the problems still in the stack have all taken the
-    same number of steps. Each problem's floats are those of a
-    fit on its own.
+    max_iter steps, or when its line search finds no decrease, as on a
+    singular Hessian; the problems still in the stack have all taken the
+    same number of steps. Each problem's floats are those of a fit on
+    its own.
     """
     X = np.stack(matrices)
     p, m, f = X.shape
@@ -323,8 +324,7 @@ def _fit_logistic(spec, matrices, signed):
         trial, margins, trial_loss = _line_search(
             w, loss, direction, _dots(grad, direction), Xb, signed, penalty
         )
-        # else no decrease at float precision, or a singular Hessian's 0 direction
-        go = trial_loss < loss
+        go = trial_loss < loss  # else no decrease at float precision, or a 0 step
         live, w, loss, grad_norm, Xb, signed, trial, margins, trial_loss = leave(
             go, live, w, loss, grad_norm, Xb, signed, trial, margins, trial_loss
         )
@@ -334,9 +334,8 @@ def _fit_logistic(spec, matrices, signed):
 
 
 def _newton_directions(hess, grad):
-    """-hess[k]^-1 grad[k] of each stacked problem; 0 where hess[k] is
-    singular (its curvature underflowed), so that the line search
-    returns the same iterate and objective."""
+    """-hess[k]^-1 grad[k] of each stacked problem, or 0 where hess[k] is
+    singular (its curvature underflowed)."""
     try:
         return -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:

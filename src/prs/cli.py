@@ -315,9 +315,8 @@ def _pipeline_config(opts) -> PipelineConfig:
 
 
 def _check_usage(check, *args):
-    """Run one of the package's value checks on options, or build a config
-    from them, and return its value, so that a bad value is a usage error;
-    handlers call this before reading any data."""
+    """check(*args): a check of options or a config built from them, whose
+    ValueError is a usage error; handlers call this before reading data."""
     try:
         return check(*args)
     except ValueError as exc:
@@ -530,16 +529,16 @@ def _cmd_correlate(opts) -> int:
         [names.index(name) for name in block]
         for block in (FEATURE_NAMES, PRS_NAMES, SPECTRAL_NAMES)
     )
-    magnitude = np.abs(corr)
-    base_base = magnitude[np.ix_(base, base)][np.triu_indices(len(base), 1)]
+    with_base = np.abs(corr)[:, base]
+    base_pairs = with_base[base][np.triu_indices(len(base), 1)]
     report = {
         "dataset": dataset.name,
         "names": list(names),
         "matrix": [[float(v) for v in line] for line in corr],
         "constant_columns": [names[i] for i in range(len(names)) if constant[i]],
-        "mean_abs_base_base": float(np.mean(base_base)),
-        "mean_abs_prs_base": float(np.mean(magnitude[np.ix_(prs, base)])),
-        "mean_abs_spectral_base": float(np.mean(magnitude[np.ix_(spectral, base)])),
+        "mean_abs_base_base": float(np.mean(base_pairs)),
+        "mean_abs_prs_base": float(np.mean(with_base[prs])),
+        "mean_abs_spectral_base": float(np.mean(with_base[spectral])),
         "config": _echo_config(opts),
     }
     csv_rows = [["feature", *names]]

@@ -9,10 +9,9 @@ segment (one amplitude per line, scientific notation accepted):
     ...
 
 Paths are resolved relative to the manifest's directory. Exactly two
-distinct labels must be present. ``LabeledDataset`` checks them once,
-when it is built, and stores each segment's label as ``labels`` and the
-two labels in lexicographic order as ``class_names``, which downstream
-code maps to (C1, C2).
+distinct labels must be present. ``LabeledDataset`` checks them when it
+is built, and stores them as ``labels`` (one per segment) and
+``class_names`` (the two in lexicographic order: C1, C2).
 
 A signal file is read in one piece and all its lines are parsed in one
 pass. When a line is blank or unparsable, the lines already read are
@@ -99,8 +98,7 @@ class SignalSegment:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Ordered collection of segments carrying exactly two class labels;
-    ``labels`` and ``class_names`` are set from the segments."""
+    """Ordered collection of segments carrying exactly two class labels."""
 
     name: str
     segments: tuple[SignalSegment, ...]
