@@ -345,7 +345,7 @@ def _newton_directions(hess, grad):
         try:
             direction[k] = -np.linalg.solve(hess[k], grad[k][:, None])[:, 0]
         except np.linalg.LinAlgError:
-            pass
+            pass  # direction[k] stays 0
     return direction
 
 
