@@ -315,8 +315,9 @@ def _pipeline_config(opts) -> PipelineConfig:
 
 
 def _check_usage(check, *args):
-    """check(*args): a check of options or a config built from them, whose
-    ValueError is a usage error; handlers call this before reading data."""
+    """Return check(*args), a check of option values or a config built
+    from them, with its ValueError made a usage error; handlers call this
+    before reading any data."""
     try:
         return check(*args)
     except ValueError as exc:

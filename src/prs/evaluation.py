@@ -158,8 +158,8 @@ def assemble_variant(variant: str, table: np.ndarray) -> np.ndarray:
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
-    """Generator that draws the splits of repetition ``rep``."""
-    return np.random.default_rng(seed ^ rep)
+    """Generator that draws the splits of repetition ``rep`` of ``seed``."""
+    return np.random.default_rng([seed, rep])
 
 
 def check_rates(rates) -> tuple[float, ...]:

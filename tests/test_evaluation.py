@@ -677,3 +677,13 @@ def test_run_experiment_draws_its_splits_through_draw_splits(overlap_dataset, mo
     grid = dict(classifiers=("LDA",), variants=("BASE",), rates=rates)
     run_experiment(overlap_dataset, reps=3, seed=1, **grid)
     assert calls == [(rates, 3, 1)]
+
+
+def test_two_seeds_draw_different_splits(overlap_dataset):
+    # each rep's generator is seeded by the pair (seed, rep); under
+    # seed ^ rep, seed 1 drew reps 1, 0, 3, 2 of seed 0
+    def training_sets(seed):
+        splits = draw_splits(overlap_dataset, (0.6,), 4, seed)
+        return {tuple(train.tolist()) for train, _ in splits}
+
+    assert training_sets(0) != training_sets(1)
