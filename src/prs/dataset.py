@@ -162,12 +162,13 @@ def load_dataset(manifest_path: str | Path) -> LabeledDataset:
     named after the manifest file's stem. Large inputs are read in two
     processes (see module docstring) with the same result and errors."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise DatasetError(f"missing manifest file {manifest_path}")
-
     try:
         with manifest_path.open("r", encoding="utf-8", newline="") as fh:
             lines = fh.readlines()
+    except FileNotFoundError:
+        raise DatasetError(f"missing manifest file {manifest_path}") from None
+    except OSError as err:  # a directory, no permission, ...
+        raise DatasetError(f"{manifest_path}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
         raise DatasetError(f"{manifest_path}: not UTF-8 text: {err}") from None
     sampling_rate = None

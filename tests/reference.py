@@ -9,7 +9,8 @@ kernels are tested against, bit for bit:
 - the periodogram, its positive band and the median frequency;
 - scalar soil binning and the per-column soil fill;
 - the daily division loop of root growth, with its day log;
-- Andrew's monotone-chain hull and the shoelace area;
+- Andrew's monotone-chain hull and the shoelace area, and the two joined
+  as the hull area of a grid's occupied cells;
 - the whole per-row chain, ``prs_pair_for_row``, on plain arrays: a
   soil and a nutrient grid are (depth, n) float64 arrays, and NF and RF
   come back as one (2,) row;
@@ -308,16 +309,19 @@ def convex_hull(points) -> list[tuple[float, float]]:
     return lower[:-1] + upper[:-1]
 
 
+def hull_oracle(occupancy) -> float:
+    """Convex hull area of the occupied cells of a grid, each cell (row,
+    col) the point (col, row), counted from 1."""
+    points = [(c + 1, r + 1) for r, c in np.argwhere(occupancy)]
+    return polygon_area(convex_hull(points))
+
+
 def extract_prs(state: RootState) -> np.ndarray:
     """The [NF, RF] row: NF = accumulated absorption; RF = convex-hull
-    area of the root.
-
-    Cell (row, col) maps to the plane point (col, row); the hull of fewer
+    area of the root, ``hull_oracle`` of its occupancy. The hull of fewer
     than 3 non-collinear cells has area 0.
     """
-    points = [(c, r) for r, c in occupied_cells(state)]
-    hull = convex_hull(points)
-    return np.array([state.absorbed, polygon_area(hull)])
+    return np.array([state.absorbed, hull_oracle(state.occupancy == 1)])
 
 
 # -- the per-row chain ---------------------------------------------------------

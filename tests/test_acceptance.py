@@ -22,7 +22,7 @@ from prs.pipeline import prs_features  # noqa: F401  (import sanity for the grid
 from prs.soil import KERNEL_DEEP, KERNEL_SHALLOW, convolve_soil
 
 from conftest import run_cli
-from reference import absorption_rate, convex_hull, polygon_area
+from reference import absorption_rate, convex_hull, oracle_entropy, polygon_area
 
 RESULT_LINES: list[str] = []
 
@@ -95,15 +95,6 @@ def test_criterion_01_convolution_oracle():
 
 
 def test_criterion_02_information_gain_oracle():
-    import math
-    from collections import Counter
-
-    def oracle_entropy(labels):
-        return -sum(
-            c / len(labels) * math.log2(c / len(labels))
-            for c in Counter(labels).values()
-        )
-
     column = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     # the exact split of the column is its two values: sets {1, 2}
     assert _two_means_thresholds(column[:, None]).tolist() == [0.0]

@@ -739,6 +739,7 @@ def test_evaluate_rejects_single_segment_class_before_feature_work(
     [
         ("classify", "--rate", "nan", "training rate must be in (0, 1), got nan"),
         ("classify", "--rate", "1.0", "training rate must be in (0, 1), got 1.0"),
+        ("evaluate", "--rates", "nan", "training rate must be in (0, 1), got nan"),
         ("evaluate", "--rates", "0.6,0.6", "rates must be unique within one run"),
         ("evaluate", "--rates", "0.5,inf", "training rate must be in (0, 1), got inf"),
         ("evaluate", "--reps", "0", "reps must be >= 1, got 0"),

@@ -136,6 +136,22 @@ def test_manifest_that_is_not_utf8_names_the_manifest(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda manifest: None, "missing manifest file {manifest}"),
+        (lambda manifest: manifest.mkdir(), "{manifest}: Is a directory"),
+    ],
+    ids=["missing", "directory"],
+)
+def test_a_manifest_that_cannot_be_opened_names_it(tmp_path, make, message):
+    manifest = tmp_path / "manifest.csv"
+    make(manifest)
+    with pytest.raises(DatasetError) as err:
+        load_dataset(manifest)
+    assert str(err.value) == message.format(manifest=manifest)
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("# sampling_rate=1000.0\nid,label\nx,A,x.txt\n",

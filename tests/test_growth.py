@@ -143,20 +143,22 @@ def test_growth_stops_when_grid_is_full():
 
 def test_picks_per_day_are_capped_at_the_cell_count():
     # a 3 x 4 grid has 12 cells, so no day picks more than 12: a larger
-    # limit adds only sentinel picks, which absorb +0.0
-    rng = np.random.default_rng(5)
-    grids = rng.uniform(-1.0, 1.0, size=(3, 3, 4))
-    grids[0, 1, :] = 0.0
-    radicle = ((2, 2),)
-    wide = GrowthConfig(days=4, division_limit=50, radicle=radicle)
-    capped = GrowthConfig(days=4, division_limit=12, radicle=radicle)
-    absorbed, occupancy, picks = grow_batch(grids, wide)
-    want_absorbed, want_occupancy, want_picks = grow_batch(grids, capped)
-    assert picks.shape == (3, 4, 12)
-    assert absorbed.tobytes() == want_absorbed.tobytes()
-    assert np.array_equal(occupancy, want_occupancy)
-    assert np.array_equal(picks, want_picks)
-    assert grow(grids[0], wide).day_log == grow(grids[0], capped).day_log
+    # limit adds only sentinel picks, which absorb +0.0; a 9 x 12 grid
+    # under a limit of 10**8 makes 108 picks a day, not 10**8
+    for rows, cols, limit in ((3, 4, 50), (9, 12, 10**8)):
+        rng = np.random.default_rng(5)
+        grids = rng.uniform(-1.0, 1.0, size=(3, rows, cols))
+        grids[0, 1, :] = 0.0
+        radicle = ((2, 2),)
+        wide = GrowthConfig(days=4, division_limit=limit, radicle=radicle)
+        capped = GrowthConfig(days=4, division_limit=rows * cols, radicle=radicle)
+        absorbed, occupancy, picks = grow_batch(grids, wide)
+        want_absorbed, want_occupancy, want_picks = grow_batch(grids, capped)
+        assert picks.shape == (3, 4, rows * cols)
+        assert absorbed.tobytes() == want_absorbed.tobytes()
+        assert np.array_equal(occupancy, want_occupancy)
+        assert np.array_equal(picks, want_picks)
+        assert grow(grids[0], wide).day_log == grow(grids[0], capped).day_log
 
 
 def test_growth_invariants_on_random_grids():

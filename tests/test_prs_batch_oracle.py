@@ -64,11 +64,6 @@ def assert_growth_matches(grids, config):
         assert np.array_equal(growth.extract_prs(one), reference.extract_prs(state))
 
 
-def hull_oracle(occupancy):
-    points = [(c + 1, r + 1) for r, c in np.argwhere(occupancy)]
-    return reference.polygon_area(reference.convex_hull(points))
-
-
 @pytest.fixture(scope="module")
 def reference_rows():
     dataset = generate_synthetic(40, 2000, seed=1)
@@ -215,7 +210,7 @@ def test_quantized_grids_match_per_row_growth(
     ),
 )
 def test_hull_area_matches_polygon_oracle(occupancy):
-    assert hull_areas(occupancy[None])[0] == hull_oracle(occupancy)
+    assert hull_areas(occupancy[None])[0] == reference.hull_oracle(occupancy)
 
 
 def test_hull_area_on_random_and_collinear_occupancies():
@@ -248,7 +243,7 @@ def test_hull_area_on_random_and_collinear_occupancies():
     full = np.ones_like(single)
     stack = np.array(stack + lines + [single, empty, full])
     got = hull_areas(stack)
-    want = np.array([hull_oracle(grid) for grid in stack])
+    want = np.array([reference.hull_oracle(grid) for grid in stack])
     assert np.array_equal(got, want)
     assert np.all(got[len(stack) - len(lines) - 3 : -1] == 0.0)
     assert got[-1] == (SOIL_DEPTH - 1) * (SOIL_WIDTH - 1)

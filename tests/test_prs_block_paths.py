@@ -140,11 +140,6 @@ def test_growth_that_fills_the_grid_stops_with_the_rest_of_the_block(division_li
         assert all(state.occupancy.all() == (days >= fill_days) for state in states)
 
 
-def hull_oracle(occupancy):
-    points = [(c + 1, r + 1) for r, c in np.argwhere(occupancy)]
-    return reference.polygon_area(reference.convex_hull(points))
-
-
 def test_hull_areas_of_two_radicles_with_a_gap_between_their_rows():
     # One day from a surface and a deep radicle: the occupied rows are
     # 1-2 and 11-15, with rows 3-10 empty in every grid of the block.
@@ -157,7 +152,7 @@ def test_hull_areas_of_two_radicles_with_a_gap_between_their_rows():
     assert not occupancy[:, 2:12].any()
     got = hull_areas(occupancy)
     for grid, area, grid_occupancy in zip(grids, got, occupancy):
-        assert area == hull_oracle(grid_occupancy)
+        assert area == reference.hull_oracle(grid_occupancy)
         assert area == reference.extract_prs(reference.grow(grid, config))[1]
     assert (got > 0).all()
 
@@ -171,5 +166,5 @@ def test_hull_areas_do_not_depend_on_the_rows_other_grids_occupy():
     together = hull_areas(stack)
     alone = np.array([hull_areas(grid[None])[0] for grid in stack])
     assert np.array_equal(together, alone)
-    assert np.array_equal(together, [hull_oracle(grid) for grid in stack])
+    assert np.array_equal(together, [reference.hull_oracle(grid) for grid in stack])
     assert hull_areas(np.zeros((3, 15, 12), dtype=bool)).tolist() == [0.0] * 3
