@@ -18,31 +18,57 @@ pass. When a line is blank or unparsable, the lines already read are
 walked one at a time: blank lines are skipped, and the first bad line is
 reported by its number. The reader that opens the file again and reads
 it line by line, which this one is tested against, lives in
-``tests/reference.py``. ``write_dataset`` writes each signal file with
-one call, every value as its shortest round-trip repr.
+``tests/reference.py``. ``write_dataset`` writes every run of signal
+files through ``_write_signal_files``: each file with one call, every
+value as its shortest round-trip repr.
 
-Parsing is bound by ``float()``, which holds the interpreter lock, so a
-large manifest is read in two processes: on Linux, with at least two
-usable CPUs, once the signal files add up to ``_TWO_PROCESS_MIN_BYTES``
-(1 MiB). A child forked through ``multiprocessing`` reads the second
-half of the rows with the same reader, then sends each file's samples
-back as one pipe message; the parent reads the first half meanwhile,
-then checks and builds every segment in manifest order. So the arrays
-are the same bits, and the first failing row raises the same exception
-with the same message as in one process: the parent itself reads every
-row it received no array for, the row the child failed on included. The
-child is always joined before ``load_dataset`` returns or raises. If no
-child can be started, the parent reads all rows. The threshold is the
-measured break-even. On a 2-vCPU Xeon, with 25-41 interleaved loads per
-shape, two processes lost on every shape up to 0.7 MiB (64 files x 512
-samples, 0.6 MiB: 11.2 against 17.7 ms; the fork and join cost ~5 ms),
-were even at 0.9-1.2 MiB (faster in 10-17 of 25), and won from 1.2 MiB
-on in 31-37 of 41 (128 x 512: 37.1 against 25.8 ms; 2000 x 512, 19 MiB:
-525 against 247 ms). On Python >= 3.12 ``os.fork()`` in a process that
-runs other threads (numpy's BLAS pool) emits a DeprecationWarning from
-``multiprocessing``; pytest's ``error::DeprecationWarning:prs`` filter
-leaves it a warning. The child only reads files and builds arrays, so it
-needs no lock such a thread may hold.
+Parsing and formatting are bound by ``float()`` and ``repr``, which hold
+the interpreter lock, so a large dataset is read and written in two
+processes: on Linux, with at least two usable CPUs, once
+``_two_processes_pay`` has counted ``_TWO_PROCESS_MIN_BYTES`` (1 MiB).
+The loader counts the signal files' text bytes on disk, the writer the
+samples' float64 bytes in memory; a sample takes ~20 bytes of text, so
+the writer's 1 MiB is ~2.5 times the samples of the loader's.
+
+The loader forks a child through ``multiprocessing`` that reads the
+second half of the rows with the same reader, then sends each file's
+samples back as one pipe message; the parent reads the first half
+meanwhile, then checks and builds every segment in manifest order. So
+the arrays are the same bits, and the first failing row raises the same
+exception with the same message as in one process: the parent itself
+reads every row it received no array for, the row the child failed on
+included. The child is always joined before ``load_dataset`` returns or
+raises. If no child can be started, the parent reads all rows. The
+threshold is the measured break-even. On a 2-vCPU Xeon, with 25-41
+interleaved loads per shape, two processes lost on every shape up to
+0.7 MiB (64 files x 512 samples, 0.6 MiB: 11.2 against 17.7 ms; the fork
+and join cost ~5 ms), were even at 0.9-1.2 MiB (faster in 10-17 of 25),
+and won from 1.2 MiB on in 31-37 of 41 (128 x 512: 37.1 against 25.8 ms;
+2000 x 512, 19 MiB: 525 against 247 ms).
+
+The writer forks a child in the same context that writes the second half
+of the segments while the parent writes the first half; the parent joins
+it and writes the manifest last. The child prints nothing and stops at
+its first failing file. If it exits non-zero or is killed, the parent
+writes its segments again, so the first failing segment raises the same
+exception with the same message as in one process, and no manifest is
+written (files of segments after it may exist, written by the child).
+The child is always stopped and joined before ``write_dataset`` returns
+or raises; if none can be started, the parent writes every file. On the
+same 2-vCPU Xeon, with 16 interleaved writes per shape, two processes
+lost at 64 x 512 samples (0.25 MiB: 48 against 55 ms, faster in 1 of 16),
+won at 128 x 512 (0.5 MiB: 109 against 79 ms, 12 of 16) and on every
+write from 256 x 512 (1 MiB: 263 against 174 ms; 2000 x 512: 1.97 against
+1.16 s). So the shared threshold keeps the writer in one process on
+0.25-1 MiB, where a child gains little. Many short files are bound by the
+file system, not by ``repr``: 1000 x 16 samples took 570 ms in one
+process against 580 in two, and their 0.12 MiB stays below the threshold.
+
+On Python >= 3.12 ``os.fork()`` in a process that runs other threads
+(numpy's BLAS pool) emits a DeprecationWarning from ``multiprocessing``;
+pytest's ``error::DeprecationWarning:prs`` filter leaves it a warning.
+Each child only reads or writes files, parses or formats floats and
+builds arrays, so it needs no lock such a thread may hold.
 """
 
 from __future__ import annotations
@@ -59,8 +85,9 @@ from .errors import DatasetError, check_integer
 
 MIN_SEGMENT_LENGTH = 16
 
-# Summed size of the signal files from which load_dataset reads the
-# second half of the rows in a forked child (see the module docstring).
+# Bytes from which load_dataset reads, and write_dataset writes, the
+# second half of the signal files in a forked child: text on disk for the
+# one, float64 samples in memory for the other (see the module docstring).
 _TWO_PROCESS_MIN_BYTES = 1 << 20
 
 
@@ -209,7 +236,7 @@ def load_dataset(manifest_path: str | Path) -> LabeledDataset:
     # Rows from ``split`` on are read by a forked child, if one pays; the
     # loop below still checks and builds every row in manifest order.
     split, child = len(rows), None
-    if _two_processes_pay(paths):
+    if _two_processes_pay(map(_file_size, paths)):
         half = len(rows) // 2
         try:
             child = _ChildReader(paths[half:])
@@ -243,21 +270,35 @@ def load_dataset(manifest_path: str | Path) -> LabeledDataset:
     return LabeledDataset(name=manifest_path.stem, segments=tuple(segments))
 
 
-def _two_processes_pay(paths) -> bool:
-    """Whether a second process would read ``paths`` sooner: on Linux,
-    with two usable CPUs, when the files hold at least
-    ``_TWO_PROCESS_MIN_BYTES``. A file that cannot be stat'ed counts 0."""
+def _two_processes_pay(sizes) -> bool:
+    """Whether a second process would read or write a run of files
+    sooner: on Linux, with two usable CPUs, once the byte counts in
+    ``sizes`` add up to ``_TWO_PROCESS_MIN_BYTES``. ``sizes`` is consumed
+    only until they do, and not at all without the two CPUs."""
     if sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
         return False
     total = 0
-    for path in paths:
-        try:
-            total += os.stat(path).st_size
-        except OSError:
-            continue
+    for size in sizes:
+        total += size
         if total >= _TWO_PROCESS_MIN_BYTES:
             return True
     return False
+
+
+def _file_size(path) -> int:
+    """The size of ``path`` in bytes, or 0 if it cannot be stat'ed."""
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0
+
+
+def _fork_context():
+    """The ``multiprocessing`` context of both forked paths, imported
+    only once a child pays."""
+    import multiprocessing
+
+    return multiprocessing.get_context("fork")
 
 
 class _ChildReader:
@@ -265,9 +306,7 @@ class _ChildReader:
     file's float64 samples back over a one-way pipe as one message."""
 
     def __init__(self, paths):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
+        ctx = _fork_context()
         self._conn, writer = ctx.Pipe(duplex=False)
         self._process = ctx.Process(target=_send_samples, args=(paths, writer))
         self._process.start()
@@ -326,7 +365,8 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
     All segments must share one sampling rate (the format stores it once).
     An id or label that would not read back as written raises
     ``DatasetError`` naming its segment; both are checked before any
-    directory or file is made.
+    directory or file is made. Large datasets are written in two
+    processes (see module docstring) with the same files and errors.
     """
     for seg in dataset.segments:
         for key, value in (("id", seg.id), ("label", seg.label)):
@@ -343,16 +383,55 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    lines = [f"# sampling_rate={float(rate)!r}", "id,label,path"]
-    for seg in dataset.segments:
-        fname = f"{seg.id}.txt"
-        with (out_dir / fname).open("w", encoding="utf-8") as fh:
-            fh.write("".join(f"{v!r}\n" for v in seg.samples.tolist()))
-        lines.append(f"{seg.id},{seg.label},{fname}")
+    # Segments from ``split`` on are written by a forked child, if one pays.
+    segments = dataset.segments
+    split, child = len(segments), None
+    if _two_processes_pay(s.samples.nbytes for s in segments):
+        half = len(segments) // 2
+        try:
+            child = _fork_context().Process(
+                target=_write_in_child, args=(out_dir, segments[half:])
+            )
+            child.start()
+            split = half
+        except OSError:  # no process to spare: write every file here
+            child = None
+    try:
+        _write_signal_files(out_dir, segments[:split])
+        if child is not None:
+            child.join()
+            # it failed or was killed: its first failing file raises here
+            if child.exitcode != 0:
+                _write_signal_files(out_dir, segments[split:])
+    finally:
+        if child is not None:
+            child.terminate()
+            child.join()
 
+    lines = [f"# sampling_rate={float(rate)!r}", "id,label,path"]
+    lines += [f"{seg.id},{seg.label},{seg.id}.txt" for seg in segments]
     manifest = out_dir / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
+
+
+def _write_signal_files(out_dir: Path, segments) -> None:
+    """Write each segment's samples to ``<out_dir>/<id>.txt`` with one
+    call, one shortest round-trip repr a line, in order; the first file
+    that cannot be written raises."""
+    for seg in segments:
+        with (out_dir / f"{seg.id}.txt").open("w", encoding="utf-8") as fh:
+            fh.write("".join(f"{v!r}\n" for v in seg.samples.tolist()))
+
+
+def _write_in_child(out_dir: Path, segments) -> None:
+    """Child side of ``write_dataset``. It stops at the first file that
+    fails and exits 1 without printing: the parent writes the run again
+    and raises that file's error itself, naming it as one process does."""
+    try:
+        _write_signal_files(out_dir, segments)
+    except Exception:
+        sys.exit(1)
 
 
 def generate_synthetic(n_per_class: int, length: int, seed: int) -> LabeledDataset:

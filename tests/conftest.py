@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import prs
+from prs import dataset as dataset_module
 from prs.dataset import LabeledDataset, SignalSegment, generate_synthetic
 from prs.evaluation import VARIANTS, assemble_variant, draw_splits
 from prs.feature_prep import _two_means_thresholds, apply_bounds, column_bounds
@@ -146,6 +147,37 @@ def overlap_reps(overlap_dataset):
         x_train=x_train,
         y_train=y_train,
     )
+
+
+@pytest.fixture
+def parent_write_runs(monkeypatch):
+    """The length of each run of segments that ``write_dataset`` writes in
+    this process, in order; a forked child's runs are not counted."""
+    runs = []
+    write_run = dataset_module._write_signal_files
+
+    def counting_write_run(out_dir, segments):
+        runs.append(len(segments))
+        write_run(out_dir, segments)
+
+    monkeypatch.setattr(dataset_module, "_write_signal_files", counting_write_run)
+    return runs
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test that leaves a ``multiprocessing`` child running, as
+    ``load_dataset`` or ``write_dataset`` would if a child outlived them.
+    Such a child is stopped, so that it fails no later test."""
+    yield
+    if "multiprocessing" not in sys.modules:  # nothing forked: import nothing
+        return
+    children = sys.modules["multiprocessing"].active_children()
+    for child in children:
+        child.terminate()
+        child.join()
+    if children:
+        pytest.fail(f"left running: {children}")
 
 
 def pytest_terminal_summary(terminalreporter):

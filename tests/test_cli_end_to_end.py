@@ -1,6 +1,6 @@
 """The commands as a user runs them: the help of each, outputs that do not
 depend on the interpreter's string hash seed, and the two-process loader
-on a manifest large enough to use it."""
+and writer on datasets large enough to use them."""
 
 import json
 import os
@@ -9,11 +9,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from prs import dataset as dataset_module
 from prs.cli import _COMMANDS, main
 from prs.dataset import (
     _TWO_PROCESS_MIN_BYTES,
     _two_processes_pay,
     generate_synthetic,
+    load_dataset,
     write_dataset,
 )
 
@@ -113,7 +115,7 @@ def test_a_manifest_above_the_two_process_threshold_loads_like_its_halves(tmp_pa
     sizes = {name: sum(map(os.path.getsize, paths)) for name, paths in files.items()}
     assert sizes["mixed"] >= _TWO_PROCESS_MIN_BYTES > max(sizes["first"], sizes["second"])
     if sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2:
-        assert _two_processes_pay(files["mixed"])
+        assert _two_processes_pay(map(os.path.getsize, files["mixed"]))
     outputs = {}
     for name, part in parts.items():
         (tmp_path / f"{name}.csv").write_text("".join(head + part))
@@ -131,3 +133,27 @@ def test_a_manifest_above_the_two_process_threshold_loads_like_its_halves(tmp_pa
     assert capsys.readouterr().err == (
         f"error: {tmp_path / 'mixed.csv'}: row 200: {bad}:5: non-numeric sample 'oops'\n"
     )
+
+
+def test_synth_above_the_two_process_threshold_writes_what_one_process_writes(
+    tmp_path, monkeypatch, capsys, parent_write_runs
+):
+    # 256 segments of 512 samples: 1 MiB of float64
+    dataset = generate_synthetic(128, 512, seed=1)
+    assert sum(s.samples.nbytes for s in dataset.segments) >= _TWO_PROCESS_MIN_BYTES
+    out = tmp_path / "synth"
+    assert main(["synth", "--out", str(out), "--n", "128", "--len", "512", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == f"{out / 'manifest.csv'}\n"
+    if sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2:
+        assert parent_write_runs == [128]  # a child wrote the second half
+    monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", float("inf"))
+    write_dataset(dataset, tmp_path / "serial")
+    names = sorted(path.name for path in out.iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "serial").iterdir())
+    assert len(names) == 257
+    for name in names:
+        assert (out / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    loaded = load_dataset(out / "manifest.csv")
+    assert loaded.labels == dataset.labels
+    for orig, back in zip(dataset.segments, loaded.segments, strict=True):
+        assert back.id == orig.id and back.samples.tobytes() == orig.samples.tobytes()

@@ -1,6 +1,8 @@
 import multiprocessing
 import os
 import re
+import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -276,9 +278,14 @@ def test_write_then_load_round_trip(tmp_path, tiny_dataset):
         assert np.array_equal(orig.samples, back.samples)  # repr round-trip is exact
 
 
+# values whose shortest repr is an edge case: signed zero, subnormals,
+# extremes, and values with and without an exponent
+_REPR_EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 0.1, 1.0, 2.5]
+_REPR_EDGES += [1e16, 123456789.0, 1 / 3, -7.0, 1e-5, 0.0, 3.141592653589793, 1e22]
+
+
 def test_write_dataset_bytes_match_per_value_format(tmp_path):
-    values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 0.1, 1.0, 2.5]
-    values += [1e16, 123456789.0, 1 / 3, -7.0, 1e-5, 0.0, 3.141592653589793, 1e22]
+    values = _REPR_EDGES
     seg = make_segment("v", "A", values)
     others = [make_segment(i, lab, values) for i, lab in (("w", "A"), ("x", "B"), ("y", "B"))]
     write_dataset(LabeledDataset(name="bytes", segments=(seg, *others)), tmp_path)
@@ -425,7 +432,7 @@ def test_empty_file_reads_as_no_samples(tmp_path):
 # -- two processes against one -------------------------------------------------
 
 two_processes = pytest.mark.skipif(
-    not sys.platform.startswith("linux"), reason="the loader forks only on Linux"
+    not sys.platform.startswith("linux"), reason="the loader and the writer fork only on Linux"
 )
 
 
@@ -604,6 +611,137 @@ def test_rows_past_the_last_array_received_are_read_by_the_parent(
     assert forks == [3] and received == [count]
     assert forked == serial and forked[0] == "dataset"
     assert multiprocessing.active_children() == []
+
+
+def _write_outcome(dataset, out):
+    """What writing ``dataset`` to ``out`` gives: the name and bytes of
+    every file in ``out``, or the type and message of what it raised and
+    whether a manifest was written."""
+    try:
+        write_dataset(dataset, out)
+    except Exception as exc:
+        return "error", type(exc), str(exc), (out / "manifest.csv").exists()
+    return "files", {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _one_and_two_process_writes(dataset, out, monkeypatch, runs, blocked=()):
+    """The outcome of one serial write of ``dataset`` to ``out`` and of
+    one that forks a child for the second half of the segments, with two
+    usable CPUs; ``runs`` (``parent_write_runs``) is left holding the
+    latter's. ``out`` is made afresh before each write, with a directory
+    where the file of each id in ``blocked`` goes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    outcomes = []
+    for limit in (float("inf"), 0):
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        for seg_id in blocked:
+            (out / f"{seg_id}.txt").mkdir()
+        runs.clear()
+        monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", limit)
+        outcomes.append(_write_outcome(dataset, out))
+        assert multiprocessing.active_children() == []
+    return outcomes
+
+
+def _edge_dataset(lengths):
+    """One segment per length, labelled A, B, A, ...: every repr edge
+    value in a shuffled order, then Gaussian noise."""
+    rng = np.random.default_rng(len(lengths))
+    segments = []
+    for i, n in enumerate(lengths):
+        samples = rng.standard_normal(n)
+        samples[: len(_REPR_EDGES)] = rng.permutation(_REPR_EDGES)
+        segments.append(make_segment(f"s{i}", "AB"[i % 2], samples))
+    return LabeledDataset(name="edges", segments=tuple(segments))
+
+
+@two_processes
+@pytest.mark.parametrize(
+    "lengths",
+    [[64] * 5, [16, 300, 17, 1000, 64, 31, 2000], [16] * 4],
+    ids=["odd-rows", "mixed-lengths", "edges-only"],
+)
+def test_two_processes_write_what_one_writes(
+    tmp_path, monkeypatch, parent_write_runs, lengths
+):
+    serial, forked = _one_and_two_process_writes(
+        _edge_dataset(lengths), tmp_path / "out", monkeypatch, parent_write_runs
+    )
+    assert serial[0] == "files"
+    assert sorted(serial[1]) == sorted([f"s{i}.txt" for i in range(len(lengths))] + ["manifest.csv"])
+    assert forked == serial
+    assert parent_write_runs == [len(lengths) // 2]  # the child wrote the rest
+
+
+@two_processes
+@pytest.mark.parametrize(
+    "blocked, first, runs",
+    [
+        (["s4"], "s4", [3, 3]),  # the child's half: the parent writes it again
+        (["s3", "s5"], "s3", [3, 3]),  # the child stops at its first failing file
+        (["s1", "s4"], "s1", [3]),  # both halves: the parent's row comes first
+        (["s2"], "s2", [3]),
+    ],
+)
+def test_a_file_that_cannot_be_written_raises_as_in_one_process(
+    tmp_path, monkeypatch, capfd, parent_write_runs, blocked, first, runs
+):
+    out = tmp_path / "out"
+    serial, forked = _one_and_two_process_writes(
+        _edge_dataset([64] * 6), out, monkeypatch, parent_write_runs, blocked
+    )
+    assert forked == serial == (
+        "error", IsADirectoryError, f"[Errno 21] Is a directory: '{out / first}.txt'", False
+    )
+    assert parent_write_runs == runs
+    assert capfd.readouterr() == ("", "")  # the child printed nothing
+
+
+@two_processes
+def test_a_killed_writer_leaves_its_files_to_the_parent(
+    tmp_path, monkeypatch, parent_write_runs
+):
+    monkeypatch.setattr(
+        dataset_module, "_write_in_child", lambda *args: os.kill(os.getpid(), signal.SIGKILL)
+    )
+    serial, forked = _one_and_two_process_writes(
+        _edge_dataset([64] * 6), tmp_path / "out", monkeypatch, parent_write_runs
+    )
+    assert forked == serial and serial[0] == "files"
+    assert parent_write_runs == [3, 3]
+
+
+def test_a_fork_that_fails_leaves_every_file_to_the_parent(tmp_path, monkeypatch):
+    def no_fork():
+        attempts.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    attempts = []
+    dataset = _edge_dataset([64] * 6)
+    serial = _write_outcome(dataset, tmp_path / "serial")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(dataset_module, "_fork_context", no_fork)
+    monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", 0)
+    assert _write_outcome(dataset, tmp_path / "forked") == serial and serial[0] == "files"
+    assert attempts == [1]
+
+
+def test_two_processes_pay_reads_sizes_only_as_far_as_needed(monkeypatch):
+    def sizes():
+        while True:
+            read.append(1)
+            yield 1
+
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", 3)
+    for cpus, pays, count in (({0}, False, 0), ({0, 1}, True, 3)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        read = []
+        assert dataset_module._two_processes_pay(sizes()) is pays
+        assert len(read) == count
+    assert not dataset_module._two_processes_pay([1, 1])
 
 
 def test_a_fork_that_fails_leaves_every_row_to_the_parent(tmp_path, monkeypatch):
