@@ -18,56 +18,50 @@ pass. When a line is blank or unparsable, the lines already read are
 walked one at a time: blank lines are skipped, and the first bad line is
 reported by its number. The reader that opens the file again and reads
 it line by line, which this one is tested against, lives in
-``tests/reference.py``. ``write_dataset`` writes every run of signal
-files through ``_write_signal_files``: each file with one call, every
-value as its shortest round-trip repr.
+``tests/reference.py``. ``write_dataset`` writes each signal file
+through ``_write_signal_file`` with one call, every value as its
+shortest round-trip repr.
 
 Parsing and formatting are bound by ``float()`` and ``repr``, which hold
-the interpreter lock, so a large dataset is read and written in two
-processes: on Linux, with at least two usable CPUs, once
-``_two_processes_pay`` has counted ``_TWO_PROCESS_MIN_BYTES`` (1 MiB).
+the interpreter lock, so ``load_dataset`` and ``write_dataset`` run their
+per-file work through ``_two_process_map``. On Linux, with at least two
+usable CPUs, once ``_two_processes_pay`` has counted
+``_TWO_PROCESS_MIN_BYTES`` (1 MiB), a forked child runs the work over the
+second half of the files while the parent runs the first half. The child
+stops at its first failure, then sends one pipe message per file it
+finished: the file's samples to the loader, an empty acknowledgement to
+the writer. The parent runs the work itself for every file the child
+sent nothing for, so the arrays and the written bytes are the same, and
+the first failing file raises the same exception with the same message
+as in one process. The child prints nothing, and is stopped and joined
+before either function returns or raises; if none can be started, the
+parent does every file. The loader checks and builds the segments in
+manifest order. The writer writes the manifest last, so a failed write
+leaves none (when the failing file is in the parent's half, files of the
+child's half may exist).
+
 The loader counts the signal files' text bytes on disk, the writer the
 samples' float64 bytes in memory; a sample takes ~20 bytes of text, so
-the writer's 1 MiB is ~2.5 times the samples of the loader's.
-
-The loader forks a child through ``multiprocessing`` that reads the
-second half of the rows with the same reader, then sends each file's
-samples back as one pipe message; the parent reads the first half
-meanwhile, then checks and builds every segment in manifest order. So
-the arrays are the same bits, and the first failing row raises the same
-exception with the same message as in one process: the parent itself
-reads every row it received no array for, the row the child failed on
-included. The child is always joined before ``load_dataset`` returns or
-raises. If no child can be started, the parent reads all rows. The
-threshold is the measured break-even. On a 2-vCPU Xeon, with 25-41
-interleaved loads per shape, two processes lost on every shape up to
-0.7 MiB (64 files x 512 samples, 0.6 MiB: 11.2 against 17.7 ms; the fork
-and join cost ~5 ms), were even at 0.9-1.2 MiB (faster in 10-17 of 25),
-and won from 1.2 MiB on in 31-37 of 41 (128 x 512: 37.1 against 25.8 ms;
-2000 x 512, 19 MiB: 525 against 247 ms).
-
-The writer forks a child in the same context that writes the second half
-of the segments while the parent writes the first half; the parent joins
-it and writes the manifest last. The child prints nothing and stops at
-its first failing file. If it exits non-zero or is killed, the parent
-writes its segments again, so the first failing segment raises the same
-exception with the same message as in one process, and no manifest is
-written (files of segments after it may exist, written by the child).
-The child is always stopped and joined before ``write_dataset`` returns
-or raises; if none can be started, the parent writes every file. On the
-same 2-vCPU Xeon, with 16 interleaved writes per shape, two processes
-lost at 64 x 512 samples (0.25 MiB: 48 against 55 ms, faster in 1 of 16),
-won at 128 x 512 (0.5 MiB: 109 against 79 ms, 12 of 16) and on every
-write from 256 x 512 (1 MiB: 263 against 174 ms; 2000 x 512: 1.97 against
-1.16 s). So the shared threshold keeps the writer in one process on
-0.25-1 MiB, where a child gains little. Many short files are bound by the
-file system, not by ``repr``: 1000 x 16 samples took 570 ms in one
-process against 580 in two, and their 0.12 MiB stays below the threshold.
+the writer's 1 MiB is ~2.5 times the samples of the loader's. The
+threshold is the loader's measured break-even. On a 2-vCPU Xeon, with
+25-41 interleaved loads per shape, two processes lost on every shape up
+to 0.7 MiB (64 files x 512 samples, 0.6 MiB: 11.2 against 17.7 ms; the
+fork and join cost ~5 ms), were even at 0.9-1.2 MiB (faster in 10-17 of
+25), and won from 1.2 MiB on in 31-37 of 41 (128 x 512: 37.1 against 25.8
+ms; 2000 x 512, 19 MiB: 525 against 247 ms). On the same Xeon, with 16
+interleaved writes per shape, two processes lost at 64 x 512 samples
+(0.25 MiB: 48 against 55 ms, faster in 1 of 16), won at 128 x 512 (0.5
+MiB: 109 against 79 ms, 12 of 16) and on every write from 256 x 512 (1
+MiB: 263 against 174 ms; 2000 x 512: 1.97 against 1.16 s). So the shared
+threshold keeps the writer in one process on 0.25-1 MiB, where a child
+gains little. Many short files are bound by the file system, not by
+``repr``: 1000 x 16 samples took 570 ms in one process against 580 in
+two, and their 0.12 MiB stays below the threshold.
 
 On Python >= 3.12 ``os.fork()`` in a process that runs other threads
 (numpy's BLAS pool) emits a DeprecationWarning from ``multiprocessing``;
 pytest's ``error::DeprecationWarning:prs`` filter leaves it a warning.
-Each child only reads or writes files, parses or formats floats and
+The child only reads or writes files, parses or formats floats and
 builds arrays, so it needs no lock such a thread may hold.
 """
 
@@ -76,6 +70,7 @@ from __future__ import annotations
 import csv
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -232,40 +227,25 @@ def load_dataset(manifest_path: str | Path) -> LabeledDataset:
 
     # a short row reads as empty fields, and fields past the third are ignored
     fields = [tuple(f.strip() for f in (row + ["", ""])[:3]) for row in rows]
-    paths = [manifest_path.parent / rel for _, _, rel in fields]
-    # Rows from ``split`` on are read by a forked child, if one pays; the
-    # loop below still checks and builds every row in manifest order.
-    split, child = len(rows), None
-    if _two_processes_pay(map(_file_size, paths)):
-        half = len(rows) // 2
-        try:
-            child = _ChildReader(paths[half:])
-            split = half
-        except OSError:  # no process or pipe to spare: read every row here
-            pass
+
+    def read(row):
+        seg_id, label, rel = row
+        if not seg_id or not label or not rel:
+            raise DatasetError("empty id/label/path")
+        return _read_signal_file(manifest_path.parent / rel, seg_id)
+
+    sizes = (_file_size(manifest_path.parent / rel) for _, _, rel in fields)
+    segments = []
     try:
-        received = []
-        segments = []
-        for i, ((seg_id, label, rel), sig_path) in enumerate(zip(fields, paths)):
-            if not seg_id or not label or not rel:
-                raise DatasetError(f"{manifest_path}: row {i + 1}: empty id/label/path")
-            if i == split:
-                received = child.receive()
-            try:
-                if 0 <= i - split < len(received):
-                    samples = received[i - split]
-                else:  # also the row the child failed on: its error is raised here
-                    samples = _read_signal_file(sig_path, seg_id)
+        with closing(_two_process_map(read, fields, sizes)) as arrays:
+            for (seg_id, label, _), samples in zip(fields, arrays):
                 segments.append(
                     SignalSegment(
                         id=seg_id, label=label, sampling_rate=sampling_rate, samples=samples
                     )
                 )
-            except DatasetError as err:
-                raise DatasetError(f"{manifest_path}: row {i + 1}: {err}") from None
-    finally:
-        if child is not None:
-            child.close()
+    except DatasetError as err:  # raised by the row after the last one built
+        raise DatasetError(f"{manifest_path}: row {len(segments) + 1}: {err}") from None
 
     return LabeledDataset(name=manifest_path.stem, segments=tuple(segments))
 
@@ -293,56 +273,69 @@ def _file_size(path) -> int:
         return 0
 
 
-def _fork_context():
-    """The ``multiprocessing`` context of both forked paths, imported
-    only once a child pays."""
+def _two_process_map(work, items, sizes):
+    """Yield ``work(item)`` for each of ``items``, in order. If
+    ``_two_processes_pay(sizes)``, a forked child runs ``work`` over the
+    second half meanwhile, and each float64 array it sends back is yielded
+    for its item; the parent runs ``work`` itself on the first half and on
+    every item the child sent nothing for, so the first failing item
+    raises here as in one process. Closing the generator, or its raising,
+    stops and joins the child."""
+    split, child = len(items), None
+    if _two_processes_pay(sizes):
+        try:
+            child, conn = _start_child(work, items[len(items) // 2 :])
+            split = len(items) // 2
+        except OSError:  # no process or pipe to spare: run every item here
+            pass
+    try:
+        for item in items[:split]:
+            yield work(item)
+        while child is not None and split < len(items):
+            try:
+                message = conn.recv_bytes()
+            except (EOFError, OSError):  # the child stopped at a failure, or died
+                break
+            yield np.frombuffer(message, dtype=np.float64)
+            split += 1
+        for item in items[split:]:
+            yield work(item)
+    finally:
+        if child is not None:
+            child.terminate()
+            child.join()
+            conn.close()
+
+
+def _start_child(work, items):
+    """Fork a child that runs ``_run_in_child(work, items, writer)``;
+    returns it and the read end of its pipe. ``multiprocessing`` is
+    imported only once a child pays."""
     import multiprocessing
 
-    return multiprocessing.get_context("fork")
-
-
-class _ChildReader:
-    """A forked child that reads a run of signal files and sends each
-    file's float64 samples back over a one-way pipe as one message."""
-
-    def __init__(self, paths):
-        ctx = _fork_context()
-        self._conn, writer = ctx.Pipe(duplex=False)
-        self._process = ctx.Process(target=_send_samples, args=(paths, writer))
-        self._process.start()
+    ctx = multiprocessing.get_context("fork")
+    conn, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_run_in_child, args=(work, items, writer))
+    try:
+        child.start()
+    finally:
         writer.close()
+    return child, conn
 
-    def receive(self) -> list[np.ndarray]:
-        """The arrays the child sent, in order: one per file, up to the
-        first file it could not read or the moment it died."""
-        arrays = []
+
+def _run_in_child(work, items, writer) -> None:
+    """Child side of ``_two_process_map``. It runs ``work`` on every item
+    before it sends any result, so it never waits on a full pipe while the
+    parent works. It stops at the first item that fails, whose error the
+    parent raises when it runs that item itself, and prints nothing."""
+    results = []
+    for item in items:
         try:
-            while True:
-                arrays.append(np.frombuffer(self._conn.recv_bytes(), dtype=np.float64))
-        except EOFError:
-            return arrays
-
-    def close(self) -> None:
-        """Stop the child, if it still runs, and join it."""
-        self._process.terminate()
-        self._process.join()
-        self._conn.close()
-
-
-def _send_samples(paths, writer) -> None:
-    """Child side of ``_ChildReader``. It reads every file before it sends
-    any, so it never waits on a full pipe while the parent parses. It stops
-    at the first file that fails, whose error the parent raises when it
-    reads that file itself, so the child names no segment. It makes only
-    file reads, float() calls and numpy arrays."""
-    arrays = []
-    for path in paths:
-        try:
-            arrays.append(_read_signal_file(path, ""))
+            results.append(work(item))
         except Exception:
             break
-    for samples in arrays:
-        writer.send_bytes(samples)
+    for result in results:
+        writer.send_bytes(result)
     writer.close()
 
 
@@ -383,30 +376,15 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Segments from ``split`` on are written by a forked child, if one pays.
+    def write(seg):  # its pipe message, an empty array, acknowledges the file
+        _write_signal_file(out_dir / f"{seg.id}.txt", seg.samples)
+        return np.empty(0)
+
     segments = dataset.segments
-    split, child = len(segments), None
-    if _two_processes_pay(s.samples.nbytes for s in segments):
-        half = len(segments) // 2
-        try:
-            child = _fork_context().Process(
-                target=_write_in_child, args=(out_dir, segments[half:])
-            )
-            child.start()
-            split = half
-        except OSError:  # no process to spare: write every file here
-            child = None
-    try:
-        _write_signal_files(out_dir, segments[:split])
-        if child is not None:
-            child.join()
-            # it failed or was killed: its first failing file raises here
-            if child.exitcode != 0:
-                _write_signal_files(out_dir, segments[split:])
-    finally:
-        if child is not None:
-            child.terminate()
-            child.join()
+    sizes = (seg.samples.nbytes for seg in segments)
+    with closing(_two_process_map(write, segments, sizes)) as written:
+        for _ in written:
+            pass
 
     lines = [f"# sampling_rate={float(rate)!r}", "id,label,path"]
     lines += [f"{seg.id},{seg.label},{seg.id}.txt" for seg in segments]
@@ -415,23 +393,11 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
     return manifest
 
 
-def _write_signal_files(out_dir: Path, segments) -> None:
-    """Write each segment's samples to ``<out_dir>/<id>.txt`` with one
-    call, one shortest round-trip repr a line, in order; the first file
-    that cannot be written raises."""
-    for seg in segments:
-        with (out_dir / f"{seg.id}.txt").open("w", encoding="utf-8") as fh:
-            fh.write("".join(f"{v!r}\n" for v in seg.samples.tolist()))
-
-
-def _write_in_child(out_dir: Path, segments) -> None:
-    """Child side of ``write_dataset``. It stops at the first file that
-    fails and exits 1 without printing: the parent writes the run again
-    and raises that file's error itself, naming it as one process does."""
-    try:
-        _write_signal_files(out_dir, segments)
-    except Exception:
-        sys.exit(1)
+def _write_signal_file(path: Path, samples: np.ndarray) -> None:
+    """Write ``samples`` to ``path`` with one call, one shortest round-trip
+    repr a line."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("".join(f"{v!r}\n" for v in samples.tolist()))
 
 
 def generate_synthetic(n_per_class: int, length: int, seed: int) -> LabeledDataset:

@@ -150,18 +150,19 @@ def overlap_reps(overlap_dataset):
 
 
 @pytest.fixture
-def parent_write_runs(monkeypatch):
-    """The length of each run of segments that ``write_dataset`` writes in
-    this process, in order; a forked child's runs are not counted."""
-    runs = []
-    write_run = dataset_module._write_signal_files
+def parent_writes(monkeypatch):
+    """The id of each segment whose signal file ``write_dataset`` writes,
+    or tries to, in this process, in order; a forked child's are not
+    counted."""
+    ids = []
+    write_file = dataset_module._write_signal_file
 
-    def counting_write_run(out_dir, segments):
-        runs.append(len(segments))
-        write_run(out_dir, segments)
+    def counting_write_file(path, samples):
+        ids.append(path.stem)
+        write_file(path, samples)
 
-    monkeypatch.setattr(dataset_module, "_write_signal_files", counting_write_run)
-    return runs
+    monkeypatch.setattr(dataset_module, "_write_signal_file", counting_write_file)
+    return ids
 
 
 @pytest.fixture(autouse=True)

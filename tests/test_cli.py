@@ -125,6 +125,28 @@ def test_extract_out_file_matches_stdout(data_dir, tmp_path, capsys):
     assert out_file.read_text() == stdout
 
 
+def test_out_file_is_utf8_under_an_ascii_locale(tmp_path):
+    # datasets are read and written as UTF-8, so a label like é loads under
+    # any locale, and --out writes it as UTF-8 there too
+    rng = np.random.default_rng(0)
+    segments = [
+        SignalSegment(id=f"s{i}", label="éB"[i % 2], sampling_rate=1000.0,
+                      samples=rng.standard_normal(64))
+        for i in range(4)
+    ]
+    manifest = str(write_dataset(LabeledDataset(name="d", segments=segments), tmp_path))
+    outputs = []
+    for name, env in (
+        ("default.csv", {}),
+        ("ascii.csv", {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}),
+    ):
+        proc = run_cli(["extract", "--manifest", manifest, "--out", str(tmp_path / name)], **env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    assert "\ns0,é,".encode() in outputs[0]
+
+
 def test_out_that_cannot_be_replaced_leaves_no_temporary_file(
     data_dir, tmp_path, capsys
 ):

@@ -136,7 +136,7 @@ def test_a_manifest_above_the_two_process_threshold_loads_like_its_halves(tmp_pa
 
 
 def test_synth_above_the_two_process_threshold_writes_what_one_process_writes(
-    tmp_path, monkeypatch, capsys, parent_write_runs
+    tmp_path, monkeypatch, capsys, parent_writes
 ):
     # 256 segments of 512 samples: 1 MiB of float64
     dataset = generate_synthetic(128, 512, seed=1)
@@ -145,7 +145,8 @@ def test_synth_above_the_two_process_threshold_writes_what_one_process_writes(
     assert main(["synth", "--out", str(out), "--n", "128", "--len", "512", "--seed", "1"]) == 0
     assert capsys.readouterr().out == f"{out / 'manifest.csv'}\n"
     if sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2:
-        assert parent_write_runs == [128]  # a child wrote the second half
+        # a child wrote the second half
+        assert parent_writes == [s.id for s in dataset.segments[:128]]
     monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", float("inf"))
     write_dataset(dataset, tmp_path / "serial")
     names = sorted(path.name for path in out.iterdir())

@@ -447,20 +447,30 @@ def _load_outcome(manifest):
     return "dataset", ds.labels, [(s.id, s.samples.tobytes()) for s in ds.segments]
 
 
-def _one_and_two_processes(manifest, monkeypatch):
+def _one_and_two_processes(manifest, monkeypatch, reads=None):
     """The outcome of one serial load and of one load that forks a child
-    for the second half of the rows, with two usable CPUs."""
+    for the second half of the rows, with two usable CPUs, and the number
+    of rows given to each child. ``reads``, if given, is left holding the
+    names of the signal files the latter load read in this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = []
+    start, read = dataset_module._start_child, dataset_module._read_signal_file
 
-    class CountingReader(dataset_module._ChildReader):
-        def __init__(self, paths):
-            forks.append(len(paths))
-            super().__init__(paths)
+    def counting_start(work, items):
+        forks.append(len(items))
+        return start(work, items)
 
-    monkeypatch.setattr(dataset_module, "_ChildReader", CountingReader)
+    def counting_read(path, segment_id):
+        if reads is not None:
+            reads.append(path.name)
+        return read(path, segment_id)
+
+    monkeypatch.setattr(dataset_module, "_start_child", counting_start)
+    monkeypatch.setattr(dataset_module, "_read_signal_file", counting_read)
     outcomes = []
     for limit in (float("inf"), 0):
+        if reads is not None:
+            reads.clear()
         monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", limit)
         outcomes.append(_load_outcome(manifest))
         assert multiprocessing.active_children() == []
@@ -521,11 +531,13 @@ def test_two_processes_load_what_one_loads(tmp_path, monkeypatch, kinds, lengths
 
 
 def _rows_of(tmp_path, kinds, length=64):
-    """A manifest of one row per kind, labelled A, B, A, ..."""
+    """A manifest of one row per kind, labelled A, B, A, ... but for an
+    ``empty label`` row."""
     rng = np.random.default_rng(5)
     return write_manifest(
         tmp_path,
-        [_write_row(tmp_path, i, k, length, rng)[:1] + ("AB"[i % 2], f"s{i}.txt")
+        [_write_row(tmp_path, i, k, length, rng)[:1]
+         + ("" if k == "empty label" else "AB"[i % 2], f"s{i}.txt")
          for i, k in enumerate(kinds)],
     )
 
@@ -546,6 +558,10 @@ def _rows_of(tmp_path, kinds, length=64):
         # the parent fails while the child still has more samples to send
         # than a pipe holds: the child is stopped, not waited for
         (["non-finite", "ok", "ok", "ok", "ok", "ok"], 4000, 1, "non-finite amplitude"),
+        # the child checks a row's fields as the parent does: the one it
+        # stopped at, empty or unreadable, fails again in the parent
+        (["ok", "ok", "ok", "empty label", "missing", "ok"], 64, 4, "empty id/label/path"),
+        (["ok", "ok", "ok", "missing", "empty label", "ok"], 64, 4, "missing file"),
     ],
 )
 def test_the_earliest_failing_row_wins(tmp_path, monkeypatch, kinds, length, row, message):
@@ -581,10 +597,14 @@ def test_an_unreadable_file_is_a_dataset_error_naming_row_and_file(
 
 @two_processes
 def test_a_child_that_sends_nothing_leaves_its_rows_to_the_parent(tmp_path, monkeypatch):
-    monkeypatch.setattr(dataset_module, "_send_samples", lambda paths, writer: None)
-    (serial, forked), forks = _one_and_two_processes(_rows_of(tmp_path, ["ok"] * 6), monkeypatch)
+    monkeypatch.setattr(dataset_module, "_run_in_child", lambda work, items, writer: None)
+    reads = []
+    (serial, forked), forks = _one_and_two_processes(
+        _rows_of(tmp_path, ["ok"] * 6), monkeypatch, reads
+    )
     assert forks == [3]
     assert forked == serial and forked[0] == "dataset"
+    assert reads == [f"s{i}.txt" for i in range(6)]
 
 
 @two_processes
@@ -595,20 +615,18 @@ def test_rows_past_the_last_array_received_are_read_by_the_parent(
     tmp_path, monkeypatch, sent, count
 ):
     # the child sends the arrays of its first rows only, then exits
-    send, receive = dataset_module._send_samples, dataset_module._ChildReader.receive
-    received = []
-
-    def counted_receive(self):
-        arrays = receive(self)
-        received.append(len(arrays))
-        return arrays
-
+    run = dataset_module._run_in_child
     monkeypatch.setattr(
-        dataset_module, "_send_samples", lambda paths, writer: send(paths[:sent], writer)
+        dataset_module, "_run_in_child",
+        lambda work, items, writer: run(work, items[:sent], writer),
     )
-    monkeypatch.setattr(dataset_module._ChildReader, "receive", counted_receive)
-    (serial, forked), forks = _one_and_two_processes(_rows_of(tmp_path, ["ok"] * 6), monkeypatch)
-    assert forks == [3] and received == [count]
+    reads = []
+    (serial, forked), forks = _one_and_two_processes(
+        _rows_of(tmp_path, ["ok"] * 6), monkeypatch, reads
+    )
+    assert forks == [3]
+    # the parent read its own half and every row past the ``count`` received
+    assert reads == [f"s{i}.txt" for i in [0, 1, 2, *range(3 + count, 6)]]
     assert forked == serial and forked[0] == "dataset"
     assert multiprocessing.active_children() == []
 
@@ -624,10 +642,10 @@ def _write_outcome(dataset, out):
     return "files", {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
-def _one_and_two_process_writes(dataset, out, monkeypatch, runs, blocked=()):
+def _one_and_two_process_writes(dataset, out, monkeypatch, writes, blocked=()):
     """The outcome of one serial write of ``dataset`` to ``out`` and of
     one that forks a child for the second half of the segments, with two
-    usable CPUs; ``runs`` (``parent_write_runs``) is left holding the
+    usable CPUs; ``writes`` (``parent_writes``) is left holding the
     latter's. ``out`` is made afresh before each write, with a directory
     where the file of each id in ``blocked`` goes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -637,7 +655,7 @@ def _one_and_two_process_writes(dataset, out, monkeypatch, runs, blocked=()):
         out.mkdir()
         for seg_id in blocked:
             (out / f"{seg_id}.txt").mkdir()
-        runs.clear()
+        writes.clear()
         monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", limit)
         outcomes.append(_write_outcome(dataset, out))
         assert multiprocessing.active_children() == []
@@ -663,58 +681,61 @@ def _edge_dataset(lengths):
     ids=["odd-rows", "mixed-lengths", "edges-only"],
 )
 def test_two_processes_write_what_one_writes(
-    tmp_path, monkeypatch, parent_write_runs, lengths
+    tmp_path, monkeypatch, parent_writes, lengths
 ):
     serial, forked = _one_and_two_process_writes(
-        _edge_dataset(lengths), tmp_path / "out", monkeypatch, parent_write_runs
+        _edge_dataset(lengths), tmp_path / "out", monkeypatch, parent_writes
     )
     assert serial[0] == "files"
     assert sorted(serial[1]) == sorted([f"s{i}.txt" for i in range(len(lengths))] + ["manifest.csv"])
     assert forked == serial
-    assert parent_write_runs == [len(lengths) // 2]  # the child wrote the rest
+    # the child wrote the rest
+    assert parent_writes == [f"s{i}" for i in range(len(lengths) // 2)]
 
 
 @two_processes
 @pytest.mark.parametrize(
     "blocked, first, runs",
     [
-        (["s4"], "s4", [3, 3]),  # the child's half: the parent writes it again
-        (["s3", "s5"], "s3", [3, 3]),  # the child stops at its first failing file
-        (["s1", "s4"], "s1", [3]),  # both halves: the parent's row comes first
-        (["s2"], "s2", [3]),
+        # the child's half: the parent resumes at the first file it did not
+        # acknowledge
+        (["s4"], "s4", ["s0", "s1", "s2", "s4"]),
+        (["s3", "s5"], "s3", ["s0", "s1", "s2", "s3"]),  # the child stops at s3
+        (["s1", "s4"], "s1", ["s0", "s1"]),  # both halves: the parent's row comes first
+        (["s2"], "s2", ["s0", "s1", "s2"]),
     ],
 )
 def test_a_file_that_cannot_be_written_raises_as_in_one_process(
-    tmp_path, monkeypatch, capfd, parent_write_runs, blocked, first, runs
+    tmp_path, monkeypatch, capfd, parent_writes, blocked, first, runs
 ):
     out = tmp_path / "out"
     serial, forked = _one_and_two_process_writes(
-        _edge_dataset([64] * 6), out, monkeypatch, parent_write_runs, blocked
+        _edge_dataset([64] * 6), out, monkeypatch, parent_writes, blocked
     )
     assert forked == serial == (
         "error", IsADirectoryError, f"[Errno 21] Is a directory: '{out / first}.txt'", False
     )
-    assert parent_write_runs == runs
+    assert parent_writes == runs
     assert capfd.readouterr() == ("", "")  # the child printed nothing
 
 
 @two_processes
 def test_a_killed_writer_leaves_its_files_to_the_parent(
-    tmp_path, monkeypatch, parent_write_runs
+    tmp_path, monkeypatch, parent_writes
 ):
     monkeypatch.setattr(
-        dataset_module, "_write_in_child", lambda *args: os.kill(os.getpid(), signal.SIGKILL)
+        dataset_module, "_run_in_child", lambda *args: os.kill(os.getpid(), signal.SIGKILL)
     )
     serial, forked = _one_and_two_process_writes(
-        _edge_dataset([64] * 6), tmp_path / "out", monkeypatch, parent_write_runs
+        _edge_dataset([64] * 6), tmp_path / "out", monkeypatch, parent_writes
     )
     assert forked == serial and serial[0] == "files"
-    assert parent_write_runs == [3, 3]
+    assert parent_writes == [f"s{i}" for i in range(6)]
 
 
 def test_a_fork_that_fails_leaves_every_file_to_the_parent(tmp_path, monkeypatch):
-    def no_fork():
-        attempts.append(1)
+    def no_fork(work, items):
+        attempts.append(len(items))
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     attempts = []
@@ -722,10 +743,10 @@ def test_a_fork_that_fails_leaves_every_file_to_the_parent(tmp_path, monkeypatch
     serial = _write_outcome(dataset, tmp_path / "serial")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sys, "platform", "linux")
-    monkeypatch.setattr(dataset_module, "_fork_context", no_fork)
+    monkeypatch.setattr(dataset_module, "_start_child", no_fork)
     monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", 0)
     assert _write_outcome(dataset, tmp_path / "forked") == serial and serial[0] == "files"
-    assert attempts == [1]
+    assert attempts == [3]
 
 
 def test_two_processes_pay_reads_sizes_only_as_far_as_needed(monkeypatch):
@@ -745,32 +766,38 @@ def test_two_processes_pay_reads_sizes_only_as_far_as_needed(monkeypatch):
 
 
 def test_a_fork_that_fails_leaves_every_row_to_the_parent(tmp_path, monkeypatch):
-    def no_fork(paths):
+    def no_fork(work, items):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     manifest = _rows_of(tmp_path, ["ok"] * 6)
     serial = _load_outcome(manifest)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(sys, "platform", "linux")
-    monkeypatch.setattr(dataset_module, "_ChildReader", no_fork)
+    monkeypatch.setattr(dataset_module, "_start_child", no_fork)
     monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", 0)
     assert _load_outcome(manifest) == serial and serial[0] == "dataset"
 
 
 def test_one_usable_cpu_reads_in_one_process(tmp_path, monkeypatch):
-    def no_child(paths):
+    def no_child(work, items):
         raise AssertionError("forked a child with one usable CPU")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(dataset_module, "_ChildReader", no_child)
+    monkeypatch.setattr(dataset_module, "_start_child", no_child)
     monkeypatch.setattr(dataset_module, "_TWO_PROCESS_MIN_BYTES", 0)
     assert len(load_dataset(_rows_of(tmp_path, ["ok"] * 6))) == 6
 
 
-def test_a_small_manifest_imports_no_multiprocessing(tmp_path):
+@pytest.mark.parametrize(
+    "call",
+    ["prs.load_dataset(sys.argv[1])",
+     "prs.write_dataset(prs.generate_synthetic(3, 64, 0), sys.argv[1] + '.out')"],
+    ids=["load_dataset", "write_dataset"],
+)
+def test_a_small_manifest_imports_no_multiprocessing(tmp_path, call):
     manifest = _rows_of(tmp_path, ["ok"] * 6)
     code = (
-        "import sys; import prs; prs.load_dataset(sys.argv[1]); "
+        f"import sys; import prs; {call}; "
         "assert 'multiprocessing' not in sys.modules, 'imported multiprocessing'"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(dataset_module.__file__).parents[1])}
