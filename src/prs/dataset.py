@@ -162,6 +162,8 @@ def _read_signal_file(path: Path, segment_id: str) -> np.ndarray:
         raise DatasetError(f"{path}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
         raise DatasetError(f"{path}: not UTF-8 text: {err}") from None
+    except ValueError as err:  # a NUL byte, or a name the file system cannot spell
+        raise DatasetError(f"path {str(path)!r}: {err}") from None
     if lines[-1] == "":
         lines.pop()  # after the final newline
     try:
@@ -269,7 +271,7 @@ def _file_size(path) -> int:
     """The size of ``path`` in bytes, or 0 if it cannot be stat'ed."""
     try:
         return os.stat(path).st_size
-    except OSError:
+    except (OSError, ValueError):  # reading it raises the error
         return 0
 
 
@@ -343,12 +345,19 @@ def _unreadable(value: str, is_id: bool) -> str:
     """Why ``value`` would not read back from a manifest as written, or
     "". The reader strips each field, skips a line that starts with #,
     breaks lines at CR and LF and fields at commas (a quote opens a
-    quoted field), and an id names its file in the manifest's directory."""
+    quoted field), and an id names its file in the manifest's directory,
+    so the file-system encoding must spell it."""
     breaks = ',"\r\n' + (os.sep + (os.altsep or "") + "\0" if is_id else "")
     if not value or value != value.strip():
         return "is empty or padded with whitespace"
     if any(c in breaks for c in value) or (is_id and value.startswith("#")):
         return f"holds one of {breaks!r}" + (" or starts with #" if is_id else "")
+    if is_id:
+        try:
+            os.fsencode(value)
+        except UnicodeEncodeError:
+            encoding = sys.getfilesystemencoding()
+            return f"cannot be spelled in the file-system encoding {encoding!r}"
     return ""
 
 

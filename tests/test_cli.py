@@ -147,6 +147,28 @@ def test_out_file_is_utf8_under_an_ascii_locale(tmp_path):
     assert "\ns0,é,".encode() in outputs[0]
 
 
+def test_a_file_the_locale_cannot_name_is_an_error_naming_manifest_row_and_path(tmp_path):
+    # the file of segment é0 exists, but under an ASCII locale its path has
+    # no spelling: the error names the manifest, the row and the path
+    rng = np.random.default_rng(0)
+    segments = [
+        SignalSegment(id=f"{name}{i}", label="AB"[i % 2], sampling_rate=1000.0,
+                      samples=rng.standard_normal(64))
+        for i, name in enumerate(["é", "s", "s", "s"])
+    ]
+    manifest = write_dataset(LabeledDataset(name="d", segments=segments), tmp_path)
+    proc = run_cli(
+        ["extract", "--manifest", str(manifest)],
+        PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C",
+    )
+    path = str(tmp_path / "é0.txt").encode("ascii", "backslashreplace").decode()
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: {manifest}: row 1: path '{path}': 'ascii' codec can't encode "
+        f"character '\\xe9' in position {len(str(tmp_path)) + 1}: ordinal not in range(128)\n"
+    )
+
+
 def test_out_that_cannot_be_replaced_leaves_no_temporary_file(
     data_dir, tmp_path, capsys
 ):

@@ -596,6 +596,25 @@ def test_an_unreadable_file_is_a_dataset_error_naming_row_and_file(
 
 
 @two_processes
+@pytest.mark.parametrize("at", [1, 4])
+def test_a_path_holding_a_nul_byte_is_a_dataset_error_naming_row_and_file(
+    tmp_path, monkeypatch, at
+):
+    # os.stat and open raise ValueError, not OSError, on a NUL byte
+    rng = np.random.default_rng(5)
+    rows = [_write_row(tmp_path, i, "ok", 64, rng) for i in range(6)]
+    rows[at] = rows[at][:2] + (f"s{at}\0.txt",)
+    manifest = write_manifest(tmp_path, rows)
+    (serial, forked), forks = _one_and_two_processes(manifest, monkeypatch)
+    assert forks == [3]
+    assert forked == serial
+    path = str(tmp_path / f"s{at}\0.txt")
+    assert forked == (
+        "error", DatasetError, f"{manifest}: row {at + 1}: path {path!r}: embedded null byte"
+    )
+
+
+@two_processes
 def test_a_child_that_sends_nothing_leaves_its_rows_to_the_parent(tmp_path, monkeypatch):
     monkeypatch.setattr(dataset_module, "_run_in_child", lambda work, items, writer: None)
     reads = []
@@ -802,3 +821,29 @@ def test_a_small_manifest_imports_no_multiprocessing(tmp_path, call):
     )
     env = {**os.environ, "PYTHONPATH": str(Path(dataset_module.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code, str(manifest)], env=env, check=True)
+
+
+def test_write_dataset_rejects_an_id_the_file_system_encoding_cannot_spell(tmp_path):
+    # under an ASCII locale no file can be named after segment é1
+    out = tmp_path / "out"
+    code = (
+        "import sys; import numpy as np; import prs\n"
+        "segments = [prs.SignalSegment(i, 'AB'[k % 2], 1000.0, np.ones(64))\n"
+        "            for k, i in enumerate(['s0', '\\xe91', 's2', 's3'])]\n"
+        "try:\n"
+        "    prs.write_dataset(prs.LabeledDataset('d', tuple(segments)), sys.argv[1])\n"
+        "except prs.DatasetError as err:\n"
+        "    print(ascii(str(err)))\n"
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(dataset_module.__file__).parents[1]),
+        "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(out)], env=env, capture_output=True, check=True
+    )
+    assert proc.stdout.decode() == ascii(
+        "segment 'é1': id 'é1' cannot be spelled in the file-system encoding 'ascii'"
+    ) + "\n"
+    assert not out.exists()  # nothing was written

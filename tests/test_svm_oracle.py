@@ -8,10 +8,18 @@ floats differ; it must reach the reference's dual objective (to 1e-10
 relative) with a KKT residual of at most 1e-8.
 
 The second is the library's own WSS2 loop as it was first written, with
-boolean masks and np.where in each update. The library's loop does the
-same float operations with fewer numpy calls, so every fit must match it
-bit for bit: parameters and diagnostics alike.
+boolean masks and np.where in each update, plus the exact finish: at
+every m-th update it calls the library's ``_exact_finish`` and stops
+with its result if it returns one. The library's loop does the same
+float operations with fewer numpy calls, so every fit must match it bit
+for bit: parameters and diagnostics alike. Without the finish the
+reference is plain WSS2, which each accepted finish must match or beat:
+its solutions are checked here on their own (inside the box, on the
+equality constraint, an independently computed gap below _SVM_STOP, a
+dual objective at least plain WSS2's), and so are its rejections.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +28,7 @@ from prs.classifiers import (
     _SVM_STOP,
     _SVM_TAU,
     ClassifierSpec,
+    _exact_finish,
     _kkt_violation,
     _pair_update,
     _poly_kernel,
@@ -115,18 +124,21 @@ def reference_train_svm(spec, X, signed):
         "n_support": int(np.sum(support)),
         "n_sweeps": sweeps,
         "n_updates": n_updates,
+        "exact_finish": False,
     }
     return params, diag
 
 
-def wss2_reference_train_svm(spec, X, signed):
+def wss2_reference_train_svm(spec, X, signed, finish=_exact_finish):
     """Solve the dual by SMO with second-order working-set selection
     (WSS2 of Fan, Chen & Lin 2005, as in LIBSVM).
 
     yg = y * G is the dual gradient G = Q alpha - 1 times the labels,
     i.e. the bias-free errors K (alpha * y) - y; each pair update moves
     it by two kernel rows. The fit stops once the maximal violating pair
-    is closer than _SVM_STOP, or after max_sweeps * m pair updates.
+    is closer than _SVM_STOP, or after max_sweeps * m pair updates, or
+    at an m-th update where finish(K, signed, alpha, C) returns a result
+    (alpha, g_max, g_min); finish=None is plain WSS2.
     """
     m = X.shape[0]
     K = _poly_kernel(X, X, spec.degree, spec.coef0)
@@ -138,6 +150,7 @@ def wss2_reference_train_svm(spec, X, signed):
     up = signed > 0
     low = ~up
     n_updates = 0
+    exact = False
     while True:
         # i maximises -y G over I_up; the gap closes against min over I_low
         score = -yg
@@ -147,6 +160,12 @@ def wss2_reference_train_svm(spec, X, signed):
         g_min = float(np.min(np.where(low, score, np.inf)))
         if g_max - g_min < _SVM_STOP or n_updates == spec.max_sweeps * m:
             break
+        if finish is not None and n_updates % m == 0:
+            finished = finish(K, signed, alpha.copy(), C)
+            if finished is not None:
+                alpha, g_max, g_min = finished
+                exact = True
+                break
         # j maximises b^2 / a over the I_low points that violate with i
         b = g_max - score
         a = np.maximum(diag_k[i] + diag_k - 2.0 * K[i], _SVM_TAU)
@@ -182,6 +201,7 @@ def wss2_reference_train_svm(spec, X, signed):
         "n_support": int(np.sum(support)),
         "n_sweeps": -(-n_updates // m),
         "n_updates": n_updates,
+        "exact_finish": exact,
     }
     return params, diag
 
@@ -203,6 +223,13 @@ def xor(noise, seed):
     return X, ["P"] * 4 + ["N"] * 8 + ["P"] * 4
 
 
+def scaled(problem):
+    """Each column min-max scaled to [0, 1], as the grid scales features."""
+    X, y = problem
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    return (X - lo) / (hi - lo), y
+
+
 def duplicated(seed, cross_class):
     """Rows repeated within a class, and optionally across classes; each
     repeated pair has zero curvature eta = K_ii + K_jj - 2 K_ij."""
@@ -222,6 +249,9 @@ PROBLEMS = {
     "overlap-d4-C1": (overlapping(24, 4, 0.8, 6), dict(degree=4, penalty=1.0)),
     "overlap-d3-coef0": (overlapping(30, 2, 1.0, 7), dict(degree=3, coef0=0.0)),
     "overlap-wide": (overlapping(48, 14, 0.3, 8), dict(degree=3, penalty=1.0)),
+    # the benchmark grid's shape: 48 rows of 14 scaled columns, where plain
+    # WSS2 takes 1339 updates and the exact finish ends the fit at 432
+    "grid-overlap-shaped": (scaled(overlapping(48, 14, 0.3, 18)), dict(degree=3, penalty=1.0)),
     "overlap-odd-m": (overlapping(17, 2, 1.5, 9), dict(degree=2, penalty=1.0)),
     "separated": (overlapping(30, 2, 6.0, 10), dict(degree=3, penalty=1.0)),
     "xor-corners-d2": ((np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
@@ -289,12 +319,12 @@ def _bits(value):
     return type(value), array.dtype, array.shape, array.tobytes()
 
 
-def assert_matches_wss2_reference(X, y, options):
+def assert_matches_wss2_reference(X, y, options, finish=_exact_finish):
     X = np.asarray(X, dtype=np.float64)
     spec = ClassifierSpec(kind="SVM_POLY", **options)
     model = train(spec, X, y)
     signed = np.where(np.array(y) == model.classes[1], 1.0, -1.0)
-    params, diag = wss2_reference_train_svm(spec, X, signed)
+    params, diag = wss2_reference_train_svm(spec, X, signed, finish)
     assert model.params.keys() == params.keys()
     for key, value in params.items():
         assert _bits(model.params[key]) == _bits(value), key
@@ -317,3 +347,153 @@ def test_svm_bit_identical_to_wss2_reference_on_random_family():
         diag = assert_matches_wss2_reference(X, y, options)
         capped += diag["n_updates"] == options["max_sweeps"] * len(y)
     assert capped > 0  # the family reaches the update cap
+
+
+# -- the exact finish on its own ------------------------------------------------
+
+
+def check_accepted_finish(X, y, options):
+    """Check the finish that ends the WSS2 reference's fit, if one does,
+    against the iterate it started from and against plain WSS2; returns
+    whether a finish was accepted."""
+    X = np.asarray(X, dtype=np.float64)
+    spec = ClassifierSpec(kind="SVM_POLY", **options)
+    signed = np.where(np.array(y) == sorted(set(y))[1], 1.0, -1.0)
+    accepted = []
+
+    def recording(K, y, alpha, C):
+        finished = _exact_finish(K, y, alpha.copy(), C)
+        if finished is not None:
+            accepted.append((K, alpha, finished[0]))
+        return finished
+
+    _, diag = wss2_reference_train_svm(spec, X, signed, recording)
+    assert diag["exact_finish"] == bool(accepted)
+    if not accepted:
+        return False
+    (K, start, alpha), = accepted
+    m, C = len(signed), spec.penalty
+    assert diag["n_updates"] % m == 0
+    # the free points stay strictly inside the box, the bounded ones stay put
+    free = (start > 0.0) & (start < C)
+    assert np.all((alpha[free] > 0.0) & (alpha[free] < C))
+    assert np.all(alpha[start >= C] == C) and np.all(alpha[start <= 0.0] == 0.0)
+    assert abs(signed @ alpha) <= 1e-12 * C * m
+    # the maximal violating pair of -y * (Q alpha - 1), from Q itself
+    Q = np.outer(signed, signed) * K
+    score = -signed * (Q @ alpha - 1.0)
+    in_up = ((signed > 0) & (alpha < C)) | ((signed < 0) & (alpha > 0.0))
+    in_low = ((signed > 0) & (alpha > 0.0)) | ((signed < 0) & (alpha < C))
+    assert score[in_up].max() - score[in_low].min() < _SVM_STOP
+    dual = alpha.sum() - 0.5 * alpha @ Q @ alpha
+    _, plain = wss2_reference_train_svm(spec, X, signed, finish=None)
+    ref = plain["dual_objective"]
+    assert dual >= ref - 1e-12 * max(1.0, abs(ref))
+    return True
+
+
+# these stop on the gap before their m-th update, reach the cap, or (with
+# rows equal across classes) never get a nonsingular reduced system
+NO_FINISH = {
+    "all-rows-equal", "duplicates-across", "separated", "sweep-cap",
+    "xor-corners-d2", "xor-noisy-d1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_exact_finish_solves_the_reduced_kkt_system(name):
+    (X, y), options = PROBLEMS[name]
+    assert check_accepted_finish(X, y, options) == (name not in NO_FINISH)
+
+
+def test_exact_finish_solves_the_reduced_kkt_system_on_random_family():
+    accepted = 0
+    for seed in range(100):
+        (X, y), options = random_problem(seed)
+        accepted += check_accepted_finish(X, y, options)
+    assert accepted >= 80  # 90 of the 100 do
+
+
+def test_an_active_set_already_tried_is_not_tried_again(monkeypatch):
+    # a finish depends on nothing but the active set, so the library skips
+    # the attempts on an unchanged one that the reference repeats; the fit
+    # still matches the reference bit for bit
+    import prs.classifiers as classifiers
+
+    (X, y), options = random_problem(44)  # reaches its cap of 200 sweeps
+    attempts = {"library": [], "reference": []}
+
+    def counting(side):
+        def finish(K, signed, alpha, C):
+            attempts[side].append(((alpha > 0.0) & (alpha < C), alpha >= C))
+            return _exact_finish(K, signed, alpha, C)
+        return finish
+
+    monkeypatch.setattr(classifiers, "_exact_finish", counting("library"))
+    diag = assert_matches_wss2_reference(X, y, options, counting("reference"))
+    assert diag["n_updates"] == 200 * len(y) and not diag["exact_finish"]
+    library, reference = attempts["library"], attempts["reference"]
+    assert len(reference) == 200 and 1 < len(library) < 50
+    for (free, at_c), (next_free, next_at_c) in zip(library, library[1:]):
+        assert (free != next_free).any() or (at_c != next_at_c).any()
+
+
+def recording_solves(monkeypatch):
+    """Record each np.linalg.solve call: its right-hand side length and
+    its solution, or None where it raised LinAlgError."""
+    solves = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        try:
+            x = solve(a, b)
+        except np.linalg.LinAlgError:
+            solves.append((len(b), None))
+            raise
+        solves.append((len(b), x))
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return solves
+
+
+def test_exact_finish_rejects_a_singular_reduced_system(monkeypatch):
+    # equal rows of both classes, both free, make two rows of the
+    # reduced system negatives of each other
+    (X, y), options = PROBLEMS["duplicates-across"]
+    solves = recording_solves(monkeypatch)
+    diag = assert_matches_wss2_reference(X, y, options, finish=None)
+    assert not diag["exact_finish"]
+    assert any(x is None for _, x in solves)
+
+
+def test_exact_finish_rejects_a_solution_outside_the_box(monkeypatch):
+    (X, y), options = PROBLEMS["overlap-d3-C1"]
+    X = np.asarray(X, dtype=np.float64)
+    K = _poly_kernel(X, X, options["degree"], 1.0)
+    signed = np.where(np.array(y) == "B", 1.0, -1.0)
+    C = options["penalty"]
+    # every point free at C / 2: the reduced system is the whole dual's
+    solves = recording_solves(monkeypatch)
+    assert _exact_finish(K, signed, np.full(len(y), 0.5 * C), C) is None
+    (n, x), = solves
+    assert n == len(y) + 1 and not np.all((x[:-1] > 0.0) & (x[:-1] < C))
+    # the fit that reaches its update cap rejects every finish for that reason
+    solves.clear()
+    (X, y), options = PROBLEMS["sweep-cap"]
+    diag = assert_matches_wss2_reference(X, y, options, finish=None)
+    assert not diag["exact_finish"]
+    assert solves and all(
+        not np.all((x[: n - 1] > 0.0) & (x[: n - 1] < options["penalty"]))
+        for n, x in solves
+    )
+
+
+def test_exact_finish_rejects_a_product_that_is_not_finite():
+    # K_FC (C y_C) of the two points at C overflows float64: the finish is
+    # rejected, and without a numpy warning
+    K = np.full((3, 3), 1e308)
+    alpha = np.array([1.0, 1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _exact_finish(K, np.array([1.0, 1.0, -1.0]), alpha, 1.0) is None
