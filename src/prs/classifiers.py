@@ -17,12 +17,9 @@ SVM_POLY  soft-margin SVM with a polynomial kernel, trained by SMO with
           if that solution stays inside the box and passes the same
           gap test (diagnostics ``exact_finish``). A rejected attempt
           leaves SMO's iterate as it was, and is not repeated while
-          the active set stays the same. On the benchmark's
-          grid-overlap problems (48 rows) the fits end after 96-288
-          updates instead of 1326-2603, at a KKT residual of 1.8e-13
-          instead of 5e-10, with dual objectives equal to 9 decimals.
-          Badly scaled problems with a large C can still reach the
-          max_sweeps cap.
+          the active set stays the same. Badly scaled problems with a
+          large C can still reach the cap of _SVM_UPDATES_PER_ROW * m =
+          2000 m pair updates.
 
 ``train_group`` fits one spec on many problems (a run passes the
 variants of all its reps' splits, each with its own labels; ``train`` is
@@ -32,7 +29,8 @@ one stack of numpy calls:
 - LR groups by row count and width. Each damped Newton step runs once
   on the stack (stacked margins, gradients and Hessians, one stacked
   ``solve``), and each problem halves its own step in the line search.
-  A problem stops at tol, at max_iter or when its line search finds no
+  A problem stops once its gradient norm is at most _LR_TOL = 1e-8,
+  after _LR_MAX_ITER = 100 steps, or when its line search finds no
   decrease, which a singular Hessian's 0 direction never finds.
 - LDA and QDA group by row count, width and class counts. A stable
   argsort of the signs gathers each problem's rows by class; the means,
@@ -58,8 +56,8 @@ LDA/QDA group; SVM_POLY models score one at a time.
 Labels are arbitrary strings; the two classes are ordered lexically and
 score ties resolve to the second class. Trained models report fit
 diagnostics (iterations and convergence, losses, dual objective, KKT
-residual, whether an SVM fit ended on an exact finish). A polynomial
-kernel that overflows float64, at fit or at predict, raises
+residual, pair updates, whether an SVM fit ended on an exact finish). A
+polynomial kernel that overflows float64, at fit or at predict, raises
 DegenerateDataError, and so does an LDA/QDA distance that overflows at
 predict (a test row far outside the training rows).
 """
@@ -75,52 +73,49 @@ from .errors import DegenerateDataError, check_integer
 
 CLASSIFIER_KINDS = ("LR", "LDA", "QDA", "SVM_POLY")
 
-_ALPHA_EPS = 1e-12  # below this a dual coefficient counts as zero
+_LR_MAX_ITER = 100  # LR takes at most this many Newton steps
+_LR_TOL = 1e-8  # LR stops once its gradient norm is at most this
 _SVM_STOP = 1e-9  # SVM stops once the maximal violating pair is this close
+_SVM_UPDATES_PER_ROW = 2000  # SVM on m rows takes at most this * m pair updates
 _SVM_TAU = 1e-12  # floor on a pair's curvature (zero for equal kernel rows)
 _SVM_BLOCK_BYTES = 1 << 25  # kernel + curvature of one lockstep block (32 MiB)
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """Which classifier to train, plus its hyperparameters.
+    """Which classifier to train, and the model it fits.
 
     LR minimises mean log-loss + l2/2 * |w|^2 over the weights w (the
-    intercept is not penalised), taking at most max_iter Newton steps
-    and stopping once the gradient norm is <= tol; l2 > 0 keeps the
-    minimum finite on separable folds. ridge pads the (pooled or
-    per-class) covariance diagonal for LDA/QDA, with None meaning
-    1e-6 * trace/n_features; degree/coef0/penalty shape the SVM kernel
-    (x.z + coef0)^degree and its box constraint. The SVM takes at most
-    max_sweeps * m pair updates on m training rows and reports
-    n_sweeps = ceil(n_updates / m).
+    intercept is not penalised); 0 < l2 < inf keeps the minimum finite
+    on separable folds. ridge pads the (pooled or per-class) covariance
+    diagonal for LDA/QDA, with None meaning 1e-6 * trace/n_features;
+    degree/coef0/penalty shape the SVM kernel (x.z + coef0)^degree and
+    its box constraint. When a solver stops is not part of the spec: LR
+    at the module constants _LR_TOL and _LR_MAX_ITER, the SVM at
+    _SVM_STOP and _SVM_UPDATES_PER_ROW.
     """
 
     kind: str
     l2: float = 1e-2
-    max_iter: int = 100
-    tol: float = 1e-8
     ridge: float | None = None
     degree: int = 3
     coef0: float = 1.0
     penalty: float = 1.0
-    max_sweeps: int = 2000
 
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise ValueError(
                 f"kind must be one of {CLASSIFIER_KINDS}, got {self.kind!r}"
             )
-        if not self.l2 > 0:
-            raise ValueError("l2 must be positive")
-        for name in ("max_iter", "degree", "max_sweeps"):
-            check_integer(name, getattr(self, name), 1)
+        if not 0 < self.l2 < math.inf:
+            raise ValueError("l2 must be finite and positive")
+        check_integer("degree", self.degree, 1)
         if self.ridge is not None and not 0 <= self.ridge < math.inf:
             raise ValueError("ridge must be None or finite and >= 0")
         if not 0 < self.penalty < math.inf:
             raise ValueError("penalty must be finite and positive")
-        if not (math.isfinite(self.coef0) and math.isfinite(self.tol)):
-            raise ValueError("coef0 and tol must be finite")
+        if not math.isfinite(self.coef0):
+            raise ValueError("coef0 must be finite")
 
 
 @dataclass
@@ -284,10 +279,10 @@ def _fit_logistic(spec, matrices, signed):
     Every unfinished problem takes each Newton step at once: stacked
     margins, gradients and (p, f + 1, f + 1) Hessians, one stacked
     solve, and a line search in which each problem halves its own step.
-    A problem leaves the stack once its gradient norm is <= tol, after
-    max_iter steps, or when its line search finds no decrease, as on a
-    singular Hessian; the problems still in the stack have all taken the
-    same number of steps. Each problem's floats are those of a fit on
+    A problem leaves the stack once its gradient norm is <= _LR_TOL,
+    after _LR_MAX_ITER steps, or when its line search finds no decrease,
+    as on a singular Hessian; the problems still in the stack have all
+    taken the same number of steps. Each problem's floats are those of a fit on
     its own.
     """
     X = np.stack(matrices)
@@ -317,7 +312,7 @@ def _fit_logistic(spec, matrices, signed):
                     "n_iter": n_iter,
                     "final_loss": lk,  # the penalised objective
                     "grad_norm": gk,
-                    "converged": gk <= spec.tol,
+                    "converged": gk <= _LR_TOL,
                 },
             )
         return [a[go] for a in rows]
@@ -326,7 +321,7 @@ def _fit_logistic(spec, matrices, signed):
         sig = 0.5 * (1.0 + np.tanh(-0.5 * margins))  # sigmoid(-margins), stable
         grad = -_matvec(Xb.transpose(0, 2, 1), signed * sig) / m + penalty * w
         grad_norm = np.sqrt(_dots(grad, grad))
-        go = ~((grad_norm <= spec.tol) | (n_iter >= spec.max_iter))
+        go = ~((grad_norm <= _LR_TOL) | (n_iter >= _LR_MAX_ITER))
         live, w, loss, grad_norm, Xb, signed, sig, grad = leave(
             go, live, w, loss, grad_norm, Xb, signed, sig, grad
         )
@@ -523,8 +518,8 @@ def _kkt_violation(alpha, margins, penalty):
     """Per-point KKT violation for the dual: how far y_i f(x_i) strays
     from the side its alpha requires."""
     v = np.zeros_like(alpha)
-    at_zero = alpha <= _ALPHA_EPS
-    at_c = alpha >= penalty - _ALPHA_EPS
+    at_zero = alpha <= 0.0
+    at_c = alpha >= penalty
     free = ~(at_zero | at_c)
     v[at_zero] = np.maximum(0.0, 1.0 - margins[at_zero])
     v[at_c] = np.maximum(0.0, margins[at_c] - 1.0)
@@ -556,7 +551,7 @@ def _solve_svm_block(spec, matrices, signed):
     The problems run in lockstep: each step makes one pair update in
     every problem still in the block, and a problem leaves the block
     once its maximal violating pair is closer than _SVM_STOP, after
-    max_sweeps * m pair updates, or at an m-th update where
+    _SVM_UPDATES_PER_ROW * m pair updates, or at an m-th update where
     ``_exact_finish`` accepts the exact solution on its active set
     (tried after the gap and cap tests, unless the problem's last
     attempt was on the same active set). Block row k holds yg = y * G
@@ -593,7 +588,7 @@ def _solve_svm_block(spec, matrices, signed):
     # I_up/I_low offsets; an attempt depends on nothing else, so it is not
     # repeated on an equal one
     tried = [None] * p
-    cap = spec.max_sweeps * m
+    cap = _SVM_UPDATES_PER_ROW * m
     n_updates = 0
     while block:
         # row t of block problem k is element k * m + t of the flat yg and
@@ -733,15 +728,12 @@ def _offsets(alpha, y, C):
 
 
 def _svm_fit(X, K, signed, alpha, g_max, g_min, n_updates, exact_finish, C):
-    """Parameters and diagnostics of one solved dual."""
-    m = X.shape[0]
+    """Parameters and diagnostics of one solved dual; with no support
+    vector the model scores every row at its bias."""
     b = 0.5 * (g_max + g_min)
     margins = signed * ((alpha * signed) @ K + b)
     violations = _kkt_violation(alpha, margins, C)
-    support = alpha > _ALPHA_EPS
-    if not np.any(support):
-        support = np.zeros(m, dtype=bool)
-        support[0] = True  # degenerate fit; keep predict() well-defined
+    support = alpha > 0.0
     params = {
         "support_vectors": X[support],
         "dual_coef": (alpha * signed)[support],
@@ -752,7 +744,6 @@ def _svm_fit(X, K, signed, alpha, g_max, g_min, n_updates, exact_finish, C):
         "dual_objective": dual,
         "kkt_residual": float(np.max(violations)),
         "n_support": int(np.sum(support)),
-        "n_sweeps": -(-n_updates // m),
         "n_updates": n_updates,
         "exact_finish": exact_finish,
     }

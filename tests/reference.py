@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from prs import classifiers
 from prs.classifiers import TrainedModel
 from prs.errors import DatasetError, DegenerateDataError
 from prs.growth import _NEIGHBOR_STEPS, GrowthConfig, RootState, check_radicle
@@ -420,7 +421,7 @@ def train_logistic(spec, X, signed):
         sig = 0.5 * (1.0 + np.tanh(-0.5 * margins))  # sigmoid(-margins), stable
         grad = -(Xb.T @ (signed * sig)) / m + penalty * w
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= spec.tol or n_iter >= spec.max_iter:
+        if grad_norm <= classifiers._LR_TOL or n_iter >= classifiers._LR_MAX_ITER:
             break
         hess = (Xb.T * (sig * (1.0 - sig))) @ Xb / m + np.diag(penalty)
         try:
@@ -446,7 +447,7 @@ def train_logistic(spec, X, signed):
             "n_iter": n_iter,
             "final_loss": loss,  # the penalised objective
             "grad_norm": grad_norm,
-            "converged": grad_norm <= spec.tol,
+            "converged": grad_norm <= classifiers._LR_TOL,
         },
     )
 

@@ -1,18 +1,21 @@
 """The four classifiers: exact small cases, invariances, diagnostics."""
 
+import dataclasses
 import itertools
-import math
 import warnings
 
 import numpy as np
 import pytest
 
 import reference
+from prs import classifiers
 from prs.classifiers import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
     TrainedModel,
     _encode_labels,
+    _poly_kernel,
+    _svm_fit,
     decision_group,
     train,
     train_group,
@@ -130,26 +133,18 @@ def test_spec_validation():
         ClassifierSpec(kind="LDA", ridge=-1.0)
 
 
+def spec_fields(tag):
+    """Names of the ClassifierSpec fields annotated tag or tag | None."""
+    return [
+        f.name for f in dataclasses.fields(ClassifierSpec)
+        if f.type.split(" | ")[0] == tag
+    ]
+
+
 @pytest.mark.parametrize(
     "name, value",
-    [
-        ("penalty", float("nan")),
-        ("penalty", float("inf")),
-        ("ridge", float("nan")),
-        ("ridge", float("inf")),
-        ("coef0", float("nan")),
-        ("coef0", float("-inf")),
-        ("tol", float("nan")),
-        ("degree", 2.5),
-        ("degree", 2.0),
-        ("degree", True),
-        ("max_iter", 2.5),
-        ("max_iter", 2.0),
-        ("max_iter", True),
-        ("max_sweeps", 2.5),
-        ("max_sweeps", 2.0),
-        ("max_sweeps", True),
-    ],
+    [(name, float(v)) for name in spec_fields("float") for v in ("nan", "inf", "-inf")]
+    + [(name, v) for name in spec_fields("int") for v in (2.5, 2.0, True)],
 )
 def test_spec_rejects_nonfinite_and_non_integer_hyperparameters(name, value):
     with pytest.raises(ValueError, match=name):
@@ -166,9 +161,10 @@ def test_lr_loss_never_exceeds_chance_loss():
     assert model.diagnostics["n_iter"] >= 1
 
 
-def test_lr_stops_at_max_iter():
+def test_lr_stops_at_max_iter(monkeypatch):
+    monkeypatch.setattr(classifiers, "_LR_MAX_ITER", 1)
     X, y = separated_gaussians(m=60, gap=3.0, seed=1)
-    model = train(ClassifierSpec(kind="LR", max_iter=1), X, y)
+    model = train(ClassifierSpec(kind="LR"), X, y)
     assert model.diagnostics["n_iter"] == 1
     assert not model.diagnostics["converged"]
 
@@ -179,7 +175,7 @@ def test_lr_converges_on_separable_data():
     spec = ClassifierSpec(kind="LR")
     model = train(spec, X, y)
     assert model.diagnostics["converged"]
-    assert model.diagnostics["n_iter"] < spec.max_iter
+    assert model.diagnostics["n_iter"] < classifiers._LR_MAX_ITER
     assert np.mean(model.predict(X) == np.asarray(y, str)) == 1.0
     # gradient of mean log-loss + l2/2 |w|^2 (intercept free), computed
     # here independently of the library's Newton loop
@@ -188,7 +184,7 @@ def test_lr_converges_on_separable_data():
     prob = 1.0 / (1.0 + np.exp(-(X @ w + b)))
     residual = prob - target
     grad = np.append(X.T @ residual / len(y) + spec.l2 * w, np.mean(residual))
-    assert np.linalg.norm(grad) <= spec.tol
+    assert np.linalg.norm(grad) <= classifiers._LR_TOL
 
 
 def test_lr_probability_one_half_boundary():
@@ -294,15 +290,32 @@ def test_svm_diagnostics_consistent_with_stored_model():
     assert diag["dual_objective"] == pytest.approx(
         svm_dual_from_params(model), abs=1e-9
     )
-    # the keys and sweep count the benchmark tracer reads, and how the fit ended
+    # the keys the benchmark tracer reads, and how the fit ended
     assert set(diag) == {
-        "dual_objective", "kkt_residual", "n_support", "n_sweeps", "n_updates",
-        "exact_finish",
+        "dual_objective", "kkt_residual", "n_support", "n_updates", "exact_finish",
     }
     assert type(diag["exact_finish"]) is bool
-    assert diag["n_updates"] >= 1
-    assert diag["n_sweeps"] == math.ceil(diag["n_updates"] / len(y))
-    assert diag["n_sweeps"] <= spec.max_sweeps
+    assert 1 <= diag["n_updates"] <= classifiers._SVM_UPDATES_PER_ROW * len(y)
+
+
+def test_svm_fit_with_no_support_vector_scores_every_row_at_its_bias():
+    # all duals at 0: the model keeps no rows, and its kernel sum is empty
+    X, y = separated_gaussians(m=12, gap=4.0, seed=5)
+    spec = ClassifierSpec(kind="SVM_POLY", degree=2)
+    classes, signed = _encode_labels(y)
+    K = _poly_kernel(X, X, spec.degree, spec.coef0)
+    params, diag = _svm_fit(
+        X, K, signed, np.zeros(len(y)), -0.25, -0.5, 0, False, spec.penalty
+    )
+    assert params["support_vectors"].shape == (0, X.shape[1])
+    assert params["dual_coef"].shape == (0,)
+    assert params["bias"] == -0.375
+    assert diag["n_support"] == 0
+    model = TrainedModel(spec, classes, X.shape[1], params, diag)
+    rows = np.vstack([X, 100.0 * X])
+    [scores] = decision_group([model], [rows])
+    assert np.array_equal(scores, np.full(len(rows), -0.375))
+    assert (model.predict(rows) == classes[0]).all()
 
 
 def test_svm_xor_support_geometry():
@@ -421,7 +434,7 @@ def test_group_fit_equals_train_on_the_variants_of_an_overlap_split(kind, overla
         assert any(model.diagnostics["exact_finish"] for model in models)
 
 
-def test_group_fit_when_one_problem_hits_the_update_cap():
+def test_group_fit_when_one_problem_hits_the_update_cap(monkeypatch):
     rng = np.random.default_rng(17)
     half = 15
     y = ["A"] * half + ["B"] * half
@@ -429,10 +442,11 @@ def test_group_fit_when_one_problem_hits_the_update_cap():
     separated = rng.normal(size=(2 * half, 2)) + 6.0 * shift
     overlapping = rng.normal(size=(2 * half, 2)) + 0.5 * shift
     wide = np.hstack([separated, rng.normal(size=(2 * half, 3))])
-    spec = ClassifierSpec(kind="SVM_POLY", degree=3, penalty=10.0, max_sweeps=3)
+    monkeypatch.setattr(classifiers, "_SVM_UPDATES_PER_ROW", 3)
+    spec = ClassifierSpec(kind="SVM_POLY", degree=3, penalty=10.0)
     models = assert_group_equals_train(spec, [separated, overlapping, wide], [y] * 3)
     updates = [model.diagnostics["n_updates"] for model in models]
-    cap = spec.max_sweeps * len(y)
+    cap = 3 * len(y)
     assert updates[1] == cap
     assert updates[0] < cap and updates[2] < cap
 
@@ -473,8 +487,6 @@ def test_group_fit_equals_train_across_the_reps_and_rates_of_a_run(kind, overlap
 def test_svm_group_fit_does_not_depend_on_the_block_budget(
     problems_per_block, overlap_reps, monkeypatch
 ):
-    import prs.classifiers as classifiers
-
     spec = ClassifierSpec(kind="SVM_POLY")
     matrices, labels = shuffled_run_problems(overlap_reps)
     # equal to train on each problem, as the test above checks
@@ -557,8 +569,9 @@ def lr_problem(scale, seed=0, shift=5.0, m=20, f=3):
     return X, np.array(["A"] * (m // 2) + ["B"] * (m - m // 2))
 
 
-def test_stacked_lr_with_a_problem_at_its_cap_next_to_converged_ones():
-    spec = ClassifierSpec(kind="LR", max_iter=2)
+def test_stacked_lr_with_a_problem_at_its_cap_next_to_converged_ones(monkeypatch):
+    monkeypatch.setattr(classifiers, "_LR_MAX_ITER", 2)
+    spec = ClassifierSpec(kind="LR")
     X, y = lr_problem(1.0)
     # both classes hold the same rows: the gradient vanishes at w = 0
     twin = np.vstack([X[:10], X[:10]])
@@ -572,14 +585,15 @@ def test_stacked_lr_with_a_problem_at_its_cap_next_to_converged_ones():
 def test_stacked_lr_where_problems_stop_at_no_decrease_and_a_singular_hessian(
     monkeypatch,
 ):
-    # a vanishing penalty and tol = 0: on separable rows the first problem's
-    # sigmoids saturate until its gradient is exactly 0, the second's line
-    # search halves its step 40 times without a decrease, and the third's
-    # Hessian turns singular; the fourth's classes overlap, so it stops at
-    # a step that leaves its objective unchanged; the fifth halves many
-    # steps, and the 1e-4 sufficient-decrease test decides between some
-    # step and its half
-    spec = ClassifierSpec(kind="LR", l2=1e-300, tol=0.0)
+    # a vanishing penalty and a zero tolerance: on separable rows the first
+    # problem's sigmoids saturate until its gradient is exactly 0, the
+    # second's line search halves its step 40 times without a decrease,
+    # and the third's Hessian turns singular; the fourth's classes overlap,
+    # so it stops at a step that leaves its objective unchanged; the fifth
+    # halves many steps, and the 1e-4 sufficient-decrease test decides
+    # between some step and its half
+    monkeypatch.setattr(classifiers, "_LR_TOL", 0.0)
+    spec = ClassifierSpec(kind="LR", l2=1e-300)
     problems = [
         lr_problem(10.0, 2),
         lr_problem(10.0, 1),
@@ -595,7 +609,7 @@ def test_stacked_lr_where_problems_stop_at_no_decrease_and_a_singular_hessian(
     diagnostics = [model.diagnostics for model in models]
     assert [d["converged"] for d in diagnostics] == [True] + [False] * 4
     iters = [d["n_iter"] for d in diagnostics]
-    assert len(set(iters)) == 5 and max(iters) < spec.max_iter, iters
+    assert len(set(iters)) == 5 and max(iters) < classifiers._LR_MAX_ITER, iters
 
 
 def test_stacked_gaussian_escalates_one_singular_covariance(monkeypatch):

@@ -393,7 +393,8 @@ def test_run_experiment_rejects_non_integer_counts_before_feature_work(
 @pytest.mark.parametrize(
     "make, kwargs, message",
     [
-        (ClassifierSpec, {"kind": "LR", "max_iter": 0}, "max_iter must be >= 1, got 0"),
+        (generate_synthetic, {"n_per_class": 2, "length": 15, "seed": 0},
+         "length must be >= 16, got 15"),
         (ClassifierSpec, {"kind": "SVM_POLY", "degree": 0}, "degree must be >= 1, got 0"),
         (SoilConfig, {"depth": 0}, "depth must be >= 1, got 0"),
         (GrowthConfig, {"days": -1}, "days must be >= 0, got -1"),

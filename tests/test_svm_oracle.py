@@ -2,10 +2,11 @@
 
 The first is the original per-candidate SMO loop (Platt's first-choice
 heuristic): it recomputes the error vector before every i and tries
-partners j one at a time through the scalar pair update. The library
-solves the same dual by second-order working-set selection, so its
-floats differ; it must reach the reference's dual objective (to 1e-10
-relative) with a KKT residual of at most 1e-8.
+partners j one at a time through the scalar pair update, in sweeps over
+the rows until a sweep changes nothing. The library solves the same
+dual by second-order working-set selection, so its floats differ; it
+must reach the reference's dual objective (to 1e-10 relative) with a
+KKT residual of at most 1e-8.
 
 The second is the library's own WSS2 loop as it was first written, with
 boolean masks and np.where in each update, plus the exact finish: at
@@ -17,6 +18,10 @@ reference is plain WSS2, which each accepted finish must match or beat:
 its solutions are checked here on their own (inside the box, on the
 equality constraint, an independently computed gap below _SVM_STOP, a
 dual objective at least plain WSS2's), and so are its rejections.
+
+A problem's options may name ``updates_per_row``: the test replaces the
+library's _SVM_UPDATES_PER_ROW with it, and the WSS2 reference reads the
+same constant.
 """
 
 import warnings
@@ -24,6 +29,7 @@ import warnings
 import numpy as np
 import pytest
 
+from prs import classifiers
 from prs.classifiers import (
     _SVM_STOP,
     _SVM_TAU,
@@ -35,7 +41,8 @@ from prs.classifiers import (
     train,
 )
 
-_ALPHA_EPS = 1e-12
+_ALPHA_EPS = 1e-12  # Platt's tolerance on a dual coefficient at a bound
+_PLATT_MAX_SWEEPS = 2000
 
 
 def reference_smo_step(i, j, alpha, signed, K, E, C):
@@ -68,19 +75,18 @@ def reference_smo_step(i, j, alpha, signed, K, E, C):
     return ai, aj, db
 
 
-def reference_train_svm(spec, X, signed):
+def reference_dual_objective(spec, X, signed):
+    """The dual objective that Platt's SMO loop reaches."""
     m = X.shape[0]
     K = _poly_kernel(X, X, spec.degree, spec.coef0)
     alpha = np.zeros(m)
     b = 0.0
     C = spec.penalty
-    n_updates = 0
-    sweeps = 0
 
     def errors():
         return (alpha * signed) @ K + b - signed
 
-    for sweeps in range(1, spec.max_sweeps + 1):
+    for _ in range(_PLATT_MAX_SWEEPS):
         changed = False
         for i in range(m):
             E = errors()
@@ -101,32 +107,10 @@ def reference_train_svm(spec, X, signed):
                 alpha[i], alpha[int(j)] = step[0], step[1]
                 b += step[2]
                 changed = True
-                n_updates += 1
                 break
         if not changed:
             break
-
-    margins = signed * ((alpha * signed) @ K + b)
-    violations = _kkt_violation(alpha, margins, C)
-    support = alpha > _ALPHA_EPS
-    if not np.any(support):
-        support = np.zeros(m, dtype=bool)
-        support[0] = True
-    params = {
-        "support_vectors": X[support],
-        "dual_coef": (alpha * signed)[support],
-        "bias": b,
-    }
-    dual = float(np.sum(alpha) - 0.5 * (alpha * signed) @ K @ (alpha * signed))
-    diag = {
-        "dual_objective": dual,
-        "kkt_residual": float(np.max(violations)),
-        "n_support": int(np.sum(support)),
-        "n_sweeps": sweeps,
-        "n_updates": n_updates,
-        "exact_finish": False,
-    }
-    return params, diag
+    return float(np.sum(alpha) - 0.5 * (alpha * signed) @ K @ (alpha * signed))
 
 
 def wss2_reference_train_svm(spec, X, signed, finish=_exact_finish):
@@ -136,9 +120,10 @@ def wss2_reference_train_svm(spec, X, signed, finish=_exact_finish):
     yg = y * G is the dual gradient G = Q alpha - 1 times the labels,
     i.e. the bias-free errors K (alpha * y) - y; each pair update moves
     it by two kernel rows. The fit stops once the maximal violating pair
-    is closer than _SVM_STOP, or after max_sweeps * m pair updates, or
-    at an m-th update where finish(K, signed, alpha, C) returns a result
-    (alpha, g_max, g_min); finish=None is plain WSS2.
+    is closer than _SVM_STOP, or after _SVM_UPDATES_PER_ROW * m pair
+    updates (read from the library at call time), or at an m-th update
+    where finish(K, signed, alpha, C) returns a result (alpha, g_max,
+    g_min); finish=None is plain WSS2.
     """
     m = X.shape[0]
     K = _poly_kernel(X, X, spec.degree, spec.coef0)
@@ -149,6 +134,7 @@ def wss2_reference_train_svm(spec, X, signed, finish=_exact_finish):
     # I_up: alpha may move along +y; I_low: alpha may move along -y
     up = signed > 0
     low = ~up
+    cap = classifiers._SVM_UPDATES_PER_ROW * m
     n_updates = 0
     exact = False
     while True:
@@ -158,7 +144,7 @@ def wss2_reference_train_svm(spec, X, signed, finish=_exact_finish):
         i = int(np.argmax(up_score))
         g_max = float(up_score[i])
         g_min = float(np.min(np.where(low, score, np.inf)))
-        if g_max - g_min < _SVM_STOP or n_updates == spec.max_sweeps * m:
+        if g_max - g_min < _SVM_STOP or n_updates == cap:
             break
         if finish is not None and n_updates % m == 0:
             finished = finish(K, signed, alpha.copy(), C)
@@ -185,10 +171,7 @@ def wss2_reference_train_svm(spec, X, signed, finish=_exact_finish):
     b = 0.5 * (g_max + g_min)
     margins = signed * ((alpha * signed) @ K + b)
     violations = _kkt_violation(alpha, margins, C)
-    support = alpha > _ALPHA_EPS
-    if not np.any(support):
-        support = np.zeros(m, dtype=bool)
-        support[0] = True  # degenerate fit; keep predict() well-defined
+    support = alpha > 0.0
     params = {
         "support_vectors": X[support],
         "dual_coef": (alpha * signed)[support],
@@ -199,7 +182,6 @@ def wss2_reference_train_svm(spec, X, signed, finish=_exact_finish):
         "dual_objective": dual,
         "kkt_residual": float(np.max(violations)),
         "n_support": int(np.sum(support)),
-        "n_sweeps": -(-n_updates // m),
         "n_updates": n_updates,
         "exact_finish": exact,
     }
@@ -263,8 +245,16 @@ PROBLEMS = {
     "duplicates-across": (duplicated(15, cross_class=True), dict(degree=3, penalty=1.0)),
     "duplicates-across-d2-C10": (duplicated(16, cross_class=True), dict(degree=2, penalty=10.0)),
     "all-rows-equal": ((np.ones((6, 2)), ["A", "B"] * 3), dict(degree=2, penalty=1.0)),
-    "sweep-cap": (overlapping(30, 2, 0.5, 17), dict(degree=3, penalty=10.0, max_sweeps=3)),
+    "sweep-cap": (overlapping(30, 2, 0.5, 17), dict(degree=3, penalty=10.0, updates_per_row=3)),
 }
+
+
+def svm_spec(monkeypatch, updates_per_row=None, **options):
+    """The SVM_POLY spec of a problem's options; updates_per_row, if
+    given, replaces the library's cap for the rest of the test."""
+    if updates_per_row is not None:
+        monkeypatch.setattr(classifiers, "_SVM_UPDATES_PER_ROW", updates_per_row)
+    return ClassifierSpec(kind="SVM_POLY", **options)
 
 
 @pytest.mark.parametrize("name", sorted(set(PROBLEMS) - {"sweep-cap"}))
@@ -274,20 +264,17 @@ def test_svm_reaches_reference_optimum(name):
     spec = ClassifierSpec(kind="SVM_POLY", **options)
     model = train(spec, X, y)
     signed = np.where(np.array(y) == model.classes[1], 1.0, -1.0)
-    _, diag = reference_train_svm(spec, X, signed)
-    ref = diag["dual_objective"]
+    ref = reference_dual_objective(spec, X, signed)
     got = model.diagnostics
     assert got["dual_objective"] >= ref - 1e-10 * max(1.0, abs(ref))
     assert got["kkt_residual"] <= 1e-8
 
 
-def test_svm_sweep_cap_bounds_updates():
+def test_svm_sweep_cap_bounds_updates(monkeypatch):
     (X, y), options = PROBLEMS["sweep-cap"]
-    assert options["max_sweeps"] == 3
-    model = train(ClassifierSpec(kind="SVM_POLY", **options), X, y)
-    diag = model.diagnostics
-    assert diag["n_updates"] == 3 * len(y)
-    assert diag["n_sweeps"] == 3
+    assert options["updates_per_row"] == 3
+    model = train(svm_spec(monkeypatch, **options), X, y)
+    assert model.diagnostics["n_updates"] == 3 * len(y)
 
 
 def test_duplicate_rows_give_zero_eta():
@@ -300,8 +287,8 @@ def test_duplicate_rows_give_zero_eta():
 
 def random_problem(seed):
     """A seeded problem from the family m 6-70, 1-14 features, class gap
-    0-1, degree 1-4, C 0.01-30 (log-uniform), capped at 200 sweeps so
-    that some fits stop there."""
+    0-1, degree 1-4, C 0.01-30 (log-uniform), capped at 200 m pair
+    updates on m rows so that some fits stop there."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(6, 71))
     f = int(rng.integers(1, 15))
@@ -309,7 +296,7 @@ def random_problem(seed):
     options = dict(
         degree=int(rng.integers(1, 5)),
         penalty=float(10.0 ** rng.uniform(-2.0, np.log10(30.0))),
-        max_sweeps=200,
+        updates_per_row=200,
     )
     return (X, y), options
 
@@ -319,9 +306,9 @@ def _bits(value):
     return type(value), array.dtype, array.shape, array.tobytes()
 
 
-def assert_matches_wss2_reference(X, y, options, finish=_exact_finish):
+def assert_matches_wss2_reference(X, y, options, monkeypatch, finish=_exact_finish):
     X = np.asarray(X, dtype=np.float64)
-    spec = ClassifierSpec(kind="SVM_POLY", **options)
+    spec = svm_spec(monkeypatch, **options)
     model = train(spec, X, y)
     signed = np.where(np.array(y) == model.classes[1], 1.0, -1.0)
     params, diag = wss2_reference_train_svm(spec, X, signed, finish)
@@ -335,29 +322,29 @@ def assert_matches_wss2_reference(X, y, options, finish=_exact_finish):
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_svm_bit_identical_to_wss2_reference(name):
+def test_svm_bit_identical_to_wss2_reference(name, monkeypatch):
     (X, y), options = PROBLEMS[name]
-    assert_matches_wss2_reference(X, y, options)
+    assert_matches_wss2_reference(X, y, options, monkeypatch)
 
 
-def test_svm_bit_identical_to_wss2_reference_on_random_family():
+def test_svm_bit_identical_to_wss2_reference_on_random_family(monkeypatch):
     capped = 0
     for seed in range(100):
         (X, y), options = random_problem(seed)
-        diag = assert_matches_wss2_reference(X, y, options)
-        capped += diag["n_updates"] == options["max_sweeps"] * len(y)
+        diag = assert_matches_wss2_reference(X, y, options, monkeypatch)
+        capped += diag["n_updates"] == options["updates_per_row"] * len(y)
     assert capped > 0  # the family reaches the update cap
 
 
 # -- the exact finish on its own ------------------------------------------------
 
 
-def check_accepted_finish(X, y, options):
+def check_accepted_finish(X, y, options, monkeypatch):
     """Check the finish that ends the WSS2 reference's fit, if one does,
     against the iterate it started from and against plain WSS2; returns
     whether a finish was accepted."""
     X = np.asarray(X, dtype=np.float64)
-    spec = ClassifierSpec(kind="SVM_POLY", **options)
+    spec = svm_spec(monkeypatch, **options)
     signed = np.where(np.array(y) == sorted(set(y))[1], 1.0, -1.0)
     accepted = []
 
@@ -401,16 +388,16 @@ NO_FINISH = {
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_exact_finish_solves_the_reduced_kkt_system(name):
+def test_exact_finish_solves_the_reduced_kkt_system(name, monkeypatch):
     (X, y), options = PROBLEMS[name]
-    assert check_accepted_finish(X, y, options) == (name not in NO_FINISH)
+    assert check_accepted_finish(X, y, options, monkeypatch) == (name not in NO_FINISH)
 
 
-def test_exact_finish_solves_the_reduced_kkt_system_on_random_family():
+def test_exact_finish_solves_the_reduced_kkt_system_on_random_family(monkeypatch):
     accepted = 0
     for seed in range(100):
         (X, y), options = random_problem(seed)
-        accepted += check_accepted_finish(X, y, options)
+        accepted += check_accepted_finish(X, y, options, monkeypatch)
     assert accepted >= 80  # 90 of the 100 do
 
 
@@ -418,9 +405,7 @@ def test_an_active_set_already_tried_is_not_tried_again(monkeypatch):
     # a finish depends on nothing but the active set, so the library skips
     # the attempts on an unchanged one that the reference repeats; the fit
     # still matches the reference bit for bit
-    import prs.classifiers as classifiers
-
-    (X, y), options = random_problem(44)  # reaches its cap of 200 sweeps
+    (X, y), options = random_problem(44)  # reaches its cap of 200 m updates
     attempts = {"library": [], "reference": []}
 
     def counting(side):
@@ -430,7 +415,9 @@ def test_an_active_set_already_tried_is_not_tried_again(monkeypatch):
         return finish
 
     monkeypatch.setattr(classifiers, "_exact_finish", counting("library"))
-    diag = assert_matches_wss2_reference(X, y, options, counting("reference"))
+    diag = assert_matches_wss2_reference(
+        X, y, options, monkeypatch, counting("reference")
+    )
     assert diag["n_updates"] == 200 * len(y) and not diag["exact_finish"]
     library, reference = attempts["library"], attempts["reference"]
     assert len(reference) == 200 and 1 < len(library) < 50
@@ -462,7 +449,7 @@ def test_exact_finish_rejects_a_singular_reduced_system(monkeypatch):
     # reduced system negatives of each other
     (X, y), options = PROBLEMS["duplicates-across"]
     solves = recording_solves(monkeypatch)
-    diag = assert_matches_wss2_reference(X, y, options, finish=None)
+    diag = assert_matches_wss2_reference(X, y, options, monkeypatch, finish=None)
     assert not diag["exact_finish"]
     assert any(x is None for _, x in solves)
 
@@ -481,7 +468,7 @@ def test_exact_finish_rejects_a_solution_outside_the_box(monkeypatch):
     # the fit that reaches its update cap rejects every finish for that reason
     solves.clear()
     (X, y), options = PROBLEMS["sweep-cap"]
-    diag = assert_matches_wss2_reference(X, y, options, finish=None)
+    diag = assert_matches_wss2_reference(X, y, options, monkeypatch, finish=None)
     assert not diag["exact_finish"]
     assert solves and all(
         not np.all((x[: n - 1] > 0.0) & (x[: n - 1] < options["penalty"]))
