@@ -1,10 +1,19 @@
 """Four binary classifiers, each trained from scratch on numpy only.
 
-LR        L2-penalised logistic regression (intercept unpenalised),
-          fitted by damped Newton steps (IRLS).
+A classifier is its kind, one of ``CLASSIFIER_KINDS``; each kind fits
+one model, at fixed settings that are module constants:
+
+LR        logistic regression minimising mean log-loss plus
+          _LR_L2 / 2 * |w|^2 over the weights w (the intercept is not
+          penalised; _LR_L2 = 1e-2 keeps the minimum finite on separable
+          folds), fitted by damped Newton steps (IRLS).
 LDA       Gaussian discriminant with a pooled covariance matrix.
 QDA       Gaussian discriminant with per-class covariance matrices.
-SVM_POLY  soft-margin SVM with a polynomial kernel, trained by SMO with
+          Both pad each covariance diagonal by _RIDGE_SCALE * trace / f
+          on f features (_RIDGE_SCALE = 1e-6).
+SVM_POLY  soft-margin SVM with the kernel (x.z + _SVM_COEF0) **
+          _SVM_DEGREE and the box 0 <= alpha <= _SVM_C (_SVM_COEF0 =
+          1.0, _SVM_DEGREE = 3, _SVM_C = 1.0), trained by SMO with
           second-order working-set selection (WSS2, Fan, Chen & Lin
           2005, as in LIBSVM): each step updates the maximal violator i
           and the partner j that most decreases the dual's quadratic
@@ -21,7 +30,7 @@ SVM_POLY  soft-margin SVM with a polynomial kernel, trained by SMO with
           large C can still reach the cap of _SVM_UPDATES_PER_ROW * m =
           2000 m pair updates.
 
-``train_group`` fits one spec on many problems (a run passes the
+``train_group`` fits one kind on many problems (a run passes the
 variants of all its reps' splits, each with its own labels; ``train`` is
 a group of one), and each kind fits the problems that share a shape as
 one stack of numpy calls:
@@ -64,65 +73,33 @@ predict (a test row far outside the training rows).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateDataError, check_integer
+from .errors import DegenerateDataError
 
 CLASSIFIER_KINDS = ("LR", "LDA", "QDA", "SVM_POLY")
 
+_LR_L2 = 1e-2  # LR's penalty on the squared weights (not the intercept)
 _LR_MAX_ITER = 100  # LR takes at most this many Newton steps
 _LR_TOL = 1e-8  # LR stops once its gradient norm is at most this
+_RIDGE_SCALE = 1e-6  # LDA/QDA pad a covariance diagonal by this * trace / f
+_SVM_DEGREE = 3  # SVM kernel (x.z + _SVM_COEF0) ** _SVM_DEGREE
+_SVM_COEF0 = 1.0
+_SVM_C = 1.0  # SVM box constraint 0 <= alpha <= _SVM_C
 _SVM_STOP = 1e-9  # SVM stops once the maximal violating pair is this close
 _SVM_UPDATES_PER_ROW = 2000  # SVM on m rows takes at most this * m pair updates
 _SVM_TAU = 1e-12  # floor on a pair's curvature (zero for equal kernel rows)
 _SVM_BLOCK_BYTES = 1 << 25  # kernel + curvature of one lockstep block (32 MiB)
 
 
-@dataclass(frozen=True)
-class ClassifierSpec:
-    """Which classifier to train, and the model it fits.
-
-    LR minimises mean log-loss + l2/2 * |w|^2 over the weights w (the
-    intercept is not penalised); 0 < l2 < inf keeps the minimum finite
-    on separable folds. ridge pads the (pooled or per-class) covariance
-    diagonal for LDA/QDA, with None meaning 1e-6 * trace/n_features;
-    degree/coef0/penalty shape the SVM kernel (x.z + coef0)^degree and
-    its box constraint. When a solver stops is not part of the spec: LR
-    at the module constants _LR_TOL and _LR_MAX_ITER, the SVM at
-    _SVM_STOP and _SVM_UPDATES_PER_ROW.
-    """
-
-    kind: str
-    l2: float = 1e-2
-    ridge: float | None = None
-    degree: int = 3
-    coef0: float = 1.0
-    penalty: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in CLASSIFIER_KINDS:
-            raise ValueError(
-                f"kind must be one of {CLASSIFIER_KINDS}, got {self.kind!r}"
-            )
-        if not 0 < self.l2 < math.inf:
-            raise ValueError("l2 must be finite and positive")
-        check_integer("degree", self.degree, 1)
-        if self.ridge is not None and not 0 <= self.ridge < math.inf:
-            raise ValueError("ridge must be None or finite and >= 0")
-        if not 0 < self.penalty < math.inf:
-            raise ValueError("penalty must be finite and positive")
-        if not math.isfinite(self.coef0):
-            raise ValueError("coef0 must be finite")
-
-
 @dataclass
 class TrainedModel:
     """A fitted classifier: class pair, learned parameters, diagnostics."""
 
-    spec: ClassifierSpec
+    kind: str
     classes: tuple[str, str]
     n_features: int
     params: dict = field(default_factory=dict)
@@ -171,8 +148,8 @@ def decision_group(models, matrices) -> list[np.ndarray]:
                 f"expected shape (m, {model.n_features}), got {X.shape}"
             )
     scores = [None] * len(models)
-    for group in _groups((m.spec.kind, X.shape) for m, X in zip(models, matrices)):
-        score = _SCORES[models[group[0]].spec.kind]
+    for group in _groups((m.kind, X.shape) for m, X in zip(models, matrices)):
+        score = _SCORES[models[group[0]].kind]
         stacked = score([models[k] for k in group], [matrices[k] for k in group])
         for k, row in zip(group, stacked):
             scores[k] = row
@@ -212,21 +189,25 @@ def _check_matrix(X) -> np.ndarray:
     return X
 
 
-def train(spec: ClassifierSpec, X, y) -> TrainedModel:
-    """Fit the classifier named by spec on (X, y)."""
-    return train_group(spec, [X], [y])[0]
+def train(kind: str, X, y) -> TrainedModel:
+    """Fit the classifier of this kind on (X, y)."""
+    return train_group(kind, [X], [y])[0]
 
 
-def train_group(spec: ClassifierSpec, matrices, labels) -> list[TrainedModel]:
-    """Fit spec on each feature matrix against its own label vector.
+def train_group(kind: str, matrices, labels) -> list[TrainedModel]:
+    """Fit the classifier of this kind on each feature matrix against its
+    own label vector. Raise ValueError unless kind is one of
+    ``CLASSIFIER_KINDS``.
 
     ``labels[k]`` holds one label per row of ``matrices[k]``; the
     problems may differ in rows, labels and columns, e.g. the variants
     of every rep's split at several rates. Each kind fits every group of
     problems with equal keys (see ``_group_key``) in one loop of stacked
-    numpy calls. Model k equals ``train(spec, matrices[k], labels[k])``
+    numpy calls. Model k equals ``train(kind, matrices[k], labels[k])``
     bit for bit.
     """
+    if kind not in CLASSIFIER_KINDS:
+        raise ValueError(f"kind must be one of {CLASSIFIER_KINDS}, got {kind!r}")
     matrices = [_check_matrix(X) for X in matrices]
     labels = list(labels)
     if len(labels) != len(matrices):
@@ -243,16 +224,16 @@ def train_group(spec: ClassifierSpec, matrices, labels) -> list[TrainedModel]:
         if X.shape[0] != len(signed):
             raise ValueError(f"{X.shape[0]} rows but {len(signed)} labels")
     signs = [signed for _, signed in encoded]
-    fit = _FITS[spec.kind]
+    fit = _FITS[kind]
     fits = [None] * len(matrices)
-    for group in _groups(_group_key(spec.kind, X, s) for X, s in zip(matrices, signs)):
+    for group in _groups(_group_key(kind, X, s) for X, s in zip(matrices, signs)):
         group_signs = np.stack([signs[k] for k in group])
-        stacked = fit(spec, [matrices[k] for k in group], group_signs)
+        stacked = fit([matrices[k] for k in group], group_signs)
         for k, one in zip(group, stacked):
             fits[k] = one
     return [
         TrainedModel(
-            spec=spec,
+            kind=kind,
             classes=classes,
             n_features=X.shape[1],
             params=params,
@@ -273,7 +254,7 @@ def _logistic_objectives(margins, w, penalty):
     return np.logaddexp(0.0, -margins).sum(axis=1) / m + _dots(0.5 * w, penalty * w)
 
 
-def _fit_logistic(spec, matrices, signed):
+def _fit_logistic(matrices, signed):
     """Damped Newton (IRLS) fits of p problems with equal (m, f) shapes.
 
     Every unfinished problem takes each Newton step at once: stacked
@@ -288,7 +269,7 @@ def _fit_logistic(spec, matrices, signed):
     X = np.stack(matrices)
     p, m, f = X.shape
     Xb = np.concatenate([X, np.ones((p, m, 1))], axis=2)
-    penalty = np.full(f + 1, spec.l2)
+    penalty = np.full(f + 1, _LR_L2)
     penalty[-1] = 0.0
     penalty_matrix = np.diag(penalty)
     w = np.zeros((p, f + 1))
@@ -389,7 +370,7 @@ def _logistic_scores(models, matrices):
 # -- Gaussian discriminants -------------------------------------------------
 
 
-def _fit_gaussian(spec, matrices, signed):
+def _fit_gaussian(matrices, signed, pooled):
     """LDA or QDA fits of p problems with equal (m, f) shapes and class
     counts.
 
@@ -411,17 +392,14 @@ def _fit_gaussian(spec, matrices, signed):
     means = [x.sum(axis=1) / n for x, n in zip(by_class, counts)]
     centered = [x - mu[:, None, :] for x, mu in zip(by_class, means)]
     scatter = [c.transpose(0, 2, 1) @ c for c in centered]
-    if spec.kind == "LDA":
+    if pooled:
         covs = (scatter[0] + scatter[1]) / max(m - 2, 1)
     else:
         covs = np.stack(
             [scatter[c] / max(counts[c] - 1, 1) for c in range(2)], axis=1
         ).reshape(2 * p, f, f)
-    if spec.ridge is None:
-        traces = np.trace(covs, axis1=1, axis2=2).tolist()
-        eps = [1e-6 * trace / f for trace in traces]
-    else:
-        eps = [spec.ridge] * len(covs)
+    traces = np.trace(covs, axis1=1, axis2=2).tolist()
+    eps = [_RIDGE_SCALE * trace / f for trace in traces]
     chols, used_eps = _regularized_cholesky(covs, eps)
     # contiguous, as the np.diag of one factor: log takes the same loop
     diagonals = np.diagonal(chols, axis1=1, axis2=2).copy()
@@ -500,7 +478,7 @@ def _svm_scores(models, matrices):
     for model, x in zip(models, matrices):
         sv = model.params["support_vectors"]
         coef = model.params["dual_coef"]  # alpha_i * y_i, support rows only
-        k = _poly_kernel(x, sv, model.spec.degree, model.spec.coef0)
+        k = _poly_kernel(x, sv, _SVM_DEGREE, _SVM_COEF0)
         scores.append(k @ coef + model.params["bias"])
     return scores
 
@@ -527,7 +505,7 @@ def _kkt_violation(alpha, margins, penalty):
     return v
 
 
-def _fit_svm(spec, matrices, signed):
+def _fit_svm(matrices, signed):
     """Solve the duals of p problems with m rows each by SMO, in
     lockstep blocks taken in input order; each block holds at most
     _SVM_BLOCK_BYTES of kernel and curvature (16 m^2 bytes per problem,
@@ -537,13 +515,11 @@ def _fit_svm(spec, matrices, signed):
     return [
         fit
         for at in range(0, len(matrices), size)
-        for fit in _solve_svm_block(
-            spec, matrices[at : at + size], signed[at : at + size]
-        )
+        for fit in _solve_svm_block(matrices[at : at + size], signed[at : at + size])
     ]
 
 
-def _solve_svm_block(spec, matrices, signed):
+def _solve_svm_block(matrices, signed):
     """Solve the duals of p problems with m rows each, labelled by the
     -1/+1 rows of the (p, m) array signed, by SMO with second-order
     working-set selection (WSS2 of Fan, Chen & Lin 2005, as in LIBSVM).
@@ -565,14 +541,14 @@ def _solve_svm_block(spec, matrices, signed):
     p, m = signed.shape
     K, curv = np.empty((p, m, m)), np.empty((p, m, m))
     for k, X in enumerate(matrices):
-        K[k] = _poly_kernel(X, X, spec.degree, spec.coef0)
+        K[k] = _poly_kernel(X, X, _SVM_DEGREE, _SVM_COEF0)
         # curvature K_ii + K_tt - 2 K_it of every pair, floored below
         diag = K[k].diagonal()
         np.add(diag[:, None], diag, out=curv[k])
         curv[k] -= 2.0 * K[k]
     np.maximum(curv, _SVM_TAU, out=curv)
     k_rows, curv_rows = K.reshape(p * m, m), curv.reshape(p * m, m)
-    C = spec.penalty
+    C = _SVM_C
     ys = signed.tolist()
     alphas = [[0.0] * m for _ in range(p)]
     yg = -signed
@@ -788,8 +764,8 @@ def _pair_update(ai, aj, gi, gj, differ, a, C):
 
 _FITS = {
     "LR": _fit_logistic,
-    "LDA": _fit_gaussian,
-    "QDA": _fit_gaussian,
+    "LDA": partial(_fit_gaussian, pooled=True),
+    "QDA": partial(_fit_gaussian, pooled=False),
     "SVM_POLY": _fit_svm,
 }
 _SCORES = {

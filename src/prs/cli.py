@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .base_features import FEATURE_NAMES, RELATIVE_THRESHOLD, ThresholdConfig
-from .classifiers import CLASSIFIER_KINDS, ClassifierSpec
+from .classifiers import CLASSIFIER_KINDS
 from .dataset import MIN_SEGMENT_LENGTH, generate_synthetic, load_dataset, write_dataset
 from .errors import DatasetError, PrsError, check_integer
 from .evaluation import (
@@ -461,9 +461,13 @@ def _cmd_classify(opts) -> int:
     _check_usage(check_integer, "seed", opts["seed"], 0)
     dataset = load_dataset(opts["manifest"])
     splits = draw_splits(dataset, (opts["rate"],), 1, opts["seed"])
-    spec = ClassifierSpec(kind=opts["classifier"])
     counts, [[[diagnostics]]] = evaluate_splits(
-        dataset, splits, [spec], (opts["variant"],), opts["global_prep"], config
+        dataset,
+        splits,
+        (opts["classifier"],),
+        (opts["variant"],),
+        opts["global_prep"],
+        config,
     )
     report = {
         "dataset": dataset.name,

@@ -36,9 +36,10 @@ the first failing file raises the same exception with the same message
 as in one process. The child prints nothing, and is stopped and joined
 before either function returns or raises; if none can be started, the
 parent does every file. The loader checks and builds the segments in
-manifest order. The writer writes the manifest last, so a failed write
-leaves none (when the failing file is in the parent's half, files of the
-child's half may exist).
+manifest order. The writer removes an old manifest before it writes the
+first file and writes the new one last, so a failed write leaves none
+(when the failing file is in the parent's half, files of the child's
+half may exist).
 
 The loader counts the signal files' text bytes on disk, the writer the
 samples' float64 bytes in memory; a sample takes ~20 bytes of text, so
@@ -213,12 +214,15 @@ def load_dataset(manifest_path: str | Path) -> LabeledDataset:
             data_lines.append(line)
     # the header's names are checked stripped, so rows are read by position
     reader = csv.reader(data_lines)
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+        rows = list(reader)
+    except csv.Error as err:  # e.g. a field longer than csv.field_size_limit()
+        raise DatasetError(f"{manifest_path}: {err}") from None
     if header is None or [f.strip() for f in header] != ["id", "label", "path"]:
         raise DatasetError(
             f"{manifest_path}: manifest header must be 'id,label,path', got {header}"
         )
-    rows = list(reader)
 
     if sampling_rate is None:
         raise DatasetError(
@@ -346,10 +350,14 @@ def _unreadable(value: str, is_id: bool) -> str:
     "". The reader strips each field, skips a line that starts with #,
     breaks lines at CR and LF and fields at commas (a quote opens a
     quoted field), and an id names its file in the manifest's directory,
-    so the file-system encoding must spell it."""
+    so the file-system encoding must spell it. No field, an id's path
+    ``<id>.txt`` included, may be longer than ``csv.field_size_limit()``."""
     breaks = ',"\r\n' + (os.sep + (os.altsep or "") + "\0" if is_id else "")
     if not value or value != value.strip():
         return "is empty or padded with whitespace"
+    limit = csv.field_size_limit()
+    if len(f"{value}.txt" if is_id else value) > limit:
+        return f"makes a manifest field longer than the csv limit of {limit} characters"
     if any(c in breaks for c in value) or (is_id and value.startswith("#")):
         return f"holds one of {breaks!r}" + (" or starts with #" if is_id else "")
     if is_id:
@@ -384,6 +392,8 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
     (rate,) = rates
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = out_dir / "manifest.csv"
+    manifest.unlink(missing_ok=True)  # an old one would list the new files
 
     def write(seg):  # its pipe message, an empty array, acknowledges the file
         _write_signal_file(out_dir / f"{seg.id}.txt", seg.samples)
@@ -397,7 +407,6 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
 
     lines = [f"# sampling_rate={float(rate)!r}", "id,label,path"]
     lines += [f"{seg.id},{seg.label},{seg.id}.txt" for seg in segments]
-    manifest = out_dir / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
 

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .base_features import FEATURE_NAMES
-from .classifiers import CLASSIFIER_KINDS, ClassifierSpec, decision_group, train_group
+from .classifiers import CLASSIFIER_KINDS, decision_group, train_group
 # not called here: the benchmark tracer (perfbench/tracer.py) wraps evaluation.train
 from .classifiers import train  # noqa: F401
 from .dataset import LabeledDataset
@@ -177,27 +177,22 @@ def check_rates(rates) -> tuple[float, ...]:
     return rates
 
 
-def check_grid(classifiers, variants, rates) -> tuple[list, tuple, tuple]:
-    """The classifier specs, variants and rates of one run's grid; a kind
-    becomes a default ``ClassifierSpec``. Raise ValueError unless the
-    kinds and variants are non-empty, unique and known, and the rates
-    pass ``check_rates``."""
-    specs = [
-        c if isinstance(c, ClassifierSpec) else ClassifierSpec(kind=str(c))
-        for c in classifiers
-    ]
+def check_grid(classifiers, variants, rates) -> tuple[tuple, tuple, tuple]:
+    """The classifier kinds, variants and rates of one run's grid. Raise
+    ValueError unless the kinds and variants are non-empty, unique and
+    known, and the rates pass ``check_rates``."""
+    kinds = tuple(classifiers)
+    for kind in kinds:
+        train_group(kind, [], [])  # raises on an unknown one
     variants = tuple(variants)
-    for name, values in (
-        ("classifier kinds", [s.kind for s in specs]),
-        ("variants", variants),
-    ):
+    for name, values in (("classifier kinds", kinds), ("variants", variants)):
         if not values:
             raise ValueError(f"{name} must not be empty")
         if len(set(values)) != len(values):
             raise ValueError(f"{name} must be unique within one run")
     for variant in variants:
         assemble_variant(variant, np.array([TABLE_NAMES]))  # raises on an unknown one
-    return specs, variants, check_rates(rates)
+    return kinds, variants, check_rates(rates)
 
 
 def draw_splits(dataset: LabeledDataset, rates, reps: int, seed: int) -> list:
@@ -218,17 +213,19 @@ def draw_splits(dataset: LabeledDataset, rates, reps: int, seed: int) -> list:
 def evaluate_splits(
     dataset: LabeledDataset,
     splits,
-    specs,
+    kinds,
     variants,
     global_prep: bool = False,
     config: PipelineConfig = PipelineConfig(),
 ) -> tuple[np.ndarray, list]:
-    """Train and score every classifier on every variant of each split.
+    """Train and score every classifier kind on every variant of each split.
 
-    ``splits`` holds (train_idx, test_idx) pairs of rows of ``dataset``.
-    Only the columns the variants use are computed. Feature preparation
-    is fitted on each training fold (a fold under ``MIN_SAMPLES`` rows
-    raises ``PrsError`` before any feature work), and NF/RF of every
+    ``kinds`` are names from ``CLASSIFIER_KINDS``; each fits its model at
+    the fixed settings of ``classifiers``. ``splits`` holds (train_idx,
+    test_idx) pairs of rows of ``dataset``. Only the columns the variants
+    use are computed. Feature preparation is fitted on each training fold
+    (a fold under ``MIN_SAMPLES`` rows raises ``PrsError`` before any
+    feature work), and NF/RF of every
     split's rows, each under its own fold's artifacts, come from one
     ``prs_features`` call; under ``global_prep`` it is fitted once on all
     rows. Each split's 16-column table is min-max scaled once by its
@@ -240,14 +237,14 @@ def evaluate_splits(
     >= 0 marks the second class.
 
     Returns ``(counts, diagnostics)``, indexed by position, not by name:
-    ``counts[s, k, v]`` is the int64 (tp, tn, fp, fn) of ``specs[k]`` on
+    ``counts[s, k, v]`` is the int64 (tp, tn, fp, fn) of ``kinds[k]`` on
     ``variants[v]`` of ``splits[s]``, and ``diagnostics[s][k][v]`` that
     model's ``diagnostics`` dict.
     """
     # the names of the columns the variants select; raises on an unknown one
     names = np.array([TABLE_NAMES])
     used = {name for v in variants for name in assemble_variant(v, names)[0]}
-    counts = np.zeros((len(splits), len(specs), len(variants), 4), dtype=np.int64)
+    counts = np.zeros((len(splits), len(kinds), len(variants), 4), dtype=np.int64)
     if not splits:
         return counts, []
     needs_prs = not used.isdisjoint(PRS_NAMES)
@@ -293,9 +290,9 @@ def evaluate_splits(
             y_train.append(y_fold)
             x_test.append(assemble_variant(variant, scaled_test))
             truths.append(truth)
-    diagnostics = [[[None] * len(variants) for _ in specs] for _ in splits]
-    for k, spec in enumerate(specs):
-        models = train_group(spec, x_train, y_train)
+    diagnostics = [[[None] * len(variants) for _ in kinds] for _ in splits]
+    for k, kind in enumerate(kinds):
+        models = train_group(kind, x_train, y_train)
         scores = decision_group(models, x_test)
         for n, (model, score, truth) in enumerate(zip(models, scores, truths)):
             s, v = divmod(n, len(variants))
@@ -319,23 +316,24 @@ def run_experiment(
 
     The report is a pure function of the run configuration. Classifier
     kinds, variants and rates must pass ``check_grid``, and ``reps`` and
-    ``threads`` must be integers >= 1. Every rep's splits are drawn and
-    their features prepared first; then each classifier is fitted once
-    over all of them, so SVM_POLY takes as many lockstep steps as its
-    slowest dual needs, not that many per rep. The cells, ANOVA rows and difference rows read
-    slices of one accuracy array indexed (classifier, variant, rate,
-    rep). ``threads`` changes nothing: it stays only because the
-    benchmark harness in ``perfbench/`` passes it, and goes when that
-    harness drops it.
+    ``threads`` must be integers >= 1. The report names each classifier
+    by its kind alone, since a kind fits at fixed settings. Every rep's
+    splits are drawn and their features prepared first; then each
+    classifier is fitted once over all of them, so SVM_POLY takes as
+    many lockstep steps as its slowest dual needs, not that many per rep.
+    The cells, ANOVA rows and difference rows read slices of one
+    accuracy array indexed (classifier, variant, rate, rep). ``threads``
+    changes nothing: it stays only because the benchmark harness in
+    ``perfbench/`` passes it, and goes when that harness drops it.
     """
     for name, value in (("reps", reps), ("threads", threads)):
         check_integer(name, value, 1)
-    specs, variants, rates = check_grid(classifiers, variants, rates)
+    kinds, variants, rates = check_grid(classifiers, variants, rates)
     splits = draw_splits(dataset, rates, reps, seed)
-    counts, _ = evaluate_splits(dataset, splits, specs, variants, global_prep, config)
+    counts, _ = evaluate_splits(dataset, splits, kinds, variants, global_prep, config)
     # counts[rep * len(rates) + r] holds the split of rep at rates[r]; in
     # acc[k, v, r, rep] each (classifier, variant, rate) slice is contiguous
-    by_split = accuracy(counts).reshape(reps, len(rates), len(specs), len(variants))
+    by_split = accuracy(counts).reshape(reps, len(rates), len(kinds), len(variants))
     acc = np.ascontiguousarray(by_split.transpose(2, 3, 1, 0))
 
     cells = []
@@ -343,7 +341,7 @@ def run_experiment(
         accs = acc[k, v, r]
         cells.append(
             {
-                "classifier": specs[k].kind,
+                "classifier": kinds[k],
                 "variant": variants[v],
                 "rate": rates[r],
                 "mean_accuracy": float(np.mean(accs)),
@@ -355,14 +353,14 @@ def run_experiment(
     baseline = "BASE" if "BASE" in variants else variants[0]
     anova_rows = []
     diff_rows = []
-    for k, r in np.ndindex(len(specs), len(rates)):
+    for k, r in np.ndindex(len(kinds), len(rates)):
         # row v holds variant v's per-rep accuracies
         groups = acc[k, :, r]
         if len(variants) >= 2 and reps >= 2:
             result = anova_oneway(groups)
             anova_rows.append(
                 {
-                    "classifier": specs[k].kind,
+                    "classifier": kinds[k],
                     "rate": rates[r],
                     "f": "inf" if result.infinite else float(result.f),
                     "df_between": result.df_between,
@@ -376,7 +374,7 @@ def run_experiment(
                 continue
             diff_rows.append(
                 {
-                    "classifier": specs[k].kind,
+                    "classifier": kinds[k],
                     "rate": rates[r],
                     "variant": variant,
                     "mean_diff_vs_baseline": float(np.mean(accs) - base_mean),
@@ -390,8 +388,7 @@ def run_experiment(
         "seed": seed,
         "rates": list(rates),
         "reps": reps,
-        "classifiers": [s.kind for s in specs],
-        "classifier_params": {s.kind: asdict(s) for s in specs},
+        "classifiers": list(kinds),
         "variants": list(variants),
         "baseline_variant": baseline,
         "global_prep": global_prep,

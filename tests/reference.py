@@ -402,16 +402,16 @@ def encode_labels(y) -> tuple[tuple[str, str], np.ndarray]:
 
 
 def logistic_objective(w, Xb, signed, penalty):
-    """Mean log-loss plus 0.5 * sum(penalty * w^2); penalty is l2 for
+    """Mean log-loss plus 0.5 * sum(penalty * w^2); penalty is _LR_L2 for
     each weight and 0 for the intercept."""
     margins = signed * (Xb @ w)
     return float(np.mean(np.logaddexp(0.0, -margins)) + 0.5 * w @ (penalty * w))
 
 
-def train_logistic(spec, X, signed):
+def train_logistic(X, signed):
     m = X.shape[0]
     Xb = np.hstack([X, np.ones((m, 1))])
-    penalty = np.full(Xb.shape[1], spec.l2)
+    penalty = np.full(Xb.shape[1], classifiers._LR_L2)
     penalty[-1] = 0.0
     w = np.zeros(Xb.shape[1])
     loss = logistic_objective(w, Xb, signed, penalty)
@@ -463,13 +463,13 @@ def regularized_cholesky(cov, eps, n_features):
     raise DegenerateDataError("covariance matrix is not positive definite")
 
 
-def train_gaussian(spec, X, signed):
+def train_gaussian(kind, X, signed):
     m, f = X.shape
     masks = [signed < 0, signed > 0]
     counts = [int(np.sum(mask)) for mask in masks]
     means = [X[mask].mean(axis=0) for mask in masks]
     centered = [X[mask] - means[c] for c, mask in enumerate(masks)]
-    if spec.kind == "LDA":
+    if kind == "LDA":
         pooled = sum(c.T @ c for c in centered) / max(m - 2, 1)
         covs = [pooled, pooled]
     else:
@@ -478,9 +478,7 @@ def train_gaussian(spec, X, signed):
         ]
     chols, log_dets, used_eps = [], [], []
     for cov in covs:
-        eps = spec.ridge
-        if eps is None:
-            eps = 1e-6 * float(np.trace(cov)) / f
+        eps = classifiers._RIDGE_SCALE * float(np.trace(cov)) / f
         chol, eps = regularized_cholesky(cov, eps, f)
         chols.append(chol)
         log_dets.append(2.0 * float(np.sum(np.log(np.diag(chol)))))
@@ -507,19 +505,21 @@ def gaussian_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     return delta[1] - delta[0]
 
 
-def train_model(spec, X, y) -> TrainedModel:
+def train_model(kind, X, y) -> TrainedModel:
     """LR, LDA or QDA fitted on (X, y) alone, as a TrainedModel."""
     X = np.asarray(X, dtype=np.float64)
     classes, signed = encode_labels(y)
-    fit = train_logistic if spec.kind == "LR" else train_gaussian
-    params, diagnostics = fit(spec, X, signed)
-    return TrainedModel(spec, classes, X.shape[1], params, diagnostics)
+    if kind == "LR":
+        params, diagnostics = train_logistic(X, signed)
+    else:
+        params, diagnostics = train_gaussian(kind, X, signed)
+    return TrainedModel(kind, classes, X.shape[1], params, diagnostics)
 
 
 def decision_function(model: TrainedModel, X) -> np.ndarray:
     """Raw LR, LDA or QDA scores of one model; >= 0 means the second class."""
     X = np.asarray(X, dtype=np.float64)
-    if model.spec.kind == "LR":
+    if model.kind == "LR":
         w = model.params["weights"]
         return X @ w[:-1] + w[-1]
     return gaussian_scores(model, X)

@@ -12,7 +12,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from prs.classifiers import CLASSIFIER_KINDS, ClassifierSpec, train
+from prs import classifiers
+from prs.classifiers import CLASSIFIER_KINDS, train
 from prs.cli import main
 from prs.dataset import generate_synthetic, write_dataset
 from prs.evaluation import accuracy, run_experiment
@@ -218,7 +219,7 @@ def test_criterion_04_growth_invariants():
     )
 
 
-def test_criterion_05_classifier_sanity():
+def test_criterion_05_classifier_sanity(monkeypatch):
     rng = np.random.default_rng(505)
 
     def gaussian_task(m):
@@ -232,18 +233,18 @@ def test_criterion_05_classifier_sanity():
     X_test, y_test = gaussian_task(200)
     scores = {}
     for kind in CLASSIFIER_KINDS:
-        model = train(ClassifierSpec(kind=kind), X_train, y_train)
+        model = train(kind, X_train, y_train)
         scores[kind] = np.mean(model.predict(X_test) == np.asarray(y_test, str))
     gaussian_ok = all(v >= 0.99 for v in scores.values())
 
     xor_x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     xor_y = ["P", "N", "N", "P"]
-    svm = train(
-        ClassifierSpec(kind="SVM_POLY", degree=2, coef0=1.0, penalty=10.0),
-        xor_x,
-        xor_y,
-    )
-    lr = train(ClassifierSpec(kind="LR"), xor_x, xor_y)
+    lr = train("LR", xor_x, xor_y)
+    # the kernel (x.z + 1)^2 and C = 10
+    monkeypatch.setattr(classifiers, "_SVM_DEGREE", 2)
+    monkeypatch.setattr(classifiers, "_SVM_COEF0", 1.0)
+    monkeypatch.setattr(classifiers, "_SVM_C", 10.0)
+    svm = train("SVM_POLY", xor_x, xor_y)
     svm_acc = np.mean(svm.predict(xor_x) == np.asarray(xor_y, str))
     lr_acc = np.mean(lr.predict(xor_x) == np.asarray(xor_y, str))
     _verdict(

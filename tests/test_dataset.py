@@ -161,8 +161,10 @@ def test_a_manifest_that_cannot_be_opened_names_it(tmp_path, make, message):
         ("# sampling_rate=fast\nid,label,path\nx,A,x.txt\n",
          "bad sampling_rate comment '# sampling_rate=fast'"),
         ("# sampling_rate=1000.0\nid,label,path\n\n", "manifest lists no segments"),
+        (f"# sampling_rate=1000.0\nid,label,path\nx,{'A' * 131073},x.txt\n",
+         "field larger than field limit (131072)"),
     ],
-    ids=["header", "rate-comment", "no-rows"],
+    ids=["header", "rate-comment", "no-rows", "long-field"],
 )
 def test_bad_manifest_names_the_manifest_and_the_fault(tmp_path, text, message):
     write_signal(tmp_path / "x.txt", range(20))
@@ -318,6 +320,8 @@ def _four_segments(ids=("a0", "a1", "b0", "b1"), labels=("A", "A", "B", "B"), sa
         ("label", "A "),
         ("label", "A\n"),
         ("label", ""),
+        # longer than csv.field_size_limit()
+        pytest.param("label", "A" * 131073, id="label-131073-characters"),
     ],
 )
 def test_write_dataset_rejects_a_field_that_would_not_read_back(tmp_path, field, value):
@@ -665,13 +669,15 @@ def _one_and_two_process_writes(dataset, out, monkeypatch, writes, blocked=()):
     """The outcome of one serial write of ``dataset`` to ``out`` and of
     one that forks a child for the second half of the segments, with two
     usable CPUs; ``writes`` (``parent_writes``) is left holding the
-    latter's. ``out`` is made afresh before each write, with a directory
-    where the file of each id in ``blocked`` goes."""
+    latter's. ``out`` is made afresh before each write, holding a stale
+    manifest and a directory where the file of each id in ``blocked``
+    goes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     outcomes = []
     for limit in (float("inf"), 0):
         shutil.rmtree(out, ignore_errors=True)
         out.mkdir()
+        (out / "manifest.csv").write_text("# sampling_rate=1.0\nid,label,path\n")
         for seg_id in blocked:
             (out / f"{seg_id}.txt").mkdir()
         writes.clear()

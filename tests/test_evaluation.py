@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prs import evaluation
-from prs.classifiers import CLASSIFIER_KINDS, ClassifierSpec, train
+from prs.classifiers import CLASSIFIER_KINDS, train
 from prs.dataset import generate_synthetic
 from prs.errors import PrsError
 from prs.evaluation import (
@@ -246,7 +246,7 @@ def test_variant_unknown_name():
     with pytest.raises(ValueError, match="unknown variant 'EXTRA'"):
         assemble_variant("EXTRA", np.zeros((2, 16)))
     with pytest.raises(ValueError, match="unknown variant 'EXTRA'"):
-        evaluate_splits(generate_synthetic(3, 32, 1), [], [ClassifierSpec(kind="LDA")], ["EXTRA"])
+        evaluate_splits(generate_synthetic(3, 32, 1), [], ["LDA"], ["EXTRA"])
 
 
 # -- experiment runs -----------------------------------------------------------
@@ -273,7 +273,7 @@ def test_run_experiment_report_structure(small_synth):
     assert len(report["anova"]) == 1
     assert len(report["pairwise_diffs"]) == 1
     assert report["pairwise_diffs"][0]["variant"] == "PRS"
-    assert report["classifier_params"]["LDA"]["kind"] == "LDA"
+    assert report["classifiers"] == ["LDA"]
     assert json.dumps(report)  # json-ready throughout
 
 
@@ -395,7 +395,8 @@ def test_run_experiment_rejects_non_integer_counts_before_feature_work(
     [
         (generate_synthetic, {"n_per_class": 2, "length": 15, "seed": 0},
          "length must be >= 16, got 15"),
-        (ClassifierSpec, {"kind": "SVM_POLY", "degree": 0}, "degree must be >= 1, got 0"),
+        (generate_synthetic, {"n_per_class": 2, "length": 16, "seed": -1},
+         "seed must be >= 0, got -1"),
         (SoilConfig, {"depth": 0}, "depth must be >= 1, got 0"),
         (GrowthConfig, {"days": -1}, "days must be >= 0, got -1"),
         (GrowthConfig, {"division_limit": 0}, "division_limit must be >= 1, got 0"),
@@ -432,6 +433,9 @@ def test_run_experiment_validation(small_synth):
         run_experiment(small_synth, reps=1, threads=0)
     with pytest.raises(ValueError, match="unique"):
         run_experiment(small_synth, classifiers=("LR", "LR"), reps=1)
+    with pytest.raises(ValueError) as err:
+        run_experiment(small_synth, classifiers=("LR", "TREE"), reps=1)
+    assert str(err.value) == f"kind must be one of {CLASSIFIER_KINDS}, got 'TREE'"
     with pytest.raises(ValueError, match="variants must be unique"):
         run_experiment(small_synth, variants=("BASE", "BASE"), reps=1)
     with pytest.raises(ValueError, match="unknown variant"):
@@ -504,37 +508,20 @@ def test_build_feature_table_shape(small_synth):
 
 
 def test_evaluate_split_pairs_each_key_with_its_own_model(overlap_split):
-    # entry [0, k, v] holds specs[k] fitted on variant v of the split alone,
+    # entry [0, k, v] holds kind k fitted on variant v of the split alone,
     # scored through its predicted labels
     s = overlap_split
-    specs = [ClassifierSpec(kind=kind) for kind in CLASSIFIER_KINDS]
     split = (s.train_idx, s.test_idx)
-    counts, diagnostics = evaluate_splits(s.dataset, [split], specs, VARIANTS)
-    assert counts.shape == (1, len(specs), len(VARIANTS), 4)
+    counts, diagnostics = evaluate_splits(s.dataset, [split], CLASSIFIER_KINDS, VARIANTS)
+    assert counts.shape == (1, len(CLASSIFIER_KINDS), len(VARIANTS), 4)
     assert counts.dtype == np.int64
     truth = s.y_test == s.dataset.class_names[1]
-    for k, spec in enumerate(specs):
+    for k, kind in enumerate(CLASSIFIER_KINDS):
         for v, (x_train, x_test) in enumerate(zip(s.x_train, s.x_test)):
-            model = train(spec, x_train, s.y_train)
+            model = train(kind, x_train, s.y_train)
             pred = model.predict(x_test) == model.classes[1]
             assert tuple(counts[0, k, v].tolist()) == confusion_counts(truth, pred)
             assert diagnostics[0][k][v] == model.diagnostics
-
-
-def test_evaluate_splits_keeps_two_specs_of_one_kind_apart():
-    # two LR specs that differ only in l2 each keep their own entry; a
-    # table keyed by kind would hold only the last one
-    dataset = generate_synthetic(10, 128, 2)
-    splits = draw_splits(dataset, (0.6,), 1, 0)
-    specs = [ClassifierSpec("LR", l2=1e-2), ClassifierSpec("LR", l2=10.0)]
-    counts, diagnostics = evaluate_splits(dataset, splits, specs, ("BASE",))
-    assert counts.shape == (1, 2, 1, 4)
-    for k, spec in enumerate(specs):
-        alone, [[[alone_diagnostics]]] = evaluate_splits(dataset, splits, [spec], ("BASE",))
-        assert np.array_equal(counts[:, k], alone[:, 0])
-        assert diagnostics[0][k][0] == alone_diagnostics
-    losses = [diagnostics[0][k][0]["final_loss"] for k in range(2)]
-    assert losses[0] < 0.2 < 0.5 < losses[1]
 
 
 def test_evaluate_splits_makes_one_prs_call_per_run(overlap_reps, monkeypatch):
@@ -550,7 +537,7 @@ def test_evaluate_splits_makes_one_prs_call_per_run(overlap_reps, monkeypatch):
         return original(base_rows, runs, config)
 
     monkeypatch.setattr(evaluation, "prs_features", recording)
-    evaluate_splits(s.dataset, s.splits, [ClassifierSpec(kind="LDA")], VARIANTS)
+    evaluate_splits(s.dataset, s.splits, ["LDA"], VARIANTS)
     [(rows, runs)] = calls
     order = np.concatenate([np.concatenate(split) for split in s.splits])
     assert len(order) == 480  # crosses the 256-row block of prs_features
@@ -587,8 +574,7 @@ def test_stacked_prs_call_equals_per_split_calls(overlap_reps, config, monkeypat
         return stacked[-1]
 
     monkeypatch.setattr(evaluation, "prs_features", recording)
-    specs = [ClassifierSpec(kind="LDA")]
-    evaluate_splits(s.dataset, s.splits, specs, VARIANTS, config=config)
+    evaluate_splits(s.dataset, s.splits, ["LDA"], VARIANTS, config=config)
     per_split = []
     for train_idx, test_idx in s.splits:
         artifacts = fit_prep(inputs.base[train_idx], inputs.labels[train_idx])
@@ -596,7 +582,7 @@ def test_stacked_prs_call_equals_per_split_calls(overlap_reps, config, monkeypat
         per_split.append(prs_features(inputs.base[test_idx], artifacts, config))
     [rows] = stacked
     assert np.array_equal(rows, np.concatenate(per_split))
-    counts, diagnostics = evaluate_splits(s.dataset, [], [ClassifierSpec(kind="LDA")], VARIANTS)
+    counts, diagnostics = evaluate_splits(s.dataset, [], ["LDA"], VARIANTS)
     assert counts.shape == (0, 1, len(VARIANTS), 4) and diagnostics == []
     assert len(stacked) == 1
     assert prs_features(np.zeros((0, 12)), [], config).shape == (0, 2)
@@ -610,9 +596,9 @@ def test_evaluate_splits_hands_the_classifiers_the_scaled_variants(overlap_reps,
     seen = {}
     original_train, original_scores = evaluation.train_group, evaluation.decision_group
 
-    def train_recording(spec, x_train, y_train):
+    def train_recording(kind, x_train, y_train):
         seen["train"] = x_train
-        return original_train(spec, x_train, y_train)
+        return original_train(kind, x_train, y_train)
 
     def scores_recording(models, x_test):
         seen["test"] = x_test
@@ -623,8 +609,7 @@ def test_evaluate_splits_hands_the_classifiers_the_scaled_variants(overlap_reps,
     base, labels = s.inputs.base, s.inputs.labels
     global_prs = prs_features(base, fit_prep(base, labels), s.inputs.config)
     for global_prep, prs_rows in ((False, None), (True, global_prs)):
-        specs = [ClassifierSpec(kind="LDA")]
-        evaluate_splits(s.dataset, s.splits, specs, VARIANTS, global_prep)
+        evaluate_splits(s.dataset, s.splits, ["LDA"], VARIANTS, global_prep)
         x_train, x_test = [], []
         for train_idx, test_idx in s.splits:
             train_part, test_part = scaled_variants(s.inputs, train_idx, test_idx, prs_rows)
@@ -640,21 +625,21 @@ def test_run_experiment_equals_one_split_at_a_time(overlap_reps):
     # split on its own, in every count and diagnostic, and each cell's
     # accuracies are those of its counts
     s = overlap_reps
-    specs = [ClassifierSpec(kind=kind) for kind in CLASSIFIER_KINDS]
-    counts, diagnostics = evaluate_splits(s.dataset, s.splits, specs, VARIANTS)
+    kinds = CLASSIFIER_KINDS
+    counts, diagnostics = evaluate_splits(s.dataset, s.splits, kinds, VARIANTS)
     report = run_experiment(s.dataset, rates=s.rates, reps=3, seed=1)
     accuracies = {
         (c["classifier"], c["variant"], c["rate"]): c["accuracies"] for c in report["cells"]
     }
-    assert counts.shape == (len(s.splits), len(specs), len(VARIANTS), 4)
+    assert counts.shape == (len(s.splits), len(kinds), len(VARIANTS), 4)
     assert len(s.splits) == 6
     for n, split in enumerate(s.splits):
-        alone, [alone_diagnostics] = evaluate_splits(s.dataset, [split], specs, VARIANTS)
+        alone, [alone_diagnostics] = evaluate_splits(s.dataset, [split], kinds, VARIANTS)
         assert np.array_equal(counts[n], alone[0])
         assert diagnostics[n] == alone_diagnostics
         rep, r = divmod(n, len(s.rates))
-        for k, v in np.ndindex(len(specs), len(VARIANTS)):
-            key = (specs[k].kind, VARIANTS[v], s.rates[r])
+        for k, v in np.ndindex(len(kinds), len(VARIANTS)):
+            key = (kinds[k], VARIANTS[v], s.rates[r])
             assert accuracies[key][rep] == accuracy(counts[n, k, v])
 
 

@@ -19,9 +19,10 @@ its solutions are checked here on their own (inside the box, on the
 equality constraint, an independently computed gap below _SVM_STOP, a
 dual objective at least plain WSS2's), and so are its rejections.
 
-A problem's options may name ``updates_per_row``: the test replaces the
-library's _SVM_UPDATES_PER_ROW with it, and the WSS2 reference reads the
-same constant.
+A problem's options set the library's SVM constants for its test:
+``degree``, ``coef0`` and ``penalty`` replace _SVM_DEGREE, _SVM_COEF0
+and _SVM_C, and ``updates_per_row`` replaces _SVM_UPDATES_PER_ROW. Both
+references read the same constants at call time.
 """
 
 import warnings
@@ -33,7 +34,6 @@ from prs import classifiers
 from prs.classifiers import (
     _SVM_STOP,
     _SVM_TAU,
-    ClassifierSpec,
     _exact_finish,
     _kkt_violation,
     _pair_update,
@@ -75,13 +75,13 @@ def reference_smo_step(i, j, alpha, signed, K, E, C):
     return ai, aj, db
 
 
-def reference_dual_objective(spec, X, signed):
+def reference_dual_objective(X, signed):
     """The dual objective that Platt's SMO loop reaches."""
     m = X.shape[0]
-    K = _poly_kernel(X, X, spec.degree, spec.coef0)
+    K = _poly_kernel(X, X, classifiers._SVM_DEGREE, classifiers._SVM_COEF0)
     alpha = np.zeros(m)
     b = 0.0
-    C = spec.penalty
+    C = classifiers._SVM_C
 
     def errors():
         return (alpha * signed) @ K + b - signed
@@ -113,7 +113,7 @@ def reference_dual_objective(spec, X, signed):
     return float(np.sum(alpha) - 0.5 * (alpha * signed) @ K @ (alpha * signed))
 
 
-def wss2_reference_train_svm(spec, X, signed, finish=_exact_finish):
+def wss2_reference_train_svm(X, signed, finish=_exact_finish):
     """Solve the dual by SMO with second-order working-set selection
     (WSS2 of Fan, Chen & Lin 2005, as in LIBSVM).
 
@@ -121,14 +121,15 @@ def wss2_reference_train_svm(spec, X, signed, finish=_exact_finish):
     i.e. the bias-free errors K (alpha * y) - y; each pair update moves
     it by two kernel rows. The fit stops once the maximal violating pair
     is closer than _SVM_STOP, or after _SVM_UPDATES_PER_ROW * m pair
-    updates (read from the library at call time), or at an m-th update
+    updates, or at an m-th update
     where finish(K, signed, alpha, C) returns a result (alpha, g_max,
-    g_min); finish=None is plain WSS2.
+    g_min); finish=None is plain WSS2. The kernel, C and the cap are the
+    library's constants, read at call time.
     """
     m = X.shape[0]
-    K = _poly_kernel(X, X, spec.degree, spec.coef0)
+    K = _poly_kernel(X, X, classifiers._SVM_DEGREE, classifiers._SVM_COEF0)
     diag_k = np.diag(K)
-    C = spec.penalty
+    C = classifiers._SVM_C
     alpha = np.zeros(m)
     yg = -signed
     # I_up: alpha may move along +y; I_low: alpha may move along -y
@@ -249,22 +250,30 @@ PROBLEMS = {
 }
 
 
-def svm_spec(monkeypatch, updates_per_row=None, **options):
-    """The SVM_POLY spec of a problem's options; updates_per_row, if
-    given, replaces the library's cap for the rest of the test."""
-    if updates_per_row is not None:
-        monkeypatch.setattr(classifiers, "_SVM_UPDATES_PER_ROW", updates_per_row)
-    return ClassifierSpec(kind="SVM_POLY", **options)
+# the library constant that each option of a problem replaces
+_CONSTANTS = {
+    "degree": "_SVM_DEGREE",
+    "coef0": "_SVM_COEF0",
+    "penalty": "_SVM_C",
+    "updates_per_row": "_SVM_UPDATES_PER_ROW",
+}
+
+
+def svm_spec(monkeypatch, **options):
+    """Set the library's SVM constants to a problem's options for the
+    rest of the test; an option not given keeps its constant."""
+    for name, value in options.items():
+        monkeypatch.setattr(classifiers, _CONSTANTS[name], value)
 
 
 @pytest.mark.parametrize("name", sorted(set(PROBLEMS) - {"sweep-cap"}))
-def test_svm_reaches_reference_optimum(name):
+def test_svm_reaches_reference_optimum(name, monkeypatch):
     (X, y), options = PROBLEMS[name]
     X = np.asarray(X, dtype=np.float64)
-    spec = ClassifierSpec(kind="SVM_POLY", **options)
-    model = train(spec, X, y)
+    svm_spec(monkeypatch, **options)
+    model = train("SVM_POLY", X, y)
     signed = np.where(np.array(y) == model.classes[1], 1.0, -1.0)
-    ref = reference_dual_objective(spec, X, signed)
+    ref = reference_dual_objective(X, signed)
     got = model.diagnostics
     assert got["dual_objective"] >= ref - 1e-10 * max(1.0, abs(ref))
     assert got["kkt_residual"] <= 1e-8
@@ -273,7 +282,8 @@ def test_svm_reaches_reference_optimum(name):
 def test_svm_sweep_cap_bounds_updates(monkeypatch):
     (X, y), options = PROBLEMS["sweep-cap"]
     assert options["updates_per_row"] == 3
-    model = train(svm_spec(monkeypatch, **options), X, y)
+    svm_spec(monkeypatch, **options)
+    model = train("SVM_POLY", X, y)
     assert model.diagnostics["n_updates"] == 3 * len(y)
 
 
@@ -308,10 +318,10 @@ def _bits(value):
 
 def assert_matches_wss2_reference(X, y, options, monkeypatch, finish=_exact_finish):
     X = np.asarray(X, dtype=np.float64)
-    spec = svm_spec(monkeypatch, **options)
-    model = train(spec, X, y)
+    svm_spec(monkeypatch, **options)
+    model = train("SVM_POLY", X, y)
     signed = np.where(np.array(y) == model.classes[1], 1.0, -1.0)
-    params, diag = wss2_reference_train_svm(spec, X, signed, finish)
+    params, diag = wss2_reference_train_svm(X, signed, finish)
     assert model.params.keys() == params.keys()
     for key, value in params.items():
         assert _bits(model.params[key]) == _bits(value), key
@@ -344,7 +354,7 @@ def check_accepted_finish(X, y, options, monkeypatch):
     against the iterate it started from and against plain WSS2; returns
     whether a finish was accepted."""
     X = np.asarray(X, dtype=np.float64)
-    spec = svm_spec(monkeypatch, **options)
+    svm_spec(monkeypatch, **options)
     signed = np.where(np.array(y) == sorted(set(y))[1], 1.0, -1.0)
     accepted = []
 
@@ -354,12 +364,12 @@ def check_accepted_finish(X, y, options, monkeypatch):
             accepted.append((K, alpha, finished[0]))
         return finished
 
-    _, diag = wss2_reference_train_svm(spec, X, signed, recording)
+    _, diag = wss2_reference_train_svm(X, signed, recording)
     assert diag["exact_finish"] == bool(accepted)
     if not accepted:
         return False
     (K, start, alpha), = accepted
-    m, C = len(signed), spec.penalty
+    m, C = len(signed), classifiers._SVM_C
     assert diag["n_updates"] % m == 0
     # the free points stay strictly inside the box, the bounded ones stay put
     free = (start > 0.0) & (start < C)
@@ -373,7 +383,7 @@ def check_accepted_finish(X, y, options, monkeypatch):
     in_low = ((signed > 0) & (alpha > 0.0)) | ((signed < 0) & (alpha < C))
     assert score[in_up].max() - score[in_low].min() < _SVM_STOP
     dual = alpha.sum() - 0.5 * alpha @ Q @ alpha
-    _, plain = wss2_reference_train_svm(spec, X, signed, finish=None)
+    _, plain = wss2_reference_train_svm(X, signed, finish=None)
     ref = plain["dual_objective"]
     assert dual >= ref - 1e-12 * max(1.0, abs(ref))
     return True
