@@ -18,17 +18,22 @@ SVM_POLY  soft-margin SVM with the kernel (x.z + _SVM_COEF0) **
           2005, as in LIBSVM): each step updates the maximal violator i
           and the partner j that most decreases the dual's quadratic
           model, and the fit stops once the maximal violating pair is
-          closer than _SVM_STOP = 1e-9. SMO finds the active set (which
-          duals are free, at 0 and at C) long before it closes that
-          gap, so at every m-th update on m rows the fit also solves
-          the dual exactly on the current active set (solution
-          polishing, as in OSQP, Stellato et al. 2020) and ends there
-          if that solution stays inside the box and passes the same
-          gap test (diagnostics ``exact_finish``). A rejected attempt
-          leaves SMO's iterate as it was, and is not repeated while
-          the active set stays the same. Badly scaled problems with a
-          large C can still reach the cap of _SVM_UPDATES_PER_ROW * m =
-          2000 m pair updates.
+          closer than _SVM_STOP = 1e-9. SMO comes close to the active
+          set (which duals are free, at 0 and at C) long before it
+          closes that gap, so at every m-th update on m rows the fit
+          also solves the dual exactly, by a primal-dual active-set
+          method (a semismooth Newton method, Hintermueller, Ito &
+          Kunisch 2003) started from SMO's active set: it solves the
+          KKT system on the free duals, sends each free dual that left
+          (0, C) to that bound, frees each bound dual whose margin
+          breaks its KKT condition, and solves again, until the
+          solution stays inside the box and passes the same gap test;
+          the fit then ends there (diagnostics ``exact_finish``). An attempt gives up once two solves in a
+          row leave no fewer duals on the wrong side than the fewest so
+          far. A rejected attempt leaves SMO's iterate as it was, and
+          is not repeated while the active set stays the same. Badly
+          scaled problems with a large C can still reach the cap of
+          _SVM_UPDATES_PER_ROW * m = 2000 m pair updates.
 
 ``train_group`` fits one kind on many problems (a run passes the
 variants of all its reps' splits, each with its own labels; ``train`` is
@@ -528,9 +533,12 @@ def _solve_svm_block(matrices, signed):
     every problem still in the block, and a problem leaves the block
     once its maximal violating pair is closer than _SVM_STOP, after
     _SVM_UPDATES_PER_ROW * m pair updates, or at an m-th update where
-    ``_exact_finish`` accepts the exact solution on its active set
-    (tried after the gap and cap tests, unless the problem's last
-    attempt was on the same active set). Block row k holds yg = y * G
+    ``_exact_finish``, started from the problem's active set, returns
+    an exact solution (tried after the gap and cap tests, unless the
+    problem's last attempt started from the same active set). No dual
+    is free before the first update, so a problem's first attempt is at
+    its m-th; on well-scaled problems, such as the benchmark grid's,
+    most fits end there. Block row k holds yg = y * G
     of problem block[k], the dual gradient G = Q alpha - 1 times the
     labels, i.e. the bias-free errors K (alpha * y) - y; each pair update
     moves it by two kernel rows. The kernel and curvature stacks stay in
@@ -652,47 +660,71 @@ def _solve_svm_block(matrices, signed):
 
 
 def _exact_finish(K, signed, alpha, C):
-    """The dual solved exactly on the active set of the iterate alpha, or
-    None if alpha has no free point or that solution is rejected.
+    """The dual solved exactly by a primal-dual active-set method started
+    from the active set of the iterate alpha, or None if alpha has no
+    free point or the method gives up.
 
-    The points with 0 < alpha < C are free (F) and those at C stay
-    there; (alpha_F, b) solves the (|F| + 1)^2 KKT system
+    The points with 0 < alpha < C are free (F) and the others are at a
+    bound; (alpha_F, b) solves the (|F| + 1)^2 KKT system
     [[Q_FF, y_F], [y_F^T, 0]] [alpha_F; b] = [1 - y_F (K_FC C y_C);
-    -C sum(y_C)] with Q = y y^T * K. The solution is accepted only if
-    every alpha_F lies strictly inside (0, C) and its maximal violating
-    pair, from a fresh yg = K (alpha * y) - y, is closer than _SVM_STOP.
-    Returns the accepted alpha with its g_max and g_min.
+    -C sum(y_C)] with Q = y y^T * K, the subscript C marking the points
+    at C. The
+    solution is accepted once every alpha_F lies strictly inside (0, C)
+    and its maximal violating pair, from a fresh yg = K (alpha * y) - y,
+    is closer than _SVM_STOP. Otherwise every violating point changes
+    side, a semismooth Newton step (Hintermueller, Ito & Kunisch 2003):
+    a free alpha that left (0, C) goes to that bound, and a bound point
+    whose margin y f(x) under the solved b is below 1 at 0, or above 1
+    at C, becomes free; then the system is solved again. The method
+    gives up on a singular or non-finite system, when no point is free
+    or none violates, and when two solves in a row leave no fewer
+    violating points than the fewest so far. So an attempt whose first
+    solve leaves v violating points makes at most 2 v + 1 solves, and
+    its result depends on nothing but the starting active set. Returns
+    the accepted alpha with its g_max and g_min.
     """
     free = (alpha > 0.0) & (alpha < C)
-    if not free.any():
-        return None
     at_c = alpha >= C
-    y_f = signed[free]
-    n = len(y_f)
-    system = np.zeros((n + 1, n + 1))
-    system[:n, :n] = K[np.ix_(free, free)] * y_f[:, None] * y_f
-    system[:n, n] = system[n, :n] = y_f
-    rhs = np.empty(n + 1)
-    bound = C * signed[at_c]  # alpha * y of the points at C
-    with np.errstate(over="ignore", invalid="ignore"):  # not finite: rejected
-        rhs[:n] = 1.0 - y_f * (K[np.ix_(free, at_c)] @ bound)
-        rhs[n] = -bound.sum()
-        try:
-            alpha_f = np.linalg.solve(system, rhs)[:n]
-        except np.linalg.LinAlgError:
-            return None  # singular, e.g. equal rows of both classes are free
-        if not (np.all(alpha_f > 0.0) and np.all(alpha_f < C)):
-            return None  # the active set is wrong, or the solution is not finite
-        alpha = np.where(at_c, C, 0.0)
-        alpha[free] = alpha_f
-        score = signed - K @ (alpha * signed)  # -yg
-    positive = signed > 0
-    up = np.where(positive, alpha < C, alpha > 0.0)
-    low = np.where(positive, alpha > 0.0, alpha < C)
-    g_max, g_min = float(score[up].max()), float(score[low].min())
-    if not g_max - g_min < _SVM_STOP:
-        return None  # not converged yet, or not finite
-    return alpha, g_max, g_min
+    Q = K * signed[:, None] * signed
+    fewest, stale = len(alpha) + 1, False
+    while free.any():
+        idx_f, idx_c = np.flatnonzero(free), np.flatnonzero(at_c)
+        y_f = signed[idx_f]
+        n = len(y_f)
+        system = np.zeros((n + 1, n + 1))
+        system[:n, :n] = Q[idx_f[:, None], idx_f]
+        system[:n, n] = system[n, :n] = y_f
+        rhs = np.empty(n + 1)
+        bound = C * signed[idx_c]  # alpha * y of the points at C
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite: rejected
+            rhs[:n] = 1.0 - y_f * (K[idx_f[:, None], idx_c] @ bound)
+            rhs[n] = -bound.sum()
+            try:
+                solution = np.linalg.solve(system, rhs)
+            except np.linalg.LinAlgError:
+                return None  # singular, e.g. equal rows of both classes are free
+            if not np.isfinite(solution).all():
+                return None
+            alpha = np.where(at_c, C, 0.0)
+            alpha[free] = solution[:n]
+            score = signed - K @ (alpha * signed)  # -yg
+            slack = signed * (solution[n] - score)  # y f(x) - 1 under the solved b
+        to_zero, to_c = free & (alpha <= 0.0), free & (alpha >= C)
+        if not (to_zero.any() or to_c.any()):
+            positive = signed > 0
+            up = np.where(positive, alpha < C, alpha > 0.0)
+            low = np.where(positive, alpha > 0.0, alpha < C)
+            g_max, g_min = float(score[up].max()), float(score[low].min())
+            if g_max - g_min < _SVM_STOP:
+                return alpha, g_max, g_min
+        wake = np.where(at_c, slack > 0.0, ~free & (slack < 0.0))
+        count = int(np.count_nonzero(to_zero | to_c | wake))
+        if not count or (stale and count >= fewest):
+            return None  # no point left to move, or no progress in two solves
+        stale, fewest = count >= fewest, min(count, fewest)
+        free = (free & ~to_zero & ~to_c) | wake
+        at_c = (at_c & ~wake) | to_c
+    return None
 
 
 def _offsets(alpha, y, C):

@@ -345,13 +345,28 @@ def _run_in_child(work, items, writer) -> None:
     writer.close()
 
 
-def _unreadable(value: str, is_id: bool) -> str:
+def _name_max(directory: Path) -> int:
+    """The longest file name, in bytes, that the file system of
+    ``directory`` takes, asked of its nearest existing ancestor; 255
+    where the system does not say."""
+    for path in (directory, *directory.parents):
+        if os.path.exists(path):
+            try:
+                limit = os.pathconf(path, "PC_NAME_MAX")
+            except (AttributeError, OSError, ValueError):  # e.g. no pathconf
+                break
+            return limit if limit > 0 else 255
+    return 255
+
+
+def _unreadable(value: str, is_id: bool, name_max: int) -> str:
     """Why ``value`` would not read back from a manifest as written, or
     "". The reader strips each field, skips a line that starts with #,
     breaks lines at CR and LF and fields at commas (a quote opens a
     quoted field), and an id names its file in the manifest's directory,
-    so the file-system encoding must spell it. No field, an id's path
-    ``<id>.txt`` included, may be longer than ``csv.field_size_limit()``."""
+    so the file-system encoding must spell it, in at most ``name_max``
+    bytes. No field, an id's path ``<id>.txt`` included, may be longer
+    than ``csv.field_size_limit()``."""
     breaks = ',"\r\n' + (os.sep + (os.altsep or "") + "\0" if is_id else "")
     if not value or value != value.strip():
         return "is empty or padded with whitespace"
@@ -362,10 +377,15 @@ def _unreadable(value: str, is_id: bool) -> str:
         return f"holds one of {breaks!r}" + (" or starts with #" if is_id else "")
     if is_id:
         try:
-            os.fsencode(value)
+            name = os.fsencode(f"{value}.txt")
         except UnicodeEncodeError:
             encoding = sys.getfilesystemencoding()
             return f"cannot be spelled in the file-system encoding {encoding!r}"
+        if len(name) > name_max:
+            return (
+                f"makes a file name of {len(name)} bytes, longer than the "
+                f"{name_max} that the file system takes"
+            )
     return ""
 
 
@@ -373,14 +393,17 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
     """Write a dataset to disk in manifest format; returns the manifest path.
 
     All segments must share one sampling rate (the format stores it once).
-    An id or label that would not read back as written raises
-    ``DatasetError`` naming its segment; both are checked before any
-    directory or file is made. Large datasets are written in two
+    An id or label that would not read back as written, or an id whose
+    file ``<id>.txt`` is a longer name than the file system takes,
+    raises ``DatasetError`` naming its segment; both are checked before
+    any directory or file is made. Large datasets are written in two
     processes (see module docstring) with the same files and errors.
     """
+    out_dir = Path(out_dir)
+    name_max = _name_max(out_dir)
     for seg in dataset.segments:
         for key, value in (("id", seg.id), ("label", seg.label)):
-            problem = _unreadable(value, key == "id")
+            problem = _unreadable(value, key == "id", name_max)
             if problem:
                 raise DatasetError(f"segment {seg.id!r}: {key} {value!r} {problem}")
     rates = {s.sampling_rate for s in dataset.segments}
@@ -390,7 +413,6 @@ def write_dataset(dataset: LabeledDataset, out_dir: str | Path) -> Path:
             f"dataset has {sorted(rates)}"
         )
     (rate,) = rates
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = out_dir / "manifest.csv"
     manifest.unlink(missing_ok=True)  # an old one would list the new files

@@ -337,6 +337,27 @@ def test_write_dataset_rejects_a_field_that_would_not_read_back(tmp_path, field,
     assert not out.exists()  # nothing was written
 
 
+@pytest.mark.parametrize("char, width", [("a", 1), ("\u00e9", 2)], ids=["ascii", "two-byte"])
+def test_write_dataset_rejects_an_id_longer_than_a_file_name(tmp_path, char, width):
+    # the bad id comes last, so a check made while writing would already
+    # have written the other three files; the limit is in bytes, asked of
+    # the nearest directory that exists
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    if width > 1 and sys.getfilesystemencoding() != "utf-8":
+        pytest.skip("the file-system encoding is not UTF-8")
+    longest = char * ((limit - 4) // width)  # <id>.txt fits, to within a char
+    value = longest + char
+    dataset = _four_segments(ids=("a0", "a1", "b0", value))
+    out = tmp_path / "new" / "out"
+    name = len(os.fsencode(f"{value}.txt"))
+    problem = f"segment {value!r}: id {value!r} makes a file name of {name} bytes, "
+    with pytest.raises(DatasetError, match=re.escape(problem + f"longer than the {limit}")):
+        write_dataset(dataset, out)
+    assert not (tmp_path / "new").exists()
+    dataset = _four_segments(ids=("a0", "a1", "b0", longest))
+    assert load_dataset(write_dataset(dataset, out)).segments[3].id == longest
+
+
 def test_write_dataset_round_trips_unusual_fields_exactly(tmp_path):
     # ids and labels that read back as written, and samples whose
     # shortest repr must parse to the same bits

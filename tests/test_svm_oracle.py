@@ -17,7 +17,14 @@ for bit: parameters and diagnostics alike. Without the finish the
 reference is plain WSS2, which each accepted finish must match or beat:
 its solutions are checked here on their own (inside the box, on the
 equality constraint, an independently computed gap below _SVM_STOP, a
-dual objective at least plain WSS2's), and so are its rejections.
+dual objective at least plain WSS2's), and so are its rejections and
+the number of solves an attempt makes.
+
+The finish as it was first written, one solve on SMO's active set that
+is rejected unless it passes, is kept here as ``one_solve_finish``. On
+the benchmark-shaped problem the library's finish, which repairs its
+active set, must end the fit at an earlier update with the same
+parameters, bit for bit.
 
 A problem's options set the library's SVM constants for its test:
 ``degree``, ``coef0`` and ``penalty`` replace _SVM_DEGREE, _SVM_COEF0
@@ -189,6 +196,51 @@ def wss2_reference_train_svm(X, signed, finish=_exact_finish):
     return params, diag
 
 
+# the library's _exact_finish before it repaired its own active set
+def one_solve_finish(K, signed, alpha, C):
+    """The dual solved exactly on the active set of the iterate alpha, or
+    None if alpha has no free point or that solution is rejected.
+
+    The points with 0 < alpha < C are free (F) and those at C stay
+    there; (alpha_F, b) solves the (|F| + 1)^2 KKT system
+    [[Q_FF, y_F], [y_F^T, 0]] [alpha_F; b] = [1 - y_F (K_FC C y_C);
+    -C sum(y_C)] with Q = y y^T * K. The solution is accepted only if
+    every alpha_F lies strictly inside (0, C) and its maximal violating
+    pair, from a fresh yg = K (alpha * y) - y, is closer than _SVM_STOP.
+    Returns the accepted alpha with its g_max and g_min.
+    """
+    free = (alpha > 0.0) & (alpha < C)
+    if not free.any():
+        return None
+    at_c = alpha >= C
+    y_f = signed[free]
+    n = len(y_f)
+    system = np.zeros((n + 1, n + 1))
+    system[:n, :n] = K[np.ix_(free, free)] * y_f[:, None] * y_f
+    system[:n, n] = system[n, :n] = y_f
+    rhs = np.empty(n + 1)
+    bound = C * signed[at_c]  # alpha * y of the points at C
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: rejected
+        rhs[:n] = 1.0 - y_f * (K[np.ix_(free, at_c)] @ bound)
+        rhs[n] = -bound.sum()
+        try:
+            alpha_f = np.linalg.solve(system, rhs)[:n]
+        except np.linalg.LinAlgError:
+            return None  # singular, e.g. equal rows of both classes are free
+        if not (np.all(alpha_f > 0.0) and np.all(alpha_f < C)):
+            return None  # the active set is wrong, or the solution is not finite
+        alpha = np.where(at_c, C, 0.0)
+        alpha[free] = alpha_f
+        score = signed - K @ (alpha * signed)  # -yg
+    positive = signed > 0
+    up = np.where(positive, alpha < C, alpha > 0.0)
+    low = np.where(positive, alpha > 0.0, alpha < C)
+    g_max, g_min = float(score[up].max()), float(score[low].min())
+    if not g_max - g_min < _SVM_STOP:
+        return None  # not converged yet, or not finite
+    return alpha, g_max, g_min
+
+
 # -- problems -------------------------------------------------------------------
 
 
@@ -233,7 +285,8 @@ PROBLEMS = {
     "overlap-d3-coef0": (overlapping(30, 2, 1.0, 7), dict(degree=3, coef0=0.0)),
     "overlap-wide": (overlapping(48, 14, 0.3, 8), dict(degree=3, penalty=1.0)),
     # the benchmark grid's shape: 48 rows of 14 scaled columns, where plain
-    # WSS2 takes 1339 updates and the exact finish ends the fit at 432
+    # WSS2 takes 1339 updates, one_solve_finish ends the fit at 432 and
+    # the library's finish at 48
     "grid-overlap-shaped": (scaled(overlapping(48, 14, 0.3, 18)), dict(degree=3, penalty=1.0)),
     "overlap-odd-m": (overlapping(17, 2, 1.5, 9), dict(degree=2, penalty=1.0)),
     "separated": (overlapping(30, 2, 6.0, 10), dict(degree=3, penalty=1.0)),
@@ -246,6 +299,7 @@ PROBLEMS = {
     "duplicates-across": (duplicated(15, cross_class=True), dict(degree=3, penalty=1.0)),
     "duplicates-across-d2-C10": (duplicated(16, cross_class=True), dict(degree=2, penalty=10.0)),
     "all-rows-equal": ((np.ones((6, 2)), ["A", "B"] * 3), dict(degree=2, penalty=1.0)),
+    # plain WSS2 reaches its cap of 3 m updates; the exact finish ends it at 60
     "sweep-cap": (overlapping(30, 2, 0.5, 17), dict(degree=3, penalty=10.0, updates_per_row=3)),
 }
 
@@ -266,7 +320,7 @@ def svm_spec(monkeypatch, **options):
         monkeypatch.setattr(classifiers, _CONSTANTS[name], value)
 
 
-@pytest.mark.parametrize("name", sorted(set(PROBLEMS) - {"sweep-cap"}))
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_svm_reaches_reference_optimum(name, monkeypatch):
     (X, y), options = PROBLEMS[name]
     X = np.asarray(X, dtype=np.float64)
@@ -280,11 +334,13 @@ def test_svm_reaches_reference_optimum(name, monkeypatch):
 
 
 def test_svm_sweep_cap_bounds_updates(monkeypatch):
-    (X, y), options = PROBLEMS["sweep-cap"]
-    assert options["updates_per_row"] == 3
+    # every exact finish of this fit is rejected
+    (X, y), options = random_problem(44)
+    assert options["updates_per_row"] == 200
     svm_spec(monkeypatch, **options)
     model = train("SVM_POLY", X, y)
-    assert model.diagnostics["n_updates"] == 3 * len(y)
+    assert model.diagnostics["n_updates"] == 200 * len(y)
+    assert not model.diagnostics["exact_finish"]
 
 
 def test_duplicate_rows_give_zero_eta():
@@ -351,8 +407,8 @@ def test_svm_bit_identical_to_wss2_reference_on_random_family(monkeypatch):
 
 def check_accepted_finish(X, y, options, monkeypatch):
     """Check the finish that ends the WSS2 reference's fit, if one does,
-    against the iterate it started from and against plain WSS2; returns
-    whether a finish was accepted."""
+    against the dual's optimality conditions and against plain WSS2;
+    returns whether a finish was accepted."""
     X = np.asarray(X, dtype=np.float64)
     svm_spec(monkeypatch, **options)
     signed = np.where(np.array(y) == sorted(set(y))[1], 1.0, -1.0)
@@ -361,20 +417,19 @@ def check_accepted_finish(X, y, options, monkeypatch):
     def recording(K, y, alpha, C):
         finished = _exact_finish(K, y, alpha.copy(), C)
         if finished is not None:
-            accepted.append((K, alpha, finished[0]))
+            accepted.append((K, finished[0]))
         return finished
 
     _, diag = wss2_reference_train_svm(X, signed, recording)
     assert diag["exact_finish"] == bool(accepted)
     if not accepted:
         return False
-    (K, start, alpha), = accepted
+    (K, alpha), = accepted
     m, C = len(signed), classifiers._SVM_C
     assert diag["n_updates"] % m == 0
-    # the free points stay strictly inside the box, the bounded ones stay put
-    free = (start > 0.0) & (start < C)
-    assert np.all((alpha[free] > 0.0) & (alpha[free] < C))
-    assert np.all(alpha[start >= C] == C) and np.all(alpha[start <= 0.0] == 0.0)
+    assert diag["kkt_residual"] <= 1e-8
+    # inside the box and on the equality constraint
+    assert np.all((alpha >= 0.0) & (alpha <= C))
     assert abs(signed @ alpha) <= 1e-12 * C * m
     # the maximal violating pair of -y * (Q alpha - 1), from Q itself
     Q = np.outer(signed, signed) * K
@@ -389,11 +444,10 @@ def check_accepted_finish(X, y, options, monkeypatch):
     return True
 
 
-# these stop on the gap before their m-th update, reach the cap, or (with
-# rows equal across classes) never get a nonsingular reduced system
+# these stop on the gap before their m-th update, or (with rows equal
+# across classes) never get a nonsingular reduced system
 NO_FINISH = {
-    "all-rows-equal", "duplicates-across", "separated", "sweep-cap",
-    "xor-corners-d2", "xor-noisy-d1",
+    "all-rows-equal", "duplicates-across", "separated", "xor-corners-d2", "xor-noisy-d1",
 }
 
 
@@ -464,26 +518,124 @@ def test_exact_finish_rejects_a_singular_reduced_system(monkeypatch):
     assert any(x is None for _, x in solves)
 
 
-def test_exact_finish_rejects_a_solution_outside_the_box(monkeypatch):
-    (X, y), options = PROBLEMS["overlap-d3-C1"]
-    X = np.asarray(X, dtype=np.float64)
-    K = _poly_kernel(X, X, options["degree"], 1.0)
-    signed = np.where(np.array(y) == "B", 1.0, -1.0)
-    C = options["penalty"]
-    # every point free at C / 2: the reduced system is the whole dual's
+def recording_attempts(monkeypatch):
+    """Record each call of the library's _exact_finish: its arguments,
+    the np.linalg.solve calls it made (see recording_solves) and its
+    result."""
+    attempts = []
     solves = recording_solves(monkeypatch)
-    assert _exact_finish(K, signed, np.full(len(y), 0.5 * C), C) is None
-    (n, x), = solves
-    assert n == len(y) + 1 and not np.all((x[:-1] > 0.0) & (x[:-1] < C))
-    # the fit that reaches its update cap rejects every finish for that reason
-    solves.clear()
-    (X, y), options = PROBLEMS["sweep-cap"]
-    diag = assert_matches_wss2_reference(X, y, options, monkeypatch, finish=None)
-    assert not diag["exact_finish"]
-    assert solves and all(
-        not np.all((x[: n - 1] > 0.0) & (x[: n - 1] < options["penalty"]))
-        for n, x in solves
-    )
+    finish = classifiers._exact_finish
+
+    def recording(K, signed, alpha, C):
+        solves.clear()
+        result = finish(K, signed, alpha.copy(), C)
+        attempts.append((K, signed, alpha, C, list(solves), result))
+        return result
+
+    monkeypatch.setattr(classifiers, "_exact_finish", recording)
+    return attempts
+
+
+def outside_the_box(x, C):
+    """Whether the alpha_F of a solve (its bias last) leaves (0, C)."""
+    return not np.all((x[:-1] > 0.0) & (x[:-1] < C))
+
+
+def test_exact_finish_rejects_a_solution_outside_the_box(monkeypatch):
+    # a solve whose alpha_F leaves (0, C) is never returned: those points
+    # go to their bounds and the system is solved again, or the attempt
+    # gives up; what it returns is its last solve, inside the box
+    attempts = recording_attempts(monkeypatch)
+    # every point free at C / 2: the first system is the whole dual's. In
+    # overlap-d3-C1 every alpha leaves the box, so no point is left free;
+    # grid-overlap-shaped repairs its active set
+    for name in ("overlap-d3-C1", "grid-overlap-shaped"):
+        (X, y), options = PROBLEMS[name]
+        X = np.asarray(X, dtype=np.float64)
+        K = _poly_kernel(X, X, options["degree"], 1.0)
+        signed = np.where(np.array(y) == "B", 1.0, -1.0)
+        C = options["penalty"]
+        classifiers._exact_finish(K, signed, np.full(len(y), 0.5 * C), C)
+    assert [len(a[4]) > 1 for a in attempts] == [False, True]
+    assert [a[5] is not None for a in attempts] == [False, True]
+    for _, _, start, C, solves, _ in attempts:
+        n, x = solves[0]
+        assert n == len(start) + 1 and outside_the_box(x, C)
+    # the fit that reaches its update cap rejects every attempt
+    (X, y), options = random_problem(44)
+    svm_spec(monkeypatch, **options)
+    assert not train("SVM_POLY", X, y).diagnostics["exact_finish"]
+    capped = attempts[2:]
+    assert capped and all(result is None for *_, result in capped)
+    assert sum(outside_the_box(x, C) for *_, C, solves, _ in capped for _, x in solves) > 100
+    for _, _, _, C, solves, result in attempts:
+        if result is None:
+            continue
+        alpha = result[0]
+        free = (alpha > 0.0) & (alpha < C)
+        n, x = solves[-1]
+        assert n == np.count_nonzero(free) + 1 and np.array_equal(alpha[free], x[:-1])
+        assert np.all((alpha[~free] == 0.0) | (alpha[~free] == C))
+
+
+def violations_after(K, signed, start, C, solution):
+    """How many points a solve on the active set of start leaves on the
+    wrong side: a free alpha outside (0, C), or a bound point whose margin
+    y f(x) under the solved bias is below 1 at 0 or above 1 at C."""
+    free = (start > 0.0) & (start < C)
+    at_c = start >= C
+    alpha = np.where(at_c, C, 0.0)
+    alpha[free] = solution[:-1]
+    margin = signed * (K @ (alpha * signed) + solution[-1])
+    leave = free & ((alpha <= 0.0) | (alpha >= C))
+    wake = (at_c & (margin > 1.0)) | (~free & ~at_c & (margin < 1.0))
+    return int(np.count_nonzero(leave | wake))
+
+
+def test_exact_finish_solves_at_most_2v_plus_1_times_on_random_family(monkeypatch):
+    # an attempt gives up once two solves in a row leave no fewer points
+    # on the wrong side than the fewest so far, so if its first solve
+    # leaves v of them it makes at most 2 v + 1 solves
+    attempts = recording_attempts(monkeypatch)
+    for seed in range(100):
+        (X, y), options = random_problem(seed)
+        svm_spec(monkeypatch, **options)
+        train("SVM_POLY", X, y)
+    counts = []
+    for K, signed, start, C, solves, _ in attempts:
+        if not solves:  # no free point to start from
+            assert not np.any((start > 0.0) & (start < C))
+            continue
+        first = solves[0][1]
+        if first is None or not np.isfinite(first).all():
+            assert len(solves) == 1
+        else:
+            assert len(solves) <= 2 * violations_after(K, signed, start, C, first) + 1
+        counts.append(len(solves))
+    assert len(counts) > 200 and max(counts) > 2  # some repair more than once
+
+
+def test_exact_finish_ends_the_grid_shaped_fit_early_with_the_one_solve_params(monkeypatch):
+    # one_solve_finish waits until SMO has settled every point of the
+    # active set, at update 432; the library's finish repairs the active
+    # set of the iterate at update 48, reaches the same one, and solves
+    # the same system there
+    (X, y), options = PROBLEMS["grid-overlap-shaped"]
+    X = np.asarray(X, dtype=np.float64)
+    svm_spec(monkeypatch, **options)
+    model = train("SVM_POLY", X, y)
+    signed = np.where(np.array(y) == model.classes[1], 1.0, -1.0)
+    params, diag = wss2_reference_train_svm(X, signed, finish=one_solve_finish)
+    assert diag["exact_finish"] and diag["n_updates"] == 432
+    got = model.diagnostics
+    # at update 0 no point is free; the first attempt with one ends the fit
+    assert got["exact_finish"] and got["n_updates"] == len(y)
+    assert model.params.keys() == params.keys()
+    for key, value in params.items():
+        assert _bits(model.params[key]) == _bits(value), key
+    assert got.keys() == diag.keys()
+    for key in diag.keys() - {"n_updates"}:
+        assert _bits(got[key]) == _bits(diag[key]), key
 
 
 def test_exact_finish_rejects_a_product_that_is_not_finite():
